@@ -11,6 +11,7 @@ trust.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -310,23 +311,22 @@ def _words_to_vectors(key: str, base: Lattice,
 
 def _close_glue_group(base: Lattice,
                       generators: list[LatticeVector]) -> list[LatticeVector]:
-    """All distinct cosets generated by the glue vectors, reduced mod 1."""
-
-    def reduced(coords: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c) % 1 for c in coords)
-
-    gens = [reduced(g.coords) for g in generators]
-    zero = tuple(Fraction(0) for _ in range(base.rank))
+    """All distinct cosets generated by the glue vectors, reduced mod 1, as
+    integer residues modulo the glue denominator (sorted like the Fractions)."""
+    words = RatMatrix.from_rows([g.coords for g in generators], cols=base.rank)
+    den = words.den
+    gens = [tuple(e % den for e in row) for row in words.num]
+    zero = (0,) * base.rank
     group = {zero}
     frontier = [zero]
     while frontier:
         cur = frontier.pop()
         for g in gens:
-            nxt = reduced(a + b for a, b in zip(cur, g))
+            nxt = tuple((a + b) % den for a, b in zip(cur, g))
             if nxt not in group:
                 group.add(nxt)
                 frontier.append(nxt)
-    return [base.vector(coords) for coords in sorted(group)]
+    return [base.vector([Fraction(e, den) for e in coords]) for coords in sorted(group)]
 
 
 def construct_niemeier(key: str, corrupt_generator: bool = False) -> NiemeierBundle:
@@ -417,11 +417,7 @@ def assemble_block_isometry(bundle: NiemeierBundle,
         raise CatalogError(f"{name}: block targets are not a permutation")
     if len(assignments) != len(blocks):
         raise CatalogError(f"{name}: block count mismatch")
-    starts = []
-    pos = 0
-    for b in blocks:
-        starts.append(pos)
-        pos += b
+    starts = [0, *itertools.accumulate(blocks)][:-1]
     entries = [[0] * base.rank for _ in range(base.rank)]
     for src, (dst, m) in enumerate(assignments):
         if blocks[src] != blocks[dst] or m.rows != blocks[src]:
@@ -433,7 +429,7 @@ def assemble_block_isometry(bundle: NiemeierBundle,
     b = bundle.extension.basis_in_base
     x = b @ s.to_rat() @ inverse(b)
     for k in range(x.rows):
-        if any(e.denominator != 1 for e in x.entries[k]):
+        if any(e % x.den for e in x.num[k]):
             raise StabilizationError(
                 f"{name}: image of basis vector {k} is outside the lattice: "
                 f"{tuple(str(e) for e in x.entries[k])}")

@@ -302,7 +302,11 @@ def cmd_candidates(args) -> int:
 
 
 def cmd_schellekens(args) -> int:
-    numbers = liealg.schellekens_match(args.dim, args.type)
+    try:
+        numbers = liealg.schellekens_match(args.dim, args.type)
+    except liealg.LieDataError as exc:
+        print(f"usage error: --type: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     rows_by_number = {r.number: r for r in liealg.schellekens_rows()}
     entries = [{"number": n, "dim_v1": rows_by_number[n].dim_v1,
                 "type": rows_by_number[n].type_string} for n in numbers]
@@ -342,6 +346,10 @@ def cmd_verify_all(args) -> int:
         square = report["indices"]["N_over_R"]
         rows.append(_row(f"{sigma_key} index N/R is a perfect square",
                          math.isqrt(square) ** 2 == square, True, "computed"))
+    if not rows:
+        print(f"usage error: --filter {wanted!r} matches no construction",
+              file=sys.stderr)
+        return EXIT_USAGE
     if args.emit_dir is not None:
         out = Path(args.emit_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -1,8 +1,13 @@
 """Exact integer and rational matrix algebra.
 
-Everything in this module is pure and exact: arbitrary-precision integers,
-:class:`fractions.Fraction` for rationals, no floating point anywhere.
-Matrices are immutable values; every operation returns a new matrix.
+Everything in this module is pure and exact, with no floating point
+anywhere.  :class:`IntMatrix` holds Python ints.  :class:`RatMatrix` holds
+one scaled-integer representation: integer numerators over one positive
+common denominator, reduced by their gcd so that equal matrices have equal
+fields.  Its arithmetic, determinant, exact solve and LDL^T run on ints;
+``RatMatrix.entries`` is a derived Fraction view for callers that want
+entries one by one.  Matrices are immutable values; every operation
+returns a new matrix.
 
 Row-vector convention: vectors are rows and maps act on the right
 (``x -> x @ m``), so the kernel of ``m`` is ``{x : x @ m = 0}`` and the row
@@ -14,7 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -26,6 +33,10 @@ class ShapeError(ValueError):
 
 class NoSolution(Exception):
     """The linear system passed to :func:`solve_exact` is inconsistent."""
+
+
+class NotPositiveDefinite(ValueError):
+    """The matrix passed to :func:`ldl` has a leading minor <= 0."""
 
 
 def _as_int(x: object) -> int:
@@ -42,6 +53,28 @@ def _as_frac(x: object) -> Fraction:
     raise TypeError(f"rational entry expected, got {x!r}")
 
 
+def _check_ints(rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> None:
+    if rows < 0 or cols < 0:
+        raise ShapeError("negative matrix dimension")
+    if len(entries) != rows:
+        raise ShapeError("row count does not match entries")
+    for row in entries:
+        if len(row) != cols:
+            raise ShapeError("ragged rows")
+        if not all(type(e) is int for e in row):
+            for e in row:
+                _as_int(e)
+
+
+def _transpose(entries, rows: int, cols: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(zip(*entries)) if rows else ((),) * cols
+
+
+def _product(a, b, b_rows: int, b_cols: int) -> tuple[tuple[int, ...], ...]:
+    bt = _transpose(b, b_rows, b_cols)
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable integer matrix; ``entries`` is a row-major tuple of tuples."""
@@ -51,15 +84,7 @@ class IntMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ShapeError("negative matrix dimension")
-        if len(self.entries) != self.rows:
-            raise ShapeError("row count does not match entries")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ShapeError("ragged rows")
-            for e in row:
-                _as_int(e)
+        _check_ints(self.rows, self.cols, self.entries)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], cols: int | None = None) -> "IntMatrix":
@@ -78,13 +103,8 @@ class IntMatrix:
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                               for j in range(self.cols)))
+        return IntMatrix(self.cols, self.rows, _transpose(self.entries, self.rows, self.cols))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -107,10 +127,8 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ShapeError("size mismatch in multiplication")
-        bt = other.transpose().entries
         return IntMatrix(self.rows, other.cols,
-                         tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
-                               for row in self.entries))
+                         _product(self.entries, other.entries, other.rows, other.cols))
 
     def __pow__(self, k: int) -> "IntMatrix":
         if self.rows != self.cols:
@@ -135,90 +153,114 @@ class IntMatrix:
                         for i, row in enumerate(self.entries) for j, e in enumerate(row)))
 
     def to_rat(self) -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols,
-                         tuple(tuple(Fraction(e) for e in row) for row in self.entries))
+        return RatMatrix(self.rows, self.cols, self.entries)
 
 
 @dataclass(frozen=True)
 class RatMatrix:
-    """Immutable rational matrix; every entry is a normalized Fraction."""
+    """Immutable rational matrix: entry (i, j) is ``num[i][j] / den``.
+
+    ``den`` is positive and coprime to the gcd of all numerators, so the
+    representation is canonical and dataclass equality and hashing are
+    equality and hashing of the rational matrices.
+    """
 
     rows: int
     cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    num: tuple[tuple[int, ...], ...]
+    den: int = 1
 
     def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ShapeError("negative matrix dimension")
-        if len(self.entries) != self.rows:
-            raise ShapeError("row count does not match entries")
-        coerced = tuple(tuple(_as_frac(e) for e in row) for row in self.entries)
-        for row in coerced:
-            if len(row) != self.cols:
-                raise ShapeError("ragged rows")
-        object.__setattr__(self, "entries", coerced)
+        _check_ints(self.rows, self.cols, self.num)
+        if _as_int(self.den) == 0:
+            raise ZeroDivisionError("matrix denominator is zero")
+        g = gcd(self.den, *(e for row in self.num for e in row))
+        if self.den < 0:
+            g = -g
+        if g != 1:
+            object.__setattr__(self, "num", tuple(tuple(e // g for e in row)
+                                                  for row in self.num))
+            object.__setattr__(self, "den", self.den // g)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[Rational]], cols: int | None = None) -> "RatMatrix":
-        data = tuple(tuple(_as_frac(e) for e in row) for row in rows)
+        data = [[_as_frac(e) for e in row] for row in rows]
         if cols is None:
             if not data:
                 raise ShapeError("column count required for a matrix with no rows")
             cols = len(data[0])
-        return cls(len(data), cols, data)
+        den = lcm(*(e.denominator for row in data for e in row))
+        return cls(len(data), cols,
+                   tuple(tuple(e.numerator * (den // e.denominator) for e in row)
+                         for row in data), den)
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
         return IntMatrix.identity(n).to_rat()
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
+    @cached_property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(e, self.den) for e in row) for row in self.num)
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(self.cols, self.rows,
-                         tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                               for j in range(self.cols)))
+        return RatMatrix(self.cols, self.rows, _transpose(self.num, self.rows, self.cols),
+                         self.den)
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("size mismatch in addition")
+        den = lcm(self.den, other.den)
+        p, q = den // self.den, den // other.den
         return RatMatrix(self.rows, self.cols,
-                         tuple(tuple(a + b for a, b in zip(ra, rb))
-                               for ra, rb in zip(self.entries, other.entries)))
+                         tuple(tuple(p * a + q * b for a, b in zip(ra, rb))
+                               for ra, rb in zip(self.num, other.num)), den)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         return self + (-other)
 
     def __neg__(self) -> "RatMatrix":
         return RatMatrix(self.rows, self.cols,
-                         tuple(tuple(-a for a in row) for row in self.entries))
+                         tuple(tuple(-a for a in row) for row in self.num), self.den)
 
     def scale(self, k: Rational) -> "RatMatrix":
         kf = _as_frac(k)
         return RatMatrix(self.rows, self.cols,
-                         tuple(tuple(kf * a for a in row) for row in self.entries))
+                         tuple(tuple(kf.numerator * a for a in row) for row in self.num),
+                         kf.denominator * self.den)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ShapeError("size mismatch in multiplication")
-        bt = other.transpose().entries
         return RatMatrix(self.rows, other.cols,
-                         tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
-                               for row in self.entries))
+                         _product(self.num, other.num, other.rows, other.cols),
+                         self.den * other.den)
 
     def is_integral(self) -> bool:
-        return all(e.denominator == 1 for row in self.entries for e in row)
+        return self.den == 1
 
     def to_int(self) -> IntMatrix:
         if not self.is_integral():
             raise ValueError("matrix has non-integer entries")
-        return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(int(e) for e in row) for row in self.entries))
+        return IntMatrix(self.rows, self.cols, self.num)
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(self.rows) for j in range(i + 1, self.cols))
+        return self.rows == self.cols and self.num == _transpose(self.num, self.rows,
+                                                                  self.cols)
+
+
+def block_diagonal(parts: Sequence[RatMatrix]) -> RatMatrix:
+    """Block-diagonal matrix of the given blocks, which need not be square."""
+    den = lcm(*(p.den for p in parts))
+    cols = sum(p.cols for p in parts)
+    rows = []
+    off = 0
+    for p in parts:
+        k = den // p.den
+        for row in p.num:
+            rows.append((0,) * off + tuple(k * e for e in row)
+                        + (0,) * (cols - off - p.cols))
+        off += p.cols
+    return RatMatrix(len(rows), cols, tuple(rows), den)
 
 
 @dataclass(frozen=True)
@@ -396,24 +438,15 @@ def det(m: IntMatrix | RatMatrix) -> Fraction:
     """Exact determinant via fraction-free (Bareiss) elimination."""
     if m.rows != m.cols:
         raise ShapeError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return Fraction(1)
     if isinstance(m, RatMatrix):
-        scale = Fraction(1)
-        rows = []
-        for row in m.entries:
-            d = 1
-            for e in row:
-                d = lcm(d, e.denominator)
-            scale *= d
-            rows.append([int(e * d) for e in row])
-        return Fraction(_bareiss(rows)) / scale
+        return Fraction(_bareiss([list(row) for row in m.num]), m.den ** m.rows)
     return Fraction(_bareiss([list(row) for row in m.entries]))
 
 
 def _bareiss(a: list[list[int]]) -> int:
     n = len(a)
+    if n == 0:
+        return 1
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -431,45 +464,75 @@ def _bareiss(a: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def ldl(m: RatMatrix) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """LDL^T as weighted squares: x m x^T = sum_k d[k] (x_k + sum_{j>k} u[k][j] x_j)^2.
+
+    One Bareiss pass over the numerators without pivoting: pivot k is the
+    leading minor D_k, so d[k] = D_k / (D_{k-1} den) and u[k] is row k over
+    D_k.  Raises :class:`NotPositiveDefinite` at the first D_k <= 0.
+    """
+    n = m.rows
+    a = [list(row) for row in m.num]
+    d: list[Fraction] = []
+    u = [[Fraction(0)] * n for _ in range(n)]
+    prev = 1
+    for k in range(n):
+        p = a[k][k]
+        if p <= 0:
+            raise NotPositiveDefinite(f"leading minor {k + 1} is not positive")
+        d.append(Fraction(p, prev * m.den))
+        for j in range(k + 1, n):
+            u[k][j] = Fraction(a[k][j], p)
+            for i in range(k + 1, n):
+                a[i][j] = (a[i][j] * p - a[i][k] * a[k][j]) // prev
+        prev = p
+    return d, u
+
+
 def solve_exact(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     """Solve ``x @ a = b`` exactly; raises :class:`NoSolution` if inconsistent.
 
     ``a`` is n x m and ``b`` is k x m; the result is k x n.  When the system
     is underdetermined the solution with zero free coordinates is returned,
-    which makes the output canonical.
+    which makes the output canonical.  Fraction-free Gauss-Jordan on the
+    numerators keeps every entry an integer minor, so each division by the
+    previous pivot is exact and every pivot row ends on the last pivot.
     """
     if a.cols != b.cols:
         raise ShapeError("right-hand side has wrong width")
     n, m_ = a.rows, a.cols
     k = b.rows
     # Transpose to column form: a^T y = b^T with y = x^T.
-    aug = [[a.entries[j][i] for j in range(n)] + [b.entries[t][i] for t in range(k)]
-           for i in range(m_)]
+    aug = [list(ac) + list(bc) for ac, bc in zip(_transpose(a.num, n, m_),
+                                                  _transpose(b.num, k, m_))]
     pivots: list[int] = []
     row = 0
+    prev = 1
     for col in range(n):
         piv = next((i for i in range(row, m_) if aug[i][col] != 0), None)
         if piv is None:
             continue
         aug[row], aug[piv] = aug[piv], aug[row]
-        pv = aug[row][col]
-        aug[row] = [e / pv for e in aug[row]]
+        top = aug[row]
+        pv = top[col]
         for i in range(m_):
-            if i != row and aug[i][col] != 0:
+            if i != row:
                 f = aug[i][col]
-                aug[i] = [e - f * p for e, p in zip(aug[i], aug[row])]
+                aug[i] = [(pv * e - f * t) // prev for e, t in zip(aug[i], top)]
         pivots.append(col)
+        prev = pv
         row += 1
         if row == m_:
             break
     for i in range(row, m_):
         if any(e != 0 for e in aug[i][n:]):
             raise NoSolution("inconsistent linear system")
-    x = [[Fraction(0)] * n for _ in range(k)]
+    # x a.num / a.den = b.num / b.den  <=>  x a.num = b.num (a.den / b.den).
+    x = [[0] * n for _ in range(k)]
     for r_i, col in enumerate(pivots):
         for t in range(k):
-            x[t][col] = aug[r_i][n + t]
-    return RatMatrix.from_rows(x, cols=n)
+            x[t][col] = aug[r_i][n + t] * a.den
+    return RatMatrix(k, n, tuple(tuple(r) for r in x), prev * b.den)
 
 
 def inverse(a: RatMatrix) -> RatMatrix:

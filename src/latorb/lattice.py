@@ -14,21 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import prod
 from typing import Iterable, Sequence
 
-from .exactmat import (
-    IntMatrix,
-    NoSolution,
-    RatMatrix,
-    Rational,
-    det,
-    hnf,
-    inverse,
-    kernel_basis,
-    snf,
-    solve_exact,
-)
+from .exactmat import (IntMatrix, NoSolution, NotPositiveDefinite, RatMatrix, Rational,
+                       block_diagonal, det, hnf, inverse, kernel_basis, ldl, snf, solve_exact)
 
 
 class LatticeError(ValueError):
@@ -53,8 +43,7 @@ class IsometryError(ValueError):
 
 def rat_str(x: Rational) -> str:
     """Canonical string for an exact rational: 'p' or 'p/q' in lowest terms."""
-    f = Fraction(x)
-    return str(f)
+    return str(Fraction(x))
 
 
 @dataclass(frozen=True)
@@ -81,20 +70,16 @@ class Lattice:
         g = self.gram
         if not g.is_symmetric():
             raise LatticeError("Gram matrix is not symmetric")
-        # Positive definiteness: all leading principal minors positive.
-        for k in range(1, g.rows + 1):
-            minor = RatMatrix.from_rows(
-                [row[:k] for row in g.entries[:k]], cols=k)
-            if det(minor) <= 0:
-                raise LatticeError("Gram matrix is not positive definite")
+        try:
+            ldl(g)
+        except NotPositiveDefinite:
+            raise LatticeError("Gram matrix is not positive definite") from None
         if self.embedding is not None:
             e = self.embedding
             if e.rows != g.rows:
                 raise LatticeError("embedding row count differs from rank")
             f = self.ambient_form
-            if f is None:
-                f = RatMatrix.identity(e.cols)
-            if (e @ f @ e.transpose()) != g:
+            if (e if f is None else e @ f) @ e.transpose() != g:
                 raise LatticeError("embedding does not reproduce the Gram matrix")
         elif self.ambient_form is not None:
             raise LatticeError("ambient form given without an embedding")
@@ -122,7 +107,7 @@ class Lattice:
     @property
     def is_even(self) -> bool:
         return self.is_integral and all(
-            int(self.gram.entries[i][i]) % 2 == 0 for i in range(self.rank))
+            self.gram.num[i][i] % 2 == 0 for i in range(self.rank))
 
     def determinant(self) -> Fraction:
         return det(self.gram)
@@ -134,10 +119,12 @@ class Lattice:
         return self.vector([1 if j == i else 0 for j in range(self.rank)])
 
     def inner(self, x: Sequence[Rational], y: Sequence[Rational]) -> Fraction:
-        """Pairing of two vectors given in basis coordinates."""
-        gy = [sum(self.gram.entries[i][j] * Fraction(y[j]) for j in range(self.rank))
-              for i in range(self.rank)]
-        return sum((Fraction(x[i]) * gy[i] for i in range(self.rank)), Fraction(0))
+        """Pairing of two vectors given in basis coordinates, summed over
+        their nonzero coordinates with the integer Gram numerators."""
+        ys = [(j, b) for j, b in enumerate(y) if b]
+        total = sum(a * sum(row[j] * b for j, b in ys)
+                    for a, row in zip(x, self.gram.num) if a)
+        return Fraction(total) / self.gram.den
 
     def to_json(self) -> dict:
         even, unimodular = is_even_unimodular(self)
@@ -172,8 +159,7 @@ class LatticeVector:
     def ambient(self) -> tuple[Fraction, ...]:
         e = self.lattice.effective_embedding()
         return tuple(
-            sum((self.coords[i] * e.entries[i][j] for i in range(self.lattice.rank)),
-                Fraction(0))
+            sum((c * row[j] for c, row in zip(self.coords, e.num) if c), Fraction(0)) / e.den
             for j in range(e.cols))
 
     def norm(self) -> Fraction:
@@ -270,41 +256,15 @@ def discriminant_group(l: Lattice) -> DiscriminantGroup:
     if not l.is_integral:
         raise LatticeError("discriminant group requires an integral Gram matrix")
     factors = snf(l.gram.to_int()).invariant_factors
-    order = 1
-    for f in factors:
-        order *= f
-    return DiscriminantGroup(tuple(f for f in factors if f > 1), order)
+    return DiscriminantGroup(tuple(f for f in factors if f > 1), prod(factors))
 
 
 def direct_sum(parts: Sequence[Lattice], name: str | None = None) -> Lattice:
     """Orthogonal direct sum with block-diagonal Gram and block bookkeeping."""
-    total_rank = sum(p.rank for p in parts)
-    gram_rows = []
-    emb_rows = []
-    form_rows = []
-    ambient_dims = [p.effective_embedding().cols for p in parts]
-    total_ambient = sum(ambient_dims)
-    r_off = 0
-    a_off = 0
-    for p, adim in zip(parts, ambient_dims):
-        for i in range(p.rank):
-            row = [Fraction(0)] * total_rank
-            row[r_off:r_off + p.rank] = p.gram.entries[i]
-            gram_rows.append(row)
-            erow = [Fraction(0)] * total_ambient
-            erow[a_off:a_off + adim] = p.effective_embedding().entries[i]
-            emb_rows.append(erow)
-        pform = p.effective_ambient_form()
-        for i in range(adim):
-            frow = [Fraction(0)] * total_ambient
-            frow[a_off:a_off + adim] = pform.entries[i]
-            form_rows.append(frow)
-        r_off += p.rank
-        a_off += adim
-    gram = RatMatrix.from_rows(gram_rows, cols=total_rank)
-    embedding = RatMatrix.from_rows(emb_rows, cols=total_ambient) if total_rank else None
-    form = RatMatrix.from_rows(form_rows, cols=total_ambient) if total_ambient else None
-    if form is not None and form == RatMatrix.identity(total_ambient):
+    gram = block_diagonal([p.gram for p in parts])
+    embedding = block_diagonal([p.effective_embedding() for p in parts]) if gram.rows else None
+    form = block_diagonal([p.effective_ambient_form() for p in parts])
+    if form == RatMatrix.identity(form.rows):
         form = None
     return Lattice(gram, embedding=embedding, ambient_form=form, name=name,
                    blocks=tuple(p.rank for p in parts))
@@ -333,26 +293,20 @@ def glue_extend(q: Lattice, glue: Sequence[LatticeVector],
     for gi, g in enumerate(glue):
         if g.lattice != q:
             raise GlueError(f"glue vector {gi} is not in the base lattice's basis")
-        if len(g.coords) != r:
-            raise GlueError(f"glue vector {gi} has wrong length")
-        for bi in range(r):
-            pairing = q.inner(g.coords, [1 if j == bi else 0 for j in range(r)])
-            if pairing.denominator != 1:
+    words = RatMatrix.from_rows([g.coords for g in glue], cols=r)
+    pairings = words @ q.gram
+    for gi, row in enumerate(pairings.num):
+        for bi, e in enumerate(row):
+            if e % pairings.den:
                 raise GlueError(
                     f"glue vector {gi} pairs non-integrally with basis vector "
-                    f"{bi}: <g,b> = {rat_str(pairing)}")
-    denom = 1
-    for g in glue:
-        for c in g.coords:
-            denom = lcm(denom, c.denominator)
+                    f"{bi}: <g,b> = {rat_str(Fraction(e, pairings.den))}")
+    denom = words.den
     rows = [[denom if i == j else 0 for j in range(r)] for i in range(r)]
-    for g in glue:
-        rows.append([int(c * denom) for c in g.coords])
-    h = hnf(IntMatrix.from_rows(rows, cols=r))
+    h = hnf(IntMatrix.from_rows(rows + [list(w) for w in words.num], cols=r))
     if h.rows != r:
         raise GlueError("glue span lost rank (internal error)")
-    basis = RatMatrix.from_rows(
-        [[Fraction(e, denom) for e in row] for row in h.entries], cols=r)
+    basis = RatMatrix(r, r, h.entries, denom)
     det_basis = det(basis)
     index_frac = 1 / abs(det_basis)
     if index_frac.denominator != 1:
@@ -412,10 +366,7 @@ def quotient_index(outer: Lattice, inner: SublatticeOf) -> Quotient:
         raise QuotientError(
             f"quotient is infinite: inner rank {inner.rank} < outer rank {outer.rank}")
     factors = snf(inner.inclusion).invariant_factors
-    index = 1
-    for f in factors:
-        index *= f
-    return Quotient(index, tuple(f for f in factors if f > 1))
+    return Quotient(prod(factors), tuple(f for f in factors if f > 1))
 
 
 @dataclass(frozen=True)
@@ -471,12 +422,6 @@ class Isometry:
         m = self.matrix.entries
         n = self.matrix.rows
         return tuple(sum(coords[i] * m[i][j] for i in range(n)) for j in range(n))
-
-    def power(self, k: int) -> IntMatrix:
-        return self.matrix ** (k % self.order)
-
-    def inverse_matrix(self) -> IntMatrix:
-        return self.matrix ** (self.order - 1)
 
     @property
     def fixed_rank(self) -> int:

@@ -267,16 +267,16 @@ def parse_type_string(text: str) -> tuple[tuple[SimpleLieData, int, int], ...]:
     """Parse "A5,3 D4,3 A1,1^3" into ((type, level, count), ...) tuples."""
     out = []
     for token in text.split():
-        if "^" in token:
-            head, _, mult = token.partition("^")
-            count = int(mult)
-        else:
-            head, count = token, 1
+        head, caret, mult = token.partition("^")
         name, _, level_text = head.partition(",")
         if not level_text:
             raise LieDataError(f"component {token!r} has no level")
-        family, rank = name[0], int(name[1:])
-        out.append((lookup(family, rank), int(level_text), count))
+        try:
+            rank, level, count = int(name[1:]), int(level_text), int(mult) if caret else 1
+        except ValueError:
+            raise LieDataError(
+                f"component {token!r} is not X<rank>,<level>[^<count>]") from None
+        out.append((lookup(name[:1], rank), level, count))
     return tuple(out)
 
 

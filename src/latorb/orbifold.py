@@ -14,11 +14,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, prod
 
 from . import liealg
-from .catalog import SIGMA_KEYS, SIGMA_TO_LATTICE, build_sigma, niemeier_bundle
-from .exactmat import IntMatrix, det, hnf, inverse, kernel_basis, snf, solve_exact
+from .catalog import SIGMA_KEYS, SIGMA_TO_LATTICE, NiemeierBundle, build_sigma, niemeier_bundle
+from .exactmat import IntMatrix, RatMatrix, det, hnf, inverse, kernel_basis, snf, solve_exact
 from .lattice import Isometry, LatticeVector, SublatticeOf, rat_str
 from .roots import RootSystem, enumerate_roots, orbit_count
 
@@ -82,16 +82,20 @@ def rho_is_admissible(value: Fraction) -> bool:
     return (TWIST_ORDER * value).denominator == 1
 
 
+@lru_cache(maxsize=None)
+def _orbit_sum(iso: Isometry) -> IntMatrix:
+    """1 + s + s^2, shared by N (its kernel) and the check that M lies in N."""
+    s = iso.matrix
+    return IntMatrix.identity(s.rows) + s + s @ s
+
+
 def sublattice_n(iso: Isometry) -> SublatticeOf:
     """N = {a in L : (1 + s + s^2)a = 0}, with a saturated basis.
 
     Equivalently the vectors whose projection to the fixed subspace is zero;
     the kernel form avoids rational fixed-space bases.
     """
-    total = IntMatrix.zero(iso.lattice.rank, iso.lattice.rank)
-    for r in range(TWIST_ORDER):
-        total = total + iso.matrix ** r
-    return SublatticeOf(iso.lattice, kernel_basis(total))
+    return SublatticeOf(iso.lattice, kernel_basis(_orbit_sum(iso)))
 
 
 def sublattice_m(iso: Isometry) -> SublatticeOf:
@@ -99,10 +103,7 @@ def sublattice_m(iso: Isometry) -> SublatticeOf:
     delta = IntMatrix.identity(iso.lattice.rank) - iso.matrix
     m = SublatticeOf(iso.lattice, hnf(delta))
     # (1-s)(1+s+s^2) = 1-s^3 = 0, so M annihilates the same operator as N.
-    total = IntMatrix.zero(iso.lattice.rank, iso.lattice.rank)
-    for r in range(TWIST_ORDER):
-        total = total + iso.matrix ** r
-    if not (m.inclusion @ total).is_zero():
+    if not (m.inclusion @ _orbit_sum(iso)).is_zero():
         raise OrbifoldError("M = (1-s)L is not contained in N")
     return m
 
@@ -192,9 +193,7 @@ def coset_filter_index(iso: Isometry, n: SublatticeOf | None = None,
     divisors = dec.invariant_factors
     if any(d == 0 for d in divisors):
         raise OrbifoldError("M has lower rank than N")
-    index_nm = 1
-    for d in divisors:
-        index_nm *= d
+    index_nm = prod(divisors)
 
     # Pairing rows in Smith coordinates y = x V: condition y (V^-1 C) = 0 mod 6.
     c = _pairing_on(iso, n)
@@ -378,6 +377,23 @@ def _verify_resolved_type(sigma_key: str, total: int) -> str:
     return text
 
 
+def stabilizes(bundle: NiemeierBundle, matrix: IntMatrix) -> bool:
+    """Whether a glued-basis map, conjugated into base coordinates by the
+    glue basis B, sends the root lattice Q into itself and permutes the glue
+    cosets L/Q (compared as integer residues modulo the glue denominator)."""
+    b = bundle.extension.basis_in_base
+    s = inverse(b) @ matrix.to_rat() @ b
+    if not s.is_integral():
+        return False
+    words = RatMatrix.from_rows([w.coords for w in bundle.glue_group], cols=b.rows)
+
+    def residues(m: RatMatrix) -> set[tuple[int, ...]]:
+        k = words.den // m.den
+        return {tuple(k * e % words.den for e in row) for row in m.num}
+
+    return residues(words @ s) == residues(words)
+
+
 def assemble_report(sigma_key: str) -> dict:
     """Full orbifold report for one catalog construction, JSON-shaped.
 
@@ -395,8 +411,7 @@ def assemble_report(sigma_key: str) -> dict:
         "isometry": (mr @ g @ mr.transpose()) == g,
         "order": (iso.matrix ** TWIST_ORDER).is_identity()
                  and not iso.matrix.is_identity(),
-        "stabilizes": all(isinstance(e, int)
-                          for row in iso.matrix.entries for e in row),
+        "stabilizes": stabilizes(bundle, iso.matrix),
     }
     td = twist_data(iso)
     fixed = fixed_weight_one_dim(iso, bundle.root_system)

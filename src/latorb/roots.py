@@ -9,12 +9,13 @@ not even as a heuristic.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, isqrt
 from typing import Iterable, Sequence
 
-from .exactmat import IntMatrix, RatMatrix, inverse, solve_exact
+from .exactmat import IntMatrix, NotPositiveDefinite, RatMatrix, ldl, solve_exact
 from .lattice import GlueExtension, Isometry, Lattice, LatticeVector
 
 
@@ -58,24 +59,6 @@ def _int_interval(a: Fraction, f: Fraction) -> tuple[int, int]:
     return -_floor_sqrt_shift(f, -a), _floor_sqrt_shift(f, a)
 
 
-def _cholesky(gram: RatMatrix) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Weighted-squares completion: Q(y) = sum_k d[k] (y_k + sum_{j>k} u[k][j] y_j)^2."""
-    n = gram.rows
-    c = [[Fraction(e) for e in row] for row in gram.entries]
-    d = [Fraction(0)] * n
-    u = [[Fraction(0)] * n for _ in range(n)]
-    for k in range(n):
-        d[k] = c[k][k]
-        if d[k] <= 0:
-            raise RootsError("form is not positive definite")
-        for j in range(k + 1, n):
-            u[k][j] = c[k][j] / d[k]
-        for i in range(k + 1, n):
-            for j in range(i, n):
-                c[i][j] -= c[k][i] * c[k][j] / d[k]
-    return d, u
-
-
 def _short_vectors(gram: RatMatrix, bound: Fraction,
                    center: Sequence[Fraction] | None = None,
                    ) -> list[tuple[tuple[int, ...], Fraction]]:
@@ -94,7 +77,10 @@ def _short_vectors(gram: RatMatrix, bound: Fraction,
     bound = Fraction(bound)
     if n == 0:
         return [((), Fraction(0))] if bound >= 0 else []
-    d, u = _cholesky(gram)
+    try:
+        d, u = ldl(gram)
+    except NotPositiveDefinite:
+        raise RootsError("form is not positive definite") from None
     s = [Fraction(c) for c in center] if center is not None else [Fraction(0)] * n
     out: list[tuple[tuple[int, ...], Fraction]] = []
     x = [0] * n
@@ -167,12 +153,9 @@ def build_root_system(l: Lattice, vectors: Iterable[LatticeVector]) -> RootSyste
     """
     roots = tuple(vectors)
     n = l.rank
-    # Plain-int Gram rows make the quadratic pairwise stage cheap; fall
-    # back to Fractions only for a non-integral Gram.
-    if l.is_integral:
-        g = [[int(e) for e in row] for row in l.gram.entries]
-    else:
-        g = [list(row) for row in l.gram.entries]
+    # Integer Gram numerators keep the quadratic pairwise stage cheap; a
+    # norm of 2 reads 2 * den against them.
+    g, den = l.gram.num, l.gram.den
     seen: dict[tuple[int, ...], int] = {}
     coords_list: list[tuple[int, ...]] = []
     gram_rows: list[tuple] = []
@@ -184,8 +167,8 @@ def build_root_system(l: Lattice, vectors: Iterable[LatticeVector]) -> RootSyste
         c = tuple(int(e) for e in v.coords)
         row = tuple(sum(g[k][j] * c[k] for k in range(n)) for j in range(n))
         norm = sum(a * b for a, b in zip(c, row))
-        if norm != 2:
-            raise RootsError(f"vector {c} has norm {norm}, not 2")
+        if norm != 2 * den:
+            raise RootsError(f"vector {c} has norm {Fraction(norm, den)}, not 2")
         if c in seen:
             raise RootsError(f"duplicate root {c}")
         seen[c] = idx
@@ -374,7 +357,7 @@ def basis_highest_root(l: Lattice, roots: Sequence[LatticeVector]) -> LatticeVec
     coordinates are simple-root coordinates.
     """
     for i in range(l.rank):
-        if l.gram.entries[i][i] != 2:
+        if l.gram.num[i][i] != 2 * l.gram.den:
             raise RootsError("lattice basis is not a simple system")
     best = max(roots, key=lambda v: sum(v.coords))
     for v in roots:
@@ -434,18 +417,13 @@ def glued_root_vectors(q: Lattice, ext: GlueExtension,
         already exceed 2.
     """
     blocks = q.blocks if q.blocks is not None else (q.rank,)
-    starts = []
-    pos = 0
-    for b in blocks:
-        starts.append(pos)
-        pos += b
-    if pos != q.rank:
+    starts = [0, *itertools.accumulate(blocks)][:-1]
+    if sum(blocks) != q.rank:
         raise RootsError("block sizes do not sum to the rank")
-    grams = []
-    for st, b in zip(starts, blocks):
-        grams.append(RatMatrix.from_rows(
-            [row[st:st + b] for row in q.gram.entries[st:st + b]], cols=b))
-    binv = inverse(ext.basis_in_base)
+    grams = [RatMatrix(b, b, tuple(row[st:st + b] for row in q.gram.num[st:st + b]),
+                       q.gram.den) for st, b in zip(starts, blocks)]
+    # The inverse glue basis is the integral inclusion of the base lattice.
+    binv = ext.base_in_lattice.inclusion.transpose().entries
     cache: dict[tuple[int, tuple[Fraction, ...]], list[tuple[tuple[int, ...], Fraction]]] = {}
 
     def block_vectors(bi: int, shift: tuple[Fraction, ...]):
@@ -459,20 +437,14 @@ def glued_root_vectors(q: Lattice, ext: GlueExtension,
         if w.lattice != q:
             raise RootsError("coset word is not in base-lattice coordinates")
         shifts = [tuple(w.coords[st:st + b]) for st, b in zip(starts, blocks)]
-        per_block = []
-        feasible = True
-        for bi, sh in enumerate(shifts):
-            vecs = block_vectors(bi, sh)
-            if not vecs:
-                feasible = False
-                break
-            per_block.append(vecs)
-        if not feasible:
+        scaled = RatMatrix.from_rows([w.coords], cols=q.rank)
+        wden = scaled.den
+        per_block = [block_vectors(bi, sh) for bi, sh in enumerate(shifts)]
+        if not all(per_block):
             continue
         mins = [min(norm for _, norm in vecs) for vecs in per_block]
-        suffix = [Fraction(0)] * (len(blocks) + 1)
-        for i in range(len(blocks) - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + mins[i]
+        # suffix[i] = sum(mins[i:]): the least norm the blocks from i on add.
+        suffix = [*itertools.accumulate(reversed(mins), initial=0)][::-1]
         if suffix[0] > 2:
             continue
         partial: list[tuple[int, ...]] = []
@@ -480,15 +452,13 @@ def glued_root_vectors(q: Lattice, ext: GlueExtension,
         def assemble(bi: int, budget: Fraction) -> None:
             if bi == len(blocks):
                 if budget == 0:
-                    y = [Fraction(c) + s
-                         for piece, sh in zip(partial, shifts)
-                         for c, s in zip(piece, sh)]
-                    row = RatMatrix.from_rows([y], cols=q.rank)
-                    coords = (row @ binv).entries[0]
-                    vec = LatticeVector(ext.lattice, coords)
-                    if not vec.is_integral:
+                    y = [wden * c + s for c, s in zip(itertools.chain(*partial),
+                                                      scaled.num[0])]
+                    coords = [sum(a * b for a, b in zip(y, col) if a) for col in binv]
+                    if any(c % wden for c in coords):
                         raise RootsError("coset vector landed outside the lattice")
-                    found.append(vec)
+                    found.append(LatticeVector(ext.lattice,
+                                               tuple(c // wden for c in coords)))
                 return
             allowance = budget - suffix[bi + 1]
             for piece, norm in per_block[bi]:

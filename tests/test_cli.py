@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from latorb import liealg, orbifold
+from latorb.catalog import SIGMA_KEYS, SIGMA_TO_LATTICE
 from latorb.cli import (
     EXIT_CHECK,
     EXIT_INTERNAL,
@@ -35,6 +36,19 @@ def run(capsys, *argv):
 
 def golden_text(name: str) -> str:
     return (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_readme_table_matches_catalog_and_expectations():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = [[cell.strip() for cell in line.split("|")[1:-1]]
+            for line in readme.splitlines() if line.startswith("| sigma")]
+    assert [row[0] for row in rows] == list(SIGMA_KEYS)
+    for sigma, lattice, fixed, twisted, total, number in rows:
+        exp = ORBIFOLD_EXPECTATIONS[sigma]
+        assert lattice == SIGMA_TO_LATTICE[sigma]
+        assert [int(fixed), int(twisted), int(total)] == [
+            exp["fixed"]["value"], exp["twisted_each"]["value"], exp["total"]["value"]]
+        assert [int(number)] == exp["schellekens"]["value"]
 
 
 def test_golay_json_matches_golden(capsys):
@@ -141,6 +155,19 @@ def test_schellekens_with_type_filter(capsys):
     assert code == EXIT_OK
     assert "No. 17: dim 72, type A5,3 D4,3 A1,1^3" in out
     assert out.splitlines()[-1] == "1 row(s) match"
+
+
+@pytest.mark.parametrize("argv", [
+    ("schellekens", "--dim", "48", "--type", "Z9,1"),
+    ("schellekens", "--dim", "48", "--type", "A2"),
+    ("schellekens", "--dim", "48", "--type", "A2,x"),
+    ("verify-all", "--filter", "nomatch"),
+])
+def test_malformed_query_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert err.startswith("usage error:")
+    assert out == ""
 
 
 def test_verify_all_filtered_json(capsys):

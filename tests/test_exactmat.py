@@ -1,19 +1,25 @@
-"""Exact matrix algebra: worked examples plus seeded randomized invariants."""
+"""Exact matrix algebra: worked examples, seeded randomized invariants, and
+differential properties of the scaled-integer RatMatrix against a per-entry
+Fraction reference."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latorb.exactmat import (
     IntMatrix,
     NoSolution,
+    NotPositiveDefinite,
     RatMatrix,
     ShapeError,
     det,
     hnf,
     inverse,
     kernel_basis,
+    ldl,
     snf,
     solve_exact,
 )
@@ -183,3 +189,183 @@ def test_randomized_normal_form_invariants():
             saturation = snf(k).invariant_factors
             assert all(f == 1 for f in saturation)
         assert k.rows == m.rows - snf(m).rank
+
+
+# Seeded and bounded: the same examples on every run, no example database.
+PROFILE = settings(max_examples=100, derandomize=True, deadline=None, database=None)
+
+FRACTIONS = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+def frac_rows(rows, cols, elements=FRACTIONS):
+    return st.lists(st.lists(elements, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def rat(rows, cols):
+    return RatMatrix.from_rows(rows, cols=cols)
+
+
+# Per-entry Fraction reference implementations that the scaled-integer
+# RatMatrix must agree with.
+def ref_matmul(a, b, inner, cols):
+    return [[sum((a[i][t] * b[t][j] for t in range(inner)), Fraction(0))
+             for j in range(cols)] for i in range(len(a))]
+
+
+def ref_transpose(a, cols):
+    return [[row[j] for row in a] for j in range(cols)]
+
+
+def ref_det(a):
+    a = [list(row) for row in a]
+    n = len(a)
+    out = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            out = -out
+        out *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return out
+
+
+def ref_solve(a, b, n, m, k):
+    """x a = b by Gauss-Jordan over Fractions, free coordinates zero."""
+    aug = [[a[j][i] for j in range(n)] + [b[t][i] for t in range(k)] for i in range(m)]
+    pivots = []
+    row = 0
+    for col in range(n):
+        piv = next((i for i in range(row, m) if aug[i][col] != 0), None)
+        if piv is None:
+            continue
+        aug[row], aug[piv] = aug[piv], aug[row]
+        aug[row] = [e / aug[row][col] for e in aug[row]]
+        for i in range(m):
+            if i != row and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [e - f * p for e, p in zip(aug[i], aug[row])]
+        pivots.append(col)
+        row += 1
+        if row == m:
+            break
+    if any(e != 0 for i in range(row, m) for e in aug[i][n:]):
+        return None
+    x = [[Fraction(0)] * n for _ in range(k)]
+    for r_i, col in enumerate(pivots):
+        for t in range(k):
+            x[t][col] = aug[r_i][n + t]
+    return x
+
+
+DIMS = st.integers(0, 4)
+
+
+@PROFILE
+@given(DIMS, DIMS, DIMS, st.data())
+def test_matmul_transpose_match_reference(r, c, c2, data):
+    a, b = data.draw(frac_rows(r, c)), data.draw(frac_rows(c, c2))
+    product = rat(a, c) @ rat(b, c2)
+    expected = ref_matmul(a, b, c, c2)
+    assert product == rat(expected, c2)
+    assert product.entries == tuple(map(tuple, expected))
+    assert rat(a, c).transpose() == rat(ref_transpose(a, c), r)
+
+
+@PROFILE
+@given(DIMS, DIMS, FRACTIONS, st.data())
+def test_add_sub_scale_match_reference(r, c, k, data):
+    a, b = data.draw(frac_rows(r, c)), data.draw(frac_rows(r, c))
+    assert rat(a, c) + rat(b, c) == rat([[x + y for x, y in zip(p, q)]
+                                         for p, q in zip(a, b)], c)
+    assert rat(a, c) - rat(b, c) == rat([[x - y for x, y in zip(p, q)]
+                                         for p, q in zip(a, b)], c)
+    assert rat(a, c).scale(k) == rat([[k * x for x in row] for row in a], c)
+    assert -rat(a, c) == rat([[-x for x in row] for row in a], c)
+
+
+@PROFILE
+@given(DIMS, DIMS, st.integers(-30, 30).filter(bool), st.booleans(), st.data())
+def test_equality_hash_and_integrality_are_canonical(r, c, k, integral_only, data):
+    entries = st.integers(-9, 9).map(Fraction) if integral_only else FRACTIONS
+    a = data.draw(frac_rows(r, c, entries))
+    m = rat(a, c)
+    # The same values over a non-reduced, possibly negative denominator.
+    padded = RatMatrix(r, c, tuple(tuple(k * e for e in row) for row in m.num), k * m.den)
+    assert padded == m and hash(padded) == hash(m)
+    assert padded.num == m.num and padded.den == m.den
+    integral = all(x.denominator == 1 for row in a for x in row)
+    assert m.is_integral() is integral
+    if integral:
+        assert m.to_int() == IntMatrix(r, c, tuple(tuple(int(x) for x in row) for row in a))
+    else:
+        with pytest.raises(ValueError):
+            m.to_int()
+
+
+@PROFILE
+@given(DIMS.flatmap(lambda n: frac_rows(n, n)))
+def test_det_and_inverse_match_reference(a):
+    n = len(a)
+    m = rat(a, n)
+    assert det(m) == ref_det(a)
+    expected = ref_solve(a, [[Fraction(int(i == j)) for j in range(n)] for i in range(n)],
+                         n, n, n)
+    if expected is None:
+        with pytest.raises(NoSolution):
+            inverse(m)
+    else:
+        assert inverse(m) == rat(expected, n)
+
+
+@PROFILE
+@given(DIMS, DIMS, st.integers(0, 3), st.data())
+def test_solve_exact_matches_reference(n, m, k, data):
+    # Small entries make rank-deficient and inconsistent systems common.
+    small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    a = data.draw(frac_rows(n, m, small))
+    b = data.draw(frac_rows(k, m, small))
+    expected = ref_solve(a, b, n, m, k)
+    if expected is None:
+        with pytest.raises(NoSolution):
+            solve_exact(rat(a, m), rat(b, m))
+    else:
+        assert solve_exact(rat(a, m), rat(b, m)) == rat(expected, n)
+
+
+@st.composite
+def symmetric_grams(draw):
+    """Symmetric matrices, half of them A A^T / d with A nonsingular."""
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        a = draw(frac_rows(n, n, st.integers(-4, 4).map(Fraction)))
+        if ref_det(a) == 0:
+            a = [[a[i][j] + (9 if i == j else 0) for j in range(n)] for i in range(n)]
+        g = ref_matmul(a, ref_transpose(a, n), n, n)
+    else:
+        upper = draw(frac_rows(n, n, st.integers(-4, 6).map(Fraction)))
+        g = [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    return [[x / d for x in row] for row in g]
+
+
+@PROFILE
+@given(symmetric_grams())
+def test_ldl_agrees_with_leading_minor_rule(g):
+    n = len(g)
+    positive = all(ref_det([row[:k] for row in g[:k]]) > 0 for k in range(1, n + 1))
+    if not positive:
+        with pytest.raises(NotPositiveDefinite):
+            ldl(rat(g, n))
+        return
+    d, u = ldl(rat(g, n))
+    # g = U^T diag(d) U with U unit upper triangular.
+    full_u = [[Fraction(int(i == j)) if j <= i else u[i][j] for j in range(n)]
+              for i in range(n)]
+    scaled = [[d[i] * x for x in full_u[i]] for i in range(n)]
+    assert ref_matmul(ref_transpose(full_u, n), scaled, n, n) == g

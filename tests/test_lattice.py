@@ -211,7 +211,7 @@ def test_isometry_rotation_of_a2():
     v = l.vector([1, 0])
     assert rot.apply(v).coords == (Fraction(0), Fraction(1))
     assert rot.apply_coords((1, 0)) == (0, 1)
-    assert (rot.matrix @ rot.inverse_matrix()).is_identity()
+    assert (rot.matrix @ rot.matrix ** (rot.order - 1)).is_identity()
     neg = Isometry.create(l, IntMatrix.identity(2).scale(-1))
     assert neg.order == 2
     assert neg.fixed_rank == 0

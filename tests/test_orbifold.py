@@ -29,6 +29,7 @@ from latorb.orbifold import (
     fixed_weight_one_dim,
     rho,
     rho_is_admissible,
+    stabilizes,
     sublattice_m,
     sublattice_n,
     sublattice_r,
@@ -311,6 +312,25 @@ def test_report_summary_values(key):
     assert flagged == (["A3 A1^3"] if key == "sigma1" else [])
     again = assemble_report(key)
     assert json.dumps(report, sort_keys=True) == json.dumps(again, sort_keys=True)
+
+
+@pytest.mark.parametrize("key", SIGMA_KEYS)
+def test_stabilizes_recomputes_from_base_coordinates(key):
+    bundle = niemeier_bundle(SIGMA_TO_LATTICE[key])
+    s = build_sigma(key).matrix
+    assert stabilizes(bundle, s)
+    # One bumped entry in the glued basis: the map no longer sends the
+    # root lattice Q into itself.
+    bumped = [list(row) for row in s.entries]
+    bumped[1][0] += 1
+    assert not stabilizes(bundle, IntMatrix.from_rows(bumped))
+
+
+def test_stabilizes_fails_when_cosets_collapse():
+    # Twice sigma2 still maps Q into Q, but doubling kills the 2-group of
+    # glue cosets of D4_6, so the cosets are not permuted.
+    bundle = niemeier_bundle("D4_6")
+    assert not stabilizes(bundle, build_sigma("sigma2").matrix.scale(2))
 
 
 def test_report_unknown_key():
