@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, prod
+from math import isqrt, lcm, prod
 
 from . import liealg
 from .catalog import SIGMA_KEYS, SIGMA_TO_LATTICE, NiemeierBundle, build_sigma, niemeier_bundle
@@ -379,19 +379,21 @@ def _verify_resolved_type(sigma_key: str, total: int) -> str:
 
 def stabilizes(bundle: NiemeierBundle, matrix: IntMatrix) -> bool:
     """Whether a glued-basis map, conjugated into base coordinates by the
-    glue basis B, sends the root lattice Q into itself and permutes the glue
-    cosets L/Q (compared as integer residues modulo the glue denominator)."""
-    b = bundle.extension.basis_in_base
-    s = inverse(b) @ matrix.to_rat() @ b
-    if not s.is_integral():
+    glue basis B, is an automorphism of the root lattice Q that sends each
+    glue generator (a row of B) into a glue coset: the generators and Q span
+    L, so the map then permutes the cosets L/Q (compared as residues)."""
+    ext = bundle.extension
+    images = matrix.to_rat() @ ext.basis_in_base
+    s = ext.base_in_lattice.inclusion.to_rat() @ images
+    if not s.is_integral() or abs(det(s)) != 1:
         return False
-    words = RatMatrix.from_rows([w.coords for w in bundle.glue_group], cols=b.rows)
+    words = RatMatrix.from_rows([w.coords for w in bundle.glue_group], cols=s.rows)
+    den = lcm(words.den, images.den)
 
     def residues(m: RatMatrix) -> set[tuple[int, ...]]:
-        k = words.den // m.den
-        return {tuple(k * e % words.den for e in row) for row in m.num}
+        return {tuple(e * (den // m.den) % den for e in row) for row in m.num}
 
-    return residues(words @ s) == residues(words)
+    return residues(images) <= residues(words)
 
 
 def assemble_report(sigma_key: str) -> dict:

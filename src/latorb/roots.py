@@ -4,7 +4,14 @@ reflections, highest roots, and orbit counting under an isometry.
 Enumeration is exact throughout.  The squared-length form is completed to a
 sum of weighted squares with rational coefficients, which yields integer
 coordinate intervals level by level; no floating point is used anywhere,
-not even as a heuristic.
+not even as a heuristic.  Glued lattices are searched coset by coset, with
+norms scaled to integers and one short-vector list per (block Gram, shift).
+
+Classification pairs roots through the integer Gram numerators.  Simple
+roots are found in one scan of the positive roots by height, the Dynkin
+graph of the simple roots gives the components, and each root joins the
+component of the simple root its chain of differences ends in; no step
+pairs every root with every other root.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, isqrt
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 from .exactmat import IntMatrix, NotPositiveDefinite, RatMatrix, ldl, solve_exact
@@ -148,93 +156,92 @@ def build_root_system(l: Lattice, vectors: Iterable[LatticeVector]) -> RootSyste
     """Assemble and classify a root system from caller-supplied vectors.
 
     Verifies each vector has norm 2 and integral coordinates, that the set
-    is free of duplicates and closed under negation, then partitions into
-    connected components and classifies each against the ADE catalog.
+    is free of duplicates and closed under negation, then splits it along
+    the Dynkin graph of its simple roots and classifies each component
+    against the ADE catalog.
     """
     roots = tuple(vectors)
-    n = l.rank
-    # Integer Gram numerators keep the quadratic pairwise stage cheap; a
-    # norm of 2 reads 2 * den against them.
+    # Integer Gram numerators G, symmetric: a root's row is c G, so
+    # <a, b> * den is a . (b G) and a norm of 2 reads 2 * den.
     g, den = l.gram.num, l.gram.den
-    seen: dict[tuple[int, ...], int] = {}
-    coords_list: list[tuple[int, ...]] = []
-    gram_rows: list[tuple] = []
-    for idx, v in enumerate(roots):
+    index: dict[tuple[int, ...], int] = {}
+    coords: list[tuple[int, ...]] = []
+    rows: list[tuple[int, ...]] = []
+    for v in roots:
         if v.lattice != l:
             raise RootsError("root from a different lattice")
         if not v.is_integral:
             raise RootsError(f"root {v.coords} has non-integral coordinates")
         c = tuple(int(e) for e in v.coords)
-        row = tuple(sum(g[k][j] * c[k] for k in range(n)) for j in range(n))
-        norm = sum(a * b for a, b in zip(c, row))
+        row = tuple(sum(map(mul, c, gj)) for gj in g)
+        norm = sum(map(mul, c, row))
         if norm != 2 * den:
             raise RootsError(f"vector {c} has norm {Fraction(norm, den)}, not 2")
-        if c in seen:
+        if c in index:
             raise RootsError(f"duplicate root {c}")
-        seen[c] = idx
-        coords_list.append(c)
-        gram_rows.append(row)
-    for c in coords_list:
-        if tuple(-e for e in c) not in seen:
-            raise RootsError(f"root set not closed under negation at {c}")
-    components = tuple(
-        _classify_component(l, comp)
-        for comp in _split_components(roots, coords_list, gram_rows))
-    return RootSystem(l, roots, components)
+        index[c] = len(coords)
+        coords.append(c)
+        rows.append(row)
+    negation = [index.get(tuple(-e for e in c)) for c in coords]
+    if None in negation:
+        raise RootsError(
+            f"root set not closed under negation at {coords[negation.index(None)]}")
+    simple, anchor = _simple_roots(coords, rows, index)
+    # Dynkin components: simple roots joined by a nonzero pairing share a label.
+    label = {s: s for s in simple}
+    for a, b in itertools.combinations(simple, 2):
+        if sum(map(mul, coords[a], rows[b])):
+            la, lb = label[a], label[b]
+            label = {t: la if x == lb else x for t, x in label.items()}
+    # A root lies in its anchor's component, a negative root in its negation's;
+    # components come ordered by smallest root index, members in index order.
+    members: dict[int, list[int]] = {}
+    for i, j in enumerate(negation):
+        members.setdefault(label[anchor[i] if i in anchor else anchor[j]], []).append(i)
+    components = []
+    for key, comp in members.items():
+        basis = sorted((s for s in simple if label[s] == key), key=coords.__getitem__)
+        cartan = RatMatrix(len(basis), len(basis),
+                           tuple(tuple(sum(map(mul, coords[a], rows[b])) for b in basis)
+                                 for a in basis), den).to_int()
+        components.append(_classify_component([roots[i] for i in comp],
+                                              [roots[i] for i in basis], cartan))
+    return RootSystem(l, roots, tuple(components))
 
 
-def _split_components(roots: tuple[LatticeVector, ...],
-                      coords_list: list[tuple[int, ...]],
-                      gram_rows: list[tuple]) -> list[list[LatticeVector]]:
-    unvisited = set(range(len(roots)))
-    comps = []
-    while unvisited:
-        start = min(unvisited)
-        stack = [start]
-        unvisited.discard(start)
-        members = [start]
-        while stack:
-            i = stack.pop()
-            ci = coords_list[i]
-            for j in list(unvisited):
-                if sum(a * b for a, b in zip(ci, gram_rows[j])) != 0:
-                    unvisited.discard(j)
-                    stack.append(j)
-                    members.append(j)
-        comps.append([roots[i] for i in sorted(members)])
-    return comps
+def _simple_roots(coords: list[tuple[int, ...]], rows: list[tuple[int, ...]],
+                  index: dict[tuple[int, ...], int]) -> tuple[list[int], dict[int, int]]:
+    """Simple roots of the positive system, and each positive root's anchor.
+
+    A root is positive when its last nonzero coordinate is: the sign of the
+    base-K functional sum(c_i K^i) for every K beyond twice the largest
+    coordinate.  Positive roots are scanned in increasing height, here the
+    reverse-lexicographic order, which is translation invariant and so puts
+    root - s before root for each positive s.  Every root has norm 2, so a
+    positive root is simple exactly when it pairs <= 0 with each simple root
+    found so far; otherwise it pairs 1 with such a simple root s, and root - s
+    must be an earlier positive root.  A positive root's anchor is the simple
+    root that ends its chain of such differences.
+    """
+    positive = sorted((c[::-1], i) for i, c in enumerate(coords) if c[::-1] > (0,) * len(c))
+    simple: list[int] = []
+    anchor: dict[int, int] = {}
+    for _, i in positive:
+        c = coords[i]
+        s = next((t for t in simple if sum(map(mul, c, rows[t])) > 0), None)
+        if s is None:
+            simple.append(i)
+            anchor[i] = i
+            continue
+        rest = index.get(tuple(map(sub, c, coords[s])))
+        if rest is None:
+            raise RootsError(f"{c} minus simple root {coords[s]} is not a root")
+        anchor[i] = anchor[rest]
+    return simple, anchor
 
 
-def _positivity_weights(roots: Sequence[LatticeVector]) -> list[int]:
-    # Base-K digits with K beyond twice the largest coordinate make the
-    # functional injective on the root set, so no nonzero root is "zero".
-    biggest = max((abs(int(c)) for v in roots for c in v.coords), default=0)
-    k = 2 * biggest + 2
-    n = len(roots[0].coords)
-    return [k ** i for i in range(n)]
-
-
-def _classify_component(l: Lattice, members: list[LatticeVector]) -> RootComponent:
-    weights = _positivity_weights(members)
-
-    def functional(v: LatticeVector) -> int:
-        return sum(int(c) * w for c, w in zip(v.coords, weights))
-
-    positive = sorted((v for v in members if functional(v) > 0),
-                      key=lambda v: v.coords)
-    if 2 * len(positive) != len(members):
-        raise RootsError("positivity functional failed to split the roots")
-    pos_set = {v.coords for v in positive}
-    simple = []
-    for v in positive:
-        decomposable = any(
-            tuple(a - b for a, b in zip(v.coords, w.coords)) in pos_set
-            for w in positive if w.coords != v.coords)
-        if not decomposable:
-            simple.append(v)
-    cartan = RatMatrix.from_rows(
-        [[a.inner(b) for b in simple] for a in simple],
-        cols=len(simple)).to_int()
+def _classify_component(members: list[LatticeVector], simple: list[LatticeVector],
+                        cartan: IntMatrix) -> RootComponent:
     family, rank = _match_ade(cartan)
     expected = _expected_root_count(family, rank)
     if expected != len(members):
@@ -311,15 +318,12 @@ def reflection(l: Lattice, alpha: LatticeVector) -> Isometry:
         raise RootsError("root belongs to a different lattice")
     if not alpha.is_integral or alpha.norm() != 2:
         raise RootsError("reflection requires a norm-2 lattice vector")
-    n = l.rank
-    galpha = [l.inner([1 if k == i else 0 for k in range(n)], alpha.coords)
-              for i in range(n)]
-    rows = []
-    for i in range(n):
-        row = [-galpha[i] * alpha.coords[j] for j in range(n)]
-        row[i] += 1
-        rows.append(row)
-    m = RatMatrix.from_rows(rows, cols=n)
+    n, g = l.rank, l.gram
+    a = [int(c) for c in alpha.coords]
+    # Row i is e_i - <e_i, alpha> alpha, over the Gram denominator.
+    m = RatMatrix(n, n, tuple(
+        tuple((g.den if i == j else 0) - sum(map(mul, row, a)) * a[j] for j in range(n))
+        for i, row in enumerate(g.num)), g.den)
     if not m.is_integral():
         raise RootsError("reflection matrix is not integral")
     return Isometry.create(l, m.to_int(), expected_order=2)
@@ -333,21 +337,15 @@ class HighestRoot:
 
 def highest_root(comp: RootComponent) -> HighestRoot:
     """The unique root dominating all others in simple-root coordinates."""
-    basis = RatMatrix.from_rows([list(v.coords) for v in comp.simple],
+    basis = RatMatrix.from_rows([v.coords for v in comp.simple],
                                 cols=len(comp.simple[0].coords))
-    coeffs = []
-    for v in comp.roots:
-        target = RatMatrix.from_rows([list(v.coords)], cols=basis.cols)
-        sol = solve_exact(basis, target)
-        if not sol.is_integral():
-            raise RootsError("root is not an integer span of the simple basis")
-        coeffs.append(tuple(int(c) for c in sol.entries[0]))
-    best = max(range(len(comp.roots)), key=lambda i: sum(coeffs[i]))
-    top = coeffs[best]
-    for other in coeffs:
-        if any(o > t for o, t in zip(other, top)):
-            raise RootsError("no root dominates all others")
-    return HighestRoot(comp.roots[best], top)
+    sol = solve_exact(basis, RatMatrix.from_rows([v.coords for v in comp.roots],
+                                                 cols=basis.cols))
+    if not sol.is_integral():
+        raise RootsError("root is not an integer span of the simple basis")
+    coeffs = sol.num
+    best = _dominant(coeffs)
+    return HighestRoot(comp.roots[best], coeffs[best])
 
 
 def basis_highest_root(l: Lattice, roots: Sequence[LatticeVector]) -> LatticeVector:
@@ -359,10 +357,14 @@ def basis_highest_root(l: Lattice, roots: Sequence[LatticeVector]) -> LatticeVec
     for i in range(l.rank):
         if l.gram.num[i][i] != 2 * l.gram.den:
             raise RootsError("lattice basis is not a simple system")
-    best = max(roots, key=lambda v: sum(v.coords))
-    for v in roots:
-        if any(c > b for c, b in zip(v.coords, best.coords)):
-            raise RootsError("no root dominates all others")
+    return roots[_dominant([v.coords for v in roots])]
+
+
+def _dominant(coeffs: Sequence[Sequence]) -> int:
+    """Index of the coefficient row that dominates every row entrywise."""
+    best = max(range(len(coeffs)), key=lambda i: sum(coeffs[i]))
+    if any(o > t for row in coeffs for o, t in zip(row, coeffs[best])):
+        raise RootsError("no root dominates all others")
     return best
 
 
@@ -373,29 +375,20 @@ def orbit_count(rs: RootSystem, iso: Isometry) -> tuple[int, int]:
     """
     if iso.lattice != rs.lattice:
         raise RootsError("isometry acts on a different lattice")
-    index = {tuple(int(c) for c in v.coords) for v in rs.roots}
-    images = {}
-    for v in rs.roots:
-        src = tuple(int(c) for c in v.coords)
-        img = iso.apply_coords(src)
-        if img not in index:
-            raise RootsError(f"isometry does not preserve the root set at {src}")
-        images[src] = img
-    unvisited = set(index)
-    orbits = 0
-    fixed = 0
+    src = [tuple(int(c) for c in v.coords) for v in rs.roots]
+    product = IntMatrix(len(src), iso.matrix.rows, tuple(src)) @ iso.matrix
+    images = dict(zip(src, product.entries))
+    unvisited = set(src)
+    for c in src:
+        if images[c] not in unvisited:
+            raise RootsError(f"isometry does not preserve the root set at {c}")
+    orbits = fixed = 0
     while unvisited:
-        start = next(iter(unvisited))
-        orbit = [start]
-        unvisited.discard(start)
-        cur = images[start]
-        while cur != start:
+        start = cur = unvisited.pop()
+        while (cur := images[cur]) != start:
             unvisited.discard(cur)
-            orbit.append(cur)
-            cur = images[cur]
         orbits += 1
-        if len(orbit) == 1:
-            fixed += 1
+        fixed += images[start] == start
     return orbits, fixed
 
 
@@ -420,54 +413,64 @@ def glued_root_vectors(q: Lattice, ext: GlueExtension,
     starts = [0, *itertools.accumulate(blocks)][:-1]
     if sum(blocks) != q.rank:
         raise RootsError("block sizes do not sum to the rank")
-    grams = [RatMatrix(b, b, tuple(row[st:st + b] for row in q.gram.num[st:st + b]),
-                       q.gram.den) for st, b in zip(starts, blocks)]
+    words = list(words)
+    if any(w.lattice != q for w in words):
+        raise RootsError("coset word is not in base-lattice coordinates")
+    # Every word as integer numerators over one common denominator d, and
+    # every norm scaled by unit = den * d^2 into an integer.
+    scaled = RatMatrix.from_rows([w.coords for w in words], cols=q.rank)
+    d, den = scaled.den, q.gram.den
+    unit = den * d * d
+    # Blocks with equal Grams share one key, so each (Gram, shift) pair is
+    # enumerated once however many blocks carry it.
+    grams: dict[tuple[tuple[int, ...], ...], int] = {}
+    keys = [grams.setdefault(tuple(row[st:st + b] for row in q.gram.num[st:st + b]),
+                             len(grams))
+            for st, b in zip(starts, blocks)]
+    gram_of = [RatMatrix(len(g), len(g), g, den) for g in grams]
     # The inverse glue basis is the integral inclusion of the base lattice.
     binv = ext.base_in_lattice.inclusion.transpose().entries
-    cache: dict[tuple[int, tuple[Fraction, ...]], list[tuple[tuple[int, ...], Fraction]]] = {}
+    cache: dict[tuple[int, tuple[int, ...]], tuple[int, list]] = {}
 
-    def block_vectors(bi: int, shift: tuple[Fraction, ...]):
-        key = (bi, shift)
+    def block_vectors(key: tuple[int, tuple[int, ...]]) -> tuple[int, list]:
+        """(least scaled norm, [(piece, scaled norm)]) of one shifted block;
+        a block with no vector counts as exceeding every budget."""
         if key not in cache:
-            cache[key] = _short_vectors(grams[bi], Fraction(2), center=shift)
+            gk, shift = key
+            pieces = [(x, int(norm * unit)) for x, norm in _short_vectors(
+                gram_of[gk], Fraction(2), center=[Fraction(t, d) for t in shift])]
+            cache[key] = (min((m for _, m in pieces), default=2 * unit + 1), pieces)
         return cache[key]
 
     found: list[LatticeVector] = []
-    for w in words:
-        if w.lattice != q:
-            raise RootsError("coset word is not in base-lattice coordinates")
-        shifts = [tuple(w.coords[st:st + b]) for st, b in zip(starts, blocks)]
-        scaled = RatMatrix.from_rows([w.coords], cols=q.rank)
-        wden = scaled.den
-        per_block = [block_vectors(bi, sh) for bi, sh in enumerate(shifts)]
-        if not all(per_block):
-            continue
-        mins = [min(norm for _, norm in vecs) for vecs in per_block]
-        # suffix[i] = sum(mins[i:]): the least norm the blocks from i on add.
-        suffix = [*itertools.accumulate(reversed(mins), initial=0)][::-1]
-        if suffix[0] > 2:
+    for wnum in scaled.num:
+        per_block = [block_vectors((gk, wnum[st:st + b]))
+                     for gk, st, b in zip(keys, starts, blocks)]
+        # suffix[i] = the least scaled norm the blocks from i on add.
+        suffix = [*itertools.accumulate((m for m, _ in reversed(per_block)),
+                                        initial=0)][::-1]
+        if suffix[0] > 2 * unit:
             continue
         partial: list[tuple[int, ...]] = []
 
-        def assemble(bi: int, budget: Fraction) -> None:
+        def assemble(bi: int, budget: int) -> None:
             if bi == len(blocks):
                 if budget == 0:
-                    y = [wden * c + s for c, s in zip(itertools.chain(*partial),
-                                                      scaled.num[0])]
-                    coords = [sum(a * b for a, b in zip(y, col) if a) for col in binv]
-                    if any(c % wden for c in coords):
+                    y = [d * c + s for c, s in zip(itertools.chain(*partial), wnum)]
+                    coords = [sum(map(mul, y, col)) for col in binv]
+                    if any(c % d for c in coords):
                         raise RootsError("coset vector landed outside the lattice")
                     found.append(LatticeVector(ext.lattice,
-                                               tuple(c // wden for c in coords)))
+                                               tuple(c // d for c in coords)))
                 return
             allowance = budget - suffix[bi + 1]
-            for piece, norm in per_block[bi]:
+            for piece, norm in per_block[bi][1]:
                 if norm <= allowance:
                     partial.append(piece)
                     assemble(bi + 1, budget - norm)
                     partial.pop()
 
-        assemble(0, Fraction(2))
+        assemble(0, 2 * unit)
     return found
 
 

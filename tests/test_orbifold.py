@@ -1,6 +1,7 @@
 """Orbifold invariants: eigenspace data, rho, the N/M/R chain, the mod-6
 commutator pairing, twisted and fixed weight-one dimensions, reports."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -324,6 +325,23 @@ def test_stabilizes_recomputes_from_base_coordinates(key):
     bumped = [list(row) for row in s.entries]
     bumped[1][0] += 1
     assert not stabilizes(bundle, IntMatrix.from_rows(bumped))
+
+
+def test_stabilizes_needs_a_unimodular_map():
+    # 4 * identity maps Q into Q and fixes every 3-torsion glue residue of
+    # A2_12, but it is not invertible over Z.
+    bundle = niemeier_bundle("A2_12")
+    assert not stabilizes(bundle, IntMatrix.identity(24).scale(4))
+
+
+def test_stabilizes_reads_the_glue_group():
+    # With a listed glue group of the zero coset alone, the images of the
+    # glue generators no longer land in a listed coset.
+    bundle = niemeier_bundle("A2_12")
+    zero_only = dataclasses.replace(bundle, glue_group=bundle.glue_group[:1])
+    assert not any(zero_only.glue_group[0].coords)
+    assert stabilizes(bundle, build_sigma("sigma1").matrix)
+    assert not stabilizes(zero_only, build_sigma("sigma1").matrix)
 
 
 def test_stabilizes_fails_when_cosets_collapse():

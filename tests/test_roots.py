@@ -5,10 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from latorb.exactmat import IntMatrix, RatMatrix
-from latorb.lattice import Isometry, Lattice, direct_sum, glue_extend
+from latorb import roots as roots_module
+from latorb.catalog import build_sigma, niemeier_bundle
+from latorb.exactmat import IntMatrix, RatMatrix, inverse
+from latorb.lattice import Isometry, Lattice, LatticeVector, direct_sum, glue_extend
 from latorb.roots import (
+    RootComponent,
     RootsError,
+    _expected_root_count,
+    _match_ade,
     basis_highest_root,
     build_root_system,
     classify,
@@ -22,11 +27,20 @@ from latorb.roots import (
 from test_lattice import A2_GRAM, D4_GRAM, E6_GRAM, E8_GRAM
 
 
-def chain_gram(n: int) -> RatMatrix:
-    """Cartan matrix of the path diagram on n nodes."""
+NIEMEIER_KEYS = ("A2_12", "D4_6", "A5_4_D4", "E6_4")
+
+
+def cartan_gram(family: str, rank: int) -> RatMatrix:
+    """Cartan matrix of A_n (a path), D_n (a path with its last node moved
+    to the third from the end) or E_n (a path with one node on node 2)."""
+    edges = {(i, i + 1) for i in range(rank - 2)}
+    if family == "A":
+        edges.add((rank - 2, rank - 1))
+    else:
+        edges.add((rank - 3 if family == "D" else 2, rank - 1))
     return RatMatrix.from_rows(
-        [[2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n)]
-         for i in range(n)])
+        [[2 if i == j else (-1 if (min(i, j), max(i, j)) in edges else 0)
+          for j in range(rank)] for i in range(rank)])
 
 
 def test_root_counts():
@@ -35,7 +49,7 @@ def test_root_counts():
     assert enumerate_roots(Lattice(RatMatrix.from_rows([[4]]))).count == 0
     assert enumerate_roots(Lattice(E6_GRAM)).count == 72
     assert enumerate_roots(Lattice(E8_GRAM)).count == 240
-    assert enumerate_roots(Lattice(chain_gram(5))).count == 30
+    assert enumerate_roots(Lattice(cartan_gram("A", 5))).count == 30
 
 
 def test_enumeration_requires_even():
@@ -50,7 +64,7 @@ def test_classification():
     assert classify(enumerate_roots(Lattice(D4_GRAM))) == (("D", 4),)
     assert classify(enumerate_roots(Lattice(E6_GRAM))) == (("E", 6),)
     assert classify(enumerate_roots(Lattice(E8_GRAM))) == (("E", 8),)
-    assert classify(enumerate_roots(Lattice(chain_gram(5)))) == (("A", 5),)
+    assert classify(enumerate_roots(Lattice(cartan_gram("A", 5)))) == (("A", 5),)
     both = direct_sum([Lattice(A2_GRAM), Lattice(D4_GRAM)])
     assert classify(enumerate_roots(both)) == (("A", 2), ("D", 4))
     twice = direct_sum([Lattice(A2_GRAM), Lattice(A2_GRAM)])
@@ -226,3 +240,207 @@ def test_randomized_reflection_involution():
         image = r.apply(beta)
         assert image.norm() == 2
         assert image.inner(r.apply(alpha)) == beta.inner(alpha)
+
+
+# Reference classifier, O(R^2 n): components by pairing every root with every
+# other root, and per component the simple roots as the positive roots (under
+# a base-K functional) that are no sum of two positive roots.
+def reference_components(l: Lattice, roots) -> list[RootComponent]:
+    coords_list = [tuple(int(e) for e in v.coords) for v in roots]
+    unvisited = set(range(len(roots)))
+    comps = []
+    while unvisited:
+        start = min(unvisited)
+        stack = [start]
+        unvisited.discard(start)
+        members = [start]
+        while stack:
+            i = stack.pop()
+            for j in list(unvisited):
+                if l.inner(coords_list[i], coords_list[j]) != 0:
+                    unvisited.discard(j)
+                    stack.append(j)
+                    members.append(j)
+        comps.append([roots[i] for i in sorted(members)])
+    return [reference_classify(comp) for comp in comps]
+
+
+def reference_classify(members: list[LatticeVector]) -> RootComponent:
+    biggest = max(abs(int(c)) for v in members for c in v.coords)
+    weights = [(2 * biggest + 2) ** i for i in range(len(members[0].coords))]
+    positive = sorted((v for v in members
+                       if sum(int(c) * w for c, w in zip(v.coords, weights)) > 0),
+                      key=lambda v: v.coords)
+    assert 2 * len(positive) == len(members)
+    pos_set = {v.coords for v in positive}
+    simple = [v for v in positive
+              if not any(tuple(a - b for a, b in zip(v.coords, w.coords)) in pos_set
+                         for w in positive if w.coords != v.coords)]
+    cartan = RatMatrix.from_rows([[a.inner(b) for b in simple] for a in simple],
+                                 cols=len(simple)).to_int()
+    family, rank = _match_ade(cartan)
+    assert _expected_root_count(family, rank) == len(members)
+    return RootComponent(family, rank, tuple(members), tuple(simple), cartan)
+
+
+def assert_matches_reference(l: Lattice, vectors) -> None:
+    rs = build_root_system(l, vectors)
+    assert list(rs.components) == reference_components(l, rs.roots)
+
+
+SMALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5),
+               ("D", 4), ("D", 5), ("E", 6), ("E", 7)]
+
+
+@pytest.mark.parametrize("family,rank", SMALL_TYPES)
+def test_classifier_matches_pairwise_reference(family, rank):
+    l = Lattice(cartan_gram(family, rank))
+    rs = enumerate_roots(l)
+    assert classify(rs) == ((family, rank),)
+    assert_matches_reference(l, rs.roots)
+    shuffled = list(rs.roots)
+    random.Random(rank * 31 + ord(family)).shuffle(shuffled)
+    assert_matches_reference(l, shuffled)
+
+
+def test_classifier_matches_reference_on_sums_in_shuffled_order():
+    l = direct_sum([Lattice(cartan_gram(f, r))
+                    for f, r in (("A", 2), ("D", 4), ("A", 2), ("A", 1))])
+    rs = enumerate_roots(l)
+    assert classify(rs) == (("A", 1), ("A", 2), ("A", 2), ("D", 4))
+    rng = random.Random(4242)
+    for _ in range(3):
+        shuffled = list(rs.roots)
+        rng.shuffle(shuffled)
+        assert_matches_reference(l, shuffled)
+
+
+@pytest.mark.parametrize("key", NIEMEIER_KEYS)
+def test_classifier_matches_reference_on_niemeier_lattices(key):
+    rs = niemeier_bundle(key).root_system
+    assert_matches_reference(rs.lattice, rs.roots)
+    shuffled = list(rs.roots)
+    random.Random(key).shuffle(shuffled)
+    assert_matches_reference(rs.lattice, shuffled)
+
+
+def test_root_set_not_closed_under_simple_differences():
+    # A2 without the pair +-(alpha + beta) is still closed under negation,
+    # but alpha + beta - alpha = beta is missing from {+-alpha, +-(alpha+beta)}.
+    l = Lattice(A2_GRAM)
+    a, b = l.vector([1, 0]), l.vector([0, 1])
+    with pytest.raises(RootsError, match="is not a root"):
+        build_root_system(l, [a, -a, a + b, -(a + b)])
+    # Dropping +-(alpha + beta) instead leaves two simple roots joined in the
+    # Dynkin graph: one A2 component with too few roots, not two A1s.
+    with pytest.raises(RootsError, match="roots instead of 6"):
+        build_root_system(l, [a, -a, b, -b])
+
+
+def test_empty_root_set_has_no_components():
+    l = Lattice(RatMatrix.from_rows([[4]]))
+    assert build_root_system(l, []).components == ()
+
+
+def random_unimodular(n: int, rng: random.Random) -> IntMatrix:
+    """A seeded product of elementary row operations, signs and a permutation."""
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            c = rng.choice((-1, 1))
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    rng.shuffle(rows)
+    signs = [rng.choice((-1, 1)) for _ in rows]
+    return IntMatrix.from_rows([[k * e for e in row] for k, row in zip(signs, rows)])
+
+
+def change_basis(l: Lattice, iso_matrix: IntMatrix, u: IntMatrix):
+    """The lattice in the basis U b and the map x -> x @ m in its coordinates,
+    x' -> x' @ U m U^-1."""
+    ur = u.to_rat()
+    uinv = inverse(ur).to_int()
+    moved = Lattice(ur @ l.gram @ ur.transpose())
+    return moved, uinv, Isometry.create(moved, u @ iso_matrix @ uinv)
+
+
+def weyl_element(l: Lattice, rs, rng: random.Random) -> IntMatrix:
+    m = IntMatrix.identity(l.rank)
+    for _ in range(5):
+        m = m @ reflection(l, rs.roots[rng.randrange(rs.count)]).matrix
+    return m
+
+
+@pytest.mark.parametrize("parts,seed", [
+    ((("A", 2),) * 3, 11), ((("D", 4),) * 2, 12), ((("E", 6),), 13)])
+def test_root_layer_is_invariant_under_basis_change(parts, seed):
+    rng = random.Random(seed)
+    l = direct_sum([Lattice(cartan_gram(f, r)) for f, r in parts])
+    rs = enumerate_roots(l)
+    sigma = weyl_element(l, rs, rng)
+    counts = sorted(len(c.roots) for c in rs.components)
+    orbits = orbit_count(rs, Isometry.create(l, sigma))
+    for _ in range(2):
+        moved, _, moved_sigma = change_basis(l, sigma, random_unimodular(l.rank, rng))
+        moved_rs = enumerate_roots(moved)
+        assert classify(moved_rs) == classify(rs)
+        assert sorted(len(c.roots) for c in moved_rs.components) == counts
+        assert orbit_count(moved_rs, moved_sigma) == orbits
+
+
+def test_niemeier_root_layer_is_invariant_under_basis_change():
+    sigma = build_sigma("sigma1")
+    rs = niemeier_bundle("A2_12").root_system
+    moved, uinv, moved_sigma = change_basis(
+        rs.lattice, sigma.matrix, random_unimodular(24, random.Random(14)))
+    moved_roots = [moved.vector(row) for row in (IntMatrix.from_rows(
+        [[int(c) for c in v.coords] for v in rs.roots]) @ uinv).entries]
+    moved_rs = build_root_system(moved, moved_roots)
+    assert classify(moved_rs) == classify(rs)
+    assert sorted(len(c.roots) for c in moved_rs.components) == [6] * 12
+    assert orbit_count(moved_rs, moved_sigma) == orbit_count(rs, sigma)
+
+
+def test_glued_route_shares_short_vectors_across_equal_blocks(monkeypatch):
+    # A2^3 glued by the diagonal class (1, 1, 1) is E6: the glue vector has
+    # norm 3 * 2/3 = 2, so both nonzero cosets carry 27 roots each.
+    a2 = Lattice(A2_GRAM)
+    q = direct_sum([a2, a2, a2])
+    third = Fraction(1, 3)
+    g = q.vector([2 * third, third] * 3)
+    ext = glue_extend(q, [g])
+    assert ext.index == 3
+    words = [q.vector([0] * 6), g, g.scale(2)]
+    calls = []
+    original = roots_module._short_vectors
+
+    def counting(gram, bound, center=None):
+        calls.append(center)
+        return original(gram, bound, center)
+
+    monkeypatch.setattr(roots_module, "_short_vectors", counting)
+    vectors = glued_root_vectors(q, ext, words)
+    monkeypatch.undo()
+    # One enumeration per (Gram, shift): three blocks share each shift.
+    assert len(calls) == 3
+    direct = enumerate_roots(ext.lattice)
+    assert classify(direct) == (("E", 6),)
+    assert sorted(v.coords for v in vectors) == sorted(v.coords for v in direct.roots)
+    for seed in (1, 2):
+        shuffled = list(words)
+        random.Random(seed).shuffle(shuffled)
+        again = glued_root_vectors(q, ext, shuffled)
+        assert sorted(v.coords for v in again) == sorted(v.coords for v in vectors)
+    assert classify(build_root_system(ext.lattice, vectors)) == (("E", 6),)
+
+
+def test_glued_route_keeps_blocks_with_different_grams_apart():
+    # Two bases of A2 with the same rank: the zero word gives both blocks
+    # the shift 0, but their short vectors differ.
+    flipped = Lattice(RatMatrix.from_rows([[2, 1], [1, 2]]))
+    q = direct_sum([Lattice(A2_GRAM), flipped])
+    ext = glue_extend(q, [])
+    vectors = glued_root_vectors(q, ext, [q.vector([0] * 4)])
+    direct = enumerate_roots(ext.lattice)
+    assert sorted(v.coords for v in vectors) == sorted(v.coords for v in direct.roots)
+    assert classify(build_root_system(ext.lattice, vectors)) == (("A", 2), ("A", 2))
