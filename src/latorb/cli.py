@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import liealg, orbifold, terncode
@@ -189,14 +190,8 @@ def cmd_golay(args) -> int:
 
 
 def _root_type_string(rs) -> str:
-    counts: dict[tuple[str, int], int] = {}
-    for family, rank in classify(rs):
-        counts[(family, rank)] = counts.get((family, rank), 0) + 1
-    parts = []
-    for (family, rank), count in sorted(counts.items()):
-        name = f"{family}{rank}"
-        parts.append(name if count == 1 else f"{name}^{count}")
-    return " ".join(parts)
+    return " ".join(f"{family}{rank}" if count == 1 else f"{family}{rank}^{count}"
+                    for (family, rank), count in sorted(Counter(classify(rs)).items()))
 
 
 def cmd_lattice_build(args) -> int:
@@ -278,11 +273,16 @@ def cmd_orbifold(args) -> int:
 
 
 def cmd_candidates(args) -> int:
-    if args.dim <= 0 or args.hdvd <= 0:
-        print("usage error: --dim and --hdvd must be positive", file=sys.stderr)
+    if args.dim <= 0 or args.hdvd <= 0 or (args.rank or 0) < 0:
+        print("usage error: --dim and --hdvd must be positive, --rank not "
+              "negative", file=sys.stderr)
         return EXIT_USAGE
-    found = liealg.semisimple_candidates(args.dim, rank=args.rank,
-                                         hcoxeter_divisor=args.hdvd)
+    try:
+        found = liealg.semisimple_candidates(args.dim, rank=args.rank,
+                                             hcoxeter_divisor=args.hdvd)
+    except liealg.LieDataError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     entries = []
     for cand in found:
         levels = {(t.family, t.rank): t.dual_coxeter // args.hdvd

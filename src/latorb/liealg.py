@@ -4,19 +4,28 @@ The type table (dimension, dual Coxeter number, root count for every simple
 type up to dimension 250) ships as an embedded versioned JSON document; its
 checksum is exposed so reports can pin the exact data they used.  On top of
 the table sit the level formula, a constrained enumerator for semisimple
-types of a given total dimension, fixed-subalgebra dimension counting, and
-matching against the stored rows of the central-charge-24 classification.
+types of a given total dimension, and matching against the stored rows of
+the central-charge-24 classification.
+
+The enumerator recurses one level per simple type, choosing its count, and
+enters a branch only if a bitset per suffix of the type pool says the rest
+of the dimension is reachable, so its work follows its output; type strings
+are built on the way down and stored.  More than ``MAX_CANDIDATES`` results
+raise ``LieDataError``.  No other package module is imported at run time.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from functools import lru_cache
+from bisect import bisect_left
+from collections import Counter
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING
 
-from .lattice import Isometry
-from .roots import RootSystem, enumerate_roots, orbit_count
+if TYPE_CHECKING:
+    from .roots import RootSystem
 
 _TABLE_JSON = """\
 {"version": 1, "max_dimension": 250, "types": [
@@ -83,7 +92,7 @@ class SimpleLieData:
     root_count: int
     two_root_lengths: bool
 
-    @property
+    @cached_property
     def symbol(self) -> str:
         return f"{self.family}{self.rank}"
 
@@ -111,11 +120,7 @@ def lookup(family: str, rank: int) -> SimpleLieData:
 
 def _load() -> tuple[dict, tuple[SimpleLieData, ...]]:
     doc = json.loads(_TABLE_JSON)
-    types = tuple(
-        SimpleLieData(row["family"], row["rank"], row["dimension"],
-                      row["dual_coxeter"], row["root_count"],
-                      row["two_root_lengths"])
-        for row in doc["types"])
+    types = tuple(SimpleLieData(**row) for row in doc["types"])
     for t in types:
         if t.dimension != t.rank + t.root_count:
             raise LieDataError(f"table row {t.symbol} is inconsistent")
@@ -134,17 +139,19 @@ def level_from_dim(dual_coxeter: int, dim_v1: int) -> int | None:
     """
     if dim_v1 <= 24:
         raise LieDataError("level formula needs weight-one dimension > 24")
-    k = 24 * dual_coxeter
-    if k % (dim_v1 - 24) != 0:
-        return None
-    return k // (dim_v1 - 24)
+    k, rest = divmod(24 * dual_coxeter, dim_v1 - 24)
+    return None if rest else k
 
 
-@dataclass(frozen=True)
+MAX_CANDIDATES = 400_000  # per query; dimension 200 has 280,240
+
+
+@dataclass(frozen=True, slots=True)
 class SemisimpleType:
     """A multiset of simple components with a common level rule applied."""
 
     components: tuple[tuple[SimpleLieData, int], ...]  # (type, count), dim-desc
+    text: str = field(compare=False, repr=False)  # type_string() without levels
 
     @property
     def dimension(self) -> int:
@@ -155,11 +162,11 @@ class SemisimpleType:
         return sum(t.rank * c for t, c in self.components)
 
     def type_string(self, levels: dict | None = None) -> str:
+        if levels is None:
+            return self.text
         parts = []
         for t, count in self.components:
-            name = t.symbol
-            if levels is not None:
-                name = f"{name},{levels[(t.family, t.rank)]}"
+            name = f"{t.symbol},{levels[t.family, t.rank]}"
             parts.append(name if count == 1 else f"{name}^{count}")
         return " ".join(parts)
 
@@ -181,54 +188,58 @@ def semisimple_candidates(dim: int, rank: int | None = None,
 
     Returns:
         Deterministically sorted list; each candidate's components are
-        ordered by descending dimension.
+        ordered by descending dimension.  LieDataError is raised instead
+        once more than MAX_CANDIDATES candidates are found.
     """
     if dim <= 0:
         return []
     pool = sorted((t for t in _TYPES
                    if t.dimension <= dim and t.dual_coxeter % hcoxeter_divisor == 0),
                   key=_component_sort_key)
+    neg_dims = [-t.dimension for t in pool]  # ascending, for bisect
+    # reach[i] has bit s set iff s is a sum of dimensions from pool[i:].
+    full = (1 << (dim + 1)) - 1
+    reach = [1] * (len(pool) + 1)
+    for i in range(len(pool) - 1, -1, -1):
+        bits, step = reach[i + 1], pool[i].dimension
+        while step <= dim:
+            bits = (bits | bits << step) & full
+            step *= 2
+        reach[i] = bits
+    # (dimension, rank, component, label) for each count of each pool type.
+    steps = [[(c * t.dimension, c * t.rank, (t, c),
+               f" {t.symbol}" if c == 1 else f" {t.symbol}^{c}")
+              for c in range(1, dim // t.dimension + 1)] for t in pool]
     found: list[SemisimpleType] = []
-    chosen: list[SimpleLieData] = []
 
-    def search(start: int, dim_left: int, rank_left: int | None) -> None:
-        if dim_left == 0:
-            if rank_left in (None, 0):
-                counts: list[tuple[SimpleLieData, int]] = []
-                for t in chosen:
-                    if counts and counts[-1][0] == t:
-                        counts[-1] = (t, counts[-1][1] + 1)
-                    else:
-                        counts.append((t, 1))
-                found.append(SemisimpleType(tuple(counts)))
-            return
-        for i in range(start, len(pool)):
-            t = pool[i]
-            if t.dimension > dim_left:
-                continue
-            if rank_left is not None and t.rank > rank_left:
-                continue
-            chosen.append(t)
-            search(i, dim_left - t.dimension,
-                   None if rank_left is None else rank_left - t.rank)
-            chosen.pop()
+    def search(start: int, dim_left: int, rank_left: int,
+               parts: tuple, text: str) -> None:
+        # parts and text (led by a space) are the components chosen so far.
+        for i in range(bisect_left(neg_dims, -dim_left, start), len(pool)):
+            if not reach[i] >> dim_left & 1:
+                return
+            after = reach[i + 1]
+            for used, rank_used, component, label in steps[i]:
+                left = dim_left - used
+                if left < 0 or rank_used > rank_left:
+                    break
+                if not after >> left & 1:
+                    continue
+                if left:
+                    search(i + 1, left, rank_left - rank_used,
+                           parts + (component,), text + label)
+                    continue
+                if rank is None or rank_used == rank_left:
+                    found.append(SemisimpleType(parts + (component,),
+                                                (text + label)[1:]))
+                    if len(found) > MAX_CANDIDATES:
+                        raise LieDataError(f"more than {MAX_CANDIDATES} "
+                                           f"candidates of dimension {dim}")
 
-    search(0, dim, rank)
-    found.sort(key=lambda s: s.type_string())
+    # Without a rank bound the budget dim is never exhausted (rank < dim).
+    search(0, dim, dim if rank is None else rank, (), "")
+    found.sort(key=lambda c: c.text)
     return found
-
-
-def fixed_subalgebra_dim(iso: Isometry,
-                         rs: RootSystem | None = None) -> int:
-    """Dimension of the subalgebra fixed by the root-lattice isometry.
-
-    Equals the fixed rank plus the number of orbits on the roots.  The
-    root system is enumerated from the isometry's lattice when not given.
-    """
-    if rs is None:
-        rs = enumerate_roots(iso.lattice)
-    orbits, _ = orbit_count(rs, iso)
-    return iso.fixed_rank + orbits
 
 
 @dataclass(frozen=True)
@@ -280,11 +291,10 @@ def parse_type_string(text: str) -> tuple[tuple[SimpleLieData, int, int], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _row_multiset(number: int) -> dict:
-    row = next(r for r in _SCHELLEKENS_ROWS if r.number == number)
+@lru_cache(maxsize=256)
+def _multiset(type_text: str) -> dict[tuple[str, int, int], int]:
     counts: dict[tuple[str, int, int], int] = {}
-    for t, level, count in parse_type_string(row.type_string):
+    for t, level, count in parse_type_string(type_text):
         key = (t.family, t.rank, level)
         counts[key] = counts.get(key, 0) + count
     return counts
@@ -296,16 +306,12 @@ def schellekens_match(dim_v1: int, type_text: str | None = None) -> list[int]:
     A partial type (a sub-multiset of a row's components, levels included)
     matches; None matches on dimension alone.
     """
-    query: dict[tuple[str, int, int], int] = {}
-    if type_text:
-        for t, level, count in parse_type_string(type_text):
-            key = (t.family, t.rank, level)
-            query[key] = query.get(key, 0) + count
+    query = _multiset(type_text) if type_text else {}
     hits = []
     for row in _SCHELLEKENS_ROWS:
         if row.dim_v1 != dim_v1:
             continue
-        stored = _row_multiset(row.number)
+        stored = _multiset(row.type_string)
         if all(stored.get(key, 0) >= count for key, count in query.items()):
             hits.append(row.number)
     return hits
@@ -317,19 +323,11 @@ def lattice_voa_weight_one(rs: RootSystem) -> dict:
     A root system present means semisimple with every level 1; no roots
     means abelian of dimension equal to the rank.
     """
-    rank = rs.lattice.rank
     if rs.count == 0:
-        return {"kind": "abelian", "dimension": rank}
-    counts: dict[tuple[str, int], int] = {}
-    for comp in rs.components:
-        key = (comp.family, comp.rank)
-        counts[key] = counts.get(key, 0) + 1
-    parts = []
-    dim = 0
-    for (family, comp_rank), count in sorted(
-            counts.items(), key=lambda kv: _component_sort_key(lookup(*kv[0]))):
-        data = lookup(family, comp_rank)
-        dim += data.dimension * count
-        name = f"{data.symbol},1"
-        parts.append(name if count == 1 else f"{name}^{count}")
-    return {"kind": "semisimple", "type": " ".join(parts), "dimension": dim}
+        return {"kind": "abelian", "dimension": rs.lattice.rank}
+    counts = Counter(lookup(comp.family, comp.rank) for comp in rs.components)
+    parts = [f"{t.symbol},1" if count == 1 else f"{t.symbol},1^{count}"
+             for t, count in sorted(counts.items(),
+                                    key=lambda kv: _component_sort_key(kv[0]))]
+    return {"kind": "semisimple", "type": " ".join(parts),
+            "dimension": sum(t.dimension * count for t, count in counts.items())}

@@ -142,6 +142,13 @@ def test_candidates_rejects_nonpositive_dim(capsys):
     assert run(capsys, "candidates", "--dim", "0")[0] == EXIT_USAGE
     assert run(capsys, "candidates", "--dim", "24", "--hdvd", "-1")[0] \
         == EXIT_USAGE
+    code, out, err = run(capsys, "candidates", "--dim", "24", "--rank", "-1")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("usage error:") and "--rank" in err
+    # 2,195,038 candidates: refused once the search passes its bound.
+    code, out, err = run(capsys, "candidates", "--dim", "250")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("usage error: more than")
 
 
 def test_schellekens_matches_golden(capsys):

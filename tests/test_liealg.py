@@ -1,15 +1,21 @@
 """Simple Lie type table, level arithmetic, candidate enumeration, and
 matching against the stored weight-one classification rows."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from latorb.catalog import build_component_auto, niemeier_bundle
+import latorb
+from latorb import liealg
+from latorb.catalog import niemeier_bundle
 from latorb.exactmat import RatMatrix
 from latorb.lattice import Lattice
 from latorb.liealg import (
     LieDataError,
     all_types,
-    fixed_subalgebra_dim,
     lattice_voa_weight_one,
     level_from_dim,
     lookup,
@@ -119,20 +125,118 @@ def test_candidates_edge_cases():
     assert semisimple_candidates(3, rank=2) == []
 
 
-def test_fixed_subalgebra_dims():
-    cases = {
-        "cycle_A2": 2,
-        "rotation_D4": 8,
-        "triality_D4": 14,
-        "coord_cycle_D4": 10,
-        "coord_cycle_A5": 11,
-        "reflection_product_E6": 24,
-    }
-    for name, want in cases.items():
-        iso = build_component_auto(name)
-        assert fixed_subalgebra_dim(iso) == want
-        rs = enumerate_roots(iso.lattice)
-        assert fixed_subalgebra_dim(iso, rs) == want
+def reference_candidates(dim, rank=None, hcoxeter_divisor=1):
+    """The per-component search the enumerator replaced, kept as a reference.
+
+    One recursion level per component; equal neighbours are grouped into
+    (type, count) pairs at the end and the list is sorted by type string.
+    """
+    if dim <= 0:
+        return []
+    pool = sorted((t for t in all_types()
+                   if t.dimension <= dim and t.dual_coxeter % hcoxeter_divisor == 0),
+                  key=lambda t: (-t.dimension, t.family, -t.rank))
+    found = []
+    chosen = []
+
+    def search(start, dim_left, rank_left):
+        if dim_left == 0:
+            if rank_left in (None, 0):
+                counts = []
+                for t in chosen:
+                    if counts and counts[-1][0] == t:
+                        counts[-1] = (t, counts[-1][1] + 1)
+                    else:
+                        counts.append((t, 1))
+                found.append(tuple(counts))
+            return
+        for i in range(start, len(pool)):
+            t = pool[i]
+            if t.dimension > dim_left:
+                continue
+            if rank_left is not None and t.rank > rank_left:
+                continue
+            chosen.append(t)
+            search(i, dim_left - t.dimension,
+                   None if rank_left is None else rank_left - t.rank)
+            chosen.pop()
+
+    search(0, dim, rank)
+    found.sort(key=rebuilt_type_string)
+    return found
+
+
+def rebuilt_type_string(components):
+    return " ".join(t.symbol if c == 1 else f"{t.symbol}^{c}"
+                    for t, c in components)
+
+
+DIFFERENTIAL_GRID = (
+    [(dim, rank, divisor) for dim in range(1, 91)
+     for rank in (None, 2, 6, 12) for divisor in (1, 2, 3, 4)]
+    + [(120, None, 1), (150, None, 1)])
+
+
+def test_candidates_match_reference_search():
+    for dim, rank, divisor in DIFFERENTIAL_GRID:
+        got = semisimple_candidates(dim, rank=rank, hcoxeter_divisor=divisor)
+        want = reference_candidates(dim, rank=rank, hcoxeter_divisor=divisor)
+        assert [c.components for c in got] == want, (dim, rank, divisor)
+        for cand in got:
+            assert cand.type_string() == rebuilt_type_string(cand.components)
+
+
+def count_search_calls(*query, **options):
+    """Calls of the enumerator's inner search for one query."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if event == "call" and code.co_name == "search" \
+                and code.co_filename == liealg.__file__:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        semisimple_candidates(*query, **options)
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+@pytest.mark.parametrize("dim, divisor", [(60, 1), (90, 1), (90, 2), (78, 4)])
+def test_search_calls_follow_output(dim, divisor):
+    # Every call extends a proper prefix of some candidate, and each such
+    # prefix is searched once; a rank bound cuts the prefixes above it.
+    cands = semisimple_candidates(dim, hcoxeter_divisor=divisor)
+    prefixes = {c.components[:j] for c in cands for j in range(1, len(c.components))}
+    for rank in (None, 4, 9):
+        want = 1 + sum(1 for p in prefixes
+                       if rank is None or sum(t.rank * m for t, m in p) <= rank)
+        assert count_search_calls(dim, rank=rank, hcoxeter_divisor=divisor) == want
+
+
+def test_candidate_limit_raises(monkeypatch):
+    count = len(semisimple_candidates(30))
+    monkeypatch.setattr(liealg, "MAX_CANDIDATES", count)
+    assert len(semisimple_candidates(30)) == count
+    monkeypatch.setattr(liealg, "MAX_CANDIDATES", count - 1)
+    with pytest.raises(LieDataError, match="more than"):
+        semisimple_candidates(30)
+
+
+def test_liealg_imports_no_other_latorb_module():
+    src = str(Path(latorb.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, latorb.liealg; "
+         "print(sorted(m for m in sys.modules "
+         "if m.startswith('latorb') or m == 'fractions'))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "['latorb', 'latorb.liealg']"
 
 
 def test_parse_type_string():

@@ -273,6 +273,21 @@ def test_fixed_weight_one_identity():
     assert fixed_weight_one_dim(iso, rs) == 24 + 72
 
 
+def test_fixed_weight_one_component_autos():
+    cases = {
+        "cycle_A2": 2,
+        "rotation_D4": 8,
+        "triality_D4": 14,
+        "coord_cycle_D4": 10,
+        "coord_cycle_A5": 11,
+        "reflection_product_E6": 24,
+    }
+    for name, want in cases.items():
+        iso = build_component_auto(name)
+        assert fixed_weight_one_dim(iso) == want
+        assert fixed_weight_one_dim(iso, enumerate_roots(iso.lattice)) == want
+
+
 def test_report_sigma1_golden():
     assert assemble_report("sigma1") == {
         "lattice": "A2_12",
