@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .exactmat import IntMatrix, RatMatrix, inverse, solve_exact
+from .exactmat import IntMatrix, RatMatrix, solve_exact
 from .lattice import (
     GlueExtension,
     Isometry,
@@ -268,13 +268,15 @@ _NIEMEIER_SPECS = {
 
 @dataclass(frozen=True)
 class NiemeierBundle:
-    """A verified glued lattice with everything needed to work on it."""
+    """A verified glued lattice with everything needed to work on it; glue
+    coset r (a ``glue_group`` row) is r / ``glue_den`` in base coordinates."""
 
     key: str
     base: Lattice
     part_data: tuple[RootLatticeData, ...]
     extension: GlueExtension
-    glue_group: tuple[LatticeVector, ...]
+    glue_group: tuple[tuple[int, ...], ...]
+    glue_den: int
     root_system: RootSystem
     description: str
 
@@ -309,10 +311,9 @@ def _words_to_vectors(key: str, base: Lattice,
     return vectors
 
 
-def _close_glue_group(base: Lattice,
-                      generators: list[LatticeVector]) -> list[LatticeVector]:
-    """All distinct cosets generated by the glue vectors, reduced mod 1, as
-    integer residues modulo the glue denominator (sorted like the Fractions)."""
+def _close_glue_group(base: Lattice, generators: list[LatticeVector]) -> tuple[int, tuple]:
+    """(den, residues): all distinct cosets the glue vectors generate, reduced
+    mod 1, as sorted integer residue rows modulo the glue denominator den."""
     words = RatMatrix.from_rows([g.coords for g in generators], cols=base.rank)
     den = words.den
     gens = [tuple(e % den for e in row) for row in words.num]
@@ -326,7 +327,7 @@ def _close_glue_group(base: Lattice,
             if nxt not in group:
                 group.add(nxt)
                 frontier.append(nxt)
-    return [base.vector([Fraction(e, den) for e in coords]) for coords in sorted(group)]
+    return den, tuple(sorted(group))
 
 
 def construct_niemeier(key: str, corrupt_generator: bool = False) -> NiemeierBundle:
@@ -348,16 +349,15 @@ def construct_niemeier(key: str, corrupt_generator: bool = False) -> NiemeierBun
     even, unimodular = is_even_unimodular(ext.lattice)
     if not (even and unimodular and ext.lattice.rank == 24):
         raise CatalogError(f"{key}: lattice is not even unimodular of rank 24")
-    group = _close_glue_group(base, generators)
+    den, group = _close_glue_group(base, generators)
     if len(group) != spec["index"]:
         raise CatalogError(
             f"{key}: glue group has {len(group)} cosets, expected {spec['index']}")
-    vectors = glued_root_vectors(base, ext, group)
+    vectors = glued_root_vectors(base, ext, group, den)
     rs = build_root_system(ext.lattice, vectors)
     if classify(rs) != spec["classified"] or rs.count != spec["root_count"]:
         raise CatalogError(f"{key}: root system mismatch")
-    return NiemeierBundle(key, base, part_data, ext, tuple(group), rs,
-                          spec["description"])
+    return NiemeierBundle(key, base, part_data, ext, group, den, rs, spec["description"])
 
 
 @lru_cache(maxsize=None)
@@ -426,8 +426,9 @@ def assemble_block_isometry(bundle: NiemeierBundle,
             for j in range(m.cols):
                 entries[starts[src] + i][starts[dst] + j] = m.entries[i][j]
     s = IntMatrix.from_rows(entries, cols=base.rank)
-    b = bundle.extension.basis_in_base
-    x = b @ s.to_rat() @ inverse(b)
+    ext = bundle.extension
+    # The inclusion of the base lattice is B^-1, integral and already stored.
+    x = ext.basis_in_base @ s.to_rat() @ ext.base_in_lattice.inclusion.to_rat()
     for k in range(x.rows):
         if any(e % x.den for e in x.num[k]):
             raise StabilizationError(

@@ -9,6 +9,11 @@ fields.  Its arithmetic, determinant, exact solve and LDL^T run on ints;
 entries one by one.  Matrices are immutable values; every operation
 returns a new matrix.
 
+Entries are checked to be ints only where data enters, in the public
+constructors and ``from_rows``; this module's own results are built by the
+trusted ``_im``/``_rm`` (``_rm`` still reduces by the gcd), and operators check
+their operand's type, so mixing the two classes raises ``TypeError``.
+
 Row-vector convention: vectors are rows and maps act on the right
 (``x -> x @ m``), so the kernel of ``m`` is ``{x : x @ m = 0}`` and the row
 span of ``m`` is the image of ``Z^rows``.  All normal forms (HNF, SNF) are
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -88,7 +93,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        data = tuple(tuple(_as_int(e) for e in row) for row in rows)
+        data = tuple(map(tuple, rows))
         if cols is None:
             if not data:
                 raise ShapeError("column count required for a matrix with no rows")
@@ -97,51 +102,54 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return _im(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
+        return _im(rows, cols, ((0,) * cols,) * rows)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, _transpose(self.entries, self.rows, self.cols))
+        return _im(self.cols, self.rows, _transpose(self.entries, self.rows, self.cols))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("size mismatch in addition")
-        return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(a + b for a, b in zip(ra, rb))
-                               for ra, rb in zip(self.entries, other.entries)))
+        return _im(self.rows, self.cols, tuple(tuple(map(add, ra, rb))
+                                               for ra, rb in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         return self + (-other)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(-a for a in row) for row in self.entries))
+        return self.scale(-1)
 
     def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(k * a for a in row) for row in self.entries))
+        k = _as_int(k)
+        return _im(self.rows, self.cols, tuple(tuple(k * a for a in row) for row in self.entries))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
         if self.cols != other.rows:
             raise ShapeError("size mismatch in multiplication")
-        return IntMatrix(self.rows, other.cols,
-                         _product(self.entries, other.entries, other.rows, other.cols))
+        return _im(self.rows, other.cols,
+                   _product(self.entries, other.entries, other.rows, other.cols))
 
     def __pow__(self, k: int) -> "IntMatrix":
+        """Left-to-right square-and-multiply, never multiplying by the identity."""
         if self.rows != self.cols:
             raise ShapeError("power of a non-square matrix")
         if k < 0:
             raise ValueError("negative power")
-        out = IntMatrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                out = out @ base
-            base = base @ base
-            k >>= 1
+        if k == 0:
+            return IntMatrix.identity(self.rows)
+        out = self
+        for bit in bin(k)[3:]:
+            out = out @ out
+            if bit == "1":
+                out = out @ self
         return out
 
     def is_zero(self) -> bool:
@@ -153,7 +161,7 @@ class IntMatrix:
                         for i, row in enumerate(self.entries) for j, e in enumerate(row)))
 
     def to_rat(self) -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols, self.entries)
+        return _rm(self.rows, self.cols, self.entries)
 
 
 @dataclass(frozen=True)
@@ -174,13 +182,15 @@ class RatMatrix:
         _check_ints(self.rows, self.cols, self.num)
         if _as_int(self.den) == 0:
             raise ZeroDivisionError("matrix denominator is zero")
-        g = gcd(self.den, *(e for row in self.num for e in row))
-        if self.den < 0:
-            g = -g
+        self._reduce()
+
+    def _reduce(self) -> None:
+        """Divide numerators and denominator by their gcd, signed so den > 0."""
+        g = 1 if self.den == 1 else gcd(self.den, *(e for row in self.num for e in row))
+        g = -g if self.den < 0 else g
         if g != 1:
-            object.__setattr__(self, "num", tuple(tuple(e // g for e in row)
-                                                  for row in self.num))
-            object.__setattr__(self, "den", self.den // g)
+            self.__dict__.update(num=tuple(tuple(e // g for e in row) for row in self.num),
+                                 den=self.den // g)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[Rational]], cols: int | None = None) -> "RatMatrix":
@@ -203,37 +213,37 @@ class RatMatrix:
         return tuple(tuple(Fraction(e, self.den) for e in row) for row in self.num)
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(self.cols, self.rows, _transpose(self.num, self.rows, self.cols),
-                         self.den)
+        return _rm(self.cols, self.rows, _transpose(self.num, self.rows, self.cols), self.den)
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
+        if not isinstance(other, RatMatrix):
+            return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("size mismatch in addition")
         den = lcm(self.den, other.den)
         p, q = den // self.den, den // other.den
-        return RatMatrix(self.rows, self.cols,
-                         tuple(tuple(p * a + q * b for a, b in zip(ra, rb))
-                               for ra, rb in zip(self.num, other.num)), den)
+        return _rm(self.rows, self.cols, tuple(tuple(p * a + q * b for a, b in zip(ra, rb))
+                                               for ra, rb in zip(self.num, other.num)), den)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         return self + (-other)
 
     def __neg__(self) -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols,
-                         tuple(tuple(-a for a in row) for row in self.num), self.den)
+        return self.scale(-1)
 
     def scale(self, k: Rational) -> "RatMatrix":
         kf = _as_frac(k)
-        return RatMatrix(self.rows, self.cols,
-                         tuple(tuple(kf.numerator * a for a in row) for row in self.num),
-                         kf.denominator * self.den)
+        return _rm(self.rows, self.cols,
+                   tuple(tuple(kf.numerator * a for a in row) for row in self.num),
+                   kf.denominator * self.den)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
+        if not isinstance(other, RatMatrix):
+            return NotImplemented
         if self.cols != other.rows:
             raise ShapeError("size mismatch in multiplication")
-        return RatMatrix(self.rows, other.cols,
-                         _product(self.num, other.num, other.rows, other.cols),
-                         self.den * other.den)
+        return _rm(self.rows, other.cols,
+                   _product(self.num, other.num, other.rows, other.cols), self.den * other.den)
 
     def is_integral(self) -> bool:
         return self.den == 1
@@ -241,11 +251,26 @@ class RatMatrix:
     def to_int(self) -> IntMatrix:
         if not self.is_integral():
             raise ValueError("matrix has non-integer entries")
-        return IntMatrix(self.rows, self.cols, self.num)
+        return _im(self.rows, self.cols, self.num)
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and self.num == _transpose(self.num, self.rows,
                                                                   self.cols)
+
+
+def _im(rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> IntMatrix:
+    """An IntMatrix of entries that are ints by construction, unchecked."""
+    m = object.__new__(IntMatrix)
+    m.__dict__.update(rows=rows, cols=cols, entries=entries)
+    return m
+
+
+def _rm(rows: int, cols: int, num: tuple[tuple[int, ...], ...], den: int = 1) -> RatMatrix:
+    """A RatMatrix of int numerators and nonzero den, unchecked but reduced."""
+    m = object.__new__(RatMatrix)
+    m.__dict__.update(rows=rows, cols=cols, num=num, den=den)
+    m._reduce()
+    return m
 
 
 def block_diagonal(parts: Sequence[RatMatrix]) -> RatMatrix:
@@ -260,7 +285,7 @@ def block_diagonal(parts: Sequence[RatMatrix]) -> RatMatrix:
             rows.append((0,) * off + tuple(k * e for e in row)
                         + (0,) * (cols - off - p.cols))
         off += p.cols
-    return RatMatrix(len(rows), cols, tuple(rows), den)
+    return _rm(len(rows), cols, tuple(rows), den)
 
 
 @dataclass(frozen=True)
@@ -333,8 +358,8 @@ def hnf(m: IntMatrix) -> IntMatrix:
     right of the pivot above, and entries above a pivot lie in [0, pivot).
     """
     h, _ = _hnf_transform(m)
-    kept = [row for row in h if any(e != 0 for e in row)]
-    return IntMatrix.from_rows(kept, cols=m.cols)
+    kept = tuple(tuple(row) for row in h if any(row))
+    return _im(len(kept), m.cols, kept)
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -344,10 +369,8 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     primitive (saturated); the basis itself is put in HNF for determinism.
     """
     h, u = _hnf_transform(m)
-    kernel_rows = [u[i] for i in range(m.rows) if all(e == 0 for e in h[i])]
-    if not kernel_rows:
-        return IntMatrix(0, m.rows, ())
-    return hnf(IntMatrix.from_rows(kernel_rows, cols=m.rows))
+    kernel_rows = tuple(tuple(u[i]) for i in range(m.rows) if not any(h[i]))
+    return hnf(_im(len(kernel_rows), m.rows, kernel_rows)) if kernel_rows else _im(0, m.rows, ())
 
 
 def snf(m: IntMatrix) -> SmithDecomposition:
@@ -430,8 +453,8 @@ def snf(m: IntMatrix) -> SmithDecomposition:
             a[i] = [-x for x in a[i]]
             u[i] = [-x for x in u[i]]
     factors = tuple(a[i][i] if i < r and i < c else 0 for i in range(n))
-    return SmithDecomposition(factors, IntMatrix.from_rows(u, cols=r) if r else IntMatrix(0, 0, ()),
-                              IntMatrix.from_rows(v, cols=c) if c else IntMatrix(0, 0, ()))
+    return SmithDecomposition(factors, _im(r, r, tuple(map(tuple, u))),
+                              _im(c, c, tuple(map(tuple, v))))
 
 
 def det(m: IntMatrix | RatMatrix) -> Fraction:
@@ -464,29 +487,30 @@ def _bareiss(a: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def ldl(m: RatMatrix) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """LDL^T as weighted squares: x m x^T = sum_k d[k] (x_k + sum_{j>k} u[k][j] x_j)^2.
+def ldl(m: RatMatrix) -> tuple[list[int], list[list[int]]]:
+    """LDL^T of the numerators in integers, as (p, a) with
+    x m.num x^T = sum_k t_k^2 / (p[k] D_k), t_k = p[k] x_k + sum_{j>k} a[k][j] x_j.
 
-    One Bareiss pass over the numerators without pivoting: pivot k is the
-    leading minor D_k, so d[k] = D_k / (D_{k-1} den) and u[k] is row k over
-    D_k.  Raises :class:`NotPositiveDefinite` at the first D_k <= 0.
+    One Bareiss pass without pivoting: p[k] is the leading minor D_{k+1} of
+    ``m.num`` (D_0 = 1) and a[k][j], j > k, is row k when it is the pivot
+    row, an integer minor.  Raises :class:`NotPositiveDefinite` at the first
+    D_k <= 0.
     """
     n = m.rows
     a = [list(row) for row in m.num]
-    d: list[Fraction] = []
-    u = [[Fraction(0)] * n for _ in range(n)]
+    p: list[int] = []
     prev = 1
     for k in range(n):
-        p = a[k][k]
-        if p <= 0:
+        pk = a[k][k]
+        if pk <= 0:
             raise NotPositiveDefinite(f"leading minor {k + 1} is not positive")
-        d.append(Fraction(p, prev * m.den))
-        for j in range(k + 1, n):
-            u[k][j] = Fraction(a[k][j], p)
-            for i in range(k + 1, n):
-                a[i][j] = (a[i][j] * p - a[i][k] * a[k][j]) // prev
-        prev = p
-    return d, u
+        p.append(pk)
+        for i in range(k + 1, n):
+            ai, f = a[i], a[i][k]
+            for j in range(k + 1, n):
+                ai[j] = (ai[j] * pk - f * a[k][j]) // prev
+        prev = pk
+    return p, a
 
 
 def solve_exact(a: RatMatrix, b: RatMatrix) -> RatMatrix:
@@ -532,7 +556,7 @@ def solve_exact(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     for r_i, col in enumerate(pivots):
         for t in range(k):
             x[t][col] = aug[r_i][n + t] * a.den
-    return RatMatrix(k, n, tuple(tuple(r) for r in x), prev * b.den)
+    return _rm(k, n, tuple(tuple(r) for r in x), prev * b.den)
 
 
 def inverse(a: RatMatrix) -> RatMatrix:

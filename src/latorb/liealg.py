@@ -10,8 +10,9 @@ the central-charge-24 classification.
 The enumerator recurses one level per simple type, choosing its count, and
 enters a branch only if a bitset per suffix of the type pool says the rest
 of the dimension is reachable, so its work follows its output; type strings
-are built on the way down and stored.  More than ``MAX_CANDIDATES`` results
-raise ``LieDataError``.  No other package module is imported at run time.
+are built on the way down and stored.  A query is counted first, and one
+with more than ``MAX_CANDIDATES`` results raises ``LieDataError`` before any
+candidate is built.  No other package module is imported at run time.
 """
 
 from __future__ import annotations
@@ -175,6 +176,20 @@ def _component_sort_key(t: SimpleLieData):
     return (-t.dimension, t.family, -t.rank)
 
 
+def candidate_count(dim: int, rank: int | None = None, hcoxeter_divisor: int = 1) -> int:
+    """How many candidates ``semisimple_candidates`` returns, counted without
+    building them: a knapsack over its pool by dimension and any given rank."""
+    width = 1 if rank is None else rank + 1
+    ways = [[0] * width for _ in range(max(dim, 0) + 1)]  # ways[s][r], r = 0 unranked
+    ways[0][0] = 1
+    for t in (t for t in _TYPES if t.dual_coxeter % hcoxeter_divisor == 0):
+        tr = 0 if rank is None else t.rank
+        for s in range(t.dimension, dim + 1):
+            for r in range(tr, width):
+                ways[s][r] += ways[s - t.dimension][r - tr]
+    return ways[dim][-1] if dim > 0 else 0
+
+
 def semisimple_candidates(dim: int, rank: int | None = None,
                           hcoxeter_divisor: int = 1) -> list[SemisimpleType]:
     """All semisimple types with the given total dimension.
@@ -188,11 +203,15 @@ def semisimple_candidates(dim: int, rank: int | None = None,
 
     Returns:
         Deterministically sorted list; each candidate's components are
-        ordered by descending dimension.  LieDataError is raised instead
-        once more than MAX_CANDIDATES candidates are found.
+        ordered by descending dimension.  LieDataError is raised instead,
+        before any is built, when there are more than MAX_CANDIDATES.
     """
     if dim <= 0:
         return []
+    count = candidate_count(dim, rank, hcoxeter_divisor)
+    if count > MAX_CANDIDATES:
+        raise LieDataError(f"more than {MAX_CANDIDATES} candidates of "
+                           f"dimension {dim}: {count}")
     pool = sorted((t for t in _TYPES
                    if t.dimension <= dim and t.dual_coxeter % hcoxeter_divisor == 0),
                   key=_component_sort_key)
@@ -232,9 +251,6 @@ def semisimple_candidates(dim: int, rank: int | None = None,
                 if rank is None or rank_used == rank_left:
                     found.append(SemisimpleType(parts + (component,),
                                                 (text + label)[1:]))
-                    if len(found) > MAX_CANDIDATES:
-                        raise LieDataError(f"more than {MAX_CANDIDATES} "
-                                           f"candidates of dimension {dim}")
 
     # Without a rank bound the budget dim is never exhausted (rank < dim).
     search(0, dim, dim if rank is None else rank, (), "")

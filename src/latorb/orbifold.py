@@ -18,7 +18,7 @@ from math import isqrt, lcm, prod
 
 from . import liealg
 from .catalog import SIGMA_KEYS, SIGMA_TO_LATTICE, NiemeierBundle, build_sigma, niemeier_bundle
-from .exactmat import IntMatrix, RatMatrix, det, hnf, inverse, kernel_basis, snf, solve_exact
+from .exactmat import IntMatrix, det, hnf, inverse, kernel_basis, snf, solve_exact
 from .lattice import Isometry, LatticeVector, SublatticeOf, rat_str
 from .roots import RootSystem, enumerate_roots, orbit_count
 
@@ -137,6 +137,7 @@ def commutator_value(iso: Isometry, alpha: LatticeVector,
                for i in range(n)) % _COMMUTATOR_MOD
 
 
+@lru_cache(maxsize=None)  # B C B^T on N, an input both |N/R| routes read
 def _pairing_on(iso: Isometry, n: SublatticeOf) -> IntMatrix:
     b = n.inclusion
     return b @ commutator_gram(iso) @ b.transpose()
@@ -387,13 +388,12 @@ def stabilizes(bundle: NiemeierBundle, matrix: IntMatrix) -> bool:
     s = ext.base_in_lattice.inclusion.to_rat() @ images
     if not s.is_integral() or abs(det(s)) != 1:
         return False
-    words = RatMatrix.from_rows([w.coords for w in bundle.glue_group], cols=s.rows)
-    den = lcm(words.den, images.den)
+    den = lcm(bundle.glue_den, images.den)
 
-    def residues(m: RatMatrix) -> set[tuple[int, ...]]:
-        return {tuple(e * (den // m.den) % den for e in row) for row in m.num}
+    def residues(rows, row_den: int) -> set[tuple[int, ...]]:
+        return {tuple(e * (den // row_den) % den for e in row) for row in rows}
 
-    return residues(images) <= residues(words)
+    return residues(images.num, images.den) <= residues(bundle.glue_group, bundle.glue_den)
 
 
 def assemble_report(sigma_key: str) -> dict:

@@ -1,11 +1,12 @@
 """Exact root-system machinery: norm-2 enumeration, ADE classification,
 reflections, highest roots, and orbit counting under an isometry.
 
-Enumeration is exact throughout.  The squared-length form is completed to a
-sum of weighted squares with rational coefficients, which yields integer
-coordinate intervals level by level; no floating point is used anywhere,
-not even as a heuristic.  Glued lattices are searched coset by coset, with
-norms scaled to integers and one short-vector list per (block Gram, shift).
+Enumeration is all-integer.  The squared-length form is completed to a
+sum of squares over integer Bareiss minors, so every budget, bound and norm
+is an int and each coordinate interval comes from an ``isqrt``; no Fraction
+and no floating point is used, not even as a heuristic.  Glued lattices are
+searched coset by coset: glue words are integer residues over one
+denominator, and each (block Gram, shift) is enumerated once.
 
 Classification pairs roots through the integer Gram numerators.  Simple
 roots are found in one scan of the positive roots by height, the Dynkin
@@ -19,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, isqrt
+from math import isqrt
 from operator import mul, sub
 from typing import Iterable, Sequence
 
@@ -45,69 +46,47 @@ def _expected_root_count(family: str, rank: int) -> int:
     raise UnknownRootSystem(f"no root count for type {family}{rank}")
 
 
-def _floor_sqrt_shift(f: Fraction, a: Fraction) -> int:
-    """floor(sqrt(f) - a) for f >= 0, computed with integer arithmetic.
+def _short_vectors(gram: RatMatrix, bound: int, shift: Sequence[int] | None = None,
+                   d: int = 1) -> list[tuple[tuple[int, ...], int]]:
+    """Sorted (x, y G y^T) for all integer x with y G y^T <= bound, where
+    y = d x + shift and G = gram.num.
 
-    The estimate from floor(sqrt(f)) is corrected by exact comparisons,
-    so the result is exact for every rational input.
-    """
-    r = isqrt(f.numerator * f.denominator) // f.denominator
-    m = floor(Fraction(r) - a)
-    while (m + a) > 0 and (m + a) ** 2 > f:
-        m -= 1
-    while (m + 1 + a) <= 0 or (m + 1 + a) ** 2 <= f:
-        m += 1
-    return m
-
-
-def _int_interval(a: Fraction, f: Fraction) -> tuple[int, int]:
-    """All integers x with (x + a)^2 <= f, as an inclusive interval."""
-    if f < 0:
-        return 0, -1
-    return -_floor_sqrt_shift(f, -a), _floor_sqrt_shift(f, a)
-
-
-def _short_vectors(gram: RatMatrix, bound: Fraction,
-                   center: Sequence[Fraction] | None = None,
-                   ) -> list[tuple[tuple[int, ...], Fraction]]:
-    """All integer x with Q(x + center) <= bound, with exact norms.
-
-    Args:
-        gram: positive-definite form.
-        bound: inclusive norm bound.
-        center: optional rational shift; None means the origin, in which
-            case the zero vector is included with norm 0.
-
-    Returns:
-        Sorted list of (coordinates, norm) pairs.
+    That is Q(x + shift / d) <= bound / (gram.den d^2) for the positive-definite
+    form Q of ``gram``, with norms kept in those integer units; no shift is the
+    origin.  With ldl's (p, a), the squares from level i on, times D_i, sum to
+    an integer E_i = (D_i E_{i+1} + t_i^2) / p[i], so the level-i coordinate
+    ranges over t_i^2 <= D_i (p[i] bound - E_{i+1}), an ``isqrt`` interval.
     """
     n = gram.rows
-    bound = Fraction(bound)
     if n == 0:
-        return [((), Fraction(0))] if bound >= 0 else []
+        return [((), 0)] if bound >= 0 else []
     try:
-        d, u = ldl(gram)
+        p, a = ldl(gram)
     except NotPositiveDefinite:
         raise RootsError("form is not positive definite") from None
-    s = [Fraction(c) for c in center] if center is not None else [Fraction(0)] * n
-    out: list[tuple[tuple[int, ...], Fraction]] = []
+    s = list(shift) if shift is not None else [0] * n
+    minor = [1, *p]  # minor[i] = D_i
+    out: list[tuple[tuple[int, ...], int]] = []
     x = [0] * n
+    y = list(s)
 
-    def descend(i: int, remaining: Fraction) -> None:
+    def descend(i: int, e: int) -> None:
         if i < 0:
-            out.append((tuple(x), bound - remaining))
+            out.append((tuple(x), e))
             return
-        off = sum((u[i][j] * (x[j] + s[j]) for j in range(i + 1, n)), Fraction(0))
-        a = s[i] + off
-        lo, hi = _int_interval(a, remaining / d[i])
-        for xi in range(lo, hi + 1):
-            t = d[i] * (xi + a) ** 2
-            if t <= remaining:
-                x[i] = xi
-                descend(i - 1, remaining - t)
-        x[i] = 0
+        room = minor[i] * (p[i] * bound - e)
+        if room < 0:
+            return
+        r = isqrt(room)
+        # t = p[i] y_i + c with y_i = d x_i + s_i, so t = step x_i + c.
+        c = p[i] * s[i] + sum(map(mul, a[i][i + 1:], y[i + 1:]))
+        step = p[i] * d
+        for xi in range(-((r + c) // step), (r - c) // step + 1):
+            t = step * xi + c
+            x[i], y[i] = xi, d * xi + s[i]
+            descend(i - 1, (minor[i] * e + t * t) // p[i])
 
-    descend(n - 1, bound)
+    descend(n - 1, 0)
     out.sort(key=lambda pair: pair[0])
     return out
 
@@ -146,9 +125,8 @@ def enumerate_roots(l: Lattice) -> RootSystem:
     """
     if not l.is_even:
         raise RootsError("root enumeration requires an even lattice")
-    vectors = [l.vector(coords)
-               for coords, norm in _short_vectors(l.gram, Fraction(2))
-               if norm == 2]
+    two = 2 * l.gram.den  # norm 2 in units of the Gram numerators
+    vectors = [l.vector(x) for x, norm in _short_vectors(l.gram, two) if norm == two]
     return build_root_system(l, vectors)
 
 
@@ -393,15 +371,17 @@ def orbit_count(rs: RootSystem, iso: Isometry) -> tuple[int, int]:
 
 
 def glued_root_vectors(q: Lattice, ext: GlueExtension,
-                       words: Iterable[LatticeVector]) -> list[LatticeVector]:
+                       words: Sequence[tuple[int, ...]], d: int) -> list[LatticeVector]:
     """Norm-2 vectors of a glued lattice, coset by coset over the base.
 
     Args:
         q: the base lattice (a direct sum with block bookkeeping, or any
             lattice, treated as a single block).
         ext: the glue extension of q whose roots are wanted.
-        words: coset representatives of ext.lattice / q in q-coordinates,
-            including the zero word.
+        words: coset representatives of ext.lattice / q, including the
+            zero word, as integer rows w: the q-coordinates of a word are
+            w / d (glue residues, as ``catalog`` stores them).
+        d: the common positive denominator of the words.
 
     Returns:
         All norm-2 vectors of ext.lattice in its own (integral) basis
@@ -413,21 +393,17 @@ def glued_root_vectors(q: Lattice, ext: GlueExtension,
     starts = [0, *itertools.accumulate(blocks)][:-1]
     if sum(blocks) != q.rank:
         raise RootsError("block sizes do not sum to the rank")
-    words = list(words)
-    if any(w.lattice != q for w in words):
-        raise RootsError("coset word is not in base-lattice coordinates")
-    # Every word as integer numerators over one common denominator d, and
-    # every norm scaled by unit = den * d^2 into an integer.
-    scaled = RatMatrix.from_rows([w.coords for w in words], cols=q.rank)
-    d, den = scaled.den, q.gram.den
-    unit = den * d * d
+    if d < 1 or any(len(w) != q.rank for w in words):
+        raise RootsError("coset words must be rank-length rows over a positive d")
+    # Every norm is scaled by unit = den * d^2 into an integer.
+    unit = q.gram.den * d * d
     # Blocks with equal Grams share one key, so each (Gram, shift) pair is
     # enumerated once however many blocks carry it.
     grams: dict[tuple[tuple[int, ...], ...], int] = {}
     keys = [grams.setdefault(tuple(row[st:st + b] for row in q.gram.num[st:st + b]),
                              len(grams))
             for st, b in zip(starts, blocks)]
-    gram_of = [RatMatrix(len(g), len(g), g, den) for g in grams]
+    gram_of = [RatMatrix(len(g), len(g), g) for g in grams]
     # The inverse glue basis is the integral inclusion of the base lattice.
     binv = ext.base_in_lattice.inclusion.transpose().entries
     cache: dict[tuple[int, tuple[int, ...]], tuple[int, list]] = {}
@@ -437,13 +413,12 @@ def glued_root_vectors(q: Lattice, ext: GlueExtension,
         a block with no vector counts as exceeding every budget."""
         if key not in cache:
             gk, shift = key
-            pieces = [(x, int(norm * unit)) for x, norm in _short_vectors(
-                gram_of[gk], Fraction(2), center=[Fraction(t, d) for t in shift])]
+            pieces = _short_vectors(gram_of[gk], 2 * unit, shift, d)
             cache[key] = (min((m for _, m in pieces), default=2 * unit + 1), pieces)
         return cache[key]
 
     found: list[LatticeVector] = []
-    for wnum in scaled.num:
+    for wnum in words:
         per_block = [block_vectors((gk, wnum[st:st + b]))
                      for gk, st, b in zip(keys, starts, blocks)]
         # suffix[i] = the least scaled norm the blocks from i on add.

@@ -145,7 +145,7 @@ def test_candidates_rejects_nonpositive_dim(capsys):
     code, out, err = run(capsys, "candidates", "--dim", "24", "--rank", "-1")
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("usage error:") and "--rank" in err
-    # 2,195,038 candidates: refused once the search passes its bound.
+    # 2,195,038 candidates: refused by the count, before any is built.
     code, out, err = run(capsys, "candidates", "--dim", "250")
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("usage error: more than")
@@ -188,6 +188,13 @@ def test_verify_all_filtered_json(capsys):
     assert bundle["reports"][0]["sigma"] == "sigma1"
     assert bundle["summary"]["failed"] == 0
     assert bundle["summary"]["passed"] == len(bundle["checks"])
+
+
+def test_verify_all_json_matches_golden(capsys):
+    # All six reports and every check, byte for byte as a separate run wrote them.
+    code, out, _ = run(capsys, "verify-all", "--json")
+    assert code == EXIT_OK
+    assert out == golden_text("verify_all.json")
 
 
 def test_verify_all_golay_filter_skips_reports(capsys):

@@ -2,6 +2,7 @@
 differential properties of the scaled-integer RatMatrix against a per-entry
 Fraction reference."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -125,6 +126,44 @@ class TestSolve:
     def test_singular_inverse(self):
         with pytest.raises(NoSolution):
             inverse(rm([[1, 1], [1, 1]]))
+
+
+def test_power_matches_repeated_product_with_fewest_products(monkeypatch):
+    m = im([[1, 1, 0], [0, 1, 2], [3, 0, 1]])
+    original = IntMatrix.__matmul__
+    products = []
+
+    def counting(a, b):
+        products.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", counting)
+    expected = IntMatrix.identity(3)
+    # k = 0..4: no product with the identity and no squaring past the top bit.
+    for k, fewest in enumerate((0, 0, 1, 2, 2)):
+        products.clear()
+        assert m ** k == expected
+        assert len(products) == fewest, k
+        expected = original(expected, m)
+
+
+def test_mixed_operands_and_non_int_entries_raise_type_error():
+    i, r = IntMatrix.identity(2), RatMatrix.identity(2)
+    for op in (operator.matmul, operator.add, operator.sub):
+        for a, b in ((i, r), (r, i)):
+            with pytest.raises(TypeError):
+                op(a, b)
+    with pytest.raises(TypeError):
+        i.scale(Fraction(1, 2))
+    bad = [lambda: IntMatrix(1, 1, ((Fraction(1),),)),
+           lambda: IntMatrix(1, 1, ((True,),)),
+           lambda: IntMatrix.from_rows([[1, 2.0]]),
+           lambda: RatMatrix(1, 1, ((Fraction(1, 2),),)),
+           lambda: RatMatrix(1, 1, ((1,),), 2.0),
+           lambda: RatMatrix.from_rows([[0.5]])]
+    for build in bad:
+        with pytest.raises(TypeError):
+            build()
 
 
 def _random_matrix(rng, max_dim=4, bound=9):
@@ -363,9 +402,13 @@ def test_ldl_agrees_with_leading_minor_rule(g):
         with pytest.raises(NotPositiveDefinite):
             ldl(rat(g, n))
         return
-    d, u = ldl(rat(g, n))
+    m = rat(g, n)
+    p, a = ldl(m)
+    assert all(type(e) is int for e in p) and all(type(e) is int for row in a for e in row)
+    # d[k] = D_{k+1} / (D_k den) and u[k] = a[k] / D_{k+1}, with D_0 = 1.
+    d = [Fraction(p[k], (p[k - 1] if k else 1) * m.den) for k in range(n)]
     # g = U^T diag(d) U with U unit upper triangular.
-    full_u = [[Fraction(int(i == j)) if j <= i else u[i][j] for j in range(n)]
-              for i in range(n)]
+    full_u = [[Fraction(int(i == j)) if j <= i else Fraction(a[i][j], p[i])
+               for j in range(n)] for i in range(n)]
     scaled = [[d[i] * x for x in full_u[i]] for i in range(n)]
     assert ref_matmul(ref_transpose(full_u, n), scaled, n, n) == g

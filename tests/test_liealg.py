@@ -16,6 +16,7 @@ from latorb.lattice import Lattice
 from latorb.liealg import (
     LieDataError,
     all_types,
+    candidate_count,
     lattice_voa_weight_one,
     level_from_dim,
     lookup,
@@ -182,6 +183,7 @@ def test_candidates_match_reference_search():
         got = semisimple_candidates(dim, rank=rank, hcoxeter_divisor=divisor)
         want = reference_candidates(dim, rank=rank, hcoxeter_divisor=divisor)
         assert [c.components for c in got] == want, (dim, rank, divisor)
+        assert candidate_count(dim, rank, divisor) == len(got), (dim, rank, divisor)
         for cand in got:
             assert cand.type_string() == rebuilt_type_string(cand.components)
 
@@ -225,6 +227,16 @@ def test_candidate_limit_raises(monkeypatch):
     monkeypatch.setattr(liealg, "MAX_CANDIDATES", count - 1)
     with pytest.raises(LieDataError, match="more than"):
         semisimple_candidates(30)
+
+
+def test_refused_query_builds_no_candidate(monkeypatch):
+    built = []
+    monkeypatch.setattr(liealg, "SemisimpleType", lambda *fields: built.append(fields))
+    monkeypatch.setattr(liealg, "MAX_CANDIDATES", candidate_count(30) - 1)
+    with pytest.raises(LieDataError, match="more than"):
+        semisimple_candidates(30)
+    assert built == []
+    assert candidate_count(0) == candidate_count(-5) == 0
 
 
 def test_liealg_imports_no_other_latorb_module():

@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import floor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latorb import roots as roots_module
 from latorb.catalog import build_sigma, niemeier_bundle
@@ -14,6 +17,7 @@ from latorb.roots import (
     RootsError,
     _expected_root_count,
     _match_ade,
+    _short_vectors,
     basis_highest_root,
     build_root_system,
     classify,
@@ -180,8 +184,9 @@ def test_glued_coset_route_matches_direct_route():
     direct = enumerate_roots(ext.lattice)
     assert direct.count == 112
     assert classify(direct) == (("D", 8),)
-    words = [q.vector([0] * 8), g]
-    vectors = glued_root_vectors(q, ext, words)
+    # The spinor word as integer residues over d = 2.
+    words = [(0,) * 8, (1, 0, 1, 0) * 2]
+    vectors = glued_root_vectors(q, ext, words, 2)
     assert len(vectors) == 112
     assert {v.coords for v in vectors} == {v.coords for v in direct.roots}
     via_cosets = build_root_system(ext.lattice, vectors)
@@ -197,8 +202,8 @@ def test_glued_route_with_fully_pruned_words():
     g = q.vector([2 * third, third, 2 * third, third])
     ext = glue_extend(q, [g])
     assert ext.index == 3
-    words = [q.vector([0] * 4), g, g.scale(2)]
-    vectors = glued_root_vectors(q, ext, words)
+    words = [(0,) * 4, (2, 1, 2, 1), (1, 2, 1, 2)]  # 0, g, 2g mod 1, over d = 3
+    vectors = glued_root_vectors(q, ext, words, 3)
     rs = build_root_system(ext.lattice, vectors)
     assert rs.count == 12
     assert classify(rs) == (("A", 2), ("A", 2))
@@ -393,16 +398,16 @@ def test_glued_route_shares_short_vectors_across_equal_blocks(monkeypatch):
     g = q.vector([2 * third, third] * 3)
     ext = glue_extend(q, [g])
     assert ext.index == 3
-    words = [q.vector([0] * 6), g, g.scale(2)]
+    words = [(0,) * 6, (2, 1) * 3, (1, 2) * 3]  # 0, g, 2g mod 1, over d = 3
     calls = []
     original = roots_module._short_vectors
 
-    def counting(gram, bound, center=None):
-        calls.append(center)
-        return original(gram, bound, center)
+    def counting(gram, bound, shift=None, d=1):
+        calls.append(shift)
+        return original(gram, bound, shift, d)
 
     monkeypatch.setattr(roots_module, "_short_vectors", counting)
-    vectors = glued_root_vectors(q, ext, words)
+    vectors = glued_root_vectors(q, ext, words, 3)
     monkeypatch.undo()
     # One enumeration per (Gram, shift): three blocks share each shift.
     assert len(calls) == 3
@@ -412,7 +417,7 @@ def test_glued_route_shares_short_vectors_across_equal_blocks(monkeypatch):
     for seed in (1, 2):
         shuffled = list(words)
         random.Random(seed).shuffle(shuffled)
-        again = glued_root_vectors(q, ext, shuffled)
+        again = glued_root_vectors(q, ext, shuffled, 3)
         assert sorted(v.coords for v in again) == sorted(v.coords for v in vectors)
     assert classify(build_root_system(ext.lattice, vectors)) == (("E", 6),)
 
@@ -423,7 +428,94 @@ def test_glued_route_keeps_blocks_with_different_grams_apart():
     flipped = Lattice(RatMatrix.from_rows([[2, 1], [1, 2]]))
     q = direct_sum([Lattice(A2_GRAM), flipped])
     ext = glue_extend(q, [])
-    vectors = glued_root_vectors(q, ext, [q.vector([0] * 4)])
+    vectors = glued_root_vectors(q, ext, [(0,) * 4], 1)
     direct = enumerate_roots(ext.lattice)
     assert sorted(v.coords for v in vectors) == sorted(v.coords for v in direct.roots)
     assert classify(build_root_system(ext.lattice, vectors)) == (("A", 2), ("A", 2))
+
+
+def reference_short_vectors(gram, bound, center):
+    """All integer x with Q(x + center) <= bound, with exact norms, over
+    Fractions: Q completed to weighted squares by a Fraction LDL^T, and each
+    coordinate's interval grown outward from the nearest integer.  None when
+    a pivot is not positive (the form is not positive definite)."""
+    n = len(gram)
+    a = [list(row) for row in gram]
+    d = []
+    u = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(n):
+        if a[k][k] <= 0:
+            return None
+        d.append(a[k][k])
+        for j in range(k + 1, n):
+            u[k][j] = a[k][j] / a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] -= a[i][k] * u[k][j]
+    out = []
+    x = [0] * n
+
+    def descend(i, remaining):
+        if i < 0:
+            out.append((tuple(x), bound - remaining))
+            return
+        c = center[i] + sum((u[i][j] * (x[j] + center[j]) for j in range(i + 1, n)),
+                            Fraction(0))
+        near = floor(Fraction(1, 2) - c)  # the integer nearest -c
+        for step in (1, -1):
+            xi = near if step == 1 else near - 1
+            while d[i] * (xi + c) ** 2 <= remaining:
+                x[i] = xi
+                descend(i - 1, remaining - d[i] * (xi + c) ** 2)
+                xi += step
+
+    if bound >= 0:
+        descend(n - 1, bound)
+    return sorted(out)
+
+
+@st.composite
+def short_vector_cases(draw):
+    """(gram, shift, d, bound): three in four Grams are A A^T + I, the rest
+    any symmetric form; Grams over a denominator up to 4 and shifts over d
+    up to 6, so centre coordinates have mixed denominators; half the bounds
+    are 0 or below 0, the rest up to 3 in norm units."""
+    n = draw(st.integers(1, 4))
+    small = st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                     min_size=n, max_size=n)
+    a = draw(small)
+    if draw(st.sampled_from((True, True, False, True))):
+        g = [[sum(p * q for p, q in zip(a[i], a[j])) + (i == j) for j in range(n)]
+             for i in range(n)]
+    else:
+        g = [[a[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    den = draw(st.integers(1, 4))
+    gram = RatMatrix.from_rows([[Fraction(e, den) for e in row] for row in g])
+    d = draw(st.integers(1, 6))
+    shift = tuple(draw(st.lists(st.integers(-2 * d, 2 * d), min_size=n, max_size=n)))
+    unit = gram.den * d * d
+    bound = draw(st.sampled_from((None, None, None, 0, -1, -unit)))
+    if bound is None:
+        bound = draw(st.integers(1, 3 * unit))
+    return gram, shift, d, bound
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(short_vector_cases())
+def test_short_vectors_match_fraction_reference(case):
+    gram, shift, d, bound = case
+    unit = gram.den * d * d
+    want = reference_short_vectors(gram.entries, Fraction(bound, unit),
+                                   [Fraction(t, d) for t in shift])
+    if want is None:
+        with pytest.raises(RootsError):
+            _short_vectors(gram, bound, shift, d)
+        return
+    got = _short_vectors(gram, bound, shift, d)
+    assert all(type(norm) is int for _, norm in got)
+    assert [(x, Fraction(norm, unit)) for x, norm in got] == want
+    # No shift is the origin; the zero vector is in whenever the bound is.
+    origin = _short_vectors(gram, bound)
+    assert [(x, Fraction(norm, gram.den)) for x, norm in origin] == \
+        reference_short_vectors(gram.entries, Fraction(bound, gram.den), [0] * gram.rows)
+    assert (((0,) * gram.rows, 0) in origin) is (bound >= 0)
