@@ -7,7 +7,8 @@ common denominator, reduced by their gcd so that equal matrices have equal
 fields.  Its arithmetic, determinant, exact solve and LDL^T run on ints;
 ``RatMatrix.entries`` is a derived Fraction view for callers that want
 entries one by one.  Matrices are immutable values; every operation
-returns a new matrix.
+returns a new matrix.  Both classes multiply through one packed-row integer
+product (Kronecker substitution, see ``_product``).
 
 Entries are checked to be ints only where data enters, in the public
 constructors and ``from_rows``; this module's own results are built by the
@@ -25,8 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, lshift, mul
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -75,9 +77,27 @@ def _transpose(entries, rows: int, cols: int) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*entries)) if rows else ((),) * cols
 
 
-def _product(a, b, b_rows: int, b_cols: int) -> tuple[tuple[int, ...], ...]:
-    bt = _transpose(b, b_rows, b_cols)
-    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
+def _magnitude(rows) -> int:
+    """The largest |entry| of integer rows, 0 when there is none."""
+    values = set().union(*rows)  # few distinct values: cheaper than comparing all
+    return max(max(values), -min(values)) if values else 0
+
+
+def _product(a, b, cols: int) -> tuple[tuple[int, ...], ...]:
+    """Rows of the integer product a b, b with ``cols`` columns.
+
+    Row k of b is packed into the int sum_j b[k][j] 2^(w j), so row i of a b
+    is the w-bit fields of a[i][k] packed[k] summed over the nonzero a[i][k].
+    No entry exceeds n max|a| max|b| < 2^(w-1) = half in size, so adding half
+    to every field leaves each in [0, 2^w), and a shift and mask read it back.
+    """
+    w = (len(b) * _magnitude(a) * _magnitude(b)).bit_length() + 1
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    shifts = range(0, w * cols, w)
+    packed = [sum(map(lshift, row, shifts)) for row in b]
+    bias = sum(half << s for s in shifts)
+    sums = (sum(map(mul, compress(row, row), compress(packed, row)), bias) for row in a)
+    return tuple(tuple(((v >> s) & mask) - half for s in shifts) for v in sums)
 
 
 @dataclass(frozen=True)
@@ -103,10 +123,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return _im(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return _im(rows, cols, ((0,) * cols,) * rows)
 
     def transpose(self) -> "IntMatrix":
         return _im(self.cols, self.rows, _transpose(self.entries, self.rows, self.cols))
@@ -135,7 +151,7 @@ class IntMatrix:
         if self.cols != other.rows:
             raise ShapeError("size mismatch in multiplication")
         return _im(self.rows, other.cols,
-                   _product(self.entries, other.entries, other.rows, other.cols))
+                   _product(self.entries, other.entries, other.cols))
 
     def __pow__(self, k: int) -> "IntMatrix":
         """Left-to-right square-and-multiply, never multiplying by the identity."""
@@ -243,7 +259,7 @@ class RatMatrix:
         if self.cols != other.rows:
             raise ShapeError("size mismatch in multiplication")
         return _rm(self.rows, other.cols,
-                   _product(self.num, other.num, other.rows, other.cols), self.den * other.den)
+                   _product(self.num, other.num, other.cols), self.den * other.den)
 
     def is_integral(self) -> bool:
         return self.den == 1

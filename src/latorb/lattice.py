@@ -113,7 +113,7 @@ class Lattice:
         return det(self.gram)
 
     def vector(self, coords: Sequence[Rational]) -> "LatticeVector":
-        return LatticeVector(self, tuple(Fraction(c) for c in coords))
+        return LatticeVector(self, tuple(coords))
 
     def basis_vector(self, i: int) -> "LatticeVector":
         return self.vector([1 if j == i else 0 for j in range(self.rank)])
@@ -142,19 +142,22 @@ class Lattice:
 
 @dataclass(frozen=True)
 class LatticeVector:
-    """Exact rational coordinates in the basis of a fixed lattice."""
+    """Exact rational coordinates in the basis of a fixed lattice: ints where
+    integral and Fractions elsewhere, so equal vectors compare and hash equal."""
 
     lattice: Lattice
-    coords: tuple[Fraction, ...]
+    coords: tuple[Rational, ...]
 
     def __post_init__(self) -> None:
         if len(self.coords) != self.lattice.rank:
             raise ValueError("coordinate count differs from lattice rank")
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
+        coords = (c if type(c) is int else Fraction(c) for c in self.coords)
+        object.__setattr__(self, "coords", tuple(
+            c.numerator if c.denominator == 1 else c for c in coords))
 
     @property
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
+        return all(type(c) is int for c in self.coords)
 
     def ambient(self) -> tuple[Fraction, ...]:
         e = self.lattice.effective_embedding()
@@ -417,11 +420,6 @@ class Isometry:
         row = RatMatrix.from_rows([list(v.coords)], cols=self.lattice.rank)
         image = row @ self.matrix.to_rat()
         return LatticeVector(self.lattice, image.entries[0])
-
-    def apply_coords(self, coords: Sequence[int]) -> tuple[int, ...]:
-        m = self.matrix.entries
-        n = self.matrix.rows
-        return tuple(sum(coords[i] * m[i][j] for i in range(n)) for j in range(n))
 
     @property
     def fixed_rank(self) -> int:

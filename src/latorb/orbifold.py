@@ -10,7 +10,6 @@ index |N/R| is always computed by two independent routes that must agree.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -19,7 +18,7 @@ from math import isqrt, lcm, prod
 from . import liealg
 from .catalog import SIGMA_KEYS, SIGMA_TO_LATTICE, NiemeierBundle, build_sigma, niemeier_bundle
 from .exactmat import IntMatrix, det, hnf, inverse, kernel_basis, snf, solve_exact
-from .lattice import Isometry, LatticeVector, SublatticeOf, rat_str
+from .lattice import Isometry, SublatticeOf, rat_str
 from .roots import RootSystem, enumerate_roots, orbit_count
 
 TWIST_ORDER = 3
@@ -113,28 +112,13 @@ def commutator_gram(iso: Isometry) -> IntMatrix:
     """Integer matrix C with c0(a, b) = a C b^T mod 6 in basis coordinates."""
     if not iso.lattice.is_even:
         raise OrbifoldError("the mod-6 commutator pairing needs an even lattice")
-    g = iso.lattice.gram.to_int()
-    total = IntMatrix.zero(g.rows, g.cols)
-    for r in range(TWIST_ORDER):
-        total = total + ((iso.matrix ** r) @ g).scale(TWIST_ORDER + 2 * r)
+    # C = sum_r (3 + 2r) s^r G, each s^r G one product by s from the last.
+    term = iso.lattice.gram.to_int()
+    total = term.scale(TWIST_ORDER)
+    for r in range(1, TWIST_ORDER):
+        term = iso.matrix @ term
+        total = total + term.scale(TWIST_ORDER + 2 * r)
     return total
-
-
-def commutator_value(iso: Isometry, alpha: LatticeVector,
-                     beta: LatticeVector) -> int:
-    """c0(alpha, beta) = sum_r (3 + 2r)<s^r alpha, beta> mod 6, in {0..5}."""
-    for v in (alpha, beta):
-        if v.lattice != iso.lattice:
-            raise OrbifoldError("commutator arguments must live in the "
-                                "isometry's lattice")
-        if not v.is_integral:
-            raise OrbifoldError("commutator arguments must be lattice members")
-    c = commutator_gram(iso).entries
-    a = [int(x) for x in alpha.coords]
-    b = [int(x) for x in beta.coords]
-    n = len(a)
-    return sum(a[i] * sum(c[i][j] * b[j] for j in range(n))
-               for i in range(n)) % _COMMUTATOR_MOD
 
 
 @lru_cache(maxsize=None)  # B C B^T on N, an input both |N/R| routes read
@@ -206,16 +190,17 @@ def coset_filter_index(iso: Isometry, n: SublatticeOf | None = None,
     nontrivial = [i for i, d in enumerate(divisors) if d > 1]
 
     def partial_sums(indices: list[int]) -> dict[tuple[int, ...], int]:
-        acc: dict[tuple[int, ...], int] = {}
-        for combo in itertools.product(*(range(divisors[i]) for i in indices)):
-            s = [0] * k
-            for t, i in zip(combo, indices):
-                if t:
-                    row = rows[i]
-                    for j in range(k):
-                        s[j] = (s[j] + t * row[j]) % _COMMUTATOR_MOD
-            key = tuple(s)
-            acc[key] = acc.get(key, 0) + 1
+        """How many t-combinations of the indexed rows sum to each row mod 6,
+        built one index at a time by adding t * row to every sum so far."""
+        acc = {(0,) * k: 1}
+        for i in indices:
+            grown = dict(acc)  # t = 0
+            for t in range(1, divisors[i]):
+                step = [t * e for e in rows[i]]
+                for key, cnt in acc.items():
+                    s = tuple((a + b) % _COMMUTATOR_MOD for a, b in zip(key, step))
+                    grown[s] = grown.get(s, 0) + cnt
+            acc = grown
         return acc
 
     if index_nm <= _DIRECT_COSET_LIMIT:

@@ -6,7 +6,8 @@ sum of squares over integer Bareiss minors, so every budget, bound and norm
 is an int and each coordinate interval comes from an ``isqrt``; no Fraction
 and no floating point is used, not even as a heuristic.  Glued lattices are
 searched coset by coset: glue words are integer residues over one
-denominator, and each (block Gram, shift) is enumerated once.
+denominator, and each (block Gram, shift) is enumerated once; the vectors
+found reach lattice coordinates through one matrix product.
 
 Classification pairs roots through the integer Gram numerators.  Simple
 roots are found in one scan of the positive roots by height, the Dynkin
@@ -139,27 +140,25 @@ def build_root_system(l: Lattice, vectors: Iterable[LatticeVector]) -> RootSyste
     against the ADE catalog.
     """
     roots = tuple(vectors)
-    # Integer Gram numerators G, symmetric: a root's row is c G, so
-    # <a, b> * den is a . (b G) and a norm of 2 reads 2 * den.
-    g, den = l.gram.num, l.gram.den
-    index: dict[tuple[int, ...], int] = {}
-    coords: list[tuple[int, ...]] = []
-    rows: list[tuple[int, ...]] = []
     for v in roots:
         if v.lattice != l:
             raise RootsError("root from a different lattice")
         if not v.is_integral:
             raise RootsError(f"root {v.coords} has non-integral coordinates")
-        c = tuple(int(e) for e in v.coords)
-        row = tuple(sum(map(mul, c, gj)) for gj in g)
+    coords = [v.coords for v in roots]
+    # Integer Gram numerators G, symmetric: a root's row is c G, so
+    # <a, b> * den is a . (b G) and a norm of 2 reads 2 * den.
+    den = l.gram.den
+    rows = (IntMatrix(len(coords), l.rank, tuple(coords))
+            @ IntMatrix(l.rank, l.rank, l.gram.num)).entries
+    index: dict[tuple[int, ...], int] = {}
+    for c, row in zip(coords, rows):
         norm = sum(map(mul, c, row))
         if norm != 2 * den:
             raise RootsError(f"vector {c} has norm {Fraction(norm, den)}, not 2")
         if c in index:
             raise RootsError(f"duplicate root {c}")
-        index[c] = len(coords)
-        coords.append(c)
-        rows.append(row)
+        index[c] = len(index)
     negation = [index.get(tuple(-e for e in c)) for c in coords]
     if None in negation:
         raise RootsError(
@@ -297,7 +296,7 @@ def reflection(l: Lattice, alpha: LatticeVector) -> Isometry:
     if not alpha.is_integral or alpha.norm() != 2:
         raise RootsError("reflection requires a norm-2 lattice vector")
     n, g = l.rank, l.gram
-    a = [int(c) for c in alpha.coords]
+    a = alpha.coords
     # Row i is e_i - <e_i, alpha> alpha, over the Gram denominator.
     m = RatMatrix(n, n, tuple(
         tuple((g.den if i == j else 0) - sum(map(mul, row, a)) * a[j] for j in range(n))
@@ -353,7 +352,7 @@ def orbit_count(rs: RootSystem, iso: Isometry) -> tuple[int, int]:
     """
     if iso.lattice != rs.lattice:
         raise RootsError("isometry acts on a different lattice")
-    src = [tuple(int(c) for c in v.coords) for v in rs.roots]
+    src = [v.coords for v in rs.roots]
     product = IntMatrix(len(src), iso.matrix.rows, tuple(src)) @ iso.matrix
     images = dict(zip(src, product.entries))
     unvisited = set(src)
@@ -404,8 +403,6 @@ def glued_root_vectors(q: Lattice, ext: GlueExtension,
                              len(grams))
             for st, b in zip(starts, blocks)]
     gram_of = [RatMatrix(len(g), len(g), g) for g in grams]
-    # The inverse glue basis is the integral inclusion of the base lattice.
-    binv = ext.base_in_lattice.inclusion.transpose().entries
     cache: dict[tuple[int, tuple[int, ...]], tuple[int, list]] = {}
 
     def block_vectors(key: tuple[int, tuple[int, ...]]) -> tuple[int, list]:
@@ -417,7 +414,7 @@ def glued_root_vectors(q: Lattice, ext: GlueExtension,
             cache[key] = (min((m for _, m in pieces), default=2 * unit + 1), pieces)
         return cache[key]
 
-    found: list[LatticeVector] = []
+    ys: list[tuple[int, ...]] = []
     for wnum in words:
         per_block = [block_vectors((gk, wnum[st:st + b]))
                      for gk, st, b in zip(keys, starts, blocks)]
@@ -431,12 +428,7 @@ def glued_root_vectors(q: Lattice, ext: GlueExtension,
         def assemble(bi: int, budget: int) -> None:
             if bi == len(blocks):
                 if budget == 0:
-                    y = [d * c + s for c, s in zip(itertools.chain(*partial), wnum)]
-                    coords = [sum(map(mul, y, col)) for col in binv]
-                    if any(c % d for c in coords):
-                        raise RootsError("coset vector landed outside the lattice")
-                    found.append(LatticeVector(ext.lattice,
-                                               tuple(c // d for c in coords)))
+                    ys.append(tuple(d * c + s for c, s in zip(itertools.chain(*partial), wnum)))
                 return
             allowance = budget - suffix[bi + 1]
             for piece, norm in per_block[bi][1]:
@@ -446,6 +438,14 @@ def glued_root_vectors(q: Lattice, ext: GlueExtension,
                     partial.pop()
 
         assemble(0, 2 * unit)
+    # Each y holds d times base coordinates; the inverse glue basis, the
+    # integral inclusion of the base lattice, maps them to d times lattice ones.
+    found = []
+    for coords in (IntMatrix(len(ys), q.rank, tuple(ys))
+                   @ ext.base_in_lattice.inclusion).entries:
+        if any(c % d for c in coords):
+            raise RootsError("coset vector landed outside the lattice")
+        found.append(LatticeVector(ext.lattice, tuple(c // d for c in coords)))
     return found
 
 

@@ -161,7 +161,7 @@ def test_block_shuffle_follows_code_permutation():
     back = bundle.extension.basis_in_base
     for p in range(12):
         base_root = incl.entries[2 * p]  # first simple root of block p
-        image = sigma.apply_coords(base_root)
+        image = (IntMatrix.from_rows([base_root]) @ sigma.matrix).entries[0]
         q_coords = [
             sum(image[k] * back.entries[k][j] for k in range(24))
             for j in range(24)

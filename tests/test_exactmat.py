@@ -85,7 +85,7 @@ class TestKernel:
         assert k == im([[1, -1]])
 
     def test_full_kernel(self):
-        k = kernel_basis(IntMatrix.zero(3, 2))
+        k = kernel_basis(im([[0, 0]] * 3))
         assert k == IntMatrix.identity(3)
 
 
@@ -304,6 +304,13 @@ def ref_solve(a, b, n, m, k):
 
 DIMS = st.integers(0, 4)
 
+# Small integers mixed with 0, +-1, +-(2^k - 1) and +-2^k for k <= 80: the
+# entries at which a packed product's fields are exactly full.
+FIELD_EDGES = st.one_of(
+    st.integers(-3, 3),
+    st.builds(lambda k, sign, off: sign * ((1 << k) - off),
+              st.integers(1, 80), st.sampled_from((1, -1)), st.sampled_from((0, 1))))
+
 
 @PROFILE
 @given(DIMS, DIMS, DIMS, st.data())
@@ -314,6 +321,10 @@ def test_matmul_transpose_match_reference(r, c, c2, data):
     assert product == rat(expected, c2)
     assert product.entries == tuple(map(tuple, expected))
     assert rat(a, c).transpose() == rat(ref_transpose(a, c), r)
+    x, y = data.draw(frac_rows(r, c, FIELD_EDGES)), data.draw(frac_rows(c, c2, FIELD_EDGES))
+    expected = tuple(map(tuple, ref_matmul(x, y, c, c2)))
+    assert (IntMatrix.from_rows(x, cols=c) @ IntMatrix.from_rows(y, cols=c2)).entries == expected
+    assert (rat(x, c) @ rat(y, c2)).entries == expected
 
 
 @PROFILE

@@ -13,6 +13,7 @@ from latorb.lattice import (
     IsometryError,
     Lattice,
     LatticeError,
+    LatticeVector,
     NotInRationalSpan,
     Quotient,
     QuotientError,
@@ -82,6 +83,16 @@ def test_basic_invariants():
     v = l.vector([1, 0])
     assert v.norm() == 2
     assert v.inner(l.vector([0, 1])) == -1
+
+
+def test_vector_from_ints_equals_vector_from_fractions():
+    l = a2()
+    from_ints = LatticeVector(l, (2, -1))
+    from_fractions = LatticeVector(l, (Fraction(4, 2), Fraction(-1)))
+    assert from_ints == from_fractions
+    assert hash(from_ints) == hash(from_fractions)
+    assert from_ints.is_integral and from_fractions.is_integral
+    assert not l.vector([Fraction(1, 3), 0]).is_integral
 
 
 def test_dual_of_unimodular_is_itself():
@@ -210,7 +221,7 @@ def test_isometry_rotation_of_a2():
     assert rot.fixed_rank == 0
     v = l.vector([1, 0])
     assert rot.apply(v).coords == (Fraction(0), Fraction(1))
-    assert rot.apply_coords((1, 0)) == (0, 1)
+    assert (IntMatrix.from_rows([[1, 0]]) @ rot.matrix).entries == ((0, 1),)
     assert (rot.matrix @ rot.matrix ** (rot.order - 1)).is_identity()
     neg = Isometry.create(l, IntMatrix.identity(2).scale(-1))
     assert neg.order == 2
