@@ -316,17 +316,15 @@ def _close_glue_group(base: Lattice, generators: list[LatticeVector]) -> tuple[i
     mod 1, as sorted integer residue rows modulo the glue denominator den."""
     words = RatMatrix.from_rows([g.coords for g in generators], cols=base.rank)
     den = words.den
-    gens = [tuple(e % den for e in row) for row in words.num]
-    zero = (0,) * base.rank
-    group = {zero}
-    frontier = [zero]
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = tuple((a + b) % den for a, b in zip(cur, g))
-            if nxt not in group:
-                group.add(nxt)
-                frontier.append(nxt)
+    group = [(0,) * base.rank]
+    # With group a subgroup H, the layers H + g, H + 2g, ... are new cosets
+    # until j g falls back into H, so each coset is formed once.
+    for g in words.num:
+        members, step, layers = set(group), tuple(e % den for e in g), []
+        while step not in members:
+            layers += [tuple((a + b) % den for a, b in zip(h, step)) for h in group]
+            step = tuple((a + b) % den for a, b in zip(step, g))
+        group += layers
     return den, tuple(sorted(group))
 
 

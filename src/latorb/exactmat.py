@@ -8,11 +8,16 @@ fields.  Its arithmetic, determinant, exact solve and LDL^T run on ints;
 ``RatMatrix.entries`` is a derived Fraction view for callers that want
 entries one by one.  Matrices are immutable values; every operation
 returns a new matrix.  Both classes multiply through one packed-row integer
-product (Kronecker substitution, see ``_product``).
+product (Kronecker substitution, see ``_product``), and ``det``,
+``solve_exact`` (so ``inverse``) and ``ldl`` share one packed-row
+fraction-free elimination (``_eliminate``), whose field width the Hadamard
+bound fixes.  HNF, SNF and the kernel keep per-entry Euclid row operations:
+their entries have no such a-priori bound.
 
 Entries are checked to be ints only where data enters, in the public
 constructors and ``from_rows``; this module's own results are built by the
-trusted ``_im``/``_rm`` (``_rm`` still reduces by the gcd), and operators check
+trusted ``_im``/``_rm`` (``_rm`` still reduces by the gcd), as are the batched
+products' operands in ``roots``, ints by construction.  Operators check
 their operand's type, so mixing the two classes raises ``TypeError``.
 
 Row-vector convention: vectors are rows and maps act on the right
@@ -26,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
-from math import gcd, lcm
+from itertools import compress, count
+from math import gcd, isqrt, lcm, prod
 from operator import add, lshift, mul
 from typing import Iterable, Sequence, Union
 
@@ -83,21 +88,46 @@ def _magnitude(rows) -> int:
     return max(max(values), -min(values)) if values else 0
 
 
+class _Packing:
+    """Rows of ``cols`` ints as one int of signed w-bit fields: row e packs to
+    sum_j e_j 2^(w j) (Kronecker substitution).
+
+    Sums, multiples and exact quotients of packed rows are the packed rows of
+    the entrywise results, whatever carries pass between fields on the way.  A
+    field in (-half, half), half = 2^(w-1), reads back exactly: adding ``bias``,
+    half in every field, leaves each in [0, 2^w), so a shift and mask read it.
+    """
+
+    def __init__(self, w: int, cols: int) -> None:
+        self.w, self.mask, self.half = w, (1 << w) - 1, 1 << (w - 1)
+        self.shifts = range(0, w * cols, w)
+        self.bias = sum(self.half << s for s in self.shifts)
+
+    def pack(self, row: Sequence[int]) -> int:
+        return sum(map(lshift, row, self.shifts))
+
+    def field(self, v: int, j: int) -> int:
+        """Field j of the packed row v."""
+        return (((v + self.bias) >> (self.w * j)) & self.mask) - self.half
+
+    def read(self, v: int, start: int = 0) -> list[int]:
+        """Fields start, start + 1, ... of the packed row v."""
+        v += self.bias
+        mask, half = self.mask, self.half
+        return [((v >> s) & mask) - half for s in self.shifts[start:]]
+
+
 def _product(a, b, cols: int) -> tuple[tuple[int, ...], ...]:
     """Rows of the integer product a b, b with ``cols`` columns.
 
-    Row k of b is packed into the int sum_j b[k][j] 2^(w j), so row i of a b
-    is the w-bit fields of a[i][k] packed[k] summed over the nonzero a[i][k].
-    No entry exceeds n max|a| max|b| < 2^(w-1) = half in size, so adding half
-    to every field leaves each in [0, 2^w), and a shift and mask read it back.
+    Row i of a b packs to the sum of a[i][k] P_k over the nonzero a[i][k],
+    P_k row k of b packed.  No entry exceeds n max|a| max|b| in size, so
+    fields one bit wider than that bound read every entry back.
     """
-    w = (len(b) * _magnitude(a) * _magnitude(b)).bit_length() + 1
-    half, mask = 1 << (w - 1), (1 << w) - 1
-    shifts = range(0, w * cols, w)
-    packed = [sum(map(lshift, row, shifts)) for row in b]
-    bias = sum(half << s for s in shifts)
-    sums = (sum(map(mul, compress(row, row), compress(packed, row)), bias) for row in a)
-    return tuple(tuple(((v >> s) & mask) - half for s in shifts) for v in sums)
+    p = _Packing((len(b) * _magnitude(a) * _magnitude(b)).bit_length() + 1, cols)
+    packed = list(map(p.pack, b))
+    return tuple(tuple(p.read(sum(map(mul, compress(row, row), compress(packed, row)))))
+                 for row in a)
 
 
 @dataclass(frozen=True)
@@ -473,60 +503,66 @@ def snf(m: IntMatrix) -> SmithDecomposition:
                               _im(c, c, tuple(map(tuple, v))))
 
 
+def _eliminate(rows: Sequence[Sequence[int]], cols: int, steps: int, jordan: bool = False):
+    """Fraction-free (Bareiss) elimination of integer rows, each packed in one int.
+
+    In each of the first ``steps`` columns the first remaining row with an
+    entry pv != 0 there becomes the pivot row top, and every remaining row
+    (with ``jordan`` also every earlier pivot row) becomes (pv row - f top) //
+    prev, f its entry and prev the last pivot.  Each entry formed is a minor,
+    so the division is exact on the packed int, whatever carries pass between
+    the fields of pv row - f top, and no entry read exceeds the Hadamard bound
+    H = prod (isqrt(|row|^2) + 1), which w = bit_length(H) + 1 holds.
+    Returns (packing, pivot rows, remaining rows, [(column, position among the
+    remaining rows, pv) per pivot row]), rows packed, pivot rows in order.
+    """
+    h = prod(isqrt(sum(map(mul, row, row))) + 1 for row in rows)
+    p = _Packing(h.bit_length() + 1, cols)
+    todo, done, pivots, prev = list(map(p.pack, rows)), [], [], 1
+    for col in range(steps):
+        f = [p.field(v, col) for v in todo]
+        i = next(compress(count(), f), None)
+        if i is None:
+            continue
+        pv, top = f.pop(i), todo.pop(i)
+        todo = [(pv * v - e * top) // prev for v, e in zip(todo, f)]
+        if jordan:
+            done = [(pv * v - p.field(v, col) * top) // prev for v in done]
+        done.append(top)
+        pivots.append((col, i, pv))
+        prev = pv
+    return p, done, todo, pivots
+
+
 def det(m: IntMatrix | RatMatrix) -> Fraction:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
+    """Exact determinant: the last Bareiss pivot, signed by the row moves."""
     if m.rows != m.cols:
         raise ShapeError("determinant of a non-square matrix")
-    if isinstance(m, RatMatrix):
-        return Fraction(_bareiss([list(row) for row in m.num]), m.den ** m.rows)
-    return Fraction(_bareiss([list(row) for row in m.entries]))
-
-
-def _bareiss(a: list[list[int]]) -> int:
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    rows, den = (m.num, m.den ** m.rows) if isinstance(m, RatMatrix) else (m.entries, 1)
+    pivots = _eliminate(rows, m.rows, m.rows)[3]
+    if len(pivots) < m.rows:
+        return Fraction(0)
+    sign = -1 if sum(i for _, i, _ in pivots) % 2 else 1
+    return Fraction(sign * pivots[-1][2], den) if pivots else Fraction(1)
 
 
 def ldl(m: RatMatrix) -> tuple[list[int], list[list[int]]]:
     """LDL^T of the numerators in integers, as (p, a) with
     x m.num x^T = sum_k t_k^2 / (p[k] D_k), t_k = p[k] x_k + sum_{j>k} a[k][j] x_j.
 
-    One Bareiss pass without pivoting: p[k] is the leading minor D_{k+1} of
-    ``m.num`` (D_0 = 1) and a[k][j], j > k, is row k when it is the pivot
-    row, an integer minor.  Raises :class:`NotPositiveDefinite` at the first
-    D_k <= 0.
+    One Bareiss pass: p[k] is the leading minor D_{k+1} of ``m.num``
+    (D_0 = 1) and a[k][j], j > k, is row k when it is the pivot row, an
+    integer minor; entries left of the pivot are 0.  Raises
+    :class:`NotPositiveDefinite` at the first D_k <= 0, where row k is not
+    its own pivot row or its pivot is not positive.
     """
     n = m.rows
-    a = [list(row) for row in m.num]
-    p: list[int] = []
-    prev = 1
-    for k in range(n):
-        pk = a[k][k]
-        if pk <= 0:
-            raise NotPositiveDefinite(f"leading minor {k + 1} is not positive")
-        p.append(pk)
-        for i in range(k + 1, n):
-            ai, f = a[i], a[i][k]
-            for j in range(k + 1, n):
-                ai[j] = (ai[j] * pk - f * a[k][j]) // prev
-        prev = pk
-    return p, a
+    p, done, _, pivots = _eliminate(m.num, n, n)
+    k = next((k for k, (col, i, pv) in enumerate(pivots) if (col, i) != (k, 0) or pv <= 0),
+             len(pivots))
+    if k < n:
+        raise NotPositiveDefinite(f"leading minor {k + 1} is not positive")
+    return [pv for _, _, pv in pivots], list(map(p.read, done))
 
 
 def solve_exact(a: RatMatrix, b: RatMatrix) -> RatMatrix:
@@ -535,44 +571,24 @@ def solve_exact(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     ``a`` is n x m and ``b`` is k x m; the result is k x n.  When the system
     is underdetermined the solution with zero free coordinates is returned,
     which makes the output canonical.  Fraction-free Gauss-Jordan on the
-    numerators keeps every entry an integer minor, so each division by the
-    previous pivot is exact and every pivot row ends on the last pivot.
+    numerators (``_eliminate``) ends every pivot row on the last pivot.
     """
     if a.cols != b.cols:
         raise ShapeError("right-hand side has wrong width")
     n, m_ = a.rows, a.cols
     k = b.rows
     # Transpose to column form: a^T y = b^T with y = x^T.
-    aug = [list(ac) + list(bc) for ac, bc in zip(_transpose(a.num, n, m_),
-                                                  _transpose(b.num, k, m_))]
-    pivots: list[int] = []
-    row = 0
-    prev = 1
-    for col in range(n):
-        piv = next((i for i in range(row, m_) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        top = aug[row]
-        pv = top[col]
-        for i in range(m_):
-            if i != row:
-                f = aug[i][col]
-                aug[i] = [(pv * e - f * t) // prev for e, t in zip(aug[i], top)]
-        pivots.append(col)
-        prev = pv
-        row += 1
-        if row == m_:
-            break
-    for i in range(row, m_):
-        if any(e != 0 for e in aug[i][n:]):
-            raise NoSolution("inconsistent linear system")
+    aug = [ac + bc for ac, bc in zip(_transpose(a.num, n, m_), _transpose(b.num, k, m_))]
+    p, done, rest, pivots = _eliminate(aug, n + k, n, jordan=True)
+    # Rows that are no pivot row are 0 left of column n.
+    if any(rest):
+        raise NoSolution("inconsistent linear system")
     # x a.num / a.den = b.num / b.den  <=>  x a.num = b.num (a.den / b.den).
     x = [[0] * n for _ in range(k)]
-    for r_i, col in enumerate(pivots):
-        for t in range(k):
-            x[t][col] = aug[r_i][n + t] * a.den
-    return _rm(k, n, tuple(tuple(r) for r in x), prev * b.den)
+    for (col, _, _), v in zip(pivots, done):
+        for t, e in enumerate(p.read(v, n)):
+            x[t][col] = e * a.den
+    return _rm(k, n, tuple(map(tuple, x)), (pivots[-1][2] if pivots else 1) * b.den)
 
 
 def inverse(a: RatMatrix) -> RatMatrix:

@@ -25,7 +25,7 @@ from math import isqrt
 from operator import mul, sub
 from typing import Iterable, Sequence
 
-from .exactmat import IntMatrix, NotPositiveDefinite, RatMatrix, ldl, solve_exact
+from .exactmat import IntMatrix, NotPositiveDefinite, RatMatrix, _im, ldl, solve_exact
 from .lattice import GlueExtension, Isometry, Lattice, LatticeVector
 
 
@@ -149,8 +149,7 @@ def build_root_system(l: Lattice, vectors: Iterable[LatticeVector]) -> RootSyste
     # Integer Gram numerators G, symmetric: a root's row is c G, so
     # <a, b> * den is a . (b G) and a norm of 2 reads 2 * den.
     den = l.gram.den
-    rows = (IntMatrix(len(coords), l.rank, tuple(coords))
-            @ IntMatrix(l.rank, l.rank, l.gram.num)).entries
+    rows = (_im(len(coords), l.rank, tuple(coords)) @ _im(l.rank, l.rank, l.gram.num)).entries
     index: dict[tuple[int, ...], int] = {}
     for c, row in zip(coords, rows):
         norm = sum(map(mul, c, row))
@@ -353,7 +352,7 @@ def orbit_count(rs: RootSystem, iso: Isometry) -> tuple[int, int]:
     if iso.lattice != rs.lattice:
         raise RootsError("isometry acts on a different lattice")
     src = [v.coords for v in rs.roots]
-    product = IntMatrix(len(src), iso.matrix.rows, tuple(src)) @ iso.matrix
+    product = _im(len(src), iso.matrix.rows, tuple(src)) @ iso.matrix
     images = dict(zip(src, product.entries))
     unvisited = set(src)
     for c in src:
@@ -441,7 +440,7 @@ def glued_root_vectors(q: Lattice, ext: GlueExtension,
     # Each y holds d times base coordinates; the inverse glue basis, the
     # integral inclusion of the base lattice, maps them to d times lattice ones.
     found = []
-    for coords in (IntMatrix(len(ys), q.rank, tuple(ys))
+    for coords in (_im(len(ys), q.rank, tuple(ys))
                    @ ext.base_in_lattice.inclusion).entries:
         if any(c % d for c in coords):
             raise RootsError("coset vector landed outside the lattice")

@@ -2,8 +2,11 @@
 glued rank-24 lattices, and the six order-3 isometries."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latorb.catalog import (
     COMPONENT_AUTO_NAMES,
@@ -22,9 +25,10 @@ from latorb.catalog import (
     glue_class_image,
     isometry_to_json,
     niemeier_bundle,
+    _close_glue_group,
 )
-from latorb.exactmat import IntMatrix
-from latorb.lattice import dual, is_even_unimodular, member
+from latorb.exactmat import IntMatrix, RatMatrix
+from latorb.lattice import Lattice, LatticeVector, dual, is_even_unimodular, member
 from latorb.roots import classify, orbit_count
 from latorb.terncode import residue_perm
 
@@ -212,3 +216,26 @@ def test_isometry_serialization():
     assert len(blob["matrix"]) == 24
     assert all(len(row) == 24 and all(isinstance(e, int) for e in row)
                for row in blob["matrix"])
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(st.integers(1, 3), st.integers(1, 9), st.data())
+def test_glue_closure_matches_breadth_first_reference(n, d, data):
+    """The layered closure against a breadth-first one, on random generator
+    sets in (Z/d)^n: the same denominator and the same sorted residues."""
+    words = data.draw(st.lists(st.lists(st.integers(0, 2 * d), min_size=n, max_size=n),
+                               max_size=4))
+    base = Lattice(RatMatrix.identity(n))
+    gens = [LatticeVector(base, tuple(Fraction(e, d) for e in w)) for w in words]
+    den, group = _close_glue_group(base, gens)
+    assert den == lcm(*(Fraction(e, d).denominator for w in words for e in w))
+    steps = [tuple(int(Fraction(e, d) * den) % den for e in w) for w in words]
+    seen, frontier = {(0,) * n}, [(0,) * n]
+    while frontier:
+        cur = frontier.pop()
+        for g in steps:
+            nxt = tuple((a + b) % den for a, b in zip(cur, g))
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    assert group == tuple(sorted(seen))

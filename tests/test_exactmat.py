@@ -358,19 +358,38 @@ def test_equality_hash_and_integrality_are_canonical(r, c, k, integral_only, dat
             m.to_int()
 
 
+# Sizes 0-6 for the FIELD_EDGES inputs of the eliminations, as Fractions so
+# that the references stay exact.
+EDGE_DIMS = st.integers(0, 6)
+EDGE_FRACTIONS = FIELD_EDGES.map(Fraction)
+
+
+def dependent(rows, data):
+    """rows, its last row sometimes replaced by a small multiple of its first."""
+    if len(rows) > 1 and data.draw(st.booleans()):
+        rows[-1] = [data.draw(st.integers(-2, 2)) * x for x in rows[0]]
+    return rows
+
+
 @PROFILE
-@given(DIMS.flatmap(lambda n: frac_rows(n, n)))
-def test_det_and_inverse_match_reference(a):
-    n = len(a)
-    m = rat(a, n)
-    assert det(m) == ref_det(a)
-    expected = ref_solve(a, [[Fraction(int(i == j)) for j in range(n)] for i in range(n)],
-                         n, n, n)
-    if expected is None:
-        with pytest.raises(NoSolution):
-            inverse(m)
-    else:
-        assert inverse(m) == rat(expected, n)
+@given(DIMS.flatmap(lambda n: frac_rows(n, n)), st.data())
+def test_det_and_inverse_match_reference(small, data):
+    # FIELD_EDGES entries read back fields at the Hadamard bound; a dependent
+    # row makes singular matrices common.
+    n = data.draw(EDGE_DIMS)
+    big = dependent(data.draw(frac_rows(n, n, EDGE_FRACTIONS)), data)
+    assert det(rat(big, n).to_int()) == ref_det(big)
+    for a in (small, big):
+        n = len(a)
+        m = rat(a, n)
+        assert det(m) == ref_det(a)
+        expected = ref_solve(a, [[Fraction(int(i == j)) for j in range(n)] for i in range(n)],
+                             n, n, n)
+        if expected is None:
+            with pytest.raises(NoSolution):
+                inverse(m)
+        else:
+            assert inverse(m) == rat(expected, n)
 
 
 @PROFILE
@@ -380,12 +399,20 @@ def test_solve_exact_matches_reference(n, m, k, data):
     small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
     a = data.draw(frac_rows(n, m, small))
     b = data.draw(frac_rows(k, m, small))
-    expected = ref_solve(a, b, n, m, k)
-    if expected is None:
-        with pytest.raises(NoSolution):
-            solve_exact(rat(a, m), rat(b, m))
-    else:
-        assert solve_exact(rat(a, m), rat(b, m)) == rat(expected, n)
+    # FIELD_EDGES entries with a dependent row, and a right-hand side that is
+    # either y a for a small y (consistent) or arbitrary (mostly inconsistent).
+    bn, bm = data.draw(EDGE_DIMS), data.draw(EDGE_DIMS)
+    big = dependent(data.draw(frac_rows(bn, bm, EDGE_FRACTIONS)), data)
+    y = data.draw(frac_rows(k, bn, st.integers(-3, 3).map(Fraction)))
+    rhs = (ref_matmul(y, big, bn, bm) if data.draw(st.booleans())
+           else data.draw(frac_rows(k, bm, EDGE_FRACTIONS)))
+    for a, b, n, m in ((a, b, n, m), (big, rhs, bn, bm)):
+        expected = ref_solve(a, b, n, m, k)
+        if expected is None:
+            with pytest.raises(NoSolution):
+                solve_exact(rat(a, m), rat(b, m))
+        else:
+            assert solve_exact(rat(a, m), rat(b, m)) == rat(expected, n)
 
 
 @st.composite
@@ -405,21 +432,28 @@ def symmetric_grams(draw):
 
 
 @PROFILE
-@given(symmetric_grams())
-def test_ldl_agrees_with_leading_minor_rule(g):
-    n = len(g)
-    positive = all(ref_det([row[:k] for row in g[:k]]) > 0 for k in range(1, n + 1))
-    if not positive:
-        with pytest.raises(NotPositiveDefinite):
-            ldl(rat(g, n))
-        return
-    m = rat(g, n)
-    p, a = ldl(m)
-    assert all(type(e) is int for e in p) and all(type(e) is int for row in a for e in row)
-    # d[k] = D_{k+1} / (D_k den) and u[k] = a[k] / D_{k+1}, with D_0 = 1.
-    d = [Fraction(p[k], (p[k - 1] if k else 1) * m.den) for k in range(n)]
-    # g = U^T diag(d) U with U unit upper triangular.
-    full_u = [[Fraction(int(i == j)) if j <= i else Fraction(a[i][j], p[i])
-               for j in range(n)] for i in range(n)]
-    scaled = [[d[i] * x for x in full_u[i]] for i in range(n)]
-    assert ref_matmul(ref_transpose(full_u, n), scaled, n, n) == g
+@given(symmetric_grams(), st.data())
+def test_ldl_agrees_with_leading_minor_rule(g, data):
+    # FIELD_EDGES Grams: A A^T (positive definite unless A is singular) or an
+    # arbitrary symmetric matrix, sizes 0-6.
+    n = data.draw(EDGE_DIMS)
+    a = dependent(data.draw(frac_rows(n, n, EDGE_FRACTIONS)), data)
+    big = (ref_matmul(a, ref_transpose(a, n), n, n) if data.draw(st.booleans())
+           else [[a[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+    for g in (g, big):
+        n = len(g)
+        positive = all(ref_det([row[:k] for row in g[:k]]) > 0 for k in range(1, n + 1))
+        if not positive:
+            with pytest.raises(NotPositiveDefinite):
+                ldl(rat(g, n))
+            continue
+        m = rat(g, n)
+        p, a = ldl(m)
+        assert all(type(e) is int for e in p) and all(type(e) is int for row in a for e in row)
+        # d[k] = D_{k+1} / (D_k den) and u[k] = a[k] / D_{k+1}, with D_0 = 1.
+        d = [Fraction(p[k], (p[k - 1] if k else 1) * m.den) for k in range(n)]
+        # g = U^T diag(d) U with U unit upper triangular.
+        full_u = [[Fraction(int(i == j)) if j <= i else Fraction(a[i][j], p[i])
+                   for j in range(n)] for i in range(n)]
+        scaled = [[d[i] * x for x in full_u[i]] for i in range(n)]
+        assert ref_matmul(ref_transpose(full_u, n), scaled, n, n) == g
