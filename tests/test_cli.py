@@ -83,6 +83,15 @@ def test_lattice_build_all_keys(capsys):
         assert all(row["ok"] for row in payload["checks"])
 
 
+@pytest.mark.parametrize("key", ["A2_12", "D4_6", "A5_4_D4", "E6_4"])
+def test_lattice_build_matches_golden(capsys, key):
+    # Pins the embedding (E6_4's goes through its ambient form) and the
+    # description, byte for byte.
+    code, out, _ = run(capsys, "lattice", "build", key, "--json")
+    assert code == EXIT_OK
+    assert out == golden_text(f"lattice_build_{key}.json")
+
+
 def test_lattice_build_corrupt_generator(capsys):
     code, _, err = run(capsys, "lattice", "build", "D4_6",
                        "--corrupt-generator")
