@@ -38,17 +38,117 @@ from .roots import (
 )
 from .terncode import golay_code, residue_perm
 
-LATTICE_KEYS = ("A2_12", "D4_6", "A5_4_D4", "E6_4")
-SIGMA_KEYS = ("sigma1", "sigma2", "sigma3", "sigma4", "sigma5", "sigma6")
-
-SIGMA_TO_LATTICE = {
-    "sigma1": "A2_12",
-    "sigma2": "D4_6",
-    "sigma3": "D4_6",
-    "sigma4": "D4_6",
-    "sigma5": "A5_4_D4",
-    "sigma6": "E6_4",
+# The construction table: what latorb states about its four lattices and six
+# isometries, each value once.  A lattice row gives its blocks ("parts", also
+# the type its root system must have), glue words (None: the ternary Golay
+# code's basis), glue index, root count and description.  An isometry row
+# gives its lattice; the query (dimension, rank bound, dual Coxeter divisor)
+# for its unresolved weight-one summand, if any; its resolved weight-one
+# type, for row matching; and each report field as (value, source), where
+# "stated" marks an external assertion the build verifies and "computed" a
+# value derived here and frozen after verification.  Flagged candidates are
+# numerological ones the stored classification does not list: reported with
+# a flag, never dropped.
+CONSTRUCTIONS = {
+    "lattices": {
+        "A2_12": {
+            "parts": (("A", 2),) * 12, "words": None, "index": 729, "root_count": 72,
+            "description": "rank-24 even unimodular lattice glued from twelve "
+                           "hexagonal planes by the ternary Golay code",
+        },
+        "D4_6": {
+            "parts": (("D", 4),) * 6,
+            "words": ("111111", "222222", "002332", "023320", "033202",
+                      "032023", "020233"),
+            "index": 64, "root_count": 144,
+            "description": "rank-24 even unimodular lattice glued from six "
+                           "checkerboard blocks of rank 4",
+        },
+        "A5_4_D4": {
+            "parts": (("A", 5),) * 4 + (("D", 4),),
+            "words": ("33001", "30302", "30033", "20240", "22400", "24020"),
+            "index": 72, "root_count": 144,
+            "description": "rank-24 even unimodular lattice glued from four "
+                           "rank-5 blocks and one rank-4 block",
+        },
+        "E6_4": {
+            "parts": (("E", 6),) * 4, "words": ("1012", "1120", "1201"),
+            "index": 9, "root_count": 288,
+            "description": "rank-24 even unimodular lattice glued from four "
+                           "rank-6 blocks with ternary dual classes",
+        },
+    },
+    "isometries": {
+        "sigma1": {
+            "lattice": "A2_12", "query": (24, 6, 1), "resolved": "A2,3^6",
+            "expect": {
+                "eigen": ([6, 9, 9], "stated"), "rho": ("1", "stated"),
+                "fixed": (30, "stated"), "twisted_each": (9, "stated"),
+                "total": (48, "stated"), "N_over_R": (81, "computed"),
+                "R_equals_M": (True, "stated"), "schellekens": ([6], "stated"),
+                "candidate_types": (["A2^3", "A3 A1^3", "B2 A2 A1^2"], "computed"),
+                "flagged_candidates": (["A3 A1^3"], "computed"),
+            },
+        },
+        "sigma2": {
+            "lattice": "D4_6", "query": None, "resolved": "A2,3^6",
+            "expect": {
+                "eigen": ([0, 12, 12], "stated"), "rho": ("4/3", "stated"),
+                "fixed": (48, "stated"), "twisted_each": (0, "stated"),
+                "total": (48, "stated"), "N_over_R": (531441, "computed"),
+                "R_equals_M": (True, "computed"), "schellekens": ([6], "stated"),
+                "candidate_types": ([], "computed"),
+                "flagged_candidates": ([], "computed"),
+            },
+        },
+        "sigma3": {
+            "lattice": "D4_6", "query": (78, None, 4), "resolved": "E6,3 G2,1^3",
+            "expect": {
+                "eigen": ([6, 9, 9], "stated"), "rho": ("1", "stated"),
+                "fixed": (66, "computed"), "twisted_each": (27, "computed"),
+                "total": (120, "stated"), "N_over_R": (729, "computed"),
+                "R_equals_M": (True, "computed"), "schellekens": ([32], "stated"),
+                "candidate_types": (["A7 A3", "C3 A3 G2^3", "C3^3 A3", "E6"], "computed"),
+                "flagged_candidates": ([], "computed"),
+            },
+        },
+        "sigma4": {
+            "lattice": "D4_6", "query": (28, None, 2), "resolved": "A5,3 D4,3 A1,1^3",
+            "expect": {
+                "eigen": ([6, 9, 9], "stated"), "rho": ("1", "stated"),
+                "fixed": (54, "computed"), "twisted_each": (9, "computed"),
+                "total": (72, "stated"), "N_over_R": (81, "computed"),
+                "R_equals_M": (True, "computed"), "schellekens": ([17], "stated"),
+                "candidate_types": (["D4", "G2^2"], "computed"),
+                "flagged_candidates": ([], "computed"),
+            },
+        },
+        "sigma5": {
+            "lattice": "A5_4_D4", "query": (35, None, 2), "resolved": "A5,3 D4,3 A1,1^3",
+            "expect": {
+                "eigen": ([6, 9, 9], "stated"), "rho": ("1", "stated"),
+                "fixed": (54, "computed"), "twisted_each": (9, "computed"),
+                "total": (72, "stated"), "N_over_R": (81, "computed"),
+                "R_equals_M": (True, "computed"), "schellekens": ([17], "stated"),
+                "candidate_types": (["A3 G2 A1^2", "A5", "C3 G2", "G2 A1^7"], "computed"),
+                "flagged_candidates": ([], "computed"),
+            },
+        },
+        "sigma6": {
+            "lattice": "E6_4", "query": (42, None, 4), "resolved": "E6,3 G2,1^3",
+            "expect": {
+                "eigen": ([6, 9, 9], "stated"), "rho": ("1", "stated"),
+                "fixed": (102, "computed"), "twisted_each": (9, "computed"),
+                "total": (120, "stated"), "N_over_R": (81, "computed"),
+                "R_equals_M": (True, "computed"), "schellekens": ([32], "stated"),
+                "candidate_types": (["C3^2", "G2^3"], "computed"),
+                "flagged_candidates": ([], "computed"),
+            },
+        },
+    },
 }
+LATTICE_KEYS = tuple(CONSTRUCTIONS["lattices"])
+SIGMA_KEYS = tuple(CONSTRUCTIONS["isometries"])
 
 COMPONENT_AUTO_NAMES = (
     "cycle_A2",
@@ -226,46 +326,6 @@ def glue_class_image(auto: Isometry, data: RootLatticeData,
     raise CatalogError("image is not in any dual class")
 
 
-_NIEMEIER_SPECS = {
-    "A2_12": {
-        "parts": (("A", 2),) * 12,
-        "index": 729,
-        "classified": (("A", 2),) * 12,
-        "root_count": 72,
-        "description": "rank-24 even unimodular lattice glued from twelve "
-                       "hexagonal planes by the ternary Golay code",
-    },
-    "D4_6": {
-        "parts": (("D", 4),) * 6,
-        "words": ("111111", "222222", "002332", "023320", "033202",
-                  "032023", "020233"),
-        "index": 64,
-        "classified": (("D", 4),) * 6,
-        "root_count": 144,
-        "description": "rank-24 even unimodular lattice glued from six "
-                       "checkerboard blocks of rank 4",
-    },
-    "A5_4_D4": {
-        "parts": (("A", 5),) * 4 + (("D", 4),),
-        "words": ("33001", "30302", "30033", "20240", "22400", "24020"),
-        "index": 72,
-        "classified": (("A", 5),) * 4 + (("D", 4),),
-        "root_count": 144,
-        "description": "rank-24 even unimodular lattice glued from four "
-                       "rank-5 blocks and one rank-4 block",
-    },
-    "E6_4": {
-        "parts": (("E", 6),) * 4,
-        "words": ("1012", "1120", "1201"),
-        "index": 9,
-        "classified": (("E", 6),) * 4,
-        "root_count": 288,
-        "description": "rank-24 even unimodular lattice glued from four "
-                       "rank-6 blocks with ternary dual classes",
-    },
-}
-
-
 @dataclass(frozen=True)
 class NiemeierBundle:
     """A verified glued lattice with everything needed to work on it; glue
@@ -285,13 +345,13 @@ class NiemeierBundle:
         return self.extension.lattice
 
 
-def _words_to_vectors(key: str, base: Lattice,
-                      part_data: tuple[RootLatticeData, ...],
-                      spec: dict, corrupt_generator: bool) -> list[LatticeVector]:
-    if key == "A2_12":
+def _words_to_vectors(base: Lattice, part_data: tuple[RootLatticeData, ...],
+                      words: tuple[str, ...] | None,
+                      corrupt_generator: bool) -> list[LatticeVector]:
+    if words is None:
         rows = [tuple(row) for row in golay_code().basis]
     else:
-        rows = [tuple(int(ch) for ch in word) for word in spec["words"]]
+        rows = [tuple(int(ch) for ch in word) for word in words]
     if corrupt_generator:
         # bump the second digit of the first word to the next dual class
         classes = sorted(part_data[1].glue)
@@ -334,12 +394,12 @@ def construct_niemeier(key: str, corrupt_generator: bool = False) -> NiemeierBun
     ``corrupt_generator`` deliberately perturbs one glue word first, to
     demonstrate that the verification chain rejects a wrong input.
     """
-    if key not in _NIEMEIER_SPECS:
+    if key not in CONSTRUCTIONS["lattices"]:
         raise CatalogError(f"unknown lattice key {key!r}")
-    spec = _NIEMEIER_SPECS[key]
+    spec = CONSTRUCTIONS["lattices"][key]
     part_data = tuple(build_root_lattice(f, r) for f, r in spec["parts"])
     base = direct_sum([d.lattice for d in part_data], name=f"{key}:base")
-    generators = _words_to_vectors(key, base, part_data, spec, corrupt_generator)
+    generators = _words_to_vectors(base, part_data, spec["words"], corrupt_generator)
     ext = glue_extend(base, generators, name=key)
     if ext.index != spec["index"]:
         raise CatalogError(
@@ -353,7 +413,7 @@ def construct_niemeier(key: str, corrupt_generator: bool = False) -> NiemeierBun
             f"{key}: glue group has {len(group)} cosets, expected {spec['index']}")
     vectors = glued_root_vectors(base, ext, group, den)
     rs = build_root_system(ext.lattice, vectors)
-    if classify(rs) != spec["classified"] or rs.count != spec["root_count"]:
+    if classify(rs) != tuple(sorted(spec["parts"])) or rs.count != spec["root_count"]:
         raise CatalogError(f"{key}: root system mismatch")
     return NiemeierBundle(key, base, part_data, ext, group, den, rs, spec["description"])
 
@@ -361,10 +421,6 @@ def construct_niemeier(key: str, corrupt_generator: bool = False) -> NiemeierBun
 @lru_cache(maxsize=None)
 def niemeier_bundle(key: str) -> NiemeierBundle:
     return construct_niemeier(key)
-
-
-def build_niemeier(key: str) -> Lattice:
-    return niemeier_bundle(key).lattice
 
 
 def _block_assignments(key: str) -> list[tuple[int, IntMatrix]]:
@@ -439,50 +495,8 @@ def assemble_block_isometry(bundle: NiemeierBundle,
 @lru_cache(maxsize=None)
 def build_sigma(key: str) -> Isometry:
     """Assemble, verify, and return one of the six order-3 isometries."""
-    if key not in SIGMA_TO_LATTICE:
+    if key not in CONSTRUCTIONS["isometries"]:
         raise CatalogError(f"unknown isometry key {key!r}")
-    bundle = niemeier_bundle(SIGMA_TO_LATTICE[key])
+    bundle = niemeier_bundle(CONSTRUCTIONS["isometries"][key]["lattice"])
     return assemble_block_isometry(bundle, _block_assignments(key), 3, key)
 
-
-@dataclass(frozen=True)
-class NamedConstruction:
-    key: str
-    kind: str
-    description: str
-
-
-_SIGMA_DESCRIPTIONS = {
-    "sigma1": "Golay-residue block shuffle with plane rotations on the "
-              "three fixed blocks",
-    "sigma2": "the fixed-point-free rotation applied to all six blocks",
-    "sigma3": "rotations on three blocks and diagram rotations on the "
-              "other three",
-    "sigma4": "coordinate 3-cycle on one block, rotations on two, and a "
-              "3-cycle of the remaining three blocks",
-    "sigma5": "coordinate 3-cycles on one rank-5 block, a 3-cycle of the "
-              "other three, and a rotation on the rank-4 block",
-    "sigma6": "reflection product on one block and a 3-cycle of the other "
-              "three",
-}
-
-
-def catalog_entries() -> tuple[NamedConstruction, ...]:
-    rows = [NamedConstruction(key, "lattice", _NIEMEIER_SPECS[key]["description"])
-            for key in LATTICE_KEYS]
-    rows.extend(
-        NamedConstruction(key, "isometry",
-                          f"order-3 isometry of {SIGMA_TO_LATTICE[key]}: "
-                          + _SIGMA_DESCRIPTIONS[key])
-        for key in SIGMA_KEYS)
-    return tuple(rows)
-
-
-def isometry_to_json(iso: Isometry) -> dict:
-    return {
-        "name": iso.name,
-        "lattice": iso.lattice.name,
-        "order": iso.order,
-        "fixed_rank": iso.fixed_rank,
-        "matrix": [list(row) for row in iso.matrix.entries],
-    }

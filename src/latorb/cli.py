@@ -12,15 +12,14 @@ import argparse
 import json
 import math
 import sys
-from collections import Counter
 from pathlib import Path
 
 from . import liealg, orbifold, terncode
 from .catalog import (
-    CatalogError,
+    CONSTRUCTIONS,
     LATTICE_KEYS,
     SIGMA_KEYS,
-    SIGMA_TO_LATTICE,
+    CatalogError,
     construct_niemeier,
     niemeier_bundle,
 )
@@ -36,95 +35,6 @@ EXIT_INTERNAL = 3
 
 _GOLAY_WEIGHTS = {0: 1, 6: 264, 9: 440, 12: 24}
 _GOLAY_CYCLES = "(∞)(4)(7)(012)(35X)(689)"
-
-# Expected values for the four lattices and six isometries.  source
-# "stated" marks an external assertion the build verifies; "computed"
-# marks a value derived independently here and frozen after verification.
-LATTICE_EXPECTATIONS = {
-    "A2_12": {"glue_index": 729, "root_count": 72, "root_type": "A2^12"},
-    "D4_6": {"glue_index": 64, "root_count": 144, "root_type": "D4^6"},
-    "A5_4_D4": {"glue_index": 72, "root_count": 144, "root_type": "A5^4 D4"},
-    "E6_4": {"glue_index": 9, "root_count": 288, "root_type": "E6^4"},
-}
-
-ORBIFOLD_EXPECTATIONS = {
-    "sigma1": {
-        "eigen": {"value": [6, 9, 9], "source": "stated"},
-        "rho": {"value": "1", "source": "stated"},
-        "fixed": {"value": 30, "source": "stated"},
-        "twisted_each": {"value": 9, "source": "stated"},
-        "total": {"value": 48, "source": "stated"},
-        "N_over_R": {"value": 81, "source": "computed"},
-        "R_equals_M": {"value": True, "source": "stated"},
-        "schellekens": {"value": [6], "source": "stated"},
-        "candidate_types": {"value": ["A2^3", "A3 A1^3", "B2 A2 A1^2"],
-                            "source": "computed"},
-        "flagged_candidates": {"value": ["A3 A1^3"], "source": "computed"},
-    },
-    "sigma2": {
-        "eigen": {"value": [0, 12, 12], "source": "stated"},
-        "rho": {"value": "4/3", "source": "stated"},
-        "fixed": {"value": 48, "source": "stated"},
-        "twisted_each": {"value": 0, "source": "stated"},
-        "total": {"value": 48, "source": "stated"},
-        "N_over_R": {"value": 531441, "source": "computed"},
-        "R_equals_M": {"value": True, "source": "computed"},
-        "schellekens": {"value": [6], "source": "stated"},
-        "candidate_types": {"value": [], "source": "computed"},
-        "flagged_candidates": {"value": [], "source": "computed"},
-    },
-    "sigma3": {
-        "eigen": {"value": [6, 9, 9], "source": "stated"},
-        "rho": {"value": "1", "source": "stated"},
-        "fixed": {"value": 66, "source": "computed"},
-        "twisted_each": {"value": 27, "source": "computed"},
-        "total": {"value": 120, "source": "stated"},
-        "N_over_R": {"value": 729, "source": "computed"},
-        "R_equals_M": {"value": True, "source": "computed"},
-        "schellekens": {"value": [32], "source": "stated"},
-        "candidate_types": {"value": ["A7 A3", "C3 A3 G2^3", "C3^3 A3", "E6"],
-                            "source": "computed"},
-        "flagged_candidates": {"value": [], "source": "computed"},
-    },
-    "sigma4": {
-        "eigen": {"value": [6, 9, 9], "source": "stated"},
-        "rho": {"value": "1", "source": "stated"},
-        "fixed": {"value": 54, "source": "computed"},
-        "twisted_each": {"value": 9, "source": "computed"},
-        "total": {"value": 72, "source": "stated"},
-        "N_over_R": {"value": 81, "source": "computed"},
-        "R_equals_M": {"value": True, "source": "computed"},
-        "schellekens": {"value": [17], "source": "stated"},
-        "candidate_types": {"value": ["D4", "G2^2"], "source": "computed"},
-        "flagged_candidates": {"value": [], "source": "computed"},
-    },
-    "sigma5": {
-        "eigen": {"value": [6, 9, 9], "source": "stated"},
-        "rho": {"value": "1", "source": "stated"},
-        "fixed": {"value": 54, "source": "computed"},
-        "twisted_each": {"value": 9, "source": "computed"},
-        "total": {"value": 72, "source": "stated"},
-        "N_over_R": {"value": 81, "source": "computed"},
-        "R_equals_M": {"value": True, "source": "computed"},
-        "schellekens": {"value": [17], "source": "stated"},
-        "candidate_types": {"value": ["A3 G2 A1^2", "A5", "C3 G2", "G2 A1^7"],
-                            "source": "computed"},
-        "flagged_candidates": {"value": [], "source": "computed"},
-    },
-    "sigma6": {
-        "eigen": {"value": [6, 9, 9], "source": "stated"},
-        "rho": {"value": "1", "source": "stated"},
-        "fixed": {"value": 102, "source": "computed"},
-        "twisted_each": {"value": 9, "source": "computed"},
-        "total": {"value": 120, "source": "stated"},
-        "N_over_R": {"value": 81, "source": "computed"},
-        "R_equals_M": {"value": True, "source": "computed"},
-        "schellekens": {"value": [32], "source": "stated"},
-        "candidate_types": {"value": ["C3^2", "G2^3"], "source": "computed"},
-        "flagged_candidates": {"value": [], "source": "computed"},
-    },
-}
-
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
@@ -189,26 +99,27 @@ def cmd_golay(args) -> int:
     return _finish(rows, payload, args.json)
 
 
-def _root_type_string(rs) -> str:
-    return " ".join(f"{family}{rank}" if count == 1 else f"{family}{rank}^{count}"
-                    for (family, rank), count in sorted(Counter(classify(rs)).items()))
+def _root_rows(key: str, rs) -> list[dict]:
+    """Root count and type of a lattice's root system against its table row."""
+    spec = CONSTRUCTIONS["lattices"][key]
+    return [
+        _row(f"{key} root count", rs.count, spec["root_count"], "computed"),
+        _row(f"{key} root type", liealg.SemisimpleType.of(classify(rs)).type_string(),
+             liealg.SemisimpleType.of(spec["parts"]).type_string()),
+    ]
 
 
 def cmd_lattice_build(args) -> int:
     bundle = construct_niemeier(args.key, corrupt_generator=args.corrupt_generator)
     lattice = bundle.lattice
     even, unimodular = is_even_unimodular(lattice)
-    expected = LATTICE_EXPECTATIONS[args.key]
     rows = [
         _row(f"{args.key} even", even, True),
         _row(f"{args.key} unimodular", unimodular, True),
         _row(f"{args.key} rank", lattice.rank, 24),
         _row(f"{args.key} glue index", bundle.extension.index,
-             expected["glue_index"], "computed"),
-        _row(f"{args.key} root count", bundle.root_system.count,
-             expected["root_count"], "computed"),
-        _row(f"{args.key} root type", _root_type_string(bundle.root_system),
-             expected["root_type"]),
+             CONSTRUCTIONS["lattices"][args.key]["index"], "computed"),
+        *_root_rows(args.key, bundle.root_system),
     ]
     payload = {"key": args.key, "description": bundle.description,
                "lattice": lattice.to_json()}
@@ -216,18 +127,10 @@ def cmd_lattice_build(args) -> int:
 
 
 def cmd_lattice_roots(args) -> int:
-    bundle = niemeier_bundle(args.key)
-    rs = bundle.root_system
-    expected = LATTICE_EXPECTATIONS[args.key]
-    rows = [
-        _row(f"{args.key} root count", rs.count,
-             expected["root_count"], "computed"),
-        _row(f"{args.key} root type", _root_type_string(rs),
-             expected["root_type"]),
-    ]
+    rs = niemeier_bundle(args.key).root_system
     payload = {"key": args.key, "roots": root_system_to_json(rs),
                "weight_one": liealg.lattice_voa_weight_one(rs)}
-    return _finish(rows, payload, args.json)
+    return _finish(_root_rows(args.key, rs), payload, args.json)
 
 
 def _report_fields(report: dict) -> dict:
@@ -247,24 +150,20 @@ def _report_fields(report: dict) -> dict:
 
 
 def verify_report(sigma_key: str, report: dict) -> list[dict]:
-    """Compare one report against the stored expectations, field by field."""
+    """Compare one report against its table row, field by field."""
     fields = _report_fields(report)
-    rows = []
-    for name in ("eigen", "rho", "fixed", "twisted_each", "total", "N_over_R",
-                 "R_equals_M", "schellekens", "candidate_types",
-                 "flagged_candidates"):
-        exp = ORBIFOLD_EXPECTATIONS[sigma_key][name]
-        rows.append(_row(f"{sigma_key} {name}", fields[name],
-                         exp["value"], exp["source"]))
+    rows = [_row(f"{sigma_key} {name}", fields[name], value, source)
+            for name, (value, source)
+            in CONSTRUCTIONS["isometries"][sigma_key]["expect"].items()]
     for check, passed in sorted(report["checks"].items()):
         rows.append(_row(f"{sigma_key} check {check}", passed, True))
     return rows
 
 
 def cmd_orbifold(args) -> int:
-    if SIGMA_TO_LATTICE[args.sigma] != args.lattice:
-        print(f"usage error: {args.sigma} acts on "
-              f"{SIGMA_TO_LATTICE[args.sigma]}, not {args.lattice}",
+    acts_on = CONSTRUCTIONS["isometries"][args.sigma]["lattice"]
+    if acts_on != args.lattice:
+        print(f"usage error: {args.sigma} acts on {acts_on}, not {args.lattice}",
               file=sys.stderr)
         return EXIT_USAGE
     report = orbifold.assemble_report(args.sigma)
@@ -352,10 +251,15 @@ def cmd_verify_all(args) -> int:
         return EXIT_USAGE
     if args.emit_dir is not None:
         out = Path(args.emit_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for sigma_key, report in sorted(reports.items()):
-            (out / f"{sigma_key}.json").write_text(canonical_json(report),
-                                                   encoding="utf-8")
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            for sigma_key, report in sorted(reports.items()):
+                (out / f"{sigma_key}.json").write_text(canonical_json(report),
+                                                       encoding="utf-8")
+        except OSError as exc:
+            print(f"usage error: --emit-dir {args.emit_dir}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     passed = sum(1 for r in rows if r["ok"])
     bundle = {
         "tool_version": TOOL_VERSION,

@@ -3,9 +3,9 @@
 A lattice is represented basis-first: an exact symmetric positive-definite
 Gram matrix, plus an optional embedding giving the basis vectors inside an
 ambient quadratic space.  Every lattice has an *effective* embedding — the
-stated one, or the identity with the Gram matrix as the ambient form — so
-vectors of related lattices (duals, glue extensions, sublattices) can always
-be compared in shared ambient coordinates.
+stated one, or the identity with the Gram matrix as the ambient form — so a
+direct sum or glue extension carries its summands' ambient coordinates and
+form along with it.
 
 All arithmetic is exact; see :mod:`latorb.exactmat`.
 """
@@ -14,27 +14,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .exactmat import (IntMatrix, NoSolution, NotPositiveDefinite, RatMatrix, Rational,
-                       block_diagonal, det, hnf, inverse, kernel_basis, ldl, snf, solve_exact)
+                       block_diagonal, det, hnf, inverse, kernel_basis, ldl, solve_exact)
 
 
 class LatticeError(ValueError):
     """Invalid lattice data (non-symmetric or non-positive-definite Gram)."""
 
 
-class NotInRationalSpan(Exception):
-    """A vector given to :func:`member` lies outside the lattice's span."""
-
-
 class GlueError(ValueError):
     """A glue vector does not pair integrally with the base lattice."""
-
-
-class QuotientError(ValueError):
-    """The requested quotient is infinite (rank drop)."""
 
 
 class IsometryError(ValueError):
@@ -159,12 +150,6 @@ class LatticeVector:
     def is_integral(self) -> bool:
         return all(type(c) is int for c in self.coords)
 
-    def ambient(self) -> tuple[Fraction, ...]:
-        e = self.lattice.effective_embedding()
-        return tuple(
-            sum((c * row[j] for c, row in zip(self.coords, e.num) if c), Fraction(0)) / e.den
-            for j in range(e.cols))
-
     def norm(self) -> Fraction:
         return self.lattice.inner(self.coords, self.coords)
 
@@ -206,14 +191,6 @@ class SublatticeOf:
     def rank(self) -> int:
         return self.inclusion.rows
 
-    def lattice(self, name: str | None = None) -> Lattice:
-        """The sublattice as a lattice in its own right (induced Gram)."""
-        inc = self.inclusion.to_rat()
-        gram = inc @ self.parent.gram @ inc.transpose()
-        emb = inc @ self.parent.effective_embedding()
-        return Lattice(gram, embedding=emb,
-                       ambient_form=_explicit_ambient(self.parent), name=name)
-
     def contains(self, coords_in_parent: Sequence[Rational]) -> bool:
         """Whether a parent-coordinate vector lies in this sublattice."""
         target = RatMatrix.from_rows([list(coords_in_parent)],
@@ -225,41 +202,12 @@ class SublatticeOf:
         return x.is_integral()
 
 
-@dataclass(frozen=True)
-class DiscriminantGroup:
-    """Invariant factors of L*/L for an integral lattice L."""
-
-    invariant_factors: tuple[int, ...]
-    order: int
-
-
 def _explicit_ambient(l: Lattice) -> RatMatrix | None:
     """Ambient form to attach to a derived lattice sharing l's ambient space."""
     f = l.effective_ambient_form()
     if f.rows and f == RatMatrix.identity(f.rows):
         return None
     return f
-
-
-def dual(l: Lattice) -> Lattice:
-    """The dual lattice L*: Gram is the inverse Gram, basis = G^-1 . basis.
-
-    For an integral lattice, L sits inside L* with index det(gram).  The
-    operation itself is defined for any positive-definite Gram so that
-    taking the dual twice returns the original lattice.
-    """
-    ginv = inverse(l.gram)
-    emb = ginv @ l.effective_embedding()
-    name = f"{l.name}*" if l.name else None
-    return Lattice(ginv, embedding=emb, ambient_form=_explicit_ambient(l), name=name)
-
-
-def discriminant_group(l: Lattice) -> DiscriminantGroup:
-    """Structure of L*/L via the SNF of the Gram matrix."""
-    if not l.is_integral:
-        raise LatticeError("discriminant group requires an integral Gram matrix")
-    factors = snf(l.gram.to_int()).invariant_factors
-    return DiscriminantGroup(tuple(f for f in factors if f > 1), prod(factors))
 
 
 def direct_sum(parts: Sequence[Lattice], name: str | None = None) -> Lattice:
@@ -327,49 +275,6 @@ def glue_extend(q: Lattice, glue: Sequence[LatticeVector],
 def is_even_unimodular(l: Lattice) -> tuple[bool, bool]:
     """(even, unimodular): integral Gram with even diagonal; determinant 1."""
     return l.is_even, l.determinant() == 1
-
-
-def member(l: Lattice, v: LatticeVector) -> bool:
-    """Whether v lies in l.
-
-    v may be a vector of l itself or of any lattice sharing l's ambient
-    space (duals, glue extensions, direct summands).  A vector outside the
-    rational span of l raises :class:`NotInRationalSpan` — deliberately
-    distinct from returning False.
-    """
-    if v.lattice is l or v.lattice == l:
-        return v.is_integral
-    my_form = l.effective_ambient_form()
-    other_form = v.lattice.effective_ambient_form()
-    if my_form.rows != other_form.rows or my_form != other_form:
-        raise NotInRationalSpan(
-            "vector lives in an unrelated ambient space; cannot test membership")
-    target = RatMatrix.from_rows([list(v.ambient())], cols=my_form.rows)
-    try:
-        x = solve_exact(l.effective_embedding(), target)
-    except NoSolution:
-        raise NotInRationalSpan(
-            "vector is outside the rational span of the lattice") from None
-    return x.is_integral()
-
-
-@dataclass(frozen=True)
-class Quotient:
-    """A finite quotient outer/inner: its order and cyclic decomposition."""
-
-    index: int
-    factors: tuple[int, ...]
-
-
-def quotient_index(outer: Lattice, inner: SublatticeOf) -> Quotient:
-    """|outer/inner| via the SNF of the inclusion matrix."""
-    if inner.parent is not outer and inner.parent != outer:
-        raise QuotientError("sublattice was not built inside the given lattice")
-    if inner.rank != outer.rank:
-        raise QuotientError(
-            f"quotient is infinite: inner rank {inner.rank} < outer rank {outer.rank}")
-    factors = snf(inner.inclusion).invariant_factors
-    return Quotient(prod(factors), tuple(f for f in factors if f > 1))
 
 
 @dataclass(frozen=True)

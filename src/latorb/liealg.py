@@ -23,7 +23,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
     from .roots import RootSystem
@@ -98,10 +98,6 @@ class SimpleLieData:
         return f"{self.family}{self.rank}"
 
 
-def table_version() -> int:
-    return _DOC["version"]
-
-
 def table_checksum() -> str:
     """SHA-256 of the embedded table text, for report pinning."""
     return hashlib.sha256(_TABLE_JSON.encode("utf-8")).hexdigest()
@@ -119,16 +115,15 @@ def lookup(family: str, rank: int) -> SimpleLieData:
     return _BY_KEY[key]
 
 
-def _load() -> tuple[dict, tuple[SimpleLieData, ...]]:
-    doc = json.loads(_TABLE_JSON)
-    types = tuple(SimpleLieData(**row) for row in doc["types"])
+def _load() -> tuple[SimpleLieData, ...]:
+    types = tuple(SimpleLieData(**row) for row in json.loads(_TABLE_JSON)["types"])
     for t in types:
         if t.dimension != t.rank + t.root_count:
             raise LieDataError(f"table row {t.symbol} is inconsistent")
-    return doc, types
+    return types
 
 
-_DOC, _TYPES = _load()
+_TYPES = _load()
 _BY_KEY = {(t.family, t.rank): t for t in _TYPES}
 
 
@@ -145,6 +140,9 @@ def level_from_dim(dual_coxeter: int, dim_v1: int) -> int | None:
 
 
 MAX_CANDIDATES = 400_000  # per query; dimension 200 has 280,240
+# The largest weight-one dimension on Schellekens' list (D24,1); counting
+# takes time and memory linear in the dimension, so larger ones are refused.
+MAX_DIMENSION = 1128
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,6 +160,14 @@ class SemisimpleType:
     def rank(self) -> int:
         return sum(t.rank * c for t, c in self.components)
 
+    @classmethod
+    def of(cls, pairs: Iterable[tuple[str, int]]) -> "SemisimpleType":
+        """The type with these (family, rank) components, as a root system's."""
+        counts = Counter(lookup(family, rank) for family, rank in pairs)
+        components = tuple(sorted(counts.items(), key=lambda tc: _component_sort_key(tc[0])))
+        return cls(components, " ".join(t.symbol if c == 1 else f"{t.symbol}^{c}"
+                                        for t, c in components))
+
     def type_string(self, levels: dict | None = None) -> str:
         if levels is None:
             return self.text
@@ -178,7 +184,13 @@ def _component_sort_key(t: SimpleLieData):
 
 def candidate_count(dim: int, rank: int | None = None, hcoxeter_divisor: int = 1) -> int:
     """How many candidates ``semisimple_candidates`` returns, counted without
-    building them: a knapsack over its pool by dimension and any given rank."""
+    building them: a knapsack over its pool by dimension and any given rank.
+    A dimension above ``MAX_DIMENSION`` raises ``LieDataError``."""
+    if dim > MAX_DIMENSION:
+        raise LieDataError(f"dimension {dim} is above {MAX_DIMENSION}, the "
+                           "largest weight-one dimension on Schellekens' list")
+    if rank is not None and rank >= dim:
+        return 0  # every simple type has rank < dimension
     width = 1 if rank is None else rank + 1
     ways = [[0] * width for _ in range(max(dim, 0) + 1)]  # ways[s][r], r = 0 unranked
     ways[0][0] = 1
@@ -341,9 +353,6 @@ def lattice_voa_weight_one(rs: RootSystem) -> dict:
     """
     if rs.count == 0:
         return {"kind": "abelian", "dimension": rs.lattice.rank}
-    counts = Counter(lookup(comp.family, comp.rank) for comp in rs.components)
-    parts = [f"{t.symbol},1" if count == 1 else f"{t.symbol},1^{count}"
-             for t, count in sorted(counts.items(),
-                                    key=lambda kv: _component_sort_key(kv[0]))]
-    return {"kind": "semisimple", "type": " ".join(parts),
-            "dimension": sum(t.dimension * count for t, count in counts.items())}
+    g = SemisimpleType.of((comp.family, comp.rank) for comp in rs.components)
+    return {"kind": "semisimple", "type": g.type_string(dict.fromkeys(_BY_KEY, 1)),
+            "dimension": g.dimension}

@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import isqrt, lcm, prod
 
 from . import liealg
-from .catalog import SIGMA_KEYS, SIGMA_TO_LATTICE, NiemeierBundle, build_sigma, niemeier_bundle
+from .catalog import CONSTRUCTIONS, SIGMA_KEYS, NiemeierBundle, build_sigma, niemeier_bundle
 from .exactmat import IntMatrix, det, hnf, inverse, kernel_basis, snf, solve_exact
 from .lattice import Isometry, SublatticeOf, rat_str
 from .roots import RootSystem, enumerate_roots, orbit_count
@@ -296,43 +296,18 @@ def fixed_weight_one_dim(iso: Isometry, rs: RootSystem | None = None) -> int:
     return eigen_dims(iso).dim_h0 + orbits
 
 
-# Candidate queries for the unresolved weight-one summand of each
-# construction: (dimension, rank bound or None, dual Coxeter divisor).
-_CANDIDATE_QUERIES: dict[str, tuple[int, int | None, int] | None] = {
-    "sigma1": (24, 6, 1),
-    "sigma2": None,
-    "sigma3": (78, None, 4),
-    "sigma4": (28, None, 2),
-    "sigma5": (35, None, 2),
-    "sigma6": (42, None, 4),
-}
-
-# Numerological candidates the stored classification does not list; they are
-# reported with a flag, never dropped.
-_FLAGGED_CANDIDATES: dict[str, tuple[str, ...]] = {
-    "sigma1": ("A3 A1^3",),
-}
-
-# The resolved weight-one type of each orbifold, used for row matching.
-_RESOLVED_WEIGHT_ONE = {
-    "sigma1": "A2,3^6",
-    "sigma2": "A2,3^6",
-    "sigma3": "E6,3 G2,1^3",
-    "sigma4": "A5,3 D4,3 A1,1^3",
-    "sigma5": "A5,3 D4,3 A1,1^3",
-    "sigma6": "E6,3 G2,1^3",
-}
-
-
 def _candidate_entries(sigma_key: str, total: int) -> list[dict]:
-    query = _CANDIDATE_QUERIES[sigma_key]
+    """The candidates of the row's query for its unresolved weight-one
+    summand, each levelled at ``total`` and flagged if the row flags it."""
+    row = CONSTRUCTIONS["isometries"][sigma_key]
+    query = row["query"]
     if query is None:
         return []
     dim, rank_bound, divisor = query
     if (total - 24) % 24 != 0 or (total - 24) // 24 != divisor:
         raise OrbifoldError(
             f"{sigma_key}: stored divisor {divisor} disagrees with total {total}")
-    flagged = _FLAGGED_CANDIDATES.get(sigma_key, ())
+    flagged, _ = row["expect"]["flagged_candidates"]
     out = []
     for cand in liealg.semisimple_candidates(dim, rank=rank_bound,
                                              hcoxeter_divisor=divisor):
@@ -353,7 +328,7 @@ def _candidate_entries(sigma_key: str, total: int) -> list[dict]:
 
 
 def _verify_resolved_type(sigma_key: str, total: int) -> str:
-    text = _RESOLVED_WEIGHT_ONE[sigma_key]
+    text = CONSTRUCTIONS["isometries"][sigma_key]["resolved"]
     parsed = liealg.parse_type_string(text)
     if sum(t.dimension * count for t, _, count in parsed) != total:
         raise OrbifoldError(f"{sigma_key}: resolved type dimension is not {total}")
@@ -389,7 +364,7 @@ def assemble_report(sigma_key: str) -> dict:
     """
     if sigma_key not in SIGMA_KEYS:
         raise OrbifoldError(f"unknown isometry key {sigma_key!r}")
-    lattice_key = SIGMA_TO_LATTICE[sigma_key]
+    lattice_key = CONSTRUCTIONS["isometries"][sigma_key]["lattice"]
     bundle = niemeier_bundle(lattice_key)
     iso = build_sigma(sigma_key)
     g = iso.lattice.gram

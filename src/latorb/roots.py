@@ -25,7 +25,7 @@ from math import isqrt
 from operator import mul, sub
 from typing import Iterable, Sequence
 
-from .exactmat import IntMatrix, NotPositiveDefinite, RatMatrix, _im, ldl, solve_exact
+from .exactmat import IntMatrix, NotPositiveDefinite, RatMatrix, _im, ldl
 from .lattice import GlueExtension, Isometry, Lattice, LatticeVector
 
 
@@ -305,25 +305,6 @@ def reflection(l: Lattice, alpha: LatticeVector) -> Isometry:
     return Isometry.create(l, m.to_int(), expected_order=2)
 
 
-@dataclass(frozen=True)
-class HighestRoot:
-    vector: LatticeVector
-    coefficients: tuple[int, ...]
-
-
-def highest_root(comp: RootComponent) -> HighestRoot:
-    """The unique root dominating all others in simple-root coordinates."""
-    basis = RatMatrix.from_rows([v.coords for v in comp.simple],
-                                cols=len(comp.simple[0].coords))
-    sol = solve_exact(basis, RatMatrix.from_rows([v.coords for v in comp.roots],
-                                                 cols=basis.cols))
-    if not sol.is_integral():
-        raise RootsError("root is not an integer span of the simple basis")
-    coeffs = sol.num
-    best = _dominant(coeffs)
-    return HighestRoot(comp.roots[best], coeffs[best])
-
-
 def basis_highest_root(l: Lattice, roots: Sequence[LatticeVector]) -> LatticeVector:
     """Highest root when the lattice basis itself is a simple system.
 
@@ -333,15 +314,10 @@ def basis_highest_root(l: Lattice, roots: Sequence[LatticeVector]) -> LatticeVec
     for i in range(l.rank):
         if l.gram.num[i][i] != 2 * l.gram.den:
             raise RootsError("lattice basis is not a simple system")
-    return roots[_dominant([v.coords for v in roots])]
-
-
-def _dominant(coeffs: Sequence[Sequence]) -> int:
-    """Index of the coefficient row that dominates every row entrywise."""
-    best = max(range(len(coeffs)), key=lambda i: sum(coeffs[i]))
-    if any(o > t for row in coeffs for o, t in zip(row, coeffs[best])):
+    top = max(roots, key=lambda v: sum(v.coords))
+    if any(o > t for v in roots for o, t in zip(v.coords, top.coords)):
         raise RootsError("no root dominates all others")
-    return best
+    return top
 
 
 def orbit_count(rs: RootSystem, iso: Isometry) -> tuple[int, int]:

@@ -71,10 +71,6 @@ class IndexPermutation:
                        for c in self._cycles())
 
 
-def identity_perm() -> IndexPermutation:
-    return IndexPermutation(tuple(range(LENGTH)))
-
-
 def compose_perm(a: IndexPermutation, b: IndexPermutation) -> IndexPermutation:
     """Composition acting as a after b: x -> a(b(x))."""
     return IndexPermutation(tuple(a.images[b.images[p]] for p in range(LENGTH)))
@@ -194,10 +190,6 @@ def golay_generators() -> list[tuple[int, ...]]:
 
 def golay_code() -> TernaryCode:
     return TernaryCode.from_generators(golay_generators())
-
-
-def span_dim(c: TernaryCode) -> int:
-    return c.dim
 
 
 def weight_distribution(c: TernaryCode) -> dict[int, int]:

@@ -12,9 +12,9 @@ from math import isqrt
 
 from latorb import liealg, orbifold, terncode
 from latorb.catalog import (
+    CONSTRUCTIONS,
     LATTICE_KEYS,
     SIGMA_KEYS,
-    SIGMA_TO_LATTICE,
     build_root_lattice,
     build_sigma,
     niemeier_bundle,
@@ -49,7 +49,7 @@ EXPECTED_MATCHES = {"sigma1": [6], "sigma2": [6], "sigma3": [32],
 
 def test_criterion_1_ternary_code():
     code = terncode.golay_code()
-    assert terncode.span_dim(code) == 6
+    assert code.dim == 6
     assert len(code.words()) == 729
     assert terncode.weight_distribution(code) == {0: 1, 6: 264, 9: 440, 12: 24}
     assert terncode.stable_under(code, terncode.shift_perm())
@@ -88,7 +88,7 @@ def test_criterion_3_isometry_orders_and_top_weights():
 
 
 def _fixed_dim(sigma_key: str) -> int:
-    rs = niemeier_bundle(SIGMA_TO_LATTICE[sigma_key]).root_system
+    rs = niemeier_bundle(CONSTRUCTIONS["isometries"][sigma_key]["lattice"]).root_system
     return orbifold.fixed_weight_one_dim(build_sigma(sigma_key), rs)
 
 

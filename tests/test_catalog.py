@@ -10,25 +10,22 @@ from hypothesis import strategies as st
 
 from latorb.catalog import (
     COMPONENT_AUTO_NAMES,
+    CONSTRUCTIONS,
     CatalogError,
     LATTICE_KEYS,
     SIGMA_KEYS,
-    SIGMA_TO_LATTICE,
     StabilizationError,
     assemble_block_isometry,
     build_component_auto,
-    build_niemeier,
     build_root_lattice,
     build_sigma,
-    catalog_entries,
     construct_niemeier,
     glue_class_image,
-    isometry_to_json,
     niemeier_bundle,
     _close_glue_group,
 )
 from latorb.exactmat import IntMatrix, RatMatrix
-from latorb.lattice import Lattice, LatticeVector, dual, is_even_unimodular, member
+from latorb.lattice import Lattice, LatticeVector, is_even_unimodular
 from latorb.roots import classify, orbit_count
 from latorb.terncode import residue_perm
 
@@ -62,10 +59,12 @@ def test_root_lattice_determinants_and_classes():
         assert data.lattice.determinant() == det
         assert len(data.glue) == n_classes
         assert all(c == 0 for c in data.glue[0].coords)
-        star = dual(data.lattice)
+        # Each representative lies in the dual lattice (rep . G is integral)
+        # and in the lattice itself only for the trivial class.
         for ell, rep in data.glue.items():
-            assert member(star, rep)
-            assert member(data.lattice, rep) == (ell == 0)
+            pairings = RatMatrix.from_rows([rep.coords]) @ data.lattice.gram
+            assert pairings.is_integral()
+            assert rep.is_integral == (ell == 0)
 
 
 def test_root_lattice_class_norms():
@@ -134,12 +133,11 @@ def test_niemeier_lattices(key):
     assert is_even_unimodular(bundle.lattice) == (True, True)
     assert bundle.root_system.count == root_count
     assert classify(bundle.root_system) == classified
-    assert build_niemeier(key) == bundle.lattice
 
 
 def test_unknown_keys_rejected():
     with pytest.raises(CatalogError):
-        build_niemeier("E8_3")
+        construct_niemeier("E8_3")
     with pytest.raises(CatalogError):
         build_sigma("sigma7")
 
@@ -148,7 +146,7 @@ def test_unknown_keys_rejected():
 def test_sigma_isometries(key):
     fixed, orbits, fixed_roots = SIGMA_EXPECTED[key]
     sigma = build_sigma(key)
-    bundle = niemeier_bundle(SIGMA_TO_LATTICE[key])
+    bundle = niemeier_bundle(CONSTRUCTIONS["isometries"][key]["lattice"])
     assert sigma.lattice == bundle.lattice
     assert sigma.order == 3
     assert sigma.fixed_rank == fixed
@@ -190,13 +188,10 @@ def test_corrupted_generator_rejected(key):
 
 
 def test_catalog_listing():
-    entries = catalog_entries()
-    assert [e.key for e in entries] == list(LATTICE_KEYS) + list(SIGMA_KEYS)
-    kinds = {e.key: e.kind for e in entries}
-    assert all(kinds[k] == "lattice" for k in LATTICE_KEYS)
-    assert all(kinds[k] == "isometry" for k in SIGMA_KEYS)
-    assert all(e.description for e in entries)
-    assert SIGMA_TO_LATTICE == {
+    assert LATTICE_KEYS == ("A2_12", "D4_6", "A5_4_D4", "E6_4")
+    assert SIGMA_KEYS == tuple(f"sigma{i}" for i in range(1, 7))
+    assert all(row["description"] for row in CONSTRUCTIONS["lattices"].values())
+    assert {key: row["lattice"] for key, row in CONSTRUCTIONS["isometries"].items()} == {
         "sigma1": "A2_12",
         "sigma2": "D4_6",
         "sigma3": "D4_6",
@@ -204,18 +199,6 @@ def test_catalog_listing():
         "sigma5": "A5_4_D4",
         "sigma6": "E6_4",
     }
-
-
-def test_isometry_serialization():
-    sigma = build_sigma("sigma6")
-    blob = isometry_to_json(sigma)
-    assert blob["name"] == "sigma6"
-    assert blob["lattice"] == "E6_4"
-    assert blob["order"] == 3
-    assert blob["fixed_rank"] == 6
-    assert len(blob["matrix"]) == 24
-    assert all(len(row) == 24 and all(isinstance(e, int) for e in row)
-               for row in blob["matrix"])
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)

@@ -8,18 +8,18 @@ against them byte for byte also pins cross-process determinism.
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from latorb import liealg, orbifold
-from latorb.catalog import SIGMA_KEYS, SIGMA_TO_LATTICE
+from latorb.catalog import CONSTRUCTIONS, SIGMA_KEYS
 from latorb.cli import (
     EXIT_CHECK,
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
-    ORBIFOLD_EXPECTATIONS,
     TOOL_VERSION,
     canonical_json,
     main,
@@ -44,11 +44,12 @@ def test_readme_table_matches_catalog_and_expectations():
             for line in readme.splitlines() if line.startswith("| sigma")]
     assert [row[0] for row in rows] == list(SIGMA_KEYS)
     for sigma, lattice, fixed, twisted, total, number in rows:
-        exp = ORBIFOLD_EXPECTATIONS[sigma]
-        assert lattice == SIGMA_TO_LATTICE[sigma]
+        row = CONSTRUCTIONS["isometries"][sigma]
+        exp = {name: value for name, (value, _) in row["expect"].items()}
+        assert lattice == row["lattice"]
         assert [int(fixed), int(twisted), int(total)] == [
-            exp["fixed"]["value"], exp["twisted_each"]["value"], exp["total"]["value"]]
-        assert [int(number)] == exp["schellekens"]["value"]
+            exp["fixed"], exp["twisted_each"], exp["total"]]
+        assert [int(number)] == exp["schellekens"]
 
 
 def test_golay_json_matches_golden(capsys):
@@ -160,6 +161,17 @@ def test_candidates_rejects_nonpositive_dim(capsys):
     assert err.startswith("usage error: more than")
 
 
+def test_candidates_refuses_dimensions_past_schellekens_list(capsys):
+    # Refused by the dimension cap, not by counting: the knapsack would need
+    # a row per dimension, about 10^9 of them for the second query.
+    for dim in ("1129", "999999999"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "candidates", "--dim", dim)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith(f"usage error: dimension {dim} is above 1128")
+        assert time.perf_counter() - start < 0.5
+
+
 def test_schellekens_matches_golden(capsys):
     code, out, _ = run(capsys, "schellekens", "--dim", "96", "--json")
     assert code == EXIT_OK
@@ -224,6 +236,15 @@ def test_verify_all_emit_dir(capsys, tmp_path):
     assert written == canonical_json(orbifold.assemble_report("sigma4"))
 
 
+def test_verify_all_unwritable_emit_dir_is_usage_error(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    code, out, err = run(capsys, "verify-all", "--filter", "sigma4",
+                         "--emit-dir", str(blocker / "reports"))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("usage error: --emit-dir")
+
+
 def test_verify_all_human_summary_line(capsys):
     code, out, _ = run(capsys, "verify-all", "--filter", "sigma5")
     assert code == EXIT_OK
@@ -231,11 +252,14 @@ def test_verify_all_human_summary_line(capsys):
 
 
 def test_expectations_cover_every_isometry():
-    keys = sorted(ORBIFOLD_EXPECTATIONS)
-    assert keys == ["sigma1", "sigma2", "sigma3", "sigma4", "sigma5", "sigma6"]
-    for fields in ORBIFOLD_EXPECTATIONS.values():
-        for entry in fields.values():
-            assert entry["source"] in ("stated", "computed")
+    rows = CONSTRUCTIONS["isometries"]
+    assert sorted(rows) == ["sigma1", "sigma2", "sigma3", "sigma4", "sigma5", "sigma6"]
+    for row in rows.values():
+        assert list(row["expect"]) == [
+            "eigen", "rho", "fixed", "twisted_each", "total", "N_over_R",
+            "R_equals_M", "schellekens", "candidate_types", "flagged_candidates"]
+        for _, source in row["expect"].values():
+            assert source in ("stated", "computed")
 
 
 def test_module_entry_point_subprocess():

@@ -1,30 +1,23 @@
-"""Tests for the lattice layer: duals, glue, quotients, isometries."""
+"""Tests for the lattice layer: direct sums, glue, sublattices, isometries."""
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
-from latorb.exactmat import IntMatrix, RatMatrix, det
+from latorb.exactmat import IntMatrix, RatMatrix, det, inverse, snf
 from latorb.lattice import (
-    DiscriminantGroup,
     GlueError,
     Isometry,
     IsometryError,
     Lattice,
     LatticeError,
     LatticeVector,
-    NotInRationalSpan,
-    Quotient,
-    QuotientError,
     SublatticeOf,
     direct_sum,
-    discriminant_group,
-    dual,
     glue_extend,
     is_even_unimodular,
-    member,
-    quotient_index,
     rat_str,
 )
 
@@ -95,37 +88,36 @@ def test_vector_from_ints_equals_vector_from_fractions():
     assert not l.vector([Fraction(1, 3), 0]).is_integral
 
 
+def glue_by_dual_basis(l: Lattice):
+    """Glue l by the dual basis (the rows of G^-1): the glued lattice is L*."""
+    ginv = inverse(l.gram)
+    return glue_extend(l, [l.vector(row) for row in ginv.entries])
+
+
 def test_dual_of_unimodular_is_itself():
-    z1 = Lattice(RatMatrix.from_rows([[1]]))
-    assert dual(z1).gram == z1.gram
+    for gram in (RatMatrix.from_rows([[1]]), E8_GRAM):
+        l = Lattice(gram)
+        ext = glue_by_dual_basis(l)
+        assert ext.index == 1
+        assert ext.lattice.gram == l.gram
 
 
 def test_dual_a2():
-    l = a2()
-    d = dual(l)
-    assert d.gram == RatMatrix.from_rows(
-        [[Fraction(2, 3), Fraction(1, 3)], [Fraction(1, 3), Fraction(2, 3)]])
-    assert d.determinant() == Fraction(1, 3)
-    # L sits inside L* with index det(gram): basis vectors of L have
-    # coordinates given by the Gram rows in the dual basis.
-    inc = SublatticeOf(d, A2_GRAM.to_int())
-    assert quotient_index(d, inc) == Quotient(3, (3,))
-
-
-def test_dual_dual_roundtrip():
-    for gram in (A2_GRAM, D4_GRAM, E6_GRAM):
-        l = Lattice(gram)
-        back = dual(dual(l))
-        assert back.gram == l.gram
-        assert back.effective_embedding() == RatMatrix.identity(l.rank)
+    # L sits inside L* with index det(G), and L* has determinant 1/det(G).
+    ext = glue_by_dual_basis(a2())
+    assert ext.index == 3
+    assert ext.lattice.determinant() == Fraction(1, 3)
+    assert not ext.lattice.is_integral
+    assert abs(det(ext.base_in_lattice.inclusion)) == 3
 
 
 def test_discriminant_groups():
-    assert discriminant_group(a2()) == DiscriminantGroup((3,), 3)
-    d4 = Lattice(D4_GRAM)
-    assert discriminant_group(d4) == DiscriminantGroup((2, 2), 4)
-    assert discriminant_group(Lattice(E6_GRAM)) == DiscriminantGroup((3,), 3)
-    assert discriminant_group(Lattice(E8_GRAM)) == DiscriminantGroup((), 1)
+    # L*/L read off the Smith form of L inside the glued dual.
+    for gram, factors in ((A2_GRAM, (1, 3)), (D4_GRAM, (1, 1, 2, 2)),
+                          (E6_GRAM, (1, 1, 1, 1, 1, 3)), (E8_GRAM, (1,) * 8)):
+        ext = glue_by_dual_basis(Lattice(gram))
+        assert snf(ext.base_in_lattice.inclusion).invariant_factors == factors
+        assert ext.index == prod(factors)
 
 
 def test_direct_sum():
@@ -158,7 +150,7 @@ def test_glue_a2_to_its_dual():
     assert ext.index == 3
     assert ext.lattice.determinant() == Fraction(1, 3)
     assert ext.lattice.determinant() * ext.index ** 2 == l.determinant()
-    assert quotient_index(ext.lattice, ext.base_in_lattice) == Quotient(3, (3,))
+    assert snf(ext.base_in_lattice.inclusion).invariant_factors == (1, 3)
 
 
 def test_glue_rejects_non_dual_vector():
@@ -176,36 +168,30 @@ def test_even_unimodular_flags():
 
 def test_member_basis_and_glue_vector():
     e6 = Lattice(E6_GRAM, name="E6")
-    assert member(e6, e6.basis_vector(0))
     third = Fraction(1, 3)
     g = e6.vector([third, -third, 0, third, -third, 0])
     assert g.norm() == Fraction(4, 3)
-    assert member(e6, g) is False
-    assert member(dual(e6), g) is True
-    assert member(e6, g.scale(3)) is True
+    assert not g.is_integral and g.scale(3).is_integral
+    assert glue_extend(e6, [g]).index == 3
+    assert glue_extend(e6, [g.scale(3)]).index == 1
 
 
-def test_member_outside_span_is_an_error():
+def test_sublattice_contains():
     e6 = Lattice(E6_GRAM)
     line = SublatticeOf(e6, IntMatrix.from_rows([[1, 0, 0, 0, 0, 0]]))
-    sub = line.lattice()
-    assert member(sub, e6.vector([2, 0, 0, 0, 0, 0])) is True
-    with pytest.raises(NotInRationalSpan):
-        member(sub, e6.vector([0, 1, 0, 0, 0, 0]))
-    # Unrelated ambient spaces are also an error, not False.
-    with pytest.raises(NotInRationalSpan):
-        member(a2(), e6.basis_vector(0))
+    assert line.contains([2, 0, 0, 0, 0, 0])
+    assert not line.contains([Fraction(1, 2), 0, 0, 0, 0, 0])
+    # Outside the rational span is not contained, not an error.
+    assert not line.contains([0, 1, 0, 0, 0, 0])
 
 
 def test_quotient_index():
-    l = a2()
-    whole = SublatticeOf(l, IntMatrix.identity(2))
-    assert quotient_index(l, whole) == Quotient(1, ())
-    doubled = SublatticeOf(l, IntMatrix.identity(2).scale(2))
-    assert quotient_index(l, doubled) == Quotient(4, (2, 2))
-    line = SublatticeOf(l, IntMatrix.from_rows([[1, 0]]))
-    with pytest.raises(QuotientError):
-        quotient_index(l, line)
+    # |L/M| is the product of the Smith invariants of M's inclusion.
+    whole = SublatticeOf(a2(), IntMatrix.identity(2))
+    assert snf(whole.inclusion).invariant_factors == (1, 1)
+    doubled = SublatticeOf(a2(), IntMatrix.identity(2).scale(2))
+    assert snf(doubled.inclusion).invariant_factors == (2, 2)
+    assert doubled.contains([2, -4]) and not doubled.contains([1, 0])
 
 
 def test_sublattice_rejects_dependent_rows():
@@ -268,18 +254,18 @@ def test_randomized_lattice_invariants():
         gram = (b @ b.transpose()).to_rat()
         l = Lattice(gram)
         d = det(gram)
-        assert discriminant_group(l).order == d
-        dd = dual(l)
-        assert det(dd.gram) == Fraction(1, int(d))
-        assert dual(dd).gram == gram
+        star = glue_by_dual_basis(l)
+        assert star.index == d
+        assert det(star.lattice.gram) == Fraction(1, int(d))
         k = rng.randrange(1, 4)
         scaled = SublatticeOf(l, IntMatrix.identity(n).scale(k))
-        assert quotient_index(l, scaled).index == k ** n
+        assert scaled.contains([k] + [0] * (n - 1))
+        assert scaled.contains([1] + [0] * (n - 1)) == (k == 1)
         # Glue by a random dual vector; index-squared times the glued
-        # determinant recovers the base determinant.
+        # determinant recovers the base determinant, and the base sits in
+        # the glued lattice with that index.
         u = [rng.randrange(-2, 3) for _ in range(n)]
-        urow = RatMatrix.from_rows([u], cols=n)
-        coords = (urow @ dual(l).gram).entries[0]
+        coords = (RatMatrix.from_rows([u], cols=n) @ inverse(gram)).entries[0]
         ext = glue_extend(l, [l.vector(coords)])
         assert ext.lattice.determinant() * ext.index ** 2 == d
-        assert member(ext.lattice, l.basis_vector(0)) is True
+        assert abs(det(ext.base_in_lattice.inclusion)) == ext.index

@@ -25,7 +25,6 @@ from latorb.liealg import (
     schellekens_rows,
     semisimple_candidates,
     table_checksum,
-    table_version,
 )
 from latorb.roots import enumerate_roots
 
@@ -33,7 +32,6 @@ TABLE_SHA256 = "e2fd2461333f4b44e8d5c1cdf59f94969215c4bae81caf4a1d5641e700b52a98
 
 
 def test_table_checksum_is_pinned():
-    assert table_version() == 1
     assert table_checksum() == TABLE_SHA256
 
 
@@ -227,6 +225,16 @@ def test_candidate_limit_raises(monkeypatch):
     monkeypatch.setattr(liealg, "MAX_CANDIDATES", count - 1)
     with pytest.raises(LieDataError, match="more than"):
         semisimple_candidates(30)
+
+
+def test_counting_work_is_bounded_by_the_input():
+    # A dimension past Schellekens' list is refused before the knapsack is
+    # built; a rank bound at or above the dimension admits no type at all.
+    with pytest.raises(LieDataError, match="above 1128"):
+        candidate_count(liealg.MAX_DIMENSION + 1)
+    assert candidate_count(liealg.MAX_DIMENSION) > liealg.MAX_CANDIDATES
+    assert candidate_count(24, rank=10 ** 6) == 0 == len(semisimple_candidates(24, rank=24))
+    assert candidate_count(24, rank=6) == len(semisimple_candidates(24, rank=6))
 
 
 def test_refused_query_builds_no_candidate(monkeypatch):

@@ -5,19 +5,20 @@ import dataclasses
 import json
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from latorb.catalog import (
+    CONSTRUCTIONS,
     SIGMA_KEYS,
-    SIGMA_TO_LATTICE,
     build_component_auto,
     build_root_lattice,
     build_sigma,
     niemeier_bundle,
 )
-from latorb.exactmat import IntMatrix, det
-from latorb.lattice import Isometry, quotient_index
+from latorb.exactmat import IntMatrix, det, snf
+from latorb.lattice import Isometry
 from latorb.orbifold import (
     EigenData,
     OrbifoldError,
@@ -155,7 +156,7 @@ def test_sublattice_m_full_rank_index():
     m = sublattice_m(iso)
     expected = int(abs(det(IntMatrix.identity(24) - iso.matrix)))
     assert expected == 3 ** 12
-    assert quotient_index(iso.lattice, m).index == expected
+    assert prod(snf(m.inclusion).invariant_factors) == expected
 
 
 def c0(iso, alpha, beta):
@@ -256,7 +257,7 @@ def test_unsupported_twist_weights():
 @pytest.mark.parametrize("key", SIGMA_KEYS)
 def test_fixed_weight_one(key):
     iso = build_sigma(key)
-    rs = niemeier_bundle(SIGMA_TO_LATTICE[key]).root_system
+    rs = niemeier_bundle(CONSTRUCTIONS["isometries"][key]["lattice"]).root_system
     assert fixed_weight_one_dim(iso, rs) == FIXED_EXPECTED[key]
 
 
@@ -309,7 +310,7 @@ def test_report_sigma1_golden():
 @pytest.mark.parametrize("key", SIGMA_KEYS)
 def test_report_summary_values(key):
     report = assemble_report(key)
-    assert report["lattice"] == SIGMA_TO_LATTICE[key]
+    assert report["lattice"] == CONSTRUCTIONS["isometries"][key]["lattice"]
     assert all(report["checks"].values())
     assert report["eigen"] == list(EIGEN_EXPECTED[key])
     assert report["dims"]["fixed"] == FIXED_EXPECTED[key]
@@ -327,7 +328,7 @@ def test_report_summary_values(key):
 
 @pytest.mark.parametrize("key", SIGMA_KEYS)
 def test_stabilizes_recomputes_from_base_coordinates(key):
-    bundle = niemeier_bundle(SIGMA_TO_LATTICE[key])
+    bundle = niemeier_bundle(CONSTRUCTIONS["isometries"][key]["lattice"])
     s = build_sigma(key).matrix
     assert stabilizes(bundle, s)
     # One bumped entry in the glued basis: the map no longer sends the

@@ -23,7 +23,6 @@ from latorb.roots import (
     classify,
     enumerate_roots,
     glued_root_vectors,
-    highest_root,
     orbit_count,
     reflection,
     root_system_to_json,
@@ -124,14 +123,14 @@ def test_fixed_point_free_order_three_from_reflections():
 
 
 def test_highest_roots():
-    a2 = enumerate_roots(Lattice(A2_GRAM)).components[0]
-    top = highest_root(a2)
-    assert sorted(top.coefficients) == [1, 1]
-    assert top.vector.norm() == 2
-    d4 = enumerate_roots(Lattice(D4_GRAM)).components[0]
-    assert sorted(highest_root(d4).coefficients) == [1, 1, 1, 2]
-    e6 = enumerate_roots(Lattice(E6_GRAM)).components[0]
-    assert sorted(highest_root(e6).coefficients) == [1, 1, 2, 2, 2, 3]
+    # The bases of these Cartan Grams are simple systems, so the highest
+    # root's coordinates are its simple-root coefficients.
+    for gram, coefficients in ((A2_GRAM, [1, 1]), (D4_GRAM, [1, 1, 1, 2]),
+                               (E6_GRAM, [1, 1, 2, 2, 2, 3])):
+        l = Lattice(gram)
+        top = basis_highest_root(l, enumerate_roots(l).roots)
+        assert sorted(top.coords) == coefficients
+        assert top.norm() == 2
 
 
 def test_basis_highest_root_e6():
