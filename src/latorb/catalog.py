@@ -6,7 +6,8 @@ preserve their Gram form with the stated order, glue vectors must pair
 integrally, the glued lattices must come out even and unimodular with the
 expected root systems, and each assembled isometry must stabilize its
 lattice.  A failed check aborts the construction; nothing is returned on
-trust.
+trust.  What is stated about the constructions, and what their reports must
+reproduce, is in the one table ``CONSTRUCTIONS``.
 """
 
 from __future__ import annotations
