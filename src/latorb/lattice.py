@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactmat import (IntMatrix, NoSolution, NotPositiveDefinite, RatMatrix, Rational,
-                       block_diagonal, det, hnf, inverse, kernel_basis, ldl, solve_exact)
+from .exactmat import (IntMatrix, NotPositiveDefinite, RatMatrix, Rational,
+                       block_diagonal, det, hnf, inverse, kernel_basis, ldl)
 
 
 class LatticeError(ValueError):
@@ -190,16 +190,6 @@ class SublatticeOf:
     @property
     def rank(self) -> int:
         return self.inclusion.rows
-
-    def contains(self, coords_in_parent: Sequence[Rational]) -> bool:
-        """Whether a parent-coordinate vector lies in this sublattice."""
-        target = RatMatrix.from_rows([list(coords_in_parent)],
-                                     cols=self.parent.rank)
-        try:
-            x = solve_exact(self.inclusion.to_rat(), target)
-        except NoSolution:
-            return False
-        return x.is_integral()
 
 
 def _explicit_ambient(l: Lattice) -> RatMatrix | None:

@@ -7,12 +7,23 @@ the table sit the level formula, a constrained enumerator for semisimple
 types of a given total dimension, and matching against the stored rows of
 the central-charge-24 classification.
 
+A candidate stores its components as ints: every (type, count) pair up to
+``MAX_DIMENSION`` is numbered once at import, in component order, and the
+per-code tables give its pair, dimension, rank and type-string labels.  The
+cyclic GC stops tracking a tuple of ints at the first collection it
+survives, so a built candidate leaves one tracked object, not a tree of
+tuples; ``components`` rebuilds the shared pairs when read.
+
 The enumerator recurses one level per simple type, choosing its count, and
-enters a branch only if a bitset per suffix of the type pool says the rest
-of the dimension is reachable, so its work follows its output; type strings
-are built on the way down and stored.  A query is counted first, and one
-with more than ``MAX_CANDIDATES`` results raises ``LieDataError`` before any
-candidate is built.  No other package module is imported at run time.
+enters a branch only if a reachability row per suffix of the type pool (one
+byte per dimension) says the rest of the dimension is reachable, so its work
+follows its output; type strings are built on the way down and stored.  Once
+the dimension left is at most ``MEMO_DIMENSION`` it stops recursing and joins
+the prefix to every completion from a per-query memo keyed by (pool index,
+dimension left), filtered by rank when a rank is given.  A query is counted
+first, and one with more than ``MAX_CANDIDATES`` results raises
+``LieDataError`` before any candidate is built.  No other package module is
+imported at run time.
 """
 
 from __future__ import annotations
@@ -23,6 +34,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import repeat
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
@@ -143,43 +155,77 @@ MAX_CANDIDATES = 400_000  # per query; dimension 200 has 280,240
 # The largest weight-one dimension on Schellekens' list (D24,1); counting
 # takes time and memory linear in the dimension, so larger ones are refused.
 MAX_DIMENSION = 1128
+# At or below this dimension left, completions come from a per-query memo
+# instead of the recursion.  For an unbounded query at dimension 180 the memo
+# holds 426 entries and 2,177 completions (459 and 2,401 at 200), and a
+# process that runs the query peaks at 46 MB (84 MB at 200; 44 and 83 MB for
+# the plain recursion).  Memoizing every dimension peaks at 86 and 187 MB.
+MEMO_DIMENSION = 40
+
+
+def _component_sort_key(t: SimpleLieData):
+    return (-t.dimension, t.family, -t.rank)
+
+
+def _code_tables():
+    """One code per (type, count) pair up to MAX_DIMENSION, numbered in
+    component order and then by count, so a candidate's codes ascend and
+    (t, c) has code first[t] + c - 1.  Per code: the shared pair, its
+    dimension and rank, its label in a plain type string (led by a space)
+    and its ("name,", table key, "^count") label in a levelled one; a
+    type's codes share its name and key."""
+    # A1, of dimension 3, has the most counts.
+    powers = ("",) + tuple(f"^{c}" for c in range(2, MAX_DIMENSION // 3 + 1))
+    first, pairs, dims, ranks, labels, level_labels = {}, [], [], [], [], []
+    for t in sorted(_TYPES, key=_component_sort_key):
+        n = MAX_DIMENSION // t.dimension
+        first[t] = len(pairs)
+        pairs += zip(repeat(t), range(1, n + 1))
+        dims += range(t.dimension, n * t.dimension + 1, t.dimension)
+        ranks += range(t.rank, n * t.rank + 1, t.rank)
+        labels += [f" {t.symbol}{power}" for power in powers[:n]]
+        level_labels += zip(repeat(f"{t.symbol},"), repeat((t.family, t.rank)), powers[:n])
+    return first, tuple(pairs), tuple(dims), tuple(ranks), tuple(labels), tuple(level_labels)
+
+
+_FIRST_CODE, _PAIRS, _CODE_DIMENSION, _CODE_RANK, _CODE_LABEL, _CODE_LEVEL_LABEL = _code_tables()
 
 
 @dataclass(frozen=True, slots=True)
 class SemisimpleType:
     """A multiset of simple components with a common level rule applied."""
 
-    components: tuple[tuple[SimpleLieData, int], ...]  # (type, count), dim-desc
-    text: str = field(compare=False, repr=False)  # type_string() without levels
+    codes: tuple[int, ...] = field(repr=False)  # ascending component codes
+    text: str = field(compare=False)  # type_string() without levels
+
+    @property
+    def components(self) -> tuple[tuple[SimpleLieData, int], ...]:
+        """(type, count) pairs, by descending dimension."""
+        return tuple([_PAIRS[code] for code in self.codes])
 
     @property
     def dimension(self) -> int:
-        return sum(t.dimension * c for t, c in self.components)
+        return sum(_CODE_DIMENSION[code] for code in self.codes)
 
     @property
     def rank(self) -> int:
-        return sum(t.rank * c for t, c in self.components)
+        return sum(_CODE_RANK[code] for code in self.codes)
 
     @classmethod
     def of(cls, pairs: Iterable[tuple[str, int]]) -> "SemisimpleType":
         """The type with these (family, rank) components, as a root system's."""
         counts = Counter(lookup(family, rank) for family, rank in pairs)
-        components = tuple(sorted(counts.items(), key=lambda tc: _component_sort_key(tc[0])))
-        return cls(components, " ".join(t.symbol if c == 1 else f"{t.symbol}^{c}"
-                                        for t, c in components))
+        codes = tuple(sorted(_FIRST_CODE[t] + c - 1 for t, c in counts.items()))
+        return cls(codes, "".join(_CODE_LABEL[code] for code in codes)[1:])
 
     def type_string(self, levels: dict | None = None) -> str:
         if levels is None:
             return self.text
         parts = []
-        for t, count in self.components:
-            name = f"{t.symbol},{levels[t.family, t.rank]}"
-            parts.append(name if count == 1 else f"{name}^{count}")
+        for code in self.codes:
+            name, key, power = _CODE_LEVEL_LABEL[code]
+            parts.append(f"{name}{levels[key]}{power}")
         return " ".join(parts)
-
-
-def _component_sort_key(t: SimpleLieData):
-    return (-t.dimension, t.family, -t.rank)
 
 
 def candidate_count(dim: int, rank: int | None = None, hcoxeter_divisor: int = 1) -> int:
@@ -200,6 +246,9 @@ def candidate_count(dim: int, rank: int | None = None, hcoxeter_divisor: int = 1
             for r in range(tr, width):
                 ways[s][r] += ways[s - t.dimension][r - tr]
     return ways[dim][-1] if dim > 0 else 0
+
+
+_REACH_BYTE = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def semisimple_candidates(dim: int, rank: int | None = None,
@@ -228,41 +277,75 @@ def semisimple_candidates(dim: int, rank: int | None = None,
                    if t.dimension <= dim and t.dual_coxeter % hcoxeter_divisor == 0),
                   key=_component_sort_key)
     neg_dims = [-t.dimension for t in pool]  # ascending, for bisect
-    # reach[i] has bit s set iff s is a sum of dimensions from pool[i:].
+    # reach[i][s] is 1 iff s is a sum of dimensions from pool[i:]; each row
+    # is built as a bitset and stored as one byte per dimension.
     full = (1 << (dim + 1)) - 1
-    reach = [1] * (len(pool) + 1)
-    for i in range(len(pool) - 1, -1, -1):
-        bits, step = reach[i + 1], pool[i].dimension
+    bits = 1
+    reach = [b"\x01" + bytes(dim)]
+    for t in reversed(pool):
+        step = t.dimension
         while step <= dim:
             bits = (bits | bits << step) & full
             step *= 2
-        reach[i] = bits
-    # (dimension, rank, component, label) for each count of each pool type.
-    steps = [[(c * t.dimension, c * t.rank, (t, c),
-               f" {t.symbol}" if c == 1 else f" {t.symbol}^{c}")
-              for c in range(1, dim // t.dimension + 1)] for t in pool]
+        reach.append(format(bits, "b").zfill(dim + 1)[::-1].encode().translate(_REACH_BYTE))
+    reach.reverse()
+    # (dimension, rank, code, label) for each count of each pool type.
+    steps = [[(_CODE_DIMENSION[code], _CODE_RANK[code], code, _CODE_LABEL[code])
+              for code in range(_FIRST_CODE[t], _FIRST_CODE[t] + dim // t.dimension)]
+             for t in pool]
     found: list[SemisimpleType] = []
+    # tails[start, s]: (codes, text, rank) of every completion of dimension
+    # s <= MEMO_DIMENSION from pool[start:], texts led by a space.  A
+    # reachable s has at least one, so an empty entry never occurs.
+    tails: dict[tuple[int, int], list] = {}
+
+    def complete(start: int, dim_left: int) -> list:
+        out = []
+        for i in range(bisect_left(neg_dims, -dim_left, start), len(pool)):
+            if not reach[i][dim_left]:
+                break
+            after = reach[i + 1]
+            for used, rank_used, code, label in steps[i]:
+                left = dim_left - used
+                if left < 0:
+                    break
+                if not after[left]:
+                    continue
+                if not left:
+                    out.append(((code,), label, rank_used))
+                    continue
+                for codes, text, tail_rank in tails.get((i + 1, left)) or complete(i + 1, left):
+                    out.append(((code,) + codes, label + text, rank_used + tail_rank))
+        tails[start, dim_left] = out
+        return out
 
     def search(start: int, dim_left: int, rank_left: int,
-               parts: tuple, text: str) -> None:
-        # parts and text (led by a space) are the components chosen so far.
+               codes: tuple, text: str) -> None:
+        # codes and text (led by a space) are the components chosen so far.
         for i in range(bisect_left(neg_dims, -dim_left, start), len(pool)):
-            if not reach[i] >> dim_left & 1:
+            if not reach[i][dim_left]:
                 return
             after = reach[i + 1]
-            for used, rank_used, component, label in steps[i]:
+            for used, rank_used, code, label in steps[i]:
                 left = dim_left - used
                 if left < 0 or rank_used > rank_left:
                     break
-                if not after >> left & 1:
+                if not after[left]:
                     continue
-                if left:
+                if left > MEMO_DIMENSION:
                     search(i + 1, left, rank_left - rank_used,
-                           parts + (component,), text + label)
+                           codes + (code,), text + label)
                     continue
-                if rank is None or rank_used == rank_left:
-                    found.append(SemisimpleType(parts + (component,),
-                                                (text + label)[1:]))
+                head, head_text = codes + (code,), (text + label)[1:]
+                need = None if rank is None else rank_left - rank_used
+                if not left:
+                    if not need:
+                        found.append(SemisimpleType(head, head_text))
+                    continue
+                for tail_codes, tail_text, tail_rank in \
+                        tails.get((i + 1, left)) or complete(i + 1, left):
+                    if need is None or tail_rank == need:
+                        found.append(SemisimpleType(head + tail_codes, head_text + tail_text))
 
     # Without a rank bound the budget dim is never exhausted (rank < dim).
     search(0, dim, dim if rank is None else rank, (), "")

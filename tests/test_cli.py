@@ -5,6 +5,7 @@ tests/golden/ were produced by separate interpreter runs, so comparing
 against them byte for byte also pins cross-process determinism.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -139,6 +140,16 @@ def test_candidates_matches_golden(capsys):
                        "--json")
     assert code == EXIT_OK
     assert out == golden_text("candidates_dim24_rank6.json")
+
+
+# sha256 of `latorb candidates --dim 150 --json`, 27,647 candidates.
+CANDIDATES_DIM150_SHA256 = "e71e940a87064bd5fcbc837c8923828c8d7aa407d6662fb20a7fc6c739bfe6d7"
+
+
+def test_candidates_dim150_output_is_pinned(capsys):
+    code, out, _ = run(capsys, "candidates", "--dim", "150", "--json")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CANDIDATES_DIM150_SHA256
 
 
 def test_candidates_human_output(capsys):

@@ -1,7 +1,9 @@
 """Simple Lie type table, level arithmetic, candidate enumeration, and
 matching against the stored weight-one classification rows."""
 
+import gc
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +17,7 @@ from latorb.exactmat import RatMatrix
 from latorb.lattice import Lattice
 from latorb.liealg import (
     LieDataError,
+    SemisimpleType,
     all_types,
     candidate_count,
     lattice_voa_weight_one,
@@ -165,9 +168,11 @@ def reference_candidates(dim, rank=None, hcoxeter_divisor=1):
     return found
 
 
-def rebuilt_type_string(components):
-    return " ".join(t.symbol if c == 1 else f"{t.symbol}^{c}"
-                    for t, c in components)
+def rebuilt_type_string(components, levels=None):
+    names = [t.symbol if levels is None else f"{t.symbol},{levels[t.family, t.rank]}"
+             for t, _ in components]
+    return " ".join(name if c == 1 else f"{name}^{c}"
+                    for name, (_, c) in zip(names, components))
 
 
 DIFFERENTIAL_GRID = (
@@ -177,6 +182,8 @@ DIFFERENTIAL_GRID = (
 
 
 def test_candidates_match_reference_search():
+    rng = random.Random(7)
+    levels = {(t.family, t.rank): rng.randint(1, 30) for t in all_types()}
     for dim, rank, divisor in DIFFERENTIAL_GRID:
         got = semisimple_candidates(dim, rank=rank, hcoxeter_divisor=divisor)
         want = reference_candidates(dim, rank=rank, hcoxeter_divisor=divisor)
@@ -184,18 +191,23 @@ def test_candidates_match_reference_search():
         assert candidate_count(dim, rank, divisor) == len(got), (dim, rank, divisor)
         for cand in got:
             assert cand.type_string() == rebuilt_type_string(cand.components)
+            assert cand.type_string(levels) == rebuilt_type_string(cand.components, levels)
 
 
 def count_search_calls(*query, **options):
-    """Calls of the enumerator's inner search for one query."""
-    calls = 0
+    """Calls of the enumerator's recursive search for one query, and the
+    (start, dimension left) arguments of each call that fills its memo."""
+    calls, fills = 0, []
 
     def profile(frame, event, arg):
         nonlocal calls
         code = frame.f_code
-        if event == "call" and code.co_name == "search" \
-                and code.co_filename == liealg.__file__:
+        if event != "call" or code.co_filename != liealg.__file__:
+            return
+        if code.co_name == "search":
             calls += 1
+        elif code.co_name == "complete":
+            fills.append((frame.f_locals["start"], frame.f_locals["dim_left"]))
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -203,19 +215,46 @@ def count_search_calls(*query, **options):
         semisimple_candidates(*query, **options)
     finally:
         sys.setprofile(previous)
-    return calls
+    return calls, fills
 
 
 @pytest.mark.parametrize("dim, divisor", [(60, 1), (90, 1), (90, 2), (78, 4)])
 def test_search_calls_follow_output(dim, divisor):
-    # Every call extends a proper prefix of some candidate, and each such
-    # prefix is searched once; a rank bound cuts the prefixes above it.
+    # The search recurses only while more than MEMO_DIMENSION is left: every
+    # call extends a proper prefix of some candidate with that much left, and
+    # each such prefix is searched once; a rank bound cuts the prefixes above
+    # it.  Smaller rests come from the memo, whose entries are each filled
+    # once, so there are at most len(pool) * MEMO_DIMENSION of them.
     cands = semisimple_candidates(dim, hcoxeter_divisor=divisor)
     prefixes = {c.components[:j] for c in cands for j in range(1, len(c.components))}
+    pool = [t for t in all_types() if t.dimension <= dim and t.dual_coxeter % divisor == 0]
     for rank in (None, 4, 9):
         want = 1 + sum(1 for p in prefixes
-                       if rank is None or sum(t.rank * m for t, m in p) <= rank)
-        assert count_search_calls(dim, rank=rank, hcoxeter_divisor=divisor) == want
+                       if dim - sum(t.dimension * m for t, m in p) > liealg.MEMO_DIMENSION
+                       and (rank is None or sum(t.rank * m for t, m in p) <= rank))
+        calls, fills = count_search_calls(dim, rank=rank, hcoxeter_divisor=divisor)
+        assert calls == want
+        assert len(set(fills)) == len(fills) <= len(pool) * liealg.MEMO_DIMENSION
+        assert all(0 < left <= liealg.MEMO_DIMENSION for _, left in fills)
+
+
+def test_candidates_leave_one_tracked_object_each():
+    # Components are stored as int codes, and the cyclic GC stops tracking a
+    # tuple of ints at the first collection, so each candidate leaves only
+    # its own object (two each when they held (type, count) tuples).
+    gc.collect()
+    before = len(gc.get_objects())
+    cands = semisimple_candidates(120)
+    gc.collect()
+    assert len(gc.get_objects()) - before <= len(cands) + 100
+
+
+def test_semisimple_type_of_root_system_components():
+    g = SemisimpleType.of([("A", 1), ("E", 6), ("A", 1), ("D", 4), ("A", 1)])
+    assert g.type_string() == "E6 D4 A1^3"
+    assert [(t.symbol, c) for t, c in g.components] == [("E6", 1), ("D4", 1), ("A1", 3)]
+    assert (g.dimension, g.rank) == (115, 13)
+    assert g == next(c for c in semisimple_candidates(115, rank=13) if c.text == g.text)
 
 
 def test_candidate_limit_raises(monkeypatch):

@@ -2,10 +2,15 @@
 
 Every top-level function, class and constant of ``src/latorb`` must be
 referenced somewhere in ``src/latorb`` other than in its own definition, or
-be read as a module attribute by ``perfbench`` (``liealg.all_types``).  A
-name that only the tests reach is dead weight in the package: delete it, or
-move the check it served onto a production path.  The few deliberate
-exceptions are listed below, each with its reason.
+be read as a module attribute by ``perfbench`` (``liealg.all_types``).  So
+must every public method of a top-level class: some attribute read of its
+name in ``src/latorb`` outside its own body, or in ``perfbench``.  A read
+counts for one class when its receiver is known to be that class (``self``
+or ``cls`` in its methods, the class name, or a parameter annotated with
+it) and for every class with a method of that name otherwise.  A name that
+only the tests reach is dead weight in the package: delete it, or move the
+check it served onto a production path.  The few deliberate exceptions are
+listed below, each with its reason.
 """
 
 import ast
@@ -14,6 +19,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "latorb"
 
+# "module.name", or "module.Class.name" for a method.
 ALLOWED = {
     "catalog.glue_class_image":
         "how a component isometry acts on dual classes (inner or outer); "
@@ -50,15 +56,22 @@ def _references(node: ast.AST) -> set[str]:
     return found
 
 
+def _parse(src: Path) -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(src.glob("*.py"))}
+
+
+def _attributes_read(paths: list[Path]) -> set[str]:
+    return {sub.attr for path in paths
+            for sub in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(sub, ast.Attribute)}
+
+
 def unreferenced_names(src: Path, extra: list[Path]) -> list[str]:
     """``module.name`` for each top-level definition in ``src`` that no
     other top-level statement of ``src`` refers to and no file in ``extra``
     reads as an attribute."""
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(src.glob("*.py"))}
-    outside = {sub.attr for path in extra
-               for sub in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-               if isinstance(sub, ast.Attribute)}
+    trees, outside = _parse(src), _attributes_read(extra)
     statements = [(stem, node) for stem, tree in trees.items() for node in tree.body]
     refs = {(stem, id(node)): _references(node) for stem, node in statements}
     dead = []
@@ -71,7 +84,80 @@ def unreferenced_names(src: Path, extra: list[Path]) -> list[str]:
     return dead
 
 
+def _receiver_class(value: ast.AST, classes: set[str], own: str | None,
+                    annotated: dict[str, str]) -> str | None:
+    """The class a method is read from, when the receiver says which."""
+    if not isinstance(value, ast.Name):
+        return None
+    if value.id in ("self", "cls"):
+        return own
+    if value.id in classes:
+        return value.id
+    return annotated.get(value.id)
+
+
+def _attribute_reads(node: ast.AST, classes: set[str], own: str | None):
+    """(class or None, name) for each attribute read in one statement."""
+    annotated = {}
+    for arg in ast.walk(node):
+        if isinstance(arg, ast.arg) and arg.annotation is not None:
+            hint = arg.annotation
+            name = hint.value if isinstance(hint, ast.Constant) else getattr(hint, "id", None)
+            if name in classes:
+                annotated[arg.arg] = name
+    return {(_receiver_class(sub.value, classes, own, annotated), sub.attr)
+            for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+
+
+def unreferenced_methods(src: Path, extra: list[Path]) -> list[str]:
+    """``module.Class.name`` for each public method of a top-level class in
+    ``src`` whose name no statement of ``src`` outside its body reads from
+    that class or from a receiver of unknown class, and no file in
+    ``extra`` reads as an attribute."""
+    trees, outside = _parse(src), _attributes_read(extra)
+    classes = {node.name for tree in trees.values() for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    units = []  # (class the statement sits in, statement)
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                units += [(node.name, sub) for sub in node.body]
+            else:
+                units.append((None, node))
+    reads = {id(node): _attribute_reads(node, classes, own) for own, node in units}
+    dead = []
+    for stem, tree in trees.items():
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for method in cls.body:
+                if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        or method.name.startswith("_") or method.name in outside:
+                    continue
+                wanted = {(None, method.name), (cls.name, method.name)}
+                if not any(wanted & reads[key] for key in reads if key != id(method)):
+                    dead.append(f"{stem}.{cls.name}.{method.name}")
+    return dead
+
+
 def test_every_src_name_has_a_src_caller():
     # Equality, so an allowlisted name that gains a caller leaves the list.
-    dead = unreferenced_names(SRC, sorted((ROOT / "perfbench").glob("*.py")))
+    extra = sorted((ROOT / "perfbench").glob("*.py"))
+    dead = unreferenced_names(SRC, extra) + unreferenced_methods(SRC, extra)
     assert sorted(dead) == sorted(ALLOWED)
+
+
+def test_a_method_only_tests_call_is_found(tmp_path):
+    # Two classes share a method name; the one caller outside their bodies
+    # reads it through a parameter annotated with the first class, so the
+    # second is dead even though it calls itself.
+    (tmp_path / "mod.py").write_text(
+        "class Code:\n"
+        "    def contains(self, word):\n"
+        "        return True\n"
+        "\n"
+        "class Sub:\n"
+        "    def contains(self, row):\n"
+        "        return self.contains(row)\n"
+        "\n"
+        "def stable(c: Code, sub: 'Sub') -> bool:\n"
+        "    return c.contains(0) and sub is not None\n", encoding="utf-8")
+    assert unreferenced_methods(tmp_path, []) == ["mod.Sub.contains"]
