@@ -18,12 +18,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .exactmat import IntMatrix, RatMatrix, solve_exact
+from .exactmat import IntMatrix, RatMatrix, Rational, solve_exact
 from .lattice import (
     GlueExtension,
     Isometry,
     Lattice,
-    LatticeVector,
     direct_sum,
     glue_extend,
     is_even_unimodular,
@@ -173,26 +172,24 @@ class StabilizationError(CatalogError):
 class RootLatticeData:
     """A root lattice together with representatives of its dual classes.
 
-    The class representatives are fractional-coordinate vectors of the
-    lattice itself (i.e. elements of the dual written in the lattice
-    basis), keyed by class label starting at 0 for the trivial class.
+    Row ell of ``glue`` represents dual class ell (0 is the trivial class):
+    the coordinates, in the lattice basis, of an element of the dual.
     """
 
     lattice: Lattice
-    glue: dict[int, LatticeVector]
+    glue: tuple[tuple[Rational, ...], ...]
 
 
-def _ambient_lattice(family: str, rank: int, rows: Sequence[Sequence[int]],
-                     ambient_dim: int, name: str) -> Lattice:
-    emb = RatMatrix.from_rows([list(r) for r in rows], cols=ambient_dim)
+def _ambient_lattice(rows: Sequence[Sequence[int]], ambient_dim: int, name: str) -> Lattice:
+    emb = RatMatrix.from_rows(rows, cols=ambient_dim)
     gram = emb @ emb.transpose()
     return Lattice(gram, embedding=emb, name=name)
 
 
-def _glue_vector(l: Lattice, ambient: Sequence[Fraction]) -> LatticeVector:
-    target = RatMatrix.from_rows([list(ambient)], cols=l.embedding.cols)
-    coords = solve_exact(l.embedding, target).entries[0]
-    return l.vector(coords)
+def _glue_rows(l: Lattice,
+               ambient: Sequence[Sequence[Rational]]) -> tuple[tuple[Fraction, ...], ...]:
+    """Basis coordinates of dual vectors given in ambient coordinates."""
+    return solve_exact(l.embedding, RatMatrix.from_rows(ambient)).entries
 
 
 @lru_cache(maxsize=None)
@@ -207,25 +204,16 @@ def build_root_lattice(family: str, rank: int) -> RootLatticeData:
         n = rank
         rows = [[1 if j == i else (-1 if j == i + 1 else 0)
                  for j in range(n + 1)] for i in range(n)]
-        l = _ambient_lattice(family, rank, rows, n + 1, f"A{n}")
-        glue = {}
-        for ell in range(n + 1):
-            amb = [Fraction(ell, n + 1)] * (n + 1 - ell) + \
-                  [Fraction(ell - n - 1, n + 1)] * ell
-            glue[ell] = _glue_vector(l, amb)
-        return RootLatticeData(l, glue)
+        l = _ambient_lattice(rows, n + 1, f"A{n}")
+        amb = [[Fraction(ell, n + 1)] * (n + 1 - ell) + [Fraction(ell - n - 1, n + 1)] * ell
+               for ell in range(n + 1)]
+        return RootLatticeData(l, _glue_rows(l, amb))
     if family == "D" and rank == 4:
         rows = [[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1], [0, 0, 1, 1]]
-        l = _ambient_lattice(family, rank, rows, 4, "D4")
+        l = _ambient_lattice(rows, 4, "D4")
         half = Fraction(1, 2)
-        glue_ambient = {
-            0: [Fraction(0)] * 4,
-            1: [half, half, half, half],
-            2: [Fraction(0), Fraction(0), Fraction(0), Fraction(1)],
-            3: [half, half, half, -half],
-        }
-        glue = {ell: _glue_vector(l, amb) for ell, amb in glue_ambient.items()}
-        return RootLatticeData(l, glue)
+        amb = [[0, 0, 0, 0], [half, half, half, half], [0, 0, 0, 1], [half, half, half, -half]]
+        return RootLatticeData(l, _glue_rows(l, amb))
     if family == "E" and rank == 6:
         gram = RatMatrix.from_rows([
             [2, -1, 0, 0, 0, 0],
@@ -237,18 +225,17 @@ def build_root_lattice(family: str, rank: int) -> RootLatticeData:
         ])
         l = Lattice(gram, name="E6")
         third = Fraction(1, 3)
-        rep = l.vector([third, -third, 0, third, -third, 0])
-        glue = {0: l.vector([0] * 6), 1: rep, 2: rep.scale(-1)}
-        return RootLatticeData(l, glue)
+        rep = (third, -third, 0, third, -third, 0)
+        return RootLatticeData(l, ((0,) * 6, rep, tuple(-e for e in rep)))
     raise CatalogError(f"unsupported root lattice {family}{rank}")
 
 
 def _auto_from_ambient(data: RootLatticeData,
-                       ambient_images: Sequence[Sequence[Fraction]],
+                       ambient_images: Sequence[Sequence[Rational]],
                        name: str) -> Isometry:
     """Convert an ambient-coordinate map to basis coordinates and verify it."""
     l = data.lattice
-    w = RatMatrix.from_rows([list(r) for r in ambient_images])
+    w = RatMatrix.from_rows(ambient_images)
     m = solve_exact(l.embedding, l.embedding @ w)
     if not m.is_integral():
         raise CatalogError(f"{name} does not preserve the lattice")
@@ -275,8 +262,7 @@ def build_component_auto(name: str) -> Isometry:
     half = Fraction(1, 2)
     if name == "cycle_A2":
         data = build_root_lattice("A", 2)
-        images = [(0, 0, 1), (1, 0, 0), (0, 1, 0)]
-        return _auto_from_ambient(data, [[Fraction(e) for e in r] for r in images], name)
+        return _auto_from_ambient(data, [(0, 0, 1), (1, 0, 0), (0, 1, 0)], name)
     if name == "rotation_D4":
         data = build_root_lattice("D", 4)
         images = [
@@ -298,12 +284,11 @@ def build_component_auto(name: str) -> Isometry:
     if name == "coord_cycle_D4":
         data = build_root_lattice("D", 4)
         images = [(0, 0, 1, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)]
-        return _auto_from_ambient(data, [[Fraction(e) for e in r] for r in images], name)
+        return _auto_from_ambient(data, images, name)
     if name == "coord_cycle_A5":
         data = build_root_lattice("A", 5)
         perm = {0: 1, 1: 2, 2: 0, 3: 4, 4: 5, 5: 3}
-        images = [[Fraction(1) if j == perm[i] else Fraction(0)
-                   for j in range(6)] for i in range(6)]
+        images = [[int(j == perm[i]) for j in range(6)] for i in range(6)]
         return _auto_from_ambient(data, images, name)
     if name == "reflection_product_E6":
         data = build_root_lattice("E", 6)
@@ -311,8 +296,9 @@ def build_component_auto(name: str) -> Isometry:
         rs = enumerate_roots(l)
         top = basis_highest_root(l, rs.roots)
         m = reflection(l, top).matrix
+        simple = IntMatrix.identity(l.rank).entries
         for i in (5, 4, 3, 1, 0):
-            m = m @ reflection(l, l.basis_vector(i)).matrix
+            m = m @ reflection(l, simple[i]).matrix
         return Isometry.create(l, m, expected_order=3, name=name)
     raise CatalogError(f"unknown component isometry {name!r}")
 
@@ -320,9 +306,9 @@ def build_component_auto(name: str) -> Isometry:
 def glue_class_image(auto: Isometry, data: RootLatticeData,
                      ell: int) -> int:
     """Which dual class the isometry sends class ell to."""
-    image = auto.apply(data.glue[ell])
-    for m, rep in data.glue.items():
-        if (image - rep).is_integral:
+    image = RatMatrix.from_rows([data.glue[ell]]) @ auto.matrix.to_rat()
+    for m, rep in enumerate(data.glue):
+        if (image - RatMatrix.from_rows([rep])).is_integral():
             return m
     raise CatalogError("image is not in any dual class")
 
@@ -346,38 +332,36 @@ class NiemeierBundle:
         return self.extension.lattice
 
 
-def _words_to_vectors(base: Lattice, part_data: tuple[RootLatticeData, ...],
-                      words: tuple[str, ...] | None,
-                      corrupt_generator: bool) -> list[LatticeVector]:
+def _glue_words(base: Lattice, part_data: tuple[RootLatticeData, ...],
+                words: tuple[str, ...] | None, corrupt_generator: bool) -> RatMatrix:
+    """The glue generators, one row of base coordinates per word."""
     if words is None:
         rows = [tuple(row) for row in golay_code().basis]
     else:
         rows = [tuple(int(ch) for ch in word) for word in words]
     if corrupt_generator:
         # bump the second digit of the first word to the next dual class
-        classes = sorted(part_data[1].glue)
         first = list(rows[0])
-        first[1] = classes[(classes.index(first[1]) + 1) % len(classes)]
+        first[1] = (first[1] + 1) % len(part_data[1].glue)
         rows[0] = tuple(first)
-    vectors = []
+    generators = []
     for row in rows:
         if len(row) != len(part_data):
             raise CatalogError(f"glue word {row} has wrong block count")
-        coords: list[Fraction] = []
+        coords: list[Rational] = []
         for digit, data in zip(row, part_data):
-            if digit not in data.glue:
+            if digit not in range(len(data.glue)):
                 raise CatalogError(f"glue digit {digit} has no dual class")
-            coords.extend(data.glue[digit].coords)
-        vectors.append(base.vector(coords))
-    return vectors
+            coords.extend(data.glue[digit])
+        generators.append(coords)
+    return RatMatrix.from_rows(generators, cols=base.rank)
 
 
-def _close_glue_group(base: Lattice, generators: list[LatticeVector]) -> tuple[int, tuple]:
-    """(den, residues): all distinct cosets the glue vectors generate, reduced
+def _close_glue_group(words: RatMatrix) -> tuple[int, tuple]:
+    """(den, residues): all distinct cosets the glue rows generate, reduced
     mod 1, as sorted integer residue rows modulo the glue denominator den."""
-    words = RatMatrix.from_rows([g.coords for g in generators], cols=base.rank)
     den = words.den
-    group = [(0,) * base.rank]
+    group = [(0,) * words.cols]
     # With group a subgroup H, the layers H + g, H + 2g, ... are new cosets
     # until j g falls back into H, so each coset is formed once.
     for g in words.num:
@@ -400,15 +384,15 @@ def construct_niemeier(key: str, corrupt_generator: bool = False) -> NiemeierBun
     spec = CONSTRUCTIONS["lattices"][key]
     part_data = tuple(build_root_lattice(f, r) for f, r in spec["parts"])
     base = direct_sum([d.lattice for d in part_data], name=f"{key}:base")
-    generators = _words_to_vectors(base, part_data, spec["words"], corrupt_generator)
-    ext = glue_extend(base, generators, name=key)
+    words = _glue_words(base, part_data, spec["words"], corrupt_generator)
+    ext = glue_extend(base, words, name=key)
     if ext.index != spec["index"]:
         raise CatalogError(
             f"{key}: glue index {ext.index}, expected {spec['index']}")
     even, unimodular = is_even_unimodular(ext.lattice)
     if not (even and unimodular and ext.lattice.rank == 24):
         raise CatalogError(f"{key}: lattice is not even unimodular of rank 24")
-    den, group = _close_glue_group(base, generators)
+    den, group = _close_glue_group(words)
     if len(group) != spec["index"]:
         raise CatalogError(
             f"{key}: glue group has {len(group)} cosets, expected {spec['index']}")

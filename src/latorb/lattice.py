@@ -103,12 +103,6 @@ class Lattice:
     def determinant(self) -> Fraction:
         return det(self.gram)
 
-    def vector(self, coords: Sequence[Rational]) -> "LatticeVector":
-        return LatticeVector(self, tuple(coords))
-
-    def basis_vector(self, i: int) -> "LatticeVector":
-        return self.vector([1 if j == i else 0 for j in range(self.rank)])
-
     def inner(self, x: Sequence[Rational], y: Sequence[Rational]) -> Fraction:
         """Pairing of two vectors given in basis coordinates, summed over
         their nonzero coordinates with the integer Gram numerators."""
@@ -129,49 +123,6 @@ class Lattice:
         if self.embedding is not None:
             doc["embedding"] = [[rat_str(e) for e in row] for row in self.embedding.entries]
         return doc
-
-
-@dataclass(frozen=True)
-class LatticeVector:
-    """Exact rational coordinates in the basis of a fixed lattice: ints where
-    integral and Fractions elsewhere, so equal vectors compare and hash equal."""
-
-    lattice: Lattice
-    coords: tuple[Rational, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coords) != self.lattice.rank:
-            raise ValueError("coordinate count differs from lattice rank")
-        coords = (c if type(c) is int else Fraction(c) for c in self.coords)
-        object.__setattr__(self, "coords", tuple(
-            c.numerator if c.denominator == 1 else c for c in coords))
-
-    @property
-    def is_integral(self) -> bool:
-        return all(type(c) is int for c in self.coords)
-
-    def norm(self) -> Fraction:
-        return self.lattice.inner(self.coords, self.coords)
-
-    def inner(self, other: "LatticeVector") -> Fraction:
-        if other.lattice is not self.lattice and other.lattice != self.lattice:
-            raise ValueError("vectors belong to different lattices")
-        return self.lattice.inner(self.coords, other.coords)
-
-    def __add__(self, other: "LatticeVector") -> "LatticeVector":
-        return LatticeVector(self.lattice,
-                             tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "LatticeVector") -> "LatticeVector":
-        return LatticeVector(self.lattice,
-                             tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "LatticeVector":
-        return LatticeVector(self.lattice, tuple(-a for a in self.coords))
-
-    def scale(self, k: Rational) -> "LatticeVector":
-        kf = Fraction(k)
-        return LatticeVector(self.lattice, tuple(kf * a for a in self.coords))
 
 
 @dataclass(frozen=True)
@@ -222,19 +173,17 @@ class GlueExtension:
     base_in_lattice: SublatticeOf
 
 
-def glue_extend(q: Lattice, glue: Sequence[LatticeVector],
+def glue_extend(q: Lattice, words: RatMatrix,
                 name: str | None = None) -> GlueExtension:
     """Extend q by glue vectors from its dual; canonical HNF basis.
 
-    Each glue vector must pair integrally with every basis vector of q
-    (i.e. lie in q*); otherwise :class:`GlueError` reports the offending
-    pairing.  Glue coordinates are taken in the basis of q.
+    Each row of ``words`` is a glue vector in the basis of q.  It must pair
+    integrally with every basis vector of q (i.e. lie in q*); otherwise
+    :class:`GlueError` reports the offending pairing.
     """
     r = q.rank
-    for gi, g in enumerate(glue):
-        if g.lattice != q:
-            raise GlueError(f"glue vector {gi} is not in the base lattice's basis")
-    words = RatMatrix.from_rows([g.coords for g in glue], cols=r)
+    if words.cols != r:
+        raise GlueError(f"glue rows have {words.cols} coordinates, not {r}")
     pairings = words @ q.gram
     for gi, row in enumerate(pairings.num):
         for bi, e in enumerate(row):
@@ -308,13 +257,6 @@ class Isometry:
                 return k
             power = power @ matrix
         raise IsometryError(f"order exceeds {limit}")
-
-    def apply(self, v: LatticeVector) -> LatticeVector:
-        if v.lattice != self.lattice:
-            raise ValueError("vector belongs to a different lattice")
-        row = RatMatrix.from_rows([list(v.coords)], cols=self.lattice.rank)
-        image = row @ self.matrix.to_rat()
-        return LatticeVector(self.lattice, image.entries[0])
 
     @property
     def fixed_rank(self) -> int:

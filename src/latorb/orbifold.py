@@ -26,10 +26,6 @@ TWIST_ORDER = 3
 # c0(a, b) = sum_r (TWIST_ORDER + 2r) <s^r a, b> taken mod 2*TWIST_ORDER.
 _COMMUTATOR_MOD = 2 * TWIST_ORDER
 
-# Coset counts up to this size are filtered in one pass; beyond it the
-# enumeration splits meet-in-the-middle (sigma2 has 3^12 cosets).
-_DIRECT_COSET_LIMIT = 4096
-
 
 class OrbifoldError(Exception):
     """An invariant of the orbifold computation failed to hold."""
@@ -158,8 +154,9 @@ def coset_filter_index(iso: Isometry, n: SublatticeOf | None = None,
     """Route two: (|N/M|, |N/R|) by filtering N/M cosets with c0.
 
     Cosets are enumerated in Smith coordinates for N/M; a coset lies in R/M
-    exactly when its row pairs to zero mod 6 against all of N.  Beyond
-    _DIRECT_COSET_LIMIT cosets the count splits meet-in-the-middle.
+    exactly when its row pairs to zero mod 6 against all of N.  The count
+    splits meet-in-the-middle: the radical cosets are the pairs of partial
+    sums, over each half of the Smith generators, that cancel mod 6.
     """
     if n is None:
         n = sublattice_n(iso)
@@ -203,16 +200,11 @@ def coset_filter_index(iso: Isometry, n: SublatticeOf | None = None,
             acc = grown
         return acc
 
-    if index_nm <= _DIRECT_COSET_LIMIT:
-        radical_cosets = partial_sums(nontrivial).get((0,) * k, 0)
-    else:
-        half = len(nontrivial) // 2
-        left = partial_sums(nontrivial[:half])
-        right = partial_sums(nontrivial[half:])
-        radical_cosets = 0
-        for key, cnt in left.items():
-            mirror = tuple((-e) % _COMMUTATOR_MOD for e in key)
-            radical_cosets += cnt * right.get(mirror, 0)
+    half = len(nontrivial) // 2
+    left = partial_sums(nontrivial[:half])
+    right = partial_sums(nontrivial[half:])
+    radical_cosets = sum(cnt * right.get(tuple(-e % _COMMUTATOR_MOD for e in key), 0)
+                         for key, cnt in left.items())
     if radical_cosets == 0 or index_nm % radical_cosets != 0:
         raise OrbifoldError("coset filter produced a non-divisor count")
     return index_nm, index_nm // radical_cosets

@@ -26,7 +26,7 @@ from operator import mul, sub
 from typing import Iterable, Sequence
 
 from .exactmat import IntMatrix, NotPositiveDefinite, RatMatrix, _im, ldl
-from .lattice import GlueExtension, Isometry, Lattice, LatticeVector
+from .lattice import GlueExtension, Isometry, Lattice
 
 
 class RootsError(Exception):
@@ -94,19 +94,20 @@ def _short_vectors(gram: RatMatrix, bound: int, shift: Sequence[int] | None = No
 
 @dataclass(frozen=True)
 class RootComponent:
-    """An irreducible component of a root system with its simple basis."""
+    """An irreducible component of a root system with its simple basis;
+    roots are integer coordinate rows in the lattice basis."""
 
     family: str
     rank: int
-    roots: tuple[LatticeVector, ...]
-    simple: tuple[LatticeVector, ...]
+    roots: tuple[tuple[int, ...], ...]
+    simple: tuple[tuple[int, ...], ...]
     cartan: IntMatrix
 
 
 @dataclass(frozen=True)
 class RootSystem:
     lattice: Lattice
-    roots: tuple[LatticeVector, ...]
+    roots: tuple[tuple[int, ...], ...]
     components: tuple[RootComponent, ...]
 
     @property
@@ -127,31 +128,27 @@ def enumerate_roots(l: Lattice) -> RootSystem:
     if not l.is_even:
         raise RootsError("root enumeration requires an even lattice")
     two = 2 * l.gram.den  # norm 2 in units of the Gram numerators
-    vectors = [l.vector(x) for x, norm in _short_vectors(l.gram, two) if norm == two]
-    return build_root_system(l, vectors)
+    return build_root_system(l, [x for x, norm in _short_vectors(l.gram, two) if norm == two])
 
 
-def build_root_system(l: Lattice, vectors: Iterable[LatticeVector]) -> RootSystem:
-    """Assemble and classify a root system from caller-supplied vectors.
+def build_root_system(l: Lattice, rows: Iterable[Sequence[int]]) -> RootSystem:
+    """Assemble and classify a root system from caller-supplied rows.
 
-    Verifies each vector has norm 2 and integral coordinates, that the set
-    is free of duplicates and closed under negation, then splits it along
-    the Dynkin graph of its simple roots and classifies each component
+    Verifies each row is rank-length with int coordinates and norm 2, that
+    the set is free of duplicates and closed under negation, then splits it
+    along the Dynkin graph of its simple roots and classifies each component
     against the ADE catalog.
     """
-    roots = tuple(vectors)
-    for v in roots:
-        if v.lattice != l:
-            raise RootsError("root from a different lattice")
-        if not v.is_integral:
-            raise RootsError(f"root {v.coords} has non-integral coordinates")
-    coords = [v.coords for v in roots]
-    # Integer Gram numerators G, symmetric: a root's row is c G, so
+    coords = tuple(map(tuple, rows))
+    for c in coords:
+        if len(c) != l.rank or any(type(e) is not int for e in c):
+            raise RootsError(f"root {c} is not a row of {l.rank} integers")
+    # Integer Gram numerators G, symmetric: root c pairs through cg = c G, so
     # <a, b> * den is a . (b G) and a norm of 2 reads 2 * den.
     den = l.gram.den
-    rows = (_im(len(coords), l.rank, tuple(coords)) @ _im(l.rank, l.rank, l.gram.num)).entries
+    cg = (_im(len(coords), l.rank, coords) @ _im(l.rank, l.rank, l.gram.num)).entries
     index: dict[tuple[int, ...], int] = {}
-    for c, row in zip(coords, rows):
+    for c, row in zip(coords, cg):
         norm = sum(map(mul, c, row))
         if norm != 2 * den:
             raise RootsError(f"vector {c} has norm {Fraction(norm, den)}, not 2")
@@ -162,11 +159,11 @@ def build_root_system(l: Lattice, vectors: Iterable[LatticeVector]) -> RootSyste
     if None in negation:
         raise RootsError(
             f"root set not closed under negation at {coords[negation.index(None)]}")
-    simple, anchor = _simple_roots(coords, rows, index)
+    simple, anchor = _simple_roots(coords, cg, index)
     # Dynkin components: simple roots joined by a nonzero pairing share a label.
     label = {s: s for s in simple}
     for a, b in itertools.combinations(simple, 2):
-        if sum(map(mul, coords[a], rows[b])):
+        if sum(map(mul, coords[a], cg[b])):
             la, lb = label[a], label[b]
             label = {t: la if x == lb else x for t, x in label.items()}
     # A root lies in its anchor's component, a negative root in its negation's;
@@ -178,14 +175,14 @@ def build_root_system(l: Lattice, vectors: Iterable[LatticeVector]) -> RootSyste
     for key, comp in members.items():
         basis = sorted((s for s in simple if label[s] == key), key=coords.__getitem__)
         cartan = RatMatrix(len(basis), len(basis),
-                           tuple(tuple(sum(map(mul, coords[a], rows[b])) for b in basis)
+                           tuple(tuple(sum(map(mul, coords[a], cg[b])) for b in basis)
                                  for a in basis), den).to_int()
-        components.append(_classify_component([roots[i] for i in comp],
-                                              [roots[i] for i in basis], cartan))
-    return RootSystem(l, roots, tuple(components))
+        components.append(_classify_component([coords[i] for i in comp],
+                                              [coords[i] for i in basis], cartan))
+    return RootSystem(l, coords, tuple(components))
 
 
-def _simple_roots(coords: list[tuple[int, ...]], rows: list[tuple[int, ...]],
+def _simple_roots(coords: tuple[tuple[int, ...], ...], rows: tuple[tuple[int, ...], ...],
                   index: dict[tuple[int, ...], int]) -> tuple[list[int], dict[int, int]]:
     """Simple roots of the positive system, and each positive root's anchor.
 
@@ -216,7 +213,7 @@ def _simple_roots(coords: list[tuple[int, ...]], rows: list[tuple[int, ...]],
     return simple, anchor
 
 
-def _classify_component(members: list[LatticeVector], simple: list[LatticeVector],
+def _classify_component(members: list[tuple[int, ...]], simple: list[tuple[int, ...]],
                         cartan: IntMatrix) -> RootComponent:
     family, rank = _match_ade(cartan)
     expected = _expected_root_count(family, rank)
@@ -288,14 +285,12 @@ def classify(rs: RootSystem) -> tuple[tuple[str, int], ...]:
     return tuple(sorted((c.family, c.rank) for c in rs.components))
 
 
-def reflection(l: Lattice, alpha: LatticeVector) -> Isometry:
-    """The reflection x -> x - <x, alpha> alpha for a norm-2 root alpha."""
-    if alpha.lattice != l:
-        raise RootsError("root belongs to a different lattice")
-    if not alpha.is_integral or alpha.norm() != 2:
+def reflection(l: Lattice, alpha: Sequence[int]) -> Isometry:
+    """The reflection x -> x - <x, alpha> alpha for a norm-2 root row alpha."""
+    if (len(alpha) != l.rank or any(type(e) is not int for e in alpha)
+            or l.inner(alpha, alpha) != 2):
         raise RootsError("reflection requires a norm-2 lattice vector")
-    n, g = l.rank, l.gram
-    a = alpha.coords
+    n, g, a = l.rank, l.gram, alpha
     # Row i is e_i - <e_i, alpha> alpha, over the Gram denominator.
     m = RatMatrix(n, n, tuple(
         tuple((g.den if i == j else 0) - sum(map(mul, row, a)) * a[j] for j in range(n))
@@ -305,7 +300,7 @@ def reflection(l: Lattice, alpha: LatticeVector) -> Isometry:
     return Isometry.create(l, m.to_int(), expected_order=2)
 
 
-def basis_highest_root(l: Lattice, roots: Sequence[LatticeVector]) -> LatticeVector:
+def basis_highest_root(l: Lattice, roots: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
     """Highest root when the lattice basis itself is a simple system.
 
     Applies when the Gram matrix is an ADE Cartan matrix, so basis
@@ -314,8 +309,8 @@ def basis_highest_root(l: Lattice, roots: Sequence[LatticeVector]) -> LatticeVec
     for i in range(l.rank):
         if l.gram.num[i][i] != 2 * l.gram.den:
             raise RootsError("lattice basis is not a simple system")
-    top = max(roots, key=lambda v: sum(v.coords))
-    if any(o > t for v in roots for o, t in zip(v.coords, top.coords)):
+    top = max(roots, key=sum)
+    if any(o > t for v in roots for o, t in zip(v, top)):
         raise RootsError("no root dominates all others")
     return top
 
@@ -327,8 +322,8 @@ def orbit_count(rs: RootSystem, iso: Isometry) -> tuple[int, int]:
     """
     if iso.lattice != rs.lattice:
         raise RootsError("isometry acts on a different lattice")
-    src = [v.coords for v in rs.roots]
-    product = _im(len(src), iso.matrix.rows, tuple(src)) @ iso.matrix
+    src = rs.roots
+    product = _im(len(src), iso.matrix.rows, src) @ iso.matrix
     images = dict(zip(src, product.entries))
     unvisited = set(src)
     for c in src:
@@ -345,7 +340,7 @@ def orbit_count(rs: RootSystem, iso: Isometry) -> tuple[int, int]:
 
 
 def glued_root_vectors(q: Lattice, ext: GlueExtension,
-                       words: Sequence[tuple[int, ...]], d: int) -> list[LatticeVector]:
+                       words: Sequence[tuple[int, ...]], d: int) -> list[tuple[int, ...]]:
     """Norm-2 vectors of a glued lattice, coset by coset over the base.
 
     Args:
@@ -358,10 +353,9 @@ def glued_root_vectors(q: Lattice, ext: GlueExtension,
         d: the common positive denominator of the words.
 
     Returns:
-        All norm-2 vectors of ext.lattice in its own (integral) basis
-        coordinates.  Each coset is searched with a shifted enumeration;
-        a coset is skipped outright when the per-block minimum norms
-        already exceed 2.
+        All norm-2 vectors of ext.lattice as integer rows in its own basis.
+        Each coset is searched with a shifted enumeration; a coset is
+        skipped outright when the per-block minimum norms already exceed 2.
     """
     blocks = q.blocks if q.blocks is not None else (q.rank,)
     starts = [0, *itertools.accumulate(blocks)][:-1]
@@ -415,13 +409,10 @@ def glued_root_vectors(q: Lattice, ext: GlueExtension,
         assemble(0, 2 * unit)
     # Each y holds d times base coordinates; the inverse glue basis, the
     # integral inclusion of the base lattice, maps them to d times lattice ones.
-    found = []
-    for coords in (_im(len(ys), q.rank, tuple(ys))
-                   @ ext.base_in_lattice.inclusion).entries:
-        if any(c % d for c in coords):
-            raise RootsError("coset vector landed outside the lattice")
-        found.append(LatticeVector(ext.lattice, tuple(c // d for c in coords)))
-    return found
+    found = (_im(len(ys), q.rank, tuple(ys)) @ ext.base_in_lattice.inclusion).entries
+    if any(c % d for row in found for c in row):
+        raise RootsError("coset vector landed outside the lattice")
+    return [tuple(c // d for c in row) for row in found]
 
 
 def root_system_to_json(rs: RootSystem) -> dict:

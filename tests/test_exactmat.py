@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from latorb.exactmat import (
@@ -232,6 +232,9 @@ def test_randomized_normal_form_invariants():
 
 # Seeded and bounded: the same examples on every run, no example database.
 PROFILE = settings(max_examples=100, derandomize=True, deadline=None, database=None)
+# The same, without shrinking: a failing FIELD_EDGES elimination example is
+# reported as drawn, where shrinking it can take minutes.
+NO_SHRINK = settings(PROFILE, phases=[p for p in Phase if p is not Phase.shrink])
 
 FRACTIONS = st.fractions(min_value=-9, max_value=9, max_denominator=12)
 
@@ -371,7 +374,7 @@ def dependent(rows, data):
     return rows
 
 
-@PROFILE
+@NO_SHRINK
 @given(DIMS.flatmap(lambda n: frac_rows(n, n)), st.data())
 def test_det_and_inverse_match_reference(small, data):
     # FIELD_EDGES entries read back fields at the Hadamard bound; a dependent
@@ -392,7 +395,7 @@ def test_det_and_inverse_match_reference(small, data):
             assert inverse(m) == rat(expected, n)
 
 
-@PROFILE
+@NO_SHRINK
 @given(DIMS, DIMS, st.integers(0, 3), st.data())
 def test_solve_exact_matches_reference(n, m, k, data):
     # Small entries make rank-deficient and inconsistent systems common.
@@ -431,7 +434,7 @@ def symmetric_grams(draw):
     return [[x / d for x in row] for row in g]
 
 
-@PROFILE
+@NO_SHRINK
 @given(symmetric_grams(), st.data())
 def test_ldl_agrees_with_leading_minor_rule(g, data):
     # FIELD_EDGES Grams: A A^T (positive definite unless A is singular) or an
@@ -457,3 +460,23 @@ def test_ldl_agrees_with_leading_minor_rule(g, data):
                    for j in range(n)] for i in range(n)]
         scaled = [[d[i] * x for x in full_u[i]] for i in range(n)]
         assert ref_matmul(ref_transpose(full_u, n), scaled, n, n) == g
+
+
+@settings(PROFILE, max_examples=60)
+@given(st.integers(0, 5), st.integers(0, 5), st.data())
+def test_snf_and_hnf_match_sympy(r, c, data):
+    """Against sympy's normal forms over ZZ: the same invariant factors, and
+    HNF rows spanning the row lattice of sympy's (column-style) HNF of the
+    transpose, transposed back."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
+    rows = data.draw(frac_rows(r, c, st.integers(-9, 9)))
+    m = IntMatrix.from_rows(rows, cols=c)
+    ref = sympy.Matrix(r, c, [e for row in rows for e in row])
+    assert snf(m).invariant_factors == tuple(map(int, invariant_factors(ref, domain=sympy.ZZ)))
+    h = hnf(m)
+    basis = [[int(e) for e in row] for row in hermite_normal_form(ref.T).T.tolist()]
+    assert h.rows == len(basis)
+    assert all(_integral_row_solve(h, row) for row in basis)
+    if basis:
+        assert solve_exact(IntMatrix.from_rows(basis).to_rat(), h.to_rat()).is_integral()

@@ -13,7 +13,6 @@ from latorb.lattice import (
     IsometryError,
     Lattice,
     LatticeError,
-    LatticeVector,
     SublatticeOf,
     direct_sum,
     glue_extend,
@@ -73,25 +72,16 @@ def test_basic_invariants():
     assert l.rank == 2
     assert l.determinant() == 3
     assert l.is_even
-    v = l.vector([1, 0])
-    assert v.norm() == 2
-    assert v.inner(l.vector([0, 1])) == -1
-
-
-def test_vector_from_ints_equals_vector_from_fractions():
-    l = a2()
-    from_ints = LatticeVector(l, (2, -1))
-    from_fractions = LatticeVector(l, (Fraction(4, 2), Fraction(-1)))
-    assert from_ints == from_fractions
-    assert hash(from_ints) == hash(from_fractions)
-    assert from_ints.is_integral and from_fractions.is_integral
-    assert not l.vector([Fraction(1, 3), 0]).is_integral
+    assert l.inner((1, 0), (1, 0)) == 2
+    assert l.inner((1, 0), (0, 1)) == -1
+    assert l.inner((Fraction(2, 3), Fraction(1, 3)), (Fraction(2, 3), Fraction(1, 3))) \
+        == Fraction(2, 3)
 
 
 def glue_by_dual_basis(l: Lattice):
     """Glue l by the dual basis (the rows of G^-1): the glued lattice is L*."""
     ginv = inverse(l.gram)
-    return glue_extend(l, [l.vector(row) for row in ginv.entries])
+    return glue_extend(l, inverse(l.gram))
 
 
 def test_dual_of_unimodular_is_itself():
@@ -136,7 +126,7 @@ def test_direct_sum():
 
 def test_glue_empty_is_identity():
     l = a2()
-    ext = glue_extend(l, [])
+    ext = glue_extend(l, RatMatrix.from_rows([], cols=2))
     assert ext.index == 1
     assert ext.lattice.gram == l.gram
 
@@ -145,8 +135,8 @@ def test_glue_a2_to_its_dual():
     l = a2()
     # The nontrivial dual class has representative with basis coordinates
     # (2/3, 1/3): pairing with both basis vectors is integral.
-    g = l.vector([Fraction(2, 3), Fraction(1, 3)])
-    ext = glue_extend(l, [g])
+    g = RatMatrix.from_rows([[Fraction(2, 3), Fraction(1, 3)]])
+    ext = glue_extend(l, g)
     assert ext.index == 3
     assert ext.lattice.determinant() == Fraction(1, 3)
     assert ext.lattice.determinant() * ext.index ** 2 == l.determinant()
@@ -156,8 +146,10 @@ def test_glue_a2_to_its_dual():
 def test_glue_rejects_non_dual_vector():
     l = a2()
     with pytest.raises(GlueError) as exc:
-        glue_extend(l, [l.vector([Fraction(1, 2), 0])])
+        glue_extend(l, RatMatrix.from_rows([[Fraction(1, 2), 0]]))
     assert "pairs non-integrally" in str(exc.value)
+    with pytest.raises(GlueError, match="3 coordinates, not 2"):
+        glue_extend(l, RatMatrix.from_rows([[Fraction(2, 3), Fraction(1, 3), 0]]))
 
 
 def test_even_unimodular_flags():
@@ -169,11 +161,11 @@ def test_even_unimodular_flags():
 def test_member_basis_and_glue_vector():
     e6 = Lattice(E6_GRAM, name="E6")
     third = Fraction(1, 3)
-    g = e6.vector([third, -third, 0, third, -third, 0])
-    assert g.norm() == Fraction(4, 3)
-    assert not g.is_integral and g.scale(3).is_integral
-    assert glue_extend(e6, [g]).index == 3
-    assert glue_extend(e6, [g.scale(3)]).index == 1
+    g = RatMatrix.from_rows([[third, -third, 0, third, -third, 0]])
+    assert e6.inner(g.entries[0], g.entries[0]) == Fraction(4, 3)
+    assert not g.is_integral() and g.scale(3).is_integral()
+    assert glue_extend(e6, g).index == 3
+    assert glue_extend(e6, g.scale(3)).index == 1
 
 
 def sublattice_contains(sub: SublatticeOf, coords_in_parent) -> bool:
@@ -216,8 +208,6 @@ def test_isometry_rotation_of_a2():
                           expected_order=3)
     assert rot.order == 3
     assert rot.fixed_rank == 0
-    v = l.vector([1, 0])
-    assert rot.apply(v).coords == (Fraction(0), Fraction(1))
     assert (IntMatrix.from_rows([[1, 0]]) @ rot.matrix).entries == ((0, 1),)
     assert (rot.matrix @ rot.matrix ** (rot.order - 1)).is_identity()
     neg = Isometry.create(l, IntMatrix.identity(2).scale(-1))
@@ -276,7 +266,6 @@ def test_randomized_lattice_invariants():
         # determinant recovers the base determinant, and the base sits in
         # the glued lattice with that index.
         u = [rng.randrange(-2, 3) for _ in range(n)]
-        coords = (RatMatrix.from_rows([u], cols=n) @ inverse(gram)).entries[0]
-        ext = glue_extend(l, [l.vector(coords)])
+        ext = glue_extend(l, RatMatrix.from_rows([u], cols=n) @ inverse(gram))
         assert ext.lattice.determinant() * ext.index ** 2 == d
         assert abs(det(ext.base_in_lattice.inclusion)) == ext.index

@@ -163,9 +163,14 @@ def test_sublattice_m_full_rank_index():
 
 def c0(iso, alpha, beta):
     """c0(alpha, beta) = a C b^T mod 6 with C from commutator_gram."""
-    a = IntMatrix.from_rows([alpha.coords])
-    b = IntMatrix.from_rows([beta.coords])
+    a = IntMatrix.from_rows([alpha])
+    b = IntMatrix.from_rows([beta])
     return (a @ commutator_gram(iso) @ b.transpose()).entries[0][0] % 6
+
+
+def act(iso, row):
+    """The image row @ matrix of one coordinate row."""
+    return (IntMatrix.from_rows([row]) @ iso.matrix).entries[0]
 
 
 def test_commutator_cycled_block_pairs_vanish():
@@ -175,13 +180,12 @@ def test_commutator_cycled_block_pairs_vanish():
     ext = niemeier_bundle("A2_12").extension
     for position in (0, 5, 8):
         base_row = ext.base_in_lattice.inclusion.entries[2 * position]
-        a0 = iso.lattice.vector(base_row)
-        a1 = iso.apply(a0)
-        a2 = iso.apply(a1)
-        chain = (a0, a1, a2)
+        a1 = act(iso, base_row)
+        a2 = act(iso, a1)
+        chain = (base_row, a1, a2)
         for r in range(3):
             first, second = chain[r], chain[(r + 1) % 3]
-            assert first.inner(second) == -1
+            assert iso.lattice.inner(first, second) == -1
             assert c0(iso, first, second) == 0
 
 
@@ -191,12 +195,11 @@ def test_commutator_coordinate_cycle_example():
     # so c0 = 3*1 + 5*(-1) + 7*0 = -2 = 4 mod 6.
     iso = build_sigma("sigma4")
     rows = niemeier_bundle("D4_6").extension.base_in_lattice.inclusion.entries
-    alpha = iso.lattice.vector(rows[0])
-    beta = iso.lattice.vector([a + b + c for a, b, c in
-                               zip(rows[0], rows[1], rows[2])])
-    assert alpha.inner(beta) == 1
-    images = [alpha, iso.apply(alpha), iso.apply(iso.apply(alpha))]
-    assert [v.inner(beta) for v in images] == [1, -1, 0]
+    alpha = rows[0]
+    beta = [a + b + c for a, b, c in zip(rows[0], rows[1], rows[2])]
+    assert iso.lattice.inner(alpha, beta) == 1
+    images = [alpha, act(iso, alpha), act(iso, act(iso, alpha))]
+    assert [iso.lattice.inner(v, beta) for v in images] == [1, -1, 0]
     assert c0(iso, alpha, beta) == 4
     assert c0(iso, alpha, alpha) == 0
     assert c0(iso, beta, beta) == 0
@@ -393,13 +396,11 @@ def test_commutator_is_alternating_and_bilinear(key):
         assert dot6([x + y for x, y in zip(a, a2)], via) \
             == (value + dot6(a2, via)) % 6  # bilinear in the first slot
         if trial < 10:
-            va = iso.lattice.vector(a)
-            vb = iso.lattice.vector(b)
-            assert c0(iso, va, vb) == value
+            assert c0(iso, a, b) == value
             # definition route: sum of (3 + 2r) <s^r a, b> without the matrix
             direct = 0
-            img = va
+            img = a
             for r in range(3):
-                direct += (3 + 2 * r) * img.inner(vb)
-                img = iso.apply(img)
+                direct += (3 + 2 * r) * iso.lattice.inner(img, b)
+                img = act(iso, img)
             assert direct % 6 == value

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from latorb import roots as roots_module
 from latorb.catalog import build_sigma, niemeier_bundle
 from latorb.exactmat import IntMatrix, RatMatrix, inverse
-from latorb.lattice import Isometry, Lattice, LatticeVector, direct_sum, glue_extend
+from latorb.lattice import Isometry, Lattice, direct_sum, glue_extend
 from latorb.roots import (
     RootComponent,
     RootsError,
@@ -76,13 +76,13 @@ def test_classification():
 
 def test_negation_closure_and_component_orthogonality():
     rs = enumerate_roots(direct_sum([Lattice(A2_GRAM), Lattice(A2_GRAM)]))
-    coords = {v.coords for v in rs.roots}
+    coords = set(rs.roots)
     for v in rs.roots:
-        assert tuple(-c for c in v.coords) in coords
+        assert tuple(-c for c in v) in coords
     assert len(rs.components) == 2
     for a in rs.components[0].roots:
         for b in rs.components[1].roots:
-            assert a.inner(b) == 0
+            assert rs.lattice.inner(a, b) == 0
 
 
 def test_simple_roots_and_cartan():
@@ -97,15 +97,19 @@ def test_simple_roots_and_cartan():
 
 def test_reflection_basics():
     l = Lattice(A2_GRAM)
-    alpha = l.vector([1, 0])
+    alpha = (1, 0)
     r = reflection(l, alpha)
     assert r.order == 2
-    assert r.apply(alpha).coords == (-1, 0)
-    perp = l.vector([1, 2])
-    assert alpha.inner(perp) == 0
-    assert r.apply(perp).coords == perp.coords
+    assert (IntMatrix.from_rows([alpha]) @ r.matrix).entries == ((-1, 0),)
+    perp = (1, 2)
+    assert l.inner(alpha, perp) == 0
+    assert (IntMatrix.from_rows([perp]) @ r.matrix).entries == (perp,)
     with pytest.raises(RootsError):
-        reflection(l, l.vector([1, -1]))
+        reflection(l, (1, -1))
+    with pytest.raises(RootsError):
+        reflection(l, (Fraction(1), 0))
+    with pytest.raises(RootsError):
+        reflection(l, (1, 0, 0))
 
 
 def test_fixed_point_free_order_three_from_reflections():
@@ -117,7 +121,7 @@ def test_fixed_point_free_order_three_from_reflections():
     top = basis_highest_root(e6, rs.roots)
     m = reflection(e6, top).matrix
     for i in (5, 4, 3, 1, 0):
-        m = m @ reflection(e6, e6.basis_vector(i)).matrix
+        m = m @ reflection(e6, IntMatrix.identity(6).entries[i]).matrix
     phi = Isometry.create(e6, m, expected_order=3)
     assert phi.fixed_rank == 0
 
@@ -129,15 +133,15 @@ def test_highest_roots():
                                (E6_GRAM, [1, 1, 2, 2, 2, 3])):
         l = Lattice(gram)
         top = basis_highest_root(l, enumerate_roots(l).roots)
-        assert sorted(top.coords) == coefficients
-        assert top.norm() == 2
+        assert sorted(top) == coefficients
+        assert l.inner(top, top) == 2
 
 
 def test_basis_highest_root_e6():
     e6 = Lattice(E6_GRAM)
     rs = enumerate_roots(e6)
     top = basis_highest_root(e6, rs.roots)
-    assert top.coords == (1, 2, 3, 2, 1, 2)
+    assert top == (1, 2, 3, 2, 1, 2)
 
 
 def test_orbit_count():
@@ -158,13 +162,14 @@ def test_orbit_count():
 def test_orbit_sizes_for_order_three():
     e6 = Lattice(E6_GRAM)
     rs = enumerate_roots(e6)
+    simple = IntMatrix.identity(6).entries
     rot = Isometry.create(
         e6, (reflection(e6, basis_highest_root(e6, rs.roots)).matrix
-             @ reflection(e6, e6.basis_vector(5)).matrix
-             @ reflection(e6, e6.basis_vector(4)).matrix
-             @ reflection(e6, e6.basis_vector(3)).matrix
-             @ reflection(e6, e6.basis_vector(1)).matrix
-             @ reflection(e6, e6.basis_vector(0)).matrix),
+             @ reflection(e6, simple[5]).matrix
+             @ reflection(e6, simple[4]).matrix
+             @ reflection(e6, simple[3]).matrix
+             @ reflection(e6, simple[1]).matrix
+             @ reflection(e6, simple[0]).matrix),
         expected_order=3)
     orbits, fixed = orbit_count(rs, rot)
     assert rs.count == fixed + 3 * (orbits - fixed)
@@ -176,8 +181,7 @@ def test_glued_coset_route_matches_direct_route():
     q = direct_sum([d4, d4])
     half = Fraction(1, 2)
     spinor = [half, 1, half, 1]
-    g = q.vector(spinor + spinor)
-    ext = glue_extend(q, [g])
+    ext = glue_extend(q, RatMatrix.from_rows([spinor + spinor]))
     assert ext.index == 2
     assert ext.lattice.determinant() == 4
     direct = enumerate_roots(ext.lattice)
@@ -187,7 +191,7 @@ def test_glued_coset_route_matches_direct_route():
     words = [(0,) * 8, (1, 0, 1, 0) * 2]
     vectors = glued_root_vectors(q, ext, words, 2)
     assert len(vectors) == 112
-    assert {v.coords for v in vectors} == {v.coords for v in direct.roots}
+    assert set(vectors) == set(direct.roots)
     via_cosets = build_root_system(ext.lattice, vectors)
     assert classify(via_cosets) == (("D", 8),)
 
@@ -198,8 +202,7 @@ def test_glued_route_with_fully_pruned_words():
     a2 = Lattice(A2_GRAM)
     q = direct_sum([a2, a2])
     third = Fraction(1, 3)
-    g = q.vector([2 * third, third, 2 * third, third])
-    ext = glue_extend(q, [g])
+    ext = glue_extend(q, RatMatrix.from_rows([[2 * third, third, 2 * third, third]]))
     assert ext.index == 3
     words = [(0,) * 4, (2, 1, 2, 1), (1, 2, 1, 2)]  # 0, g, 2g mod 1, over d = 3
     vectors = glued_root_vectors(q, ext, words, 3)
@@ -209,18 +212,25 @@ def test_glued_route_with_fully_pruned_words():
     # Every root must come from the base lattice: the glued lattice here is
     # not even (the glue vector has norm 4/3), so all of them are base roots
     # re-expressed in the glued basis.
-    assert all(sublattice_contains(ext.base_in_lattice, v.coords) for v in rs.roots)
+    assert all(sublattice_contains(ext.base_in_lattice, v) for v in rs.roots)
 
 
 def test_build_root_system_validation():
     l = Lattice(A2_GRAM)
     with pytest.raises(RootsError):
-        build_root_system(l, [l.vector([1, -1])])
+        build_root_system(l, [(1, -1)])
     with pytest.raises(RootsError):
-        build_root_system(l, [l.vector([1, 0])])
+        build_root_system(l, [(1, 0)])
     with pytest.raises(RootsError):
-        build_root_system(l, [l.vector([1, 0]), l.vector([1, 0]),
-                              l.vector([-1, 0])])
+        build_root_system(l, [(1, 0), (1, 0), (-1, 0)])
+    # Rows must be rank-length rows of ints: a Fraction coordinate is
+    # refused even when it is integral, as is a row of the wrong length.
+    with pytest.raises(RootsError, match="not a row of 2 integers"):
+        build_root_system(l, [(Fraction(1), 0), (-1, 0)])
+    with pytest.raises(RootsError, match="not a row of 2 integers"):
+        build_root_system(l, [(Fraction(1, 2), 0)])
+    with pytest.raises(RootsError, match="not a row of 2 integers"):
+        build_root_system(l, [(1, 0, 0), (-1, 0, 0)])
 
 
 def test_root_system_json():
@@ -239,18 +249,18 @@ def test_randomized_reflection_involution():
         alpha = roots[rng.randrange(len(roots))]
         r = reflection(e6, alpha)
         assert (r.matrix @ r.matrix).is_identity()
-        assert r.apply(alpha).coords == tuple(-c for c in alpha.coords)
         beta = roots[rng.randrange(len(roots))]
-        image = r.apply(beta)
-        assert image.norm() == 2
-        assert image.inner(r.apply(alpha)) == beta.inner(alpha)
+        ra, rb = (IntMatrix.from_rows([alpha, beta]) @ r.matrix).entries
+        assert ra == tuple(-c for c in alpha)
+        assert e6.inner(rb, rb) == 2
+        assert e6.inner(rb, ra) == e6.inner(beta, alpha)
 
 
 # Reference classifier, O(R^2 n): components by pairing every root with every
 # other root, and per component the simple roots as the positive roots (under
 # a base-K functional) that are no sum of two positive roots.
 def reference_components(l: Lattice, roots) -> list[RootComponent]:
-    coords_list = [tuple(int(e) for e in v.coords) for v in roots]
+    coords_list = [tuple(int(e) for e in v) for v in roots]
     unvisited = set(range(len(roots)))
     comps = []
     while unvisited:
@@ -266,21 +276,20 @@ def reference_components(l: Lattice, roots) -> list[RootComponent]:
                     stack.append(j)
                     members.append(j)
         comps.append([roots[i] for i in sorted(members)])
-    return [reference_classify(comp) for comp in comps]
+    return [reference_classify(l, comp) for comp in comps]
 
 
-def reference_classify(members: list[LatticeVector]) -> RootComponent:
-    biggest = max(abs(int(c)) for v in members for c in v.coords)
-    weights = [(2 * biggest + 2) ** i for i in range(len(members[0].coords))]
-    positive = sorted((v for v in members
-                       if sum(int(c) * w for c, w in zip(v.coords, weights)) > 0),
-                      key=lambda v: v.coords)
+def reference_classify(l: Lattice, members: list[tuple[int, ...]]) -> RootComponent:
+    biggest = max(abs(int(c)) for v in members for c in v)
+    weights = [(2 * biggest + 2) ** i for i in range(len(members[0]))]
+    positive = sorted(v for v in members
+                      if sum(int(c) * w for c, w in zip(v, weights)) > 0)
     assert 2 * len(positive) == len(members)
-    pos_set = {v.coords for v in positive}
+    pos_set = set(positive)
     simple = [v for v in positive
-              if not any(tuple(a - b for a, b in zip(v.coords, w.coords)) in pos_set
-                         for w in positive if w.coords != v.coords)]
-    cartan = RatMatrix.from_rows([[a.inner(b) for b in simple] for a in simple],
+              if not any(tuple(a - b for a, b in zip(v, w)) in pos_set
+                         for w in positive if w != v)]
+    cartan = RatMatrix.from_rows([[l.inner(a, b) for b in simple] for a in simple],
                                  cols=len(simple)).to_int()
     family, rank = _match_ade(cartan)
     assert _expected_root_count(family, rank) == len(members)
@@ -320,13 +329,12 @@ def test_root_set_not_closed_under_simple_differences():
     # A2 without the pair +-(alpha + beta) is still closed under negation,
     # but alpha + beta - alpha = beta is missing from {+-alpha, +-(alpha+beta)}.
     l = Lattice(A2_GRAM)
-    a, b = l.vector([1, 0]), l.vector([0, 1])
     with pytest.raises(RootsError, match="is not a root"):
-        build_root_system(l, [a, -a, a + b, -(a + b)])
+        build_root_system(l, [(1, 0), (-1, 0), (1, 1), (-1, -1)])
     # Dropping +-(alpha + beta) instead leaves two simple roots joined in the
     # Dynkin graph: one A2 component with too few roots, not two A1s.
     with pytest.raises(RootsError, match="roots instead of 6"):
-        build_root_system(l, [a, -a, b, -b])
+        build_root_system(l, [(1, 0), (-1, 0), (0, 1), (0, -1)])
 
 
 def random_unimodular(n: int, rng: random.Random) -> IntMatrix:
@@ -380,8 +388,7 @@ def test_niemeier_root_layer_is_invariant_under_basis_change():
     rs = niemeier_bundle("A2_12").root_system
     moved, uinv, moved_sigma = change_basis(
         rs.lattice, sigma.matrix, random_unimodular(24, random.Random(14)))
-    moved_roots = [moved.vector(row) for row in (IntMatrix.from_rows(
-        [[int(c) for c in v.coords] for v in rs.roots]) @ uinv).entries]
+    moved_roots = (IntMatrix.from_rows(rs.roots) @ uinv).entries
     moved_rs = build_root_system(moved, moved_roots)
     assert classify(moved_rs) == classify(rs)
     assert sorted(len(c.roots) for c in moved_rs.components) == [6] * 12
@@ -394,8 +401,7 @@ def test_glued_route_shares_short_vectors_across_equal_blocks(monkeypatch):
     a2 = Lattice(A2_GRAM)
     q = direct_sum([a2, a2, a2])
     third = Fraction(1, 3)
-    g = q.vector([2 * third, third] * 3)
-    ext = glue_extend(q, [g])
+    ext = glue_extend(q, RatMatrix.from_rows([[2 * third, third] * 3]))
     assert ext.index == 3
     words = [(0,) * 6, (2, 1) * 3, (1, 2) * 3]  # 0, g, 2g mod 1, over d = 3
     calls = []
@@ -412,12 +418,12 @@ def test_glued_route_shares_short_vectors_across_equal_blocks(monkeypatch):
     assert len(calls) == 3
     direct = enumerate_roots(ext.lattice)
     assert classify(direct) == (("E", 6),)
-    assert sorted(v.coords for v in vectors) == sorted(v.coords for v in direct.roots)
+    assert sorted(vectors) == sorted(direct.roots)
     for seed in (1, 2):
         shuffled = list(words)
         random.Random(seed).shuffle(shuffled)
         again = glued_root_vectors(q, ext, shuffled, 3)
-        assert sorted(v.coords for v in again) == sorted(v.coords for v in vectors)
+        assert sorted(again) == sorted(vectors)
     assert classify(build_root_system(ext.lattice, vectors)) == (("E", 6),)
 
 
@@ -426,10 +432,10 @@ def test_glued_route_keeps_blocks_with_different_grams_apart():
     # the shift 0, but their short vectors differ.
     flipped = Lattice(RatMatrix.from_rows([[2, 1], [1, 2]]))
     q = direct_sum([Lattice(A2_GRAM), flipped])
-    ext = glue_extend(q, [])
+    ext = glue_extend(q, RatMatrix.from_rows([], cols=4))
     vectors = glued_root_vectors(q, ext, [(0,) * 4], 1)
     direct = enumerate_roots(ext.lattice)
-    assert sorted(v.coords for v in vectors) == sorted(v.coords for v in direct.roots)
+    assert sorted(vectors) == sorted(direct.roots)
     assert classify(build_root_system(ext.lattice, vectors)) == (("A", 2), ("A", 2))
 
 
