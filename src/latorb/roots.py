@@ -290,10 +290,10 @@ def reflection(l: Lattice, alpha: Sequence[int]) -> Isometry:
     if (len(alpha) != l.rank or any(type(e) is not int for e in alpha)
             or l.inner(alpha, alpha) != 2):
         raise RootsError("reflection requires a norm-2 lattice vector")
-    n, g, a = l.rank, l.gram, alpha
+    n, g = l.rank, l.gram
     # Row i is e_i - <e_i, alpha> alpha, over the Gram denominator.
     m = RatMatrix(n, n, tuple(
-        tuple((g.den if i == j else 0) - sum(map(mul, row, a)) * a[j] for j in range(n))
+        tuple((g.den if i == j else 0) - sum(map(mul, row, alpha)) * alpha[j] for j in range(n))
         for i, row in enumerate(g.num)), g.den)
     if not m.is_integral():
         raise RootsError("reflection matrix is not integral")

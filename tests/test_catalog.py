@@ -62,9 +62,9 @@ def test_root_lattice_determinants_and_classes():
         # Each representative lies in the dual lattice (rep . G is integral)
         # and in the lattice itself only for the trivial class.
         for ell, rep in enumerate(data.glue):
-            pairings = RatMatrix.from_rows([rep]) @ data.lattice.gram
-            assert pairings.is_integral()
-            assert RatMatrix.from_rows([rep]).is_integral() == (ell == 0)
+            row = RatMatrix.from_rows([rep])
+            assert (row @ data.lattice.gram).is_integral()
+            assert row.is_integral() == (ell == 0)
 
 
 def class_norm(data, ell):
