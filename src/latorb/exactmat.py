@@ -11,8 +11,10 @@ returns a new matrix.  Both classes multiply through one packed-row integer
 product (Kronecker substitution, see ``_product``), and ``det``,
 ``solve_exact`` (so ``inverse``) and ``ldl`` share one packed-row
 fraction-free elimination (``_eliminate``), whose field width the Hadamard
-bound fixes.  HNF, SNF and the kernel keep per-entry Euclid row operations:
-their entries have no such a-priori bound.
+bound fixes.  ``hnf``, ``kernel_basis`` and ``snf`` share one per-entry
+Euclid engine, ``_hnf_transform``, which repeats each row operation on
+companion rows (a transform, or none); ``snf`` alternates it on the matrix
+and its transpose.  Their entries have no a-priori bound.
 
 Entries are checked to be ints only where data enters, in the public
 constructors and ``from_rows``; this module's own results are built by the
@@ -352,15 +354,15 @@ class SmithDecomposition:
         return sum(1 for d in self.invariant_factors if d != 0)
 
 
-def _hnf_transform(m: IntMatrix) -> tuple[list[list[int]], list[list[int]]]:
-    """Row HNF with transform: returns (h, u) with u unimodular, u @ m = h.
+def _hnf_transform(h: list[Sequence[int]], u: list[Sequence[int]]) -> None:
+    """Reduce the rows ``h`` to row HNF in place, applying every row operation
+    to the companion rows ``u`` too: from an identity, u @ m = h ends unimodular.
+    Rows are replaced, never changed, so they may be tuples.
 
     Zero rows of h sit at the bottom; pivots are positive and entries above
     each pivot are reduced into [0, pivot).
     """
-    n, c = m.rows, m.cols
-    h = [list(row) for row in m.entries]
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    n, c = len(h), len(h[0]) if h else 0
     piv = 0
     for col in range(c):
         # Euclid downward in this column until at most one nonzero remains.
@@ -394,7 +396,6 @@ def _hnf_transform(m: IntMatrix) -> tuple[list[list[int]], list[list[int]]]:
                     h[i] = [a - q * b for a, b in zip(h[i], h[piv])]
                     u[i] = [a - q * b for a, b in zip(u[i], u[piv])]
             piv += 1
-    return h, u
 
 
 def hnf(m: IntMatrix) -> IntMatrix:
@@ -403,7 +404,8 @@ def hnf(m: IntMatrix) -> IntMatrix:
     The integer row span is preserved exactly; pivots are positive, strictly
     right of the pivot above, and entries above a pivot lie in [0, pivot).
     """
-    h, _ = _hnf_transform(m)
+    h = list(m.entries)
+    _hnf_transform(h, [()] * m.rows)
     kept = tuple(tuple(row) for row in h if any(row))
     return _im(len(kept), m.cols, kept)
 
@@ -414,93 +416,49 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     The rows returned extend to a basis of Z^rows, so the kernel lattice is
     primitive (saturated); the basis itself is put in HNF for determinism.
     """
-    h, u = _hnf_transform(m)
+    h, u = list(m.entries), list(IntMatrix.identity(m.rows).entries)
+    _hnf_transform(h, u)
     kernel_rows = tuple(tuple(u[i]) for i in range(m.rows) if not any(h[i]))
     return hnf(_im(len(kernel_rows), m.rows, kernel_rows)) if kernel_rows else _im(0, m.rows, ())
 
 
 def snf(m: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with both unimodular transforms (always computed)."""
+    """Smith normal form with both unimodular transforms (always computed).
+
+    Row HNF passes on the matrix (carrying u) alternate with row HNF passes on
+    its transpose (carrying v^T) until it is diagonal (Kannan and Bachem,
+    SIAM J. Comput. 8, 1979), with positive entries leading.  Then each pair
+    d_i, d_j with d_i not dividing d_j becomes g = gcd, d_i p (p = d_j/g,
+    q = d_i/g, x d_i + y d_j = g):
+    [[x, y], [-p, q]] diag(d_i, d_j) [[1, -y p], [1, x q]] = diag(g, d_i p).
+    """
     r, c = m.rows, m.cols
-    a = [list(row) for row in m.entries]
-    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):
-        # row_dst -= q * row_src
-        a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, q):
-        for row in a:
-            row[dst] -= q * row[src]
-        for row in v:
-            row[dst] -= q * row[src]
-
-    k = 0
-    n = min(r, c)
-    while k < n:
-        # Locate a pivot: smallest nonzero |entry| in the trailing block.
-        best = None
-        for i in range(k, r):
-            for j in range(k, c):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+    a = list(m.entries)
+    u, vt = list(IntMatrix.identity(r).entries), list(IntMatrix.identity(c).entries)
+    while True:
+        _hnf_transform(a, u)
+        a = list(_transpose(a, r, c))
+        _hnf_transform(a, vt)
+        a = list(_transpose(a, c, r))
+        if not any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(a)):
             break
-        swap_rows(k, best[0])
-        swap_cols(k, best[1])
-        # Clear row and column k; repeat while reductions reintroduce entries.
-        while True:
-            dirty = False
-            for i in range(k + 1, r):
-                if a[i][k] != 0:
-                    q = a[i][k] // a[k][k]
-                    add_row(k, i, q)
-                    if a[i][k] != 0:
-                        swap_rows(k, i)
-                        dirty = True
-            for j in range(k + 1, c):
-                if a[k][j] != 0:
-                    q = a[k][j] // a[k][k]
-                    add_col(k, j, q)
-                    if a[k][j] != 0:
-                        swap_cols(k, j)
-                        dirty = True
-            if not dirty:
-                break
-        # Enforce divisibility of the trailing block by the pivot.
-        d = a[k][k]
-        offender = None
-        for i in range(k + 1, r):
-            for j in range(k + 1, c):
-                if a[i][j] % d != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            add_row(offender, k, -1)  # row_k += row_offender
-            continue
-        k += 1
-
-    for i in range(min(r, c)):
-        if i < r and a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
-            u[i] = [-x for x in u[i]]
-    factors = tuple(a[i][i] if i < r and i < c else 0 for i in range(n))
-    return SmithDecomposition(factors, _im(r, r, tuple(map(tuple, u))),
-                              _im(c, c, tuple(map(tuple, v))))
+    d = [a[i][i] for i in range(min(r, c))]
+    rank = sum(1 for e in d if e)
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            if d[j] % d[i]:
+                # x, y: the first transform row of an HNF pass over (d_i, d_j).
+                col, xy = [(d[i],), (d[j],)], [(1, 0), (0, 1)]
+                _hnf_transform(col, xy)
+                (g,), (x, y) = col[0], xy[0]
+                p, q = d[j] // g, d[i] // g
+                d[i], d[j] = g, d[i] * p
+                u[i], u[j] = ([x * e + y * f for e, f in zip(u[i], u[j])],
+                              [q * f - p * e for e, f in zip(u[i], u[j])])
+                vt[i], vt[j] = ([e + f for e, f in zip(vt[i], vt[j])],
+                                [x * q * f - y * p * e for e, f in zip(vt[i], vt[j])])
+    return SmithDecomposition(tuple(d), _im(r, r, tuple(map(tuple, u))),
+                              _im(c, c, _transpose(vt, c, c)))
 
 
 def _eliminate(rows: Sequence[Sequence[int]], cols: int, steps: int, jordan: bool = False):

@@ -235,8 +235,8 @@ def candidate_count(dim: int, rank: int | None = None, hcoxeter_divisor: int = 1
     if dim > MAX_DIMENSION:
         raise LieDataError(f"dimension {dim} is above {MAX_DIMENSION}, the "
                            "largest weight-one dimension on Schellekens' list")
-    if rank is not None and rank >= dim:
-        return 0  # every simple type has rank < dimension
+    if rank is not None and not 0 <= 3 * rank <= dim:
+        return 0  # every simple type has dimension >= 3 rank
     width = 1 if rank is None else rank + 1
     ways = [[0] * width for _ in range(max(dim, 0) + 1)]  # ways[s][r], r = 0 unranked
     ways[0][0] = 1
@@ -267,9 +267,9 @@ def semisimple_candidates(dim: int, rank: int | None = None,
         ordered by descending dimension.  LieDataError is raised instead,
         before any is built, when there are more than MAX_CANDIDATES.
     """
-    if dim <= 0:
-        return []
     count = candidate_count(dim, rank, hcoxeter_divisor)
+    if not count:
+        return []
     if count > MAX_CANDIDATES:
         raise LieDataError(f"more than {MAX_CANDIDATES} candidates of "
                            f"dimension {dim}: {count}")
@@ -277,6 +277,8 @@ def semisimple_candidates(dim: int, rank: int | None = None,
                    if t.dimension <= dim and t.dual_coxeter % hcoxeter_divisor == 0),
                   key=_component_sort_key)
     neg_dims = [-t.dimension for t in pool]  # ascending, for bisect
+    # A rest of dimension s and rank r from the pool has 3 r <= s <= widest r.
+    widest = max(-(-t.dimension // t.rank) for t in pool)
     # reach[i][s] is 1 iff s is a sum of dimensions from pool[i:]; each row
     # is built as a bitset and stored as one byte per dimension.
     full = (1 << (dim + 1)) - 1
@@ -332,19 +334,19 @@ def semisimple_candidates(dim: int, rank: int | None = None,
                     break
                 if not after[left]:
                     continue
+                need = rank_left - rank_used
+                if rank is not None and not 3 * need <= left <= widest * need:
+                    continue
                 if left > MEMO_DIMENSION:
-                    search(i + 1, left, rank_left - rank_used,
-                           codes + (code,), text + label)
+                    search(i + 1, left, need, codes + (code,), text + label)
                     continue
                 head, head_text = codes + (code,), (text + label)[1:]
-                need = None if rank is None else rank_left - rank_used
                 if not left:
-                    if not need:
-                        found.append(SemisimpleType(head, head_text))
+                    found.append(SemisimpleType(head, head_text))
                     continue
                 for tail_codes, tail_text, tail_rank in \
                         tails.get((i + 1, left)) or complete(i + 1, left):
-                    if need is None or tail_rank == need:
+                    if rank is None or tail_rank == need:
                         found.append(SemisimpleType(head + tail_codes, head_text + tail_text))
 
     # Without a rank bound the budget dim is never exhausted (rank < dim).

@@ -5,6 +5,7 @@ Fraction reference."""
 import operator
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -62,14 +63,25 @@ class TestSnf:
     def test_identity(self):
         assert snf(IntMatrix.identity(3)).invariant_factors == (1, 1, 1)
 
-    def test_transforms_reproduce_diagonal(self):
-        m = im([[4, 6], [2, 8]])
+    @pytest.mark.parametrize("m, factors", [
+        (im([[4, 6], [2, 8]]), (2, 10)),
+        # Diagonal already, but d1 does not divide d2.
+        (im([[3, 0], [0, 1]]), (1, 3)),
+        (im([[4, 0], [0, 6]]), (2, 12)),
+        (im([[-6, -8], [0, -9], [-9, -7]]), (1, 3)),
+        (im([[-2]]), (2,)),
+        (IntMatrix.from_rows([], cols=3), ()),
+        (IntMatrix.from_rows([[], [], []], cols=0), ()),
+    ], ids=["2x2", "diagonal_3_1", "diagonal_4_6", "3x2", "negative_1x1", "0x3", "3x0"])
+    def test_transforms_reproduce_diagonal(self, m, factors):
         d = snf(m)
+        assert d.invariant_factors == factors
         prod = d.u @ m @ d.v
-        for i in range(2):
-            for j in range(2):
+        for i in range(m.rows):
+            for j in range(m.cols):
                 expect = d.invariant_factors[i] if i == j else 0
                 assert prod.entries[i][j] == expect
+        assert abs(det(d.u)) == 1 == abs(det(d.v))
 
     def test_rank_deficient_pads_zero(self):
         assert snf(im([[1, 1], [1, 1]])).invariant_factors == (1, 0)
@@ -465,9 +477,11 @@ def test_ldl_agrees_with_leading_minor_rule(g, data):
 @settings(PROFILE, max_examples=60)
 @given(st.integers(0, 5), st.integers(0, 5), st.data())
 def test_snf_and_hnf_match_sympy(r, c, data):
-    """Against sympy's normal forms over ZZ: the same invariant factors, and
-    HNF rows spanning the row lattice of sympy's (column-style) HNF of the
-    transpose, transposed back."""
+    """Against sympy's normal forms over ZZ: the same invariant factors, HNF
+    rows spanning the row lattice of sympy's (column-style) HNF of the
+    transpose, transposed back, and a kernel of the rank of sympy's nullspace
+    of the transpose whose integer span holds each of its vectors, scaled to
+    a primitive integer row."""
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
     rows = data.draw(frac_rows(r, c, st.integers(-9, 9)))
@@ -480,3 +494,10 @@ def test_snf_and_hnf_match_sympy(r, c, data):
     assert all(_integral_row_solve(h, row) for row in basis)
     if basis:
         assert solve_exact(IntMatrix.from_rows(basis).to_rat(), h.to_rat()).is_integral()
+    k = kernel_basis(m)
+    nullspace = ref.T.nullspace()
+    assert k.rows == len(nullspace)
+    for vec in nullspace:
+        den = lcm(*(x.q for x in vec))
+        row = [int(x * den) for x in vec]
+        assert _integral_row_solve(k, [e // gcd(*row) for e in row])

@@ -196,18 +196,38 @@ def test_candidates_match_reference_search():
 
 def count_search_calls(*query, **options):
     """Calls of the enumerator's recursive search for one query, and the
-    (start, dimension left) arguments of each call that fills its memo."""
-    calls, fills = 0, []
+    (start, dimension left) arguments of each call that fills its memo.
+
+    On each return of ``search`` and ``complete`` it also checks the early
+    exit: when some pool index from where the loop began cannot reach the
+    dimension left (a knapsack over the pool's dimensions, built here), the
+    loop stopped at the first such index."""
+    calls, fills, sums = 0, [], None
 
     def profile(frame, event, arg):
-        nonlocal calls
+        nonlocal calls, sums
         code = frame.f_code
-        if event != "call" or code.co_filename != liealg.__file__:
+        if code.co_filename != liealg.__file__ or code.co_name not in ("search", "complete"):
             return
-        if code.co_name == "search":
+        local = frame.f_locals
+        pool, left = local["pool"], local["dim_left"]
+        if event == "call" and code.co_name == "search":
             calls += 1
-        elif code.co_name == "complete":
-            fills.append((frame.f_locals["start"], frame.f_locals["dim_left"]))
+        elif event == "call":
+            fills.append((local["start"], left))
+        elif event == "return":
+            if sums is None:
+                # sums[j]: bit s is set iff s is a sum of dimensions from pool[j:].
+                sums, bits = [1], 1
+                for t in reversed(pool):
+                    for s in range(t.dimension, query[0] + 1):
+                        bits |= (bits >> (s - t.dimension) & 1) << s
+                    sums.append(bits)
+                sums.reverse()
+            begin = next((j for j in range(local["start"], len(pool))
+                          if pool[j].dimension <= left), len(pool))
+            dead = next((j for j in range(begin, len(pool)) if not sums[j] >> left & 1), None)
+            assert dead is None or local["i"] == dead, (code.co_name, local["start"], left)
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -222,16 +242,25 @@ def count_search_calls(*query, **options):
 def test_search_calls_follow_output(dim, divisor):
     # The search recurses only while more than MEMO_DIMENSION is left: every
     # call extends a proper prefix of some candidate with that much left, and
-    # each such prefix is searched once; a rank bound cuts the prefixes above
-    # it.  Smaller rests come from the memo, whose entries are each filled
-    # once, so there are at most len(pool) * MEMO_DIMENSION of them.
+    # each such prefix is searched once.  Under a rank bound the rest (s, r)
+    # must also have 3 r <= s <= widest r, widest the largest dimension per
+    # rank in the pool (rounded up), and a query with no candidate searches
+    # nothing.  Smaller rests come from the memo, whose entries are each
+    # filled once, so there are at most len(pool) * MEMO_DIMENSION of them.
     cands = semisimple_candidates(dim, hcoxeter_divisor=divisor)
     prefixes = {c.components[:j] for c in cands for j in range(1, len(c.components))}
     pool = [t for t in all_types() if t.dimension <= dim and t.dual_coxeter % divisor == 0]
-    for rank in (None, 4, 9):
-        want = 1 + sum(1 for p in prefixes
-                       if dim - sum(t.dimension * m for t, m in p) > liealg.MEMO_DIMENSION
-                       and (rank is None or sum(t.rank * m for t, m in p) <= rank))
+    widest = max(-(-t.dimension // t.rank) for t in pool)
+
+    def searched(prefix, rank):
+        s = dim - sum(t.dimension * m for t, m in prefix)
+        r = None if rank is None else rank - sum(t.rank * m for t, m in prefix)
+        return s > liealg.MEMO_DIMENSION and (r is None or 3 * r <= s <= widest * r)
+
+    for rank in (None, 4, 9, 10, dim // 3):
+        want = 0
+        if candidate_count(dim, rank, divisor):
+            want = 1 + sum(1 for p in prefixes if searched(p, rank))
         calls, fills = count_search_calls(dim, rank=rank, hcoxeter_divisor=divisor)
         assert calls == want
         assert len(set(fills)) == len(fills) <= len(pool) * liealg.MEMO_DIMENSION
@@ -266,14 +295,20 @@ def test_candidate_limit_raises(monkeypatch):
         semisimple_candidates(30)
 
 
-def test_counting_work_is_bounded_by_the_input():
+def test_counting_work_is_bounded_by_the_input(monkeypatch):
     # A dimension past Schellekens' list is refused before the knapsack is
-    # built; a rank bound at or above the dimension admits no type at all.
+    # built.  Every simple type has dimension >= 3 rank, so a rank above a
+    # third of the dimension admits no type at all, and a third admits A1 only.
     with pytest.raises(LieDataError, match="above 1128"):
         candidate_count(liealg.MAX_DIMENSION + 1)
     assert candidate_count(liealg.MAX_DIMENSION) > liealg.MAX_CANDIDATES
-    assert candidate_count(24, rank=10 ** 6) == 0 == len(semisimple_candidates(24, rank=24))
     assert candidate_count(24, rank=6) == len(semisimple_candidates(24, rank=6))
+    assert [c.text for c in semisimple_candidates(600, rank=200)] == ["A1^200"]
+    # The rest return before the type table is read for a knapsack.
+    monkeypatch.setattr(liealg, "_TYPES", None)
+    assert candidate_count(24, rank=10 ** 6) == 0 == len(semisimple_candidates(24, rank=24))
+    assert candidate_count(24, rank=-1) == 0 == len(semisimple_candidates(24, rank=-1))
+    assert candidate_count(1128, rank=377) == 0 == len(semisimple_candidates(600, rank=201))
 
 
 def test_refused_query_builds_no_candidate(monkeypatch):
