@@ -3,7 +3,8 @@
 Every subcommand accepts --json and prints canonical output (sorted keys,
 compact separators, rationals as p/q strings), so identical invocations are
 byte-identical.  Exit codes: 0 all checks pass, 1 a check failed, 2 usage
-error, 3 internal invariant violation.
+error, 3 internal invariant violation.  Importing this module loads only the
+construction table; each subcommand imports the layers it runs.
 """
 
 from __future__ import annotations
@@ -14,17 +15,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import liealg, orbifold, terncode
-from .catalog import (
-    CONSTRUCTIONS,
-    LATTICE_KEYS,
-    SIGMA_KEYS,
-    CatalogError,
-    construct_niemeier,
-    niemeier_bundle,
-)
-from .lattice import GlueError, IsometryError, LatticeError, is_even_unimodular
-from .roots import RootsError, classify, root_system_to_json
+from .constructions import CONSTRUCTIONS, LATTICE_KEYS, SIGMA_KEYS
 
 TOOL_VERSION = "0.1.0"
 
@@ -68,6 +59,7 @@ def _row(name: str, computed, expected, source: str = "stated") -> dict:
 
 
 def cmd_golay(args) -> int:
+    from . import terncode
     gens = terncode.golay_generators()
     if args.corrupt_generator:
         bumped = list(gens[0])
@@ -101,15 +93,18 @@ def cmd_golay(args) -> int:
 
 def _root_rows(key: str, rs) -> list[dict]:
     """Root count and type of a lattice's root system against its table row."""
+    from . import liealg, roots
     spec = CONSTRUCTIONS["lattices"][key]
     return [
         _row(f"{key} root count", rs.count, spec["root_count"], "computed"),
-        _row(f"{key} root type", liealg.SemisimpleType.of(classify(rs)).type_string(),
+        _row(f"{key} root type", liealg.SemisimpleType.of(roots.classify(rs)).type_string(),
              liealg.SemisimpleType.of(spec["parts"]).type_string()),
     ]
 
 
 def cmd_lattice_build(args) -> int:
+    from .catalog import construct_niemeier
+    from .lattice import is_even_unimodular
     bundle = construct_niemeier(args.key, corrupt_generator=args.corrupt_generator)
     lattice = bundle.lattice
     even, unimodular = is_even_unimodular(lattice)
@@ -127,8 +122,9 @@ def cmd_lattice_build(args) -> int:
 
 
 def cmd_lattice_roots(args) -> int:
-    rs = niemeier_bundle(args.key).root_system
-    payload = {"key": args.key, "roots": root_system_to_json(rs),
+    from . import catalog, liealg, roots
+    rs = catalog.niemeier_bundle(args.key).root_system
+    payload = {"key": args.key, "roots": roots.root_system_to_json(rs),
                "weight_one": liealg.lattice_voa_weight_one(rs)}
     return _finish(_root_rows(args.key, rs), payload, args.json)
 
@@ -166,12 +162,14 @@ def cmd_orbifold(args) -> int:
         print(f"usage error: {args.sigma} acts on {acts_on}, not {args.lattice}",
               file=sys.stderr)
         return EXIT_USAGE
+    from . import orbifold
     report = orbifold.assemble_report(args.sigma)
     rows = verify_report(args.sigma, report)
     return _finish(rows, {"report": report}, args.json)
 
 
 def cmd_candidates(args) -> int:
+    from . import liealg
     if args.dim <= 0 or args.hdvd <= 0 or (args.rank or 0) < 0:
         print("usage error: --dim and --hdvd must be positive, --rank not "
               "negative", file=sys.stderr)
@@ -201,6 +199,7 @@ def cmd_candidates(args) -> int:
 
 
 def cmd_schellekens(args) -> int:
+    from . import liealg
     try:
         numbers = liealg.schellekens_match(args.dim, args.type)
     except liealg.LieDataError as exc:
@@ -220,6 +219,7 @@ def cmd_schellekens(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
+    from . import liealg, orbifold, terncode
     wanted = args.filter or ""
     rows: list[dict] = []
     reports: dict[str, dict] = {}
@@ -343,19 +343,24 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except orbifold.UnsupportedTwistWeight as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return EXIT_CHECK
-    except orbifold.OrbifoldError as exc:
-        print(f"internal invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except (CatalogError, LatticeError, GlueError, IsometryError,
-            RootsError) as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return EXIT_CHECK
     except Exception as exc:  # noqa: BLE001 - exit-code boundary
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return _exit_code(exc)
+
+
+def _exit_code(exc: Exception) -> int:
+    """Print a subcommand's error; the first class it matches sets the code."""
+    from . import catalog, lattice, orbifold, roots
+    for classes, code, prefix in (
+            (orbifold.UnsupportedTwistWeight, EXIT_CHECK, "FAIL"),
+            (orbifold.OrbifoldError, EXIT_INTERNAL, "internal invariant violation"),
+            ((catalog.CatalogError, lattice.LatticeError, lattice.GlueError,
+              lattice.IsometryError, roots.RootsError), EXIT_CHECK, "FAIL")):
+        if isinstance(exc, classes):
+            break
+    else:
+        code, prefix = EXIT_INTERNAL, "internal error"
+    print(f"{prefix}: {exc}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -23,19 +23,17 @@ the prefix to every completion from a per-query memo keyed by (pool index,
 dimension left), filtered by rank when a rank is given.  A query is counted
 first, and one with more than ``MAX_CANDIDATES`` results raises
 ``LieDataError`` before any candidate is built.  No other package module is
-imported at run time.
+imported at run time, nor ``dataclasses``; ``hashlib`` only by ``table_checksum``.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import repeat
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 if TYPE_CHECKING:
     from .roots import RootSystem
@@ -94,8 +92,7 @@ class LieDataError(Exception):
     """Lookup or arithmetic outside what the embedded table supports."""
 
 
-@dataclass(frozen=True, order=True)
-class SimpleLieData:
+class SimpleLieData(NamedTuple):
     """One simple type: dimension, dual Coxeter number, root data."""
 
     family: str
@@ -105,13 +102,14 @@ class SimpleLieData:
     root_count: int
     two_root_lengths: bool
 
-    @cached_property
+    @property
     def symbol(self) -> str:
         return f"{self.family}{self.rank}"
 
 
 def table_checksum() -> str:
     """SHA-256 of the embedded table text, for report pinning."""
+    import hashlib  # OpenSSL: loaded only when a report pins the table
     return hashlib.sha256(_TABLE_JSON.encode("utf-8")).hexdigest()
 
 
@@ -191,12 +189,20 @@ def _code_tables():
 _FIRST_CODE, _PAIRS, _CODE_DIMENSION, _CODE_RANK, _CODE_LABEL, _CODE_LEVEL_LABEL = _code_tables()
 
 
-@dataclass(frozen=True, slots=True)
 class SemisimpleType:
     """A multiset of simple components with a common level rule applied."""
 
-    codes: tuple[int, ...] = field(repr=False)  # ascending component codes
-    text: str = field(compare=False)  # type_string() without levels
+    __slots__ = ("codes", "text")
+
+    def __init__(self, codes: tuple[int, ...], text: str) -> None:
+        self.codes = codes  # ascending component codes
+        self.text = text  # type_string() without levels
+
+    def __eq__(self, other) -> bool:  # equal and hashed by codes alone
+        return isinstance(other, SemisimpleType) and self.codes == other.codes
+
+    def __hash__(self) -> int:
+        return hash(self.codes)
 
     @property
     def components(self) -> tuple[tuple[SimpleLieData, int], ...]:
@@ -235,17 +241,23 @@ def candidate_count(dim: int, rank: int | None = None, hcoxeter_divisor: int = 1
     if dim > MAX_DIMENSION:
         raise LieDataError(f"dimension {dim} is above {MAX_DIMENSION}, the "
                            "largest weight-one dimension on Schellekens' list")
-    if rank is not None and not 0 <= 3 * rank <= dim:
+    if dim <= 0 or rank is not None and not 0 <= 3 * rank <= dim:
         return 0  # every simple type has dimension >= 3 rank
-    width = 1 if rank is None else rank + 1
-    ways = [[0] * width for _ in range(max(dim, 0) + 1)]  # ways[s][r], r = 0 unranked
-    ways[0][0] = 1
-    for t in (t for t in _TYPES if t.dual_coxeter % hcoxeter_divisor == 0):
-        tr = 0 if rank is None else t.rank
+    pool = [t for t in _TYPES if t.dual_coxeter % hcoxeter_divisor == 0]
+    ways = [1] + [0] * dim  # ways[s]: types of dimension s, any rank
+    for t in pool:
         for s in range(t.dimension, dim + 1):
-            for r in range(tr, width):
-                ways[s][r] += ways[s - t.dimension][r - tr]
-    return ways[dim][-1] if dim > 0 else 0
+            ways[s] += ways[s - t.dimension]
+    if rank is None:
+        return ways[dim]
+    # rows[s] packs the count of each rank r into bits [r w, (r + 1) w); a
+    # count by rank never exceeds ways[s], so no field carries into the next.
+    w = max(ways).bit_length() + 1
+    rows = [1] + [0] * dim
+    for t in pool:
+        for s in range(t.dimension, dim + 1):
+            rows[s] += rows[s - t.dimension] << t.rank * w
+    return (rows[dim] >> rank * w) & ((1 << w) - 1)
 
 
 _REACH_BYTE = bytes.maketrans(b"01", b"\x00\x01")
@@ -355,8 +367,7 @@ def semisimple_candidates(dim: int, rank: int | None = None,
     return found
 
 
-@dataclass(frozen=True)
-class SchellekensRow:
+class SchellekensRow(NamedTuple):
     number: int
     dim_v1: int
     type_string: str

@@ -5,8 +5,10 @@ tests/golden/ were produced by separate interpreter runs, so comparing
 against them byte for byte also pins cross-process determinism.
 """
 
+import ast
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -14,8 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from latorb import liealg, orbifold
-from latorb.catalog import CONSTRUCTIONS, SIGMA_KEYS
+from latorb import cli, liealg, orbifold
+from latorb.catalog import CONSTRUCTIONS, SIGMA_KEYS, CatalogError, StabilizationError
 from latorb.cli import (
     EXIT_CHECK,
     EXIT_INTERNAL,
@@ -25,6 +27,9 @@ from latorb.cli import (
     canonical_json,
     main,
 )
+from latorb.exactmat import NoSolution
+from latorb.lattice import GlueError, IsometryError, LatticeError
+from latorb.roots import RootsError, UnknownRootSystem
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -299,3 +304,55 @@ def test_internal_error_maps_to_exit_three(capsys, monkeypatch):
     code, _, err = run(capsys, "orbifold", "A2_12", "sigma1")
     assert code == EXIT_INTERNAL
     assert "internal invariant violation" in err
+
+
+@pytest.mark.parametrize(("error", "code", "prefix"), [
+    (orbifold.UnsupportedTwistWeight, EXIT_CHECK, "FAIL"),
+    (orbifold.OrbifoldError, EXIT_INTERNAL, "internal invariant violation"),
+    (CatalogError, EXIT_CHECK, "FAIL"),
+    (StabilizationError, EXIT_CHECK, "FAIL"),
+    (LatticeError, EXIT_CHECK, "FAIL"),
+    (GlueError, EXIT_CHECK, "FAIL"),
+    (IsometryError, EXIT_CHECK, "FAIL"),
+    (RootsError, EXIT_CHECK, "FAIL"),
+    (UnknownRootSystem, EXIT_CHECK, "FAIL"),
+    (liealg.LieDataError, EXIT_INTERNAL, "internal error"),
+    (NoSolution, EXIT_INTERNAL, "internal error"),
+    (ValueError, EXIT_INTERNAL, "internal error"),
+], ids=lambda value: value.__name__ if isinstance(value, type) else None)
+def test_exit_code_of_each_error_class(capsys, monkeypatch, error, code, prefix):
+    """Every class main maps, raised from a subcommand, gives its exit code."""
+    def raise_error(_):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_golay", raise_error)
+    assert run(capsys, "golay") == (code, "", f"{prefix}: boom\n")
+
+
+# Prints, on stderr, the latorb modules and the two costly standard-library
+# ones loaded by ``import latorb.cli`` and then ``main(sys.argv[1:])``.
+_PROBE = ("import sys, latorb.cli\n"
+          "if sys.argv[1:]:\n"
+          "    latorb.cli.main(sys.argv[1:])\n"
+          "print(sorted(m for m in sys.modules if m.startswith('latorb') "
+          "or m in ('dataclasses', 'hashlib')), file=sys.stderr)\n")
+
+
+@pytest.mark.parametrize(("argv", "added"), [
+    ([], []),
+    (["candidates", "--dim", "24", "--json"], ["latorb.liealg"]),
+    (["schellekens", "--dim", "96", "--type", "E6,4", "--json"], ["latorb.liealg"]),
+    (["golay", "--json"], ["latorb.terncode"]),
+], ids=["import", "candidates", "schellekens", "golay"])
+def test_subcommands_import_only_their_layers(argv, added):
+    """A cold ``import latorb.cli`` loads the construction table alone, and a
+    subcommand adds only the layer it runs; the Lie path loads neither
+    ``dataclasses`` nor ``hashlib``."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+    loaded = ast.literal_eval(subprocess.run(
+        [sys.executable, "-S", "-c", _PROBE, *argv],
+        env=env, capture_output=True, text=True, check=True).stderr)
+    want = ["latorb", "latorb.cli", "latorb.constructions", *added]
+    assert [m for m in loaded if m.startswith("latorb")] == sorted(want)
+    if "latorb.terncode" not in added:
+        assert "dataclasses" not in loaded and "hashlib" not in loaded

@@ -311,6 +311,15 @@ def test_counting_work_is_bounded_by_the_input(monkeypatch):
     assert candidate_count(1128, rank=377) == 0 == len(semisimple_candidates(600, rank=201))
 
 
+@pytest.mark.parametrize(("dim", "divisor"), [(240, 1), (360, 3)])
+def test_ranked_counts_sum_to_the_unranked_count(dim, divisor):
+    # A ranked count packs one field per rank into one int; a field that
+    # carried into the next would break this sum.
+    ranked = [candidate_count(dim, rank, divisor) for rank in range(dim // 3 + 1)]
+    assert sum(ranked) == candidate_count(dim, None, divisor)
+    assert ranked[dim // 3] == (divisor == 1)  # A1^(dim/3), if A1 is in the pool
+
+
 def test_refused_query_builds_no_candidate(monkeypatch):
     built = []
     monkeypatch.setattr(liealg, "SemisimpleType", lambda *fields: built.append(fields))
@@ -324,13 +333,16 @@ def test_refused_query_builds_no_candidate(monkeypatch):
 def test_liealg_imports_no_other_latorb_module():
     src = str(Path(latorb.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
+    loaded = ("sorted(m for m in sys.modules if m.startswith('latorb') "
+              "or m in ('fractions', 'dataclasses', 'hashlib'))")
     out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, latorb.liealg; "
-         "print(sorted(m for m in sys.modules "
-         "if m.startswith('latorb') or m == 'fractions'))"],
+        [sys.executable, "-S", "-c",
+         f"import sys, latorb.liealg; print({loaded}); "
+         f"latorb.liealg.table_checksum(); print({loaded})"],
         env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "['latorb', 'latorb.liealg']"
+    # hashlib (OpenSSL) is loaded only once the table checksum is asked for.
+    assert out.splitlines() == ["['latorb', 'latorb.liealg']",
+                                "['hashlib', 'latorb', 'latorb.liealg']"]
 
 
 def test_parse_type_string():
