@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from pathlib import Path
 
 from .constructions import CONSTRUCTIONS, LATTICE_KEYS, SIGMA_KEYS
 
@@ -250,6 +249,7 @@ def cmd_verify_all(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     if args.emit_dir is not None:
+        from pathlib import Path
         out = Path(args.emit_dir)
         try:
             out.mkdir(parents=True, exist_ok=True)
