@@ -16,10 +16,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import getitem
 from typing import Sequence
 
-from .constructions import CONSTRUCTIONS, LATTICE_KEYS, SIGMA_KEYS  # noqa: F401 - re-exported
+from .constructions import CONSTRUCTIONS
 from .exactmat import IntMatrix, RatMatrix, Rational, solve_exact
 from .lattice import (
     GlueExtension,
@@ -248,12 +247,6 @@ def _glue_words(base: Lattice, part_data: tuple[RootLatticeData, ...],
     return RatMatrix.from_rows(generators, cols=base.rank)
 
 
-def _residue_shifts(step, mod: int) -> list[tuple[int, ...]]:
-    """Per entry e of step, the residues (a + e) % mod for a = 0 .. mod - 1."""
-    ring = tuple(range(mod))
-    return [ring[e % mod:] + ring[:e % mod] for e in step]
-
-
 def _close_glue_group(words: RatMatrix) -> tuple[int, tuple]:
     """(den, residues): all distinct cosets the glue rows generate, reduced
     mod 1, as sorted integer residue rows modulo the glue denominator den."""
@@ -263,11 +256,9 @@ def _close_glue_group(words: RatMatrix) -> tuple[int, tuple]:
     # until j g falls back into H, so each coset is formed once.
     for g in words.num:
         members, step, layers = set(group), tuple(e % den for e in g), []
-        add_g = _residue_shifts(g, den)
         while step not in members:
-            shifts = _residue_shifts(step, den)
-            layers += [tuple(map(getitem, shifts, h)) for h in group]
-            step = tuple(map(getitem, add_g, step))
+            layers += [tuple((a + b) % den for a, b in zip(h, step)) for h in group]
+            step = tuple((a + b) % den for a, b in zip(step, g))
         group += layers
     return den, tuple(sorted(group))
 

@@ -204,6 +204,9 @@ class SemisimpleType:
     def __hash__(self) -> int:
         return hash(self.codes)
 
+    def __repr__(self) -> str:
+        return f"SemisimpleType(text={self.text!r})"
+
     @property
     def components(self) -> tuple[tuple[SimpleLieData, int], ...]:
         """(type, count) pairs, by descending dimension."""
@@ -244,20 +247,19 @@ def candidate_count(dim: int, rank: int | None = None, hcoxeter_divisor: int = 1
     if dim <= 0 or rank is not None and not 0 <= 3 * rank <= dim:
         return 0  # every simple type has dimension >= 3 rank
     pool = [t for t in _TYPES if t.dual_coxeter % hcoxeter_divisor == 0]
-    ways = [1] + [0] * dim  # ways[s]: types of dimension s, any rank
-    for t in pool:
-        for s in range(t.dimension, dim + 1):
-            ways[s] += ways[s - t.dimension]
     if rank is None:
+        ways = [1] + [0] * dim  # ways[s]: types of dimension s
+        for t in pool:
+            for s in range(t.dimension, dim + 1):
+                ways[s] += ways[s - t.dimension]
         return ways[dim]
-    # rows[s] packs the count of each rank r into bits [r w, (r + 1) w); a
-    # count by rank never exceeds ways[s], so no field carries into the next.
-    w = max(ways).bit_length() + 1
-    rows = [1] + [0] * dim
+    ways = [[0] * (rank + 1) for _ in range(dim + 1)]  # ways[s][r]: dimension s, rank r
+    ways[0][0] = 1
     for t in pool:
         for s in range(t.dimension, dim + 1):
-            rows[s] += rows[s - t.dimension] << t.rank * w
-    return (rows[dim] >> rank * w) & ((1 << w) - 1)
+            for r in range(t.rank, rank + 1):
+                ways[s][r] += ways[s - t.dimension][r - t.rank]
+    return ways[dim][rank]
 
 
 _REACH_BYTE = bytes.maketrans(b"01", b"\x00\x01")

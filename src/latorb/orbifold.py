@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm, prod
-from operator import getitem
 
 from . import liealg
-from .catalog import NiemeierBundle, _residue_shifts, build_sigma, niemeier_bundle
+from .catalog import NiemeierBundle, build_sigma, niemeier_bundle
 from .constructions import CONSTRUCTIONS, SIGMA_KEYS
 from .exactmat import IntMatrix, det, hnf, inverse, kernel_basis, snf, solve_exact
 from .lattice import Isometry, SublatticeOf, rat_str
@@ -195,9 +194,9 @@ def coset_filter_index(iso: Isometry, n: SublatticeOf | None = None,
         for i in indices:
             grown = dict(acc)  # t = 0
             for t in range(1, divisors[i]):
-                shifts = _residue_shifts([t * e for e in rows[i]], _COMMUTATOR_MOD)
+                step = [t * e for e in rows[i]]
                 for key, cnt in acc.items():
-                    s = tuple(map(getitem, shifts, key))
+                    s = tuple((a + b) % _COMMUTATOR_MOD for a, b in zip(key, step))
                     grown[s] = grown.get(s, 0) + cnt
             acc = grown
         return acc

@@ -11,14 +11,8 @@ from fractions import Fraction
 from math import isqrt
 
 from latorb import liealg, orbifold, terncode
-from latorb.catalog import (
-    CONSTRUCTIONS,
-    LATTICE_KEYS,
-    SIGMA_KEYS,
-    build_root_lattice,
-    build_sigma,
-    niemeier_bundle,
-)
+from latorb.catalog import build_root_lattice, build_sigma, niemeier_bundle
+from latorb.constructions import CONSTRUCTIONS, LATTICE_KEYS, SIGMA_KEYS
 from latorb.exactmat import IntMatrix, det, hnf, snf
 from latorb.lattice import direct_sum, is_even_unimodular
 from latorb.roots import classify, enumerate_roots

@@ -10,10 +10,7 @@ from hypothesis import strategies as st
 
 from latorb.catalog import (
     COMPONENT_AUTO_NAMES,
-    CONSTRUCTIONS,
     CatalogError,
-    LATTICE_KEYS,
-    SIGMA_KEYS,
     StabilizationError,
     assemble_block_isometry,
     build_component_auto,
@@ -24,6 +21,7 @@ from latorb.catalog import (
     niemeier_bundle,
     _close_glue_group,
 )
+from latorb.constructions import CONSTRUCTIONS, LATTICE_KEYS, SIGMA_KEYS
 from latorb.exactmat import IntMatrix, RatMatrix
 from latorb.lattice import is_even_unimodular
 from latorb.roots import classify, orbit_count

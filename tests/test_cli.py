@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from latorb import cli, liealg, orbifold
-from latorb.catalog import CONSTRUCTIONS, SIGMA_KEYS, CatalogError, StabilizationError
+from latorb.catalog import CatalogError, StabilizationError
 from latorb.cli import (
     EXIT_CHECK,
     EXIT_INTERNAL,
@@ -27,6 +27,7 @@ from latorb.cli import (
     canonical_json,
     main,
 )
+from latorb.constructions import CONSTRUCTIONS, SIGMA_KEYS
 from latorb.exactmat import NoSolution
 from latorb.lattice import GlueError, IsometryError, LatticeError
 from latorb.roots import RootsError, UnknownRootSystem

@@ -311,15 +311,6 @@ def test_counting_work_is_bounded_by_the_input(monkeypatch):
     assert candidate_count(1128, rank=377) == 0 == len(semisimple_candidates(600, rank=201))
 
 
-@pytest.mark.parametrize(("dim", "divisor"), [(240, 1), (360, 3)])
-def test_ranked_counts_sum_to_the_unranked_count(dim, divisor):
-    # A ranked count packs one field per rank into one int; a field that
-    # carried into the next would break this sum.
-    ranked = [candidate_count(dim, rank, divisor) for rank in range(dim // 3 + 1)]
-    assert sum(ranked) == candidate_count(dim, None, divisor)
-    assert ranked[dim // 3] == (divisor == 1)  # A1^(dim/3), if A1 is in the pool
-
-
 def test_refused_query_builds_no_candidate(monkeypatch):
     built = []
     monkeypatch.setattr(liealg, "SemisimpleType", lambda *fields: built.append(fields))

@@ -9,14 +9,8 @@ from math import prod
 
 import pytest
 
-from latorb.catalog import (
-    CONSTRUCTIONS,
-    SIGMA_KEYS,
-    build_component_auto,
-    build_root_lattice,
-    build_sigma,
-    niemeier_bundle,
-)
+from latorb.catalog import build_component_auto, build_root_lattice, build_sigma, niemeier_bundle
+from latorb.constructions import CONSTRUCTIONS, SIGMA_KEYS
 from latorb.exactmat import IntMatrix, det, snf
 from latorb.lattice import Isometry
 from latorb.orbifold import (
