@@ -16,6 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Sequence
 
 from .constructions import CONSTRUCTIONS
@@ -63,23 +64,18 @@ class RootLatticeData:
     """A root lattice together with representatives of its dual classes.
 
     Row ell of ``glue`` represents dual class ell (0 is the trivial class):
-    the coordinates, in the lattice basis, of an element of the dual.
+    the coordinates, in the lattice basis, of an element of the dual, all
+    rows over the one denominator ``glue.den``.
     """
 
     lattice: Lattice
-    glue: tuple[tuple[Rational, ...], ...]
+    glue: RatMatrix
 
 
 def _ambient_lattice(rows: Sequence[Sequence[int]], ambient_dim: int, name: str) -> Lattice:
     emb = RatMatrix.from_rows(rows, cols=ambient_dim)
     gram = emb @ emb.transpose()
     return Lattice(gram, embedding=emb, name=name)
-
-
-def _glue_rows(l: Lattice,
-               ambient: Sequence[Sequence[Rational]]) -> tuple[tuple[Fraction, ...], ...]:
-    """Basis coordinates of dual vectors given in ambient coordinates."""
-    return solve_exact(l.embedding, RatMatrix.from_rows(ambient)).entries
 
 
 @lru_cache(maxsize=None)
@@ -97,13 +93,13 @@ def build_root_lattice(family: str, rank: int) -> RootLatticeData:
         l = _ambient_lattice(rows, n + 1, f"A{n}")
         amb = [[Fraction(ell, n + 1)] * (n + 1 - ell) + [Fraction(ell - n - 1, n + 1)] * ell
                for ell in range(n + 1)]
-        return RootLatticeData(l, _glue_rows(l, amb))
+        return RootLatticeData(l, solve_exact(l.embedding, RatMatrix.from_rows(amb)))
     if family == "D" and rank == 4:
         rows = [[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1], [0, 0, 1, 1]]
         l = _ambient_lattice(rows, 4, "D4")
         half = Fraction(1, 2)
         amb = [[0, 0, 0, 0], [half, half, half, half], [0, 0, 0, 1], [half, half, half, -half]]
-        return RootLatticeData(l, _glue_rows(l, amb))
+        return RootLatticeData(l, solve_exact(l.embedding, RatMatrix.from_rows(amb)))
     if family == "E" and rank == 6:
         gram = RatMatrix.from_rows([
             [2, -1, 0, 0, 0, 0],
@@ -116,7 +112,7 @@ def build_root_lattice(family: str, rank: int) -> RootLatticeData:
         l = Lattice(gram, name="E6")
         third = Fraction(1, 3)
         rep = (third, -third, 0, third, -third, 0)
-        return RootLatticeData(l, ((0,) * 6, rep, tuple(-e for e in rep)))
+        return RootLatticeData(l, RatMatrix.from_rows([(0,) * 6, rep, [-e for e in rep]]))
     raise CatalogError(f"unsupported root lattice {family}{rank}")
 
 
@@ -195,10 +191,12 @@ def build_component_auto(name: str) -> Isometry:
 
 def glue_class_image(auto: Isometry, data: RootLatticeData,
                      ell: int) -> int:
-    """Which dual class the isometry sends class ell to."""
-    image = RatMatrix.from_rows([data.glue[ell]]) @ auto.matrix.to_rat()
-    for m, rep in enumerate(data.glue):
-        if (image - RatMatrix.from_rows([rep])).is_integral():
+    """Which dual class the isometry sends class ell to: the class whose
+    residue row matches the image's modulo the glue denominator."""
+    glue = data.glue
+    image = (IntMatrix.from_rows([glue.num[ell]]) @ auto.matrix).entries[0]
+    for m, rep in enumerate(glue.num):
+        if all((a - b) % glue.den == 0 for a, b in zip(image, rep)):
             return m
     raise CatalogError("image is not in any dual class")
 
@@ -210,7 +208,6 @@ class NiemeierBundle:
 
     key: str
     base: Lattice
-    part_data: tuple[RootLatticeData, ...]
     extension: GlueExtension
     glue_group: tuple[tuple[int, ...], ...]
     glue_den: int
@@ -224,7 +221,8 @@ class NiemeierBundle:
 
 def _glue_words(base: Lattice, part_data: tuple[RootLatticeData, ...],
                 words: tuple[str, ...] | None, corrupt_generator: bool) -> RatMatrix:
-    """The glue generators, one row of base coordinates per word."""
+    """The glue generators, one row of base coordinates per word: each
+    word's dual-class rows, scaled to the lcm of the parts' denominators."""
     if words is None:
         rows = [tuple(row) for row in golay_code().basis]
     else:
@@ -232,19 +230,20 @@ def _glue_words(base: Lattice, part_data: tuple[RootLatticeData, ...],
     if corrupt_generator:
         # bump the second digit of the first word to the next dual class
         first = list(rows[0])
-        first[1] = (first[1] + 1) % len(part_data[1].glue)
+        first[1] = (first[1] + 1) % part_data[1].glue.rows
         rows[0] = tuple(first)
+    den = lcm(*(data.glue.den for data in part_data))
     generators = []
     for row in rows:
         if len(row) != len(part_data):
             raise CatalogError(f"glue word {row} has wrong block count")
-        coords: list[Rational] = []
+        coords: list[int] = []
         for digit, data in zip(row, part_data):
-            if digit not in range(len(data.glue)):
+            if digit not in range(data.glue.rows):
                 raise CatalogError(f"glue digit {digit} has no dual class")
-            coords.extend(data.glue[digit])
-        generators.append(coords)
-    return RatMatrix.from_rows(generators, cols=base.rank)
+            coords.extend(e * (den // data.glue.den) for e in data.glue.num[digit])
+        generators.append(tuple(coords))
+    return RatMatrix(len(generators), base.rank, tuple(generators), den)
 
 
 def _close_glue_group(words: RatMatrix) -> tuple[int, tuple]:
@@ -290,7 +289,7 @@ def construct_niemeier(key: str, corrupt_generator: bool = False) -> NiemeierBun
     rs = build_root_system(ext.lattice, vectors)
     if classify(rs) != tuple(sorted(spec["parts"])) or rs.count != spec["root_count"]:
         raise CatalogError(f"{key}: root system mismatch")
-    return NiemeierBundle(key, base, part_data, ext, group, den, rs, spec["description"])
+    return NiemeierBundle(key, base, ext, group, den, rs, spec["description"])
 
 
 @lru_cache(maxsize=None)

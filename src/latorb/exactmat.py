@@ -4,9 +4,10 @@ Everything in this module is pure and exact, with no floating point
 anywhere.  :class:`IntMatrix` holds Python ints.  :class:`RatMatrix` holds
 one scaled-integer representation: integer numerators over one positive
 common denominator, reduced by their gcd so that equal matrices have equal
-fields.  Its arithmetic, determinant, exact solve and LDL^T run on ints;
-``RatMatrix.entries`` is a derived Fraction view for callers that want
-entries one by one.  Matrices are immutable values; every operation
+fields.  Its arithmetic is products, transpose and the integrality test
+only; it, the determinant, exact solve and LDL^T run on ints, and
+``RatMatrix.entries`` is a derived Fraction view used for output.
+Matrices are immutable values; every operation
 returns a new matrix.  Both classes multiply through one packed-row integer
 product (Kronecker substitution, see ``_product``), and ``det``,
 ``solve_exact`` (so ``inverse``) and ``ldl`` share one packed-row
@@ -263,28 +264,6 @@ class RatMatrix:
     def transpose(self) -> "RatMatrix":
         return _rm(self.cols, self.rows, _transpose(self.num, self.rows, self.cols), self.den)
 
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        if not isinstance(other, RatMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("size mismatch in addition")
-        den = lcm(self.den, other.den)
-        p, q = den // self.den, den // other.den
-        return _rm(self.rows, self.cols, tuple(tuple(p * a + q * b for a, b in zip(ra, rb))
-                                               for ra, rb in zip(self.num, other.num)), den)
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "RatMatrix":
-        return self.scale(-1)
-
-    def scale(self, k: Rational) -> "RatMatrix":
-        kf = _as_frac(k)
-        return _rm(self.rows, self.cols,
-                   tuple(tuple(kf.numerator * a for a in row) for row in self.num),
-                   kf.denominator * self.den)
-
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if not isinstance(other, RatMatrix):
             return NotImplemented
@@ -348,10 +327,6 @@ class SmithDecomposition:
     invariant_factors: tuple[int, ...]
     u: IntMatrix
     v: IntMatrix
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.invariant_factors if d != 0)
 
 
 def _hnf_transform(h: list[Sequence[int]], u: list[Sequence[int]]) -> None:

@@ -143,21 +143,16 @@ class SublatticeOf:
         return self.inclusion.rows
 
 
-def _explicit_ambient(l: Lattice) -> RatMatrix | None:
-    """Ambient form to attach to a derived lattice sharing l's ambient space."""
-    f = l.effective_ambient_form()
-    if f.rows and f == RatMatrix.identity(f.rows):
-        return None
-    return f
+def _explicit_ambient(f: RatMatrix) -> RatMatrix | None:
+    """An ambient form as a derived lattice stores it: None for the identity."""
+    return None if f == RatMatrix.identity(f.rows) else f
 
 
 def direct_sum(parts: Sequence[Lattice], name: str | None = None) -> Lattice:
     """Orthogonal direct sum with block-diagonal Gram and block bookkeeping."""
     gram = block_diagonal([p.gram for p in parts])
     embedding = block_diagonal([p.effective_embedding() for p in parts]) if gram.rows else None
-    form = block_diagonal([p.effective_ambient_form() for p in parts])
-    if form == RatMatrix.identity(form.rows):
-        form = None
+    form = _explicit_ambient(block_diagonal([p.effective_ambient_form() for p in parts]))
     return Lattice(gram, embedding=embedding, ambient_form=form, name=name,
                    blocks=tuple(p.rank for p in parts))
 
@@ -205,7 +200,7 @@ def glue_extend(q: Lattice, words: RatMatrix,
     gram = basis @ q.gram @ basis.transpose()
     embedding = basis @ q.effective_embedding()
     glued = Lattice(gram, embedding=embedding,
-                    ambient_form=_explicit_ambient(q), name=name)
+                    ambient_form=_explicit_ambient(q.effective_ambient_form()), name=name)
     base_rows = inverse(basis)
     base_in_lattice = SublatticeOf(glued, base_rows.to_int())
     return GlueExtension(glued, index, basis, base_in_lattice)

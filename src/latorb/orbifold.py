@@ -5,7 +5,9 @@ eigenspace dimensions, the weight offset rho, the nested sublattices
 M = (1-s)L and N = ker(1+s+s^2) with the radical R of the mod-6 commutator
 pairing between them, and the weight-one dimension bookkeeping: fixed part,
 twisted part (square root of |N/R| when rho = 1), and their total.  The
-index |N/R| is always computed by two independent routes that must agree.
+index |N/R| is always computed by two independent routes that must agree;
+``twist_data`` computes N, M and the pairing on N once and hands them to
+both.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .catalog import NiemeierBundle, build_sigma, niemeier_bundle
 from .constructions import CONSTRUCTIONS, SIGMA_KEYS
 from .exactmat import IntMatrix, det, hnf, inverse, kernel_basis, snf, solve_exact
 from .lattice import Isometry, SublatticeOf, rat_str
-from .roots import RootSystem, enumerate_roots, orbit_count
+from .roots import RootSystem, orbit_count
 
 TWIST_ORDER = 3
 
@@ -37,22 +39,11 @@ class UnsupportedTwistWeight(OrbifoldError):
     contributions above the top level and no dimension rule is available."""
 
 
-@dataclass(frozen=True)
-class EigenData:
-    """Complex eigenspace dimensions for eigenvalues 1, zeta, zeta^2."""
+def eigen_dims(iso: Isometry) -> tuple[int, int, int]:
+    """Complex eigenspace dimensions (h0, h1, h2) of an order-1-or-3
+    isometry, for the eigenvalues 1, zeta, zeta^2.
 
-    dim_h0: int
-    dim_h1: int
-    dim_h2: int
-
-    def as_list(self) -> list[int]:
-        return [self.dim_h0, self.dim_h1, self.dim_h2]
-
-
-def eigen_dims(iso: Isometry) -> EigenData:
-    """Eigenspace dimensions of an order-1-or-3 isometry.
-
-    dim_h0 is the exact rational nullity of (s - 1); the two primitive
+    h0 is the exact rational nullity of (s - 1); the two primitive
     eigenspaces are complex conjugates, so they share the remaining rank
     equally.  An odd remainder means the matrix is not what it claims.
     """
@@ -63,14 +54,13 @@ def eigen_dims(iso: Isometry) -> EigenData:
     if rest % 2 != 0:
         raise OrbifoldError("conjugate eigenspaces differ in dimension; "
                             "the isometry matrix is inconsistent")
-    return EigenData(h0, rest // 2, rest // 2)
+    return h0, rest // 2, rest // 2
 
 
-def rho(eigen: EigenData) -> Fraction:
+def rho(eigen: tuple[int, int, int]) -> Fraction:
     """Twisted-module weight offset: (1/4p^2) sum_r r(p-r) dim_h(r), p = 3."""
     p = TWIST_ORDER
-    dims = eigen.as_list()
-    return Fraction(sum(r * (p - r) * dims[r] for r in range(p)), 4 * p * p)
+    return Fraction(sum(r * (p - r) * eigen[r] for r in range(p)), 4 * p * p)
 
 
 def rho_is_admissible(value: Fraction) -> bool:
@@ -78,7 +68,6 @@ def rho_is_admissible(value: Fraction) -> bool:
     return (TWIST_ORDER * value).denominator == 1
 
 
-@lru_cache(maxsize=None)
 def _orbit_sum(iso: Isometry) -> IntMatrix:
     """1 + s + s^2, shared by N (its kernel) and the check that M lies in N."""
     s = iso.matrix
@@ -104,7 +93,6 @@ def sublattice_m(iso: Isometry) -> SublatticeOf:
     return m
 
 
-@lru_cache(maxsize=None)
 def commutator_gram(iso: Isometry) -> IntMatrix:
     """Integer matrix C with c0(a, b) = a C b^T mod 6 in basis coordinates."""
     if not iso.lattice.is_even:
@@ -118,26 +106,24 @@ def commutator_gram(iso: Isometry) -> IntMatrix:
     return total
 
 
-@lru_cache(maxsize=None)  # B C B^T on N, an input both |N/R| routes read
 def _pairing_on(iso: Isometry, n: SublatticeOf) -> IntMatrix:
+    """B C B^T: the commutator pairing on N's basis B, an input both |N/R|
+    routes read."""
     b = n.inclusion
     return b @ commutator_gram(iso) @ b.transpose()
 
 
-def sublattice_r(iso: Isometry,
-                 n: SublatticeOf | None = None) -> tuple[SublatticeOf, int]:
-    """R = {a in N : c0(a, N) = 0 mod 6} and the index |N/R|.
+def sublattice_r(n: SublatticeOf, c: IntMatrix) -> tuple[SublatticeOf, int]:
+    """R = {a in N : c0(a, N) = 0 mod 6} and the index |N/R|, c the pairing
+    on N (``_pairing_on``).
 
     Route one of the dual computation: the congruence kernel x C = 0 mod 6
     is solved by an integer kernel of the stacked matrix (C over 6I); the
     projection of that kernel back to N coordinates is R.
     """
-    if n is None:
-        n = sublattice_n(iso)
     k = n.rank
     if k == 0:
-        return SublatticeOf(iso.lattice, IntMatrix(0, iso.lattice.rank, ())), 1
-    c = _pairing_on(iso, n)
+        return n, 1
     stacked = IntMatrix.from_rows(
         list(c.entries) + list(IntMatrix.identity(k).scale(_COMMUTATOR_MOD).entries),
         cols=k)
@@ -147,22 +133,19 @@ def sublattice_r(iso: Isometry,
         raise OrbifoldError("radical lost rank; 6N should always embed in R")
     index = int(abs(det(proj)))
     in_parent = hnf(proj @ n.inclusion)
-    return SublatticeOf(iso.lattice, in_parent), index
+    return SublatticeOf(n.parent, in_parent), index
 
 
-def coset_filter_index(iso: Isometry, n: SublatticeOf | None = None,
-                       m: SublatticeOf | None = None) -> tuple[int, int]:
-    """Route two: (|N/M|, |N/R|) by filtering N/M cosets with c0.
+def coset_filter_index(n: SublatticeOf, m: SublatticeOf,
+                       c: IntMatrix) -> tuple[int, int]:
+    """Route two: (|N/M|, |N/R|) by filtering N/M cosets with c0, c the
+    pairing on N (``_pairing_on``).
 
     Cosets are enumerated in Smith coordinates for N/M; a coset lies in R/M
     exactly when its row pairs to zero mod 6 against all of N.  The count
     splits meet-in-the-middle: the radical cosets are the pairs of partial
     sums, over each half of the Smith generators, that cancel mod 6.
     """
-    if n is None:
-        n = sublattice_n(iso)
-    if m is None:
-        m = sublattice_m(iso)
     k = n.rank
     if k == 0:
         return 1, 1
@@ -179,7 +162,6 @@ def coset_filter_index(iso: Isometry, n: SublatticeOf | None = None,
     index_nm = prod(divisors)
 
     # Pairing rows in Smith coordinates y = x V: condition y (V^-1 C) = 0 mod 6.
-    c = _pairing_on(iso, n)
     vinv = inverse(dec.v.to_rat()).to_int()
     rows = [[e % _COMMUTATOR_MOD for e in row] for row in (vinv @ c).entries]
     if any(e % _COMMUTATOR_MOD for row in (xi @ c).entries for e in row):
@@ -215,22 +197,14 @@ def coset_filter_index(iso: Isometry, n: SublatticeOf | None = None,
 class TwistData:
     """Everything the twisted-module dimension rule consumes."""
 
-    eigen: EigenData
+    eigen: tuple[int, int, int]
     rho: Fraction
     n: SublatticeOf
     m: SublatticeOf
     r: SublatticeOf
     index_nm: int
     index_nr: int
-    top_dim: int
     twisted_wt1_dim: int | None  # None: outside the supported weight range
-
-
-def _contained_in(inner: IntMatrix, outer: IntMatrix) -> bool:
-    if inner.rows == 0:
-        return True
-    x = solve_exact(outer.to_rat(), inner.to_rat())
-    return x.is_integral()
 
 
 @lru_cache(maxsize=None)
@@ -238,27 +212,27 @@ def twist_data(iso: Isometry) -> TwistData:
     """Assemble eigen data, rho, N/M/R, and the twisted top dimension.
 
     The two |N/R| routes (congruence kernel, coset filter) are both run and
-    must agree; M is re-verified inside R inside N; |N/R| must be a perfect
+    must agree; M is re-verified inside R; |N/R| must be a perfect
     square.  Any failure raises rather than producing a report.
     """
     eigen = eigen_dims(iso)
     offset = rho(eigen)
     n = sublattice_n(iso)
-    if n.rank != eigen.dim_h1 + eigen.dim_h2:
+    if n.rank != eigen[1] + eigen[2]:
         raise OrbifoldError("rank N disagrees with the eigenspace dimensions")
     m = sublattice_m(iso)
     if m.rank != n.rank:
         raise OrbifoldError("rank M differs from rank N")
-    r, index_kernel = sublattice_r(iso, n)
-    index_nm, index_filter = coset_filter_index(iso, n, m)
+    c = _pairing_on(iso, n)
+    r, index_kernel = sublattice_r(n, c)
+    index_nm, index_filter = coset_filter_index(n, m, c)
     if index_kernel != index_filter:
         raise OrbifoldError(
             f"|N/R| routes disagree: congruence kernel {index_kernel}, "
             f"coset filter {index_filter}")
-    if not _contained_in(m.inclusion, r.inclusion):
+    # R lies in N by construction (its rows are integer combinations of N's).
+    if not solve_exact(r.inclusion.to_rat(), m.inclusion.to_rat()).is_integral():
         raise OrbifoldError("M is not contained in R")
-    if not _contained_in(r.inclusion, n.inclusion):
-        raise OrbifoldError("R is not contained in N")
     top = isqrt(index_kernel)
     if top * top != index_kernel:
         raise OrbifoldError(f"|N/R| = {index_kernel} is not a perfect square")
@@ -268,7 +242,7 @@ def twist_data(iso: Isometry) -> TwistData:
         wt1 = 0
     else:
         wt1 = None
-    return TwistData(eigen, offset, n, m, r, index_nm, index_kernel, top, wt1)
+    return TwistData(eigen, offset, n, m, r, index_nm, index_kernel, wt1)
 
 
 def twisted_weight_one_dim(td: TwistData) -> int:
@@ -281,12 +255,11 @@ def twisted_weight_one_dim(td: TwistData) -> int:
     return td.twisted_wt1_dim
 
 
-def fixed_weight_one_dim(iso: Isometry, rs: RootSystem | None = None) -> int:
-    """dim of the fixed weight-one space: dim_h0 plus root orbits."""
-    if rs is None:
-        rs = enumerate_roots(iso.lattice)
+def fixed_weight_one_dim(iso: Isometry, rs: RootSystem) -> int:
+    """dim of the fixed weight-one space: h0 plus the orbits of
+    ``iso`` on the roots ``rs`` of its lattice."""
     orbits, _ = orbit_count(rs, iso)
-    return eigen_dims(iso).dim_h0 + orbits
+    return eigen_dims(iso)[0] + orbits
 
 
 def _candidate_entries(sigma_key: str, total: int) -> list[dict]:
@@ -377,7 +350,7 @@ def assemble_report(sigma_key: str) -> dict:
         "lattice": lattice_key,
         "sigma": sigma_key,
         "checks": checks,
-        "eigen": td.eigen.as_list(),
+        "eigen": list(td.eigen),
         "rho": rat_str(td.rho),
         "ranks": {"N": td.n.rank, "M": td.m.rank, "R": td.r.rank},
         "indices": {"N_over_M": td.index_nm, "N_over_R": td.index_nr},

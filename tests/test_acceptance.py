@@ -104,8 +104,9 @@ def test_criterion_5_twisted_sector_data():
         assert orbifold.twisted_weight_one_dim(td) == EXPECTED_TWISTED[key]
         # the two independent index routes, re-run from scratch
         n = orbifold.sublattice_n(iso)
-        _, kernel_route = orbifold.sublattice_r(iso, n)
-        _, coset_route = orbifold.coset_filter_index(iso, n)
+        c = orbifold._pairing_on(iso, n)
+        _, kernel_route = orbifold.sublattice_r(n, c)
+        _, coset_route = orbifold.coset_filter_index(n, orbifold.sublattice_m(iso), c)
         assert kernel_route == coset_route == td.index_nr
     first = orbifold.twist_data(build_sigma("sigma1"))
     assert first.index_nm == first.index_nr
@@ -203,7 +204,7 @@ def test_criterion_9_property_suites():
                 assert sublattice_contains(outer, list(row))
         assert isqrt(td.index_nr) ** 2 == td.index_nr
         eigen = orbifold.eigen_dims(iso)
-        assert eigen.dim_h1 == eigen.dim_h2
+        assert eigen[1] == eigen[2]
 
     # normal forms: span and divisibility invariants, 1000 random matrices
     rng = random.Random(9100)

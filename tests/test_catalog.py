@@ -55,18 +55,18 @@ def test_root_lattice_determinants_and_classes():
     for (family, rank), (det, n_classes) in cases.items():
         data = build_root_lattice(family, rank)
         assert data.lattice.determinant() == det
-        assert len(data.glue) == n_classes
-        assert all(c == 0 for c in data.glue[0])
+        assert data.glue.rows == n_classes
+        assert all(c == 0 for c in data.glue.num[0])
         # Each representative lies in the dual lattice (rep . G is integral)
         # and in the lattice itself only for the trivial class.
-        for ell, rep in enumerate(data.glue):
+        for ell, rep in enumerate(data.glue.entries):
             row = RatMatrix.from_rows([rep])
             assert (row @ data.lattice.gram).is_integral()
             assert row.is_integral() == (ell == 0)
 
 
 def class_norm(data, ell):
-    return data.lattice.inner(data.glue[ell], data.glue[ell])
+    return data.lattice.inner(data.glue.entries[ell], data.glue.entries[ell])
 
 
 def test_root_lattice_class_norms():
@@ -121,7 +121,7 @@ def test_coordinate_cycles_fix_dual_classes():
     for name, (family, rank) in cases:
         data = build_root_lattice(family, rank)
         auto = build_component_auto(name)
-        for ell in range(len(data.glue)):
+        for ell in range(data.glue.rows):
             assert glue_class_image(auto, data, ell) == ell
 
 
@@ -181,6 +181,18 @@ def test_bad_block_assignment_is_rejected():
     assignments = [(0, rot)] + [(i, eye) for i in range(1, 6)]
     with pytest.raises(StabilizationError, match="outside the lattice"):
         assemble_block_isometry(bundle, assignments, 3, "lopsided")
+
+
+# A word of D4_6 with five digits for its six blocks, and one with the
+# digit 4, where D4 has only the dual classes 0 to 3.
+MALFORMED_WORDS = [("11111", "wrong block count"), ("411111", "has no dual class")]
+
+
+@pytest.mark.parametrize("word,message", MALFORMED_WORDS)
+def test_malformed_glue_word_rejected(monkeypatch, word, message):
+    monkeypatch.setitem(CONSTRUCTIONS["lattices"]["D4_6"], "words", (word,))
+    with pytest.raises(CatalogError, match=message):
+        construct_niemeier("D4_6")
 
 
 @pytest.mark.parametrize("key", LATTICE_KEYS)

@@ -32,6 +32,8 @@ from latorb.exactmat import NoSolution
 from latorb.lattice import GlueError, IsometryError, LatticeError
 from latorb.roots import RootsError, UnknownRootSystem
 
+from test_catalog import MALFORMED_WORDS
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -105,6 +107,15 @@ def test_lattice_build_corrupt_generator(capsys):
                        "--corrupt-generator")
     assert code == EXIT_CHECK
     assert "FAIL:" in err
+
+
+@pytest.mark.parametrize("word,message", MALFORMED_WORDS)
+def test_lattice_build_rejects_malformed_glue_word(capsys, monkeypatch, word, message):
+    monkeypatch.setitem(CONSTRUCTIONS["lattices"]["D4_6"], "words", (word,))
+    code, out, err = run(capsys, "lattice", "build", "D4_6")
+    assert code == EXIT_CHECK
+    assert out == ""
+    assert err.startswith("FAIL: ") and message in err
 
 
 def test_lattice_roots_matches_golden(capsys):

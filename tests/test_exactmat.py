@@ -239,7 +239,7 @@ def test_randomized_normal_form_invariants():
             assert (k @ m).is_zero()
             saturation = snf(k).invariant_factors
             assert all(f == 1 for f in saturation)
-        assert k.rows == m.rows - snf(m).rank
+        assert k.rows == m.rows - sum(1 for f in snf(m).invariant_factors if f)
 
 
 # Seeded and bounded: the same examples on every run, no example database.
@@ -340,18 +340,6 @@ def test_matmul_transpose_match_reference(r, c, c2, data):
     expected = tuple(map(tuple, ref_matmul(x, y, c, c2)))
     assert (IntMatrix.from_rows(x, cols=c) @ IntMatrix.from_rows(y, cols=c2)).entries == expected
     assert (rat(x, c) @ rat(y, c2)).entries == expected
-
-
-@PROFILE
-@given(DIMS, DIMS, FRACTIONS, st.data())
-def test_add_sub_scale_match_reference(r, c, k, data):
-    a, b = data.draw(frac_rows(r, c)), data.draw(frac_rows(r, c))
-    assert rat(a, c) + rat(b, c) == rat([[x + y for x, y in zip(p, q)]
-                                         for p, q in zip(a, b)], c)
-    assert rat(a, c) - rat(b, c) == rat([[x - y for x, y in zip(p, q)]
-                                         for p, q in zip(a, b)], c)
-    assert rat(a, c).scale(k) == rat([[k * x for x in row] for row in a], c)
-    assert -rat(a, c) == rat([[-x for x in row] for row in a], c)
 
 
 @PROFILE

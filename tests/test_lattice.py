@@ -163,9 +163,10 @@ def test_member_basis_and_glue_vector():
     third = Fraction(1, 3)
     g = RatMatrix.from_rows([[third, -third, 0, third, -third, 0]])
     assert e6.inner(g.entries[0], g.entries[0]) == Fraction(4, 3)
-    assert not g.is_integral() and g.scale(3).is_integral()
+    tripled = RatMatrix.from_rows([[1, -1, 0, 1, -1, 0]])
+    assert not g.is_integral() and tripled.is_integral()
     assert glue_extend(e6, g).index == 3
-    assert glue_extend(e6, g.scale(3)).index == 1
+    assert glue_extend(e6, tripled).index == 1
 
 
 def sublattice_contains(sub: SublatticeOf, coords_in_parent) -> bool:

@@ -7,9 +7,11 @@ must every public method of a top-level class: some attribute read of its
 name in ``src/latorb`` outside its own body, or in ``perfbench``.  A read
 counts for one class when its receiver is known to be that class (``self``
 or ``cls`` in its methods, the class name, or a parameter annotated with
-it) and for every class with a method of that name otherwise.  A name that
-only the tests reach is dead weight in the package: delete it, or move the
-check it served onto a production path.  The few deliberate exceptions are
+it) and for every class with a method of that name otherwise.  Every field
+of a top-level dataclass or ``NamedTuple`` must be read as an attribute in
+``src/latorb`` or ``perfbench``.  A name that only the tests reach is dead
+weight in the package: delete it, or move the check it served onto a
+production path.  The few deliberate exceptions are
 listed below, each with its reason.
 """
 
@@ -19,13 +21,23 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "latorb"
 
-# "module.name", or "module.Class.name" for a method.
+# "module.name", or "module.Class.name" for a method or field.
 ALLOWED = {
     "catalog.glue_class_image":
-        "how a component isometry acts on dual classes (inner or outer); "
-        "the tests check the component automorphisms with it",
+        "which dual class a component isometry sends each class to, as "
+        "residue rows modulo the glue denominator; the tests check with it "
+        "that the component automorphisms cycle or fix the classes as stated",
     "catalog.COMPONENT_AUTO_NAMES":
         "the names build_component_auto accepts, listed for its callers",
+    "liealg.SimpleLieData.two_root_lengths":
+        "a column of the checksummed table of simple Lie algebras; dropping "
+        "it would change table_checksum and the verify-all output",
+    "roots.RootComponent.simple":
+        "the simple basis the classifier finds, which the roots tests "
+        "compare with a pairwise reference",
+    "roots.RootComponent.cartan":
+        "the Cartan matrix the classifier reads the type from, which the "
+        "roots tests compare with a pairwise reference",
 }
 
 
@@ -138,10 +150,31 @@ def unreferenced_methods(src: Path, extra: list[Path]) -> list[str]:
     return dead
 
 
+def _is_record(cls: ast.ClassDef) -> bool:
+    """Whether a class is a dataclass or a NamedTuple."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    return (any(getattr(d, "id", None) == "dataclass" for d in decorators)
+            or any(getattr(b, "id", None) == "NamedTuple" for b in cls.bases))
+
+
+def unreferenced_fields(src: Path, extra: list[Path]) -> list[str]:
+    """``module.Class.name`` for each field of a top-level dataclass or
+    NamedTuple in ``src`` that no file of ``src`` or ``extra`` reads as an
+    attribute."""
+    read = _attributes_read(sorted(src.glob("*.py")) + extra)
+    return [f"{stem}.{cls.name}.{field.target.id}"
+            for stem, tree in _parse(src).items()
+            for cls in tree.body if isinstance(cls, ast.ClassDef) and _is_record(cls)
+            for field in cls.body
+            if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+            and field.target.id not in read]
+
+
 def test_every_src_name_has_a_src_caller():
     # Equality, so an allowlisted name that gains a caller leaves the list.
     extra = sorted((ROOT / "perfbench").glob("*.py"))
-    dead = unreferenced_names(SRC, extra) + unreferenced_methods(SRC, extra)
+    dead = (unreferenced_names(SRC, extra) + unreferenced_methods(SRC, extra)
+            + unreferenced_fields(SRC, extra))
     assert sorted(dead) == sorted(ALLOWED)
 
 
@@ -161,3 +194,27 @@ def test_a_method_only_tests_call_is_found(tmp_path):
         "def stable(c: Code, sub: 'Sub') -> bool:\n"
         "    return c.contains(0) and sub is not None\n", encoding="utf-8")
     assert unreferenced_methods(tmp_path, []) == ["mod.Sub.contains"]
+
+
+def test_a_field_only_tests_read_is_found(tmp_path):
+    # Of two records, only fields read as attributes in the package count;
+    # a plain class's annotations are not fields.
+    (tmp_path / "mod.py").write_text(
+        "from dataclasses import dataclass\n"
+        "from typing import NamedTuple\n"
+        "\n"
+        "@dataclass(frozen=True)\n"
+        "class Pair:\n"
+        "    left: int\n"
+        "    right: int\n"
+        "\n"
+        "class Row(NamedTuple):\n"
+        "    name: str\n"
+        "    size: int\n"
+        "\n"
+        "class Plain:\n"
+        "    hidden: int\n"
+        "\n"
+        "def total(p: Pair, r: Row) -> int:\n"
+        "    return p.left + r.size\n", encoding="utf-8")
+    assert unreferenced_fields(tmp_path, []) == ["mod.Pair.right", "mod.Row.name"]

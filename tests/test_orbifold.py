@@ -5,7 +5,7 @@ import dataclasses
 import json
 import random
 from fractions import Fraction
-from math import prod
+from math import isqrt, prod
 
 import pytest
 
@@ -14,8 +14,8 @@ from latorb.constructions import CONSTRUCTIONS, SIGMA_KEYS
 from latorb.exactmat import IntMatrix, det, snf
 from latorb.lattice import Isometry
 from latorb.orbifold import (
-    EigenData,
     OrbifoldError,
+    _pairing_on,
     UnsupportedTwistWeight,
     assemble_report,
     commutator_gram,
@@ -99,13 +99,13 @@ def identity_on(lattice, name="id"):
 @pytest.mark.parametrize("key", SIGMA_KEYS)
 def test_eigen_dims(key):
     eigen = eigen_dims(build_sigma(key))
-    assert (eigen.dim_h0, eigen.dim_h1, eigen.dim_h2) == EIGEN_EXPECTED[key]
-    assert eigen.dim_h1 == eigen.dim_h2
+    assert eigen == EIGEN_EXPECTED[key]
+    assert eigen[1] == eigen[2]
 
 
 def test_eigen_dims_identity_and_rejects():
     d4 = build_root_lattice("D", 4).lattice
-    assert eigen_dims(identity_on(d4)).as_list() == [4, 0, 0]
+    assert eigen_dims(identity_on(d4)) == (4, 0, 0)
     minus = Isometry.create(d4, IntMatrix.identity(4).scale(-1),
                             expected_order=2)
     with pytest.raises(OrbifoldError):
@@ -118,7 +118,7 @@ def test_rho(key):
 
 
 def test_rho_degenerate_and_admissibility():
-    assert rho(EigenData(24, 0, 0)) == 0
+    assert rho((24, 0, 0)) == 0
     assert rho_is_admissible(Fraction(4, 3))
     assert rho_is_admissible(Fraction(1))
     assert not rho_is_admissible(Fraction(1, 9))
@@ -139,7 +139,7 @@ def test_sublattice_ranks(key):
     eigen = eigen_dims(iso)
     n = sublattice_n(iso)
     m = sublattice_m(iso)
-    assert n.rank == eigen.dim_h1 + eigen.dim_h2 == 24 - eigen.dim_h0
+    assert n.rank == eigen[1] + eigen[2] == 24 - eigen[0]
     assert m.rank == n.rank
     for row in m.inclusion.entries:
         assert sublattice_contains(n, row)
@@ -205,7 +205,7 @@ def test_twist_data(key):
     index_nm, index_nr, wt1 = TWIST_EXPECTED[key]
     assert td.index_nm == index_nm
     assert td.index_nr == index_nr
-    assert td.top_dim ** 2 == td.index_nr
+    assert isqrt(td.index_nr) ** 2 == td.index_nr
     assert twisted_weight_one_dim(td) == wt1
     assert td.index_nm % td.index_nr == 0
     # chain M inside R inside N, checked row by row in parent coordinates
@@ -220,8 +220,10 @@ def test_index_routes_agree(key):
     # The congruence-kernel route and the coset-filter route are computed
     # independently here, not just inside twist_data.
     iso = build_sigma(key)
-    _, via_kernel = sublattice_r(iso)
-    _, via_filter = coset_filter_index(iso)
+    n = sublattice_n(iso)
+    c = _pairing_on(iso, n)
+    _, via_kernel = sublattice_r(n, c)
+    _, via_filter = coset_filter_index(n, sublattice_m(iso), c)
     assert via_kernel == via_filter == TWIST_EXPECTED[key][1]
 
 
@@ -262,7 +264,7 @@ def test_fixed_weight_one(key):
 
 def test_fixed_weight_one_identity():
     d4 = build_root_lattice("D", 4).lattice
-    assert fixed_weight_one_dim(identity_on(d4)) == 4 + 24
+    assert fixed_weight_one_dim(identity_on(d4), enumerate_roots(d4)) == 4 + 24
     rs = niemeier_bundle("A2_12").root_system
     iso = identity_on(niemeier_bundle("A2_12").lattice)
     assert fixed_weight_one_dim(iso, rs) == 24 + 72
@@ -279,7 +281,6 @@ def test_fixed_weight_one_component_autos():
     }
     for name, want in cases.items():
         iso = build_component_auto(name)
-        assert fixed_weight_one_dim(iso) == want
         assert fixed_weight_one_dim(iso, enumerate_roots(iso.lattice)) == want
 
 
