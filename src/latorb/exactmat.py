@@ -5,17 +5,17 @@ anywhere.  :class:`IntMatrix` holds Python ints.  :class:`RatMatrix` holds
 one scaled-integer representation: integer numerators over one positive
 common denominator, reduced by their gcd so that equal matrices have equal
 fields.  Its arithmetic is products, transpose and the integrality test
-only; it, the determinant, exact solve and LDL^T run on ints, and
+only.  These, the determinant, exact solve and LDL^T run on ints;
 ``RatMatrix.entries`` is a derived Fraction view used for output.
-Matrices are immutable values; every operation
-returns a new matrix.  Both classes multiply through one packed-row integer
-product (Kronecker substitution, see ``_product``), and ``det``,
-``solve_exact`` (so ``inverse``) and ``ldl`` share one packed-row
-fraction-free elimination (``_eliminate``), whose field width the Hadamard
-bound fixes.  ``hnf``, ``kernel_basis`` and ``snf`` share one per-entry
-Euclid engine, ``_hnf_transform``, which repeats each row operation on
-companion rows (a transform, or none); ``snf`` alternates it on the matrix
-and its transpose.  Their entries have no a-priori bound.
+Matrices are immutable values; every operation returns a new matrix.
+Both classes multiply through one packed-row integer product (Kronecker
+substitution, see ``_product``), and ``det``, ``solve_exact`` (so
+``inverse``) and ``ldl`` share one packed-row fraction-free elimination
+(``_eliminate``), whose field width the Hadamard bound fixes.  ``hnf``,
+``kernel_basis`` and ``snf`` share one per-entry Euclid engine,
+``_hnf_transform``, which repeats each row operation on companion rows (a
+transform, or none); ``snf`` alternates it on the matrix and its
+transpose.  Their entries have no a-priori bound.
 
 Entries are checked to be ints only where data enters, in the public
 constructors and ``from_rows``; this module's own results are built by the

@@ -9,10 +9,11 @@ from math import isqrt, prod
 
 import pytest
 
+from latorb import orbifold
 from latorb.catalog import build_component_auto, build_root_lattice, build_sigma, niemeier_bundle
 from latorb.constructions import CONSTRUCTIONS, SIGMA_KEYS
 from latorb.exactmat import IntMatrix, det, snf
-from latorb.lattice import Isometry
+from latorb.lattice import Isometry, SublatticeOf
 from latorb.orbifold import (
     OrbifoldError,
     _pairing_on,
@@ -225,6 +226,29 @@ def test_index_routes_agree(key):
     _, via_kernel = sublattice_r(n, c)
     _, via_filter = coset_filter_index(n, sublattice_m(iso), c)
     assert via_kernel == via_filter == TWIST_EXPECTED[key][1]
+
+
+def test_sublattice_m_rejects_an_order_two_map():
+    # (1 - s)(1 + s + s^2) = 1 - s^3 vanishes only when s^3 = 1; for s = -1
+    # it is 2, so M = 2L does not lie in N = ker(1).
+    d4 = build_root_lattice("D", 4).lattice
+    minus = Isometry.create(d4, IntMatrix.identity(4).scale(-1), expected_order=2)
+    with pytest.raises(OrbifoldError, match="not contained in N"):
+        sublattice_m(minus)
+
+
+def test_twist_data_rejects_a_radical_missing_m(monkeypatch):
+    # Route one returns 3R with the true index: the routes still agree, but
+    # M no longer lies in the R that twist_data checks.
+    true_route = orbifold.sublattice_r
+
+    def tripled(n, c):
+        r, index = true_route(n, c)
+        return SublatticeOf(r.parent, r.inclusion.scale(3)), index
+
+    monkeypatch.setattr(orbifold, "sublattice_r", tripled)
+    with pytest.raises(OrbifoldError, match="M is not contained in R"):
+        twist_data.__wrapped__(build_sigma("sigma1"))
 
 
 def test_sigma1_radical_equals_image():
