@@ -5,9 +5,10 @@ Every construction is verified while it is built: component isometries must
 preserve their Gram form with the stated order, glue vectors must pair
 integrally, the glued lattices must come out even and unimodular with the
 expected root systems, and each assembled isometry must stabilize its
-lattice.  A failed check aborts the construction; nothing is returned on
-trust.  What is stated about the constructions, and what their reports must
-reproduce, is in the one table ``CONSTRUCTIONS`` (module ``constructions``).
+lattice.  A failed check, such as a wrong glue word in the table causes,
+aborts the construction; nothing is returned on trust.  What is stated
+about the constructions, and what their reports must reproduce, is in the
+one table ``CONSTRUCTIONS`` (module ``constructions``).
 """
 
 from __future__ import annotations
@@ -39,16 +40,6 @@ from .roots import (
     reflection,
 )
 from .terncode import golay_code, residue_perm
-
-
-COMPONENT_AUTO_NAMES = (
-    "cycle_A2",
-    "rotation_D4",
-    "triality_D4",
-    "coord_cycle_D4",
-    "coord_cycle_A5",
-    "reflection_product_E6",
-)
 
 
 class CatalogError(Exception):
@@ -125,7 +116,7 @@ def _auto_from_ambient(data: RootLatticeData,
     m = solve_exact(l.embedding, l.embedding @ w)
     if not m.is_integral():
         raise CatalogError(f"{name} does not preserve the lattice")
-    return Isometry.create(l, m.to_int(), expected_order=3, name=name)
+    return Isometry.create(l, m.to_int(), 3)
 
 
 @lru_cache(maxsize=None)
@@ -166,7 +157,7 @@ def build_component_auto(name: str) -> Isometry:
             [0, 0, 0, 1],
             [1, 0, 0, 0],
         ])
-        return Isometry.create(data.lattice, m, expected_order=3, name=name)
+        return Isometry.create(data.lattice, m, 3)
     if name == "coord_cycle_D4":
         data = build_root_lattice("D", 4)
         images = [(0, 0, 1, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)]
@@ -185,7 +176,7 @@ def build_component_auto(name: str) -> Isometry:
         simple = IntMatrix.identity(l.rank).entries
         for i in (5, 4, 3, 1, 0):
             m = m @ reflection(l, simple[i]).matrix
-        return Isometry.create(l, m, expected_order=3, name=name)
+        return Isometry.create(l, m, 3)
     raise CatalogError(f"unknown component isometry {name!r}")
 
 
@@ -206,7 +197,6 @@ class NiemeierBundle:
     """A verified glued lattice with everything needed to work on it; glue
     coset r (a ``glue_group`` row) is r / ``glue_den`` in base coordinates."""
 
-    key: str
     base: Lattice
     extension: GlueExtension
     glue_group: tuple[tuple[int, ...], ...]
@@ -220,18 +210,13 @@ class NiemeierBundle:
 
 
 def _glue_words(base: Lattice, part_data: tuple[RootLatticeData, ...],
-                words: tuple[str, ...] | None, corrupt_generator: bool) -> RatMatrix:
+                words: tuple[str, ...] | None) -> RatMatrix:
     """The glue generators, one row of base coordinates per word: each
     word's dual-class rows, scaled to the lcm of the parts' denominators."""
     if words is None:
         rows = [tuple(row) for row in golay_code().basis]
     else:
         rows = [tuple(int(ch) for ch in word) for word in words]
-    if corrupt_generator:
-        # bump the second digit of the first word to the next dual class
-        first = list(rows[0])
-        first[1] = (first[1] + 1) % part_data[1].glue.rows
-        rows[0] = tuple(first)
     den = lcm(*(data.glue.den for data in part_data))
     generators = []
     for row in rows:
@@ -262,18 +247,16 @@ def _close_glue_group(words: RatMatrix) -> tuple[int, tuple]:
     return den, tuple(sorted(group))
 
 
-def construct_niemeier(key: str, corrupt_generator: bool = False) -> NiemeierBundle:
-    """Build and fully verify one of the four glued rank-24 lattices.
-
-    ``corrupt_generator`` deliberately perturbs one glue word first, to
-    demonstrate that the verification chain rejects a wrong input.
-    """
+def construct_niemeier(key: str) -> NiemeierBundle:
+    """Build and fully verify one of the four glued rank-24 lattices: a
+    wrong glue word in the table raises ``CatalogError`` rather than
+    returning a bundle."""
     if key not in CONSTRUCTIONS["lattices"]:
         raise CatalogError(f"unknown lattice key {key!r}")
     spec = CONSTRUCTIONS["lattices"][key]
     part_data = tuple(build_root_lattice(f, r) for f, r in spec["parts"])
     base = direct_sum([d.lattice for d in part_data], name=f"{key}:base")
-    words = _glue_words(base, part_data, spec["words"], corrupt_generator)
+    words = _glue_words(base, part_data, spec["words"])
     ext = glue_extend(base, words, name=key)
     if ext.index != spec["index"]:
         raise CatalogError(
@@ -289,7 +272,7 @@ def construct_niemeier(key: str, corrupt_generator: bool = False) -> NiemeierBun
     rs = build_root_system(ext.lattice, vectors)
     if classify(rs) != tuple(sorted(spec["parts"])) or rs.count != spec["root_count"]:
         raise CatalogError(f"{key}: root system mismatch")
-    return NiemeierBundle(key, base, ext, group, den, rs, spec["description"])
+    return NiemeierBundle(base, ext, group, den, rs, spec["description"])
 
 
 @lru_cache(maxsize=None)
@@ -362,8 +345,7 @@ def assemble_block_isometry(bundle: NiemeierBundle,
             raise StabilizationError(
                 f"{name}: image of basis vector {k} is outside the lattice: "
                 f"{tuple(str(e) for e in x.entries[k])}")
-    return Isometry.create(bundle.lattice, x.to_int(),
-                           expected_order=expected_order, name=name)
+    return Isometry.create(bundle.lattice, x.to_int(), expected_order)
 
 
 @lru_cache(maxsize=None)

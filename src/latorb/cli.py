@@ -59,12 +59,7 @@ def _row(name: str, computed, expected, source: str = "stated") -> dict:
 
 def cmd_golay(args) -> int:
     from . import terncode
-    gens = terncode.golay_generators()
-    if args.corrupt_generator:
-        bumped = list(gens[0])
-        bumped[0] = (bumped[0] + 1) % 3
-        gens = [tuple(bumped)] + list(gens[1:])
-    code = terncode.TernaryCode.from_generators(gens)
+    code = terncode.TernaryCode.from_generators(terncode.golay_generators())
     sigma = terncode.residue_perm()
     weights = terncode.weight_distribution(code)
     rows = [
@@ -104,7 +99,7 @@ def _root_rows(key: str, rs) -> list[dict]:
 def cmd_lattice_build(args) -> int:
     from .catalog import construct_niemeier
     from .lattice import is_even_unimodular
-    bundle = construct_niemeier(args.key, corrupt_generator=args.corrupt_generator)
+    bundle = construct_niemeier(args.key)
     lattice = bundle.lattice
     even, unimodular = is_even_unimodular(lattice)
     rows = [
@@ -223,8 +218,7 @@ def cmd_verify_all(args) -> int:
     rows: list[dict] = []
     reports: dict[str, dict] = {}
     if wanted in "golay":
-        gens = terncode.golay_generators()
-        code = terncode.TernaryCode.from_generators(gens)
+        code = terncode.TernaryCode.from_generators(terncode.golay_generators())
         sigma = terncode.residue_perm()
         rows.append(_row("golay dimension", code.dim, 6))
         rows.append(_row("golay weight distribution",
@@ -287,8 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     golay = sub.add_parser("golay", help="ternary code checks")
     golay.add_argument("--json", action="store_true")
-    golay.add_argument("--corrupt-generator", action="store_true",
-                       help=argparse.SUPPRESS)
     golay.set_defaults(func=cmd_golay)
 
     lattice = sub.add_parser("lattice", help="lattice construction reports")
@@ -296,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     build = lat_sub.add_parser("build", help="construct and verify one lattice")
     build.add_argument("key", choices=LATTICE_KEYS)
     build.add_argument("--json", action="store_true")
-    build.add_argument("--corrupt-generator", action="store_true",
-                       help=argparse.SUPPRESS)
     build.set_defaults(func=cmd_lattice_build)
     roots = lat_sub.add_parser("roots", help="root system of one lattice")
     roots.add_argument("key", choices=LATTICE_KEYS)

@@ -186,24 +186,6 @@ class IntMatrix:
         return _im(self.rows, other.cols,
                    _product(self.entries, other.entries, other.cols))
 
-    def __pow__(self, k: int) -> "IntMatrix":
-        """Left-to-right square-and-multiply, never multiplying by the identity."""
-        if self.rows != self.cols:
-            raise ShapeError("power of a non-square matrix")
-        if k < 0:
-            raise ValueError("negative power")
-        if k == 0:
-            return IntMatrix.identity(self.rows)
-        out = self
-        for bit in bin(k)[3:]:
-            out = out @ out
-            if bit == "1":
-                out = out @ self
-        return out
-
-    def is_zero(self) -> bool:
-        return all(all(e == 0 for e in row) for row in self.entries)
-
     def is_identity(self) -> bool:
         return (self.rows == self.cols
                 and all(e == (1 if i == j else 0)

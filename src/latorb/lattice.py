@@ -223,11 +223,9 @@ class Isometry:
     lattice: Lattice
     matrix: IntMatrix
     order: int
-    name: str | None = None
 
     @classmethod
-    def create(cls, lattice: Lattice, matrix: IntMatrix,
-               expected_order: int | None = None, name: str | None = None) -> "Isometry":
+    def create(cls, lattice: Lattice, matrix: IntMatrix, order: int) -> "Isometry":
         r = lattice.rank
         if matrix.rows != r or matrix.cols != r:
             raise IsometryError("matrix size differs from lattice rank")
@@ -237,21 +235,14 @@ class Isometry:
         d = det(matrix)
         if d not in (1, -1):
             raise IsometryError(f"determinant is {d}, not +-1")
-        order = cls._order_of(matrix, cap=expected_order)
-        if expected_order is not None and order != expected_order:
-            raise IsometryError(
-                f"order is {order}, expected {expected_order}")
-        return cls(lattice, matrix, order, name)
-
-    @staticmethod
-    def _order_of(matrix: IntMatrix, cap: int | None = None) -> int:
-        limit = cap if cap is not None else 1000
-        power = matrix
-        for k in range(1, limit + 1):
-            if power.is_identity():
-                return k
-            power = power @ matrix
-        raise IsometryError(f"order exceeds {limit}")
+        power, k = matrix, 1
+        while not power.is_identity():
+            if k == order:
+                raise IsometryError(f"order exceeds {order}")
+            power, k = power @ matrix, k + 1
+        if k != order:
+            raise IsometryError(f"order is {k}, expected {order}")
+        return cls(lattice, matrix, order)
 
     @property
     def fixed_rank(self) -> int:

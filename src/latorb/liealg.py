@@ -413,6 +413,8 @@ def parse_type_string(text: str) -> tuple[tuple[SimpleLieData, int, int], ...]:
         except ValueError:
             raise LieDataError(
                 f"component {token!r} is not X<rank>,<level>[^<count>]") from None
+        if level < 1 or count < 1:
+            raise LieDataError(f"component {token!r} needs a level and count of at least 1")
         out.append((lookup(name[:1], rank), level, count))
     return tuple(out)
 

@@ -68,29 +68,23 @@ def rho_is_admissible(value: Fraction) -> bool:
     return (TWIST_ORDER * value).denominator == 1
 
 
-def _orbit_sum(iso: Isometry) -> IntMatrix:
-    """1 + s + s^2, shared by N (its kernel) and the check that M lies in N."""
-    s = iso.matrix
-    return IntMatrix.identity(s.rows) + s + s @ s
-
-
 def sublattice_n(iso: Isometry) -> SublatticeOf:
     """N = {a in L : (1 + s + s^2)a = 0}, with a saturated basis.
 
     Equivalently the vectors whose projection to the fixed subspace is zero;
     the kernel form avoids rational fixed-space bases.
     """
-    return SublatticeOf(iso.lattice, kernel_basis(_orbit_sum(iso)))
+    s = iso.matrix
+    return SublatticeOf(iso.lattice, kernel_basis(IntMatrix.identity(s.rows) + s + s @ s))
 
 
 def sublattice_m(iso: Isometry) -> SublatticeOf:
-    """M = (1 - s)L as the HNF row lattice of (1 - s)."""
-    delta = IntMatrix.identity(iso.lattice.rank) - iso.matrix
-    m = SublatticeOf(iso.lattice, hnf(delta))
-    # (1-s)(1+s+s^2) = 1-s^3 = 0, so M annihilates the same operator as N.
-    if not (m.inclusion @ _orbit_sum(iso)).is_zero():
-        raise OrbifoldError("M = (1-s)L is not contained in N")
-    return m
+    """M = (1 - s)L as the HNF row lattice of (1 - s).
+
+    M lies in N because (1 - s)(1 + s + s^2) = 1 - s^3 = 0 at order 3;
+    ``coset_filter_index`` checks it for each report, solving for M in N.
+    """
+    return SublatticeOf(iso.lattice, hnf(IntMatrix.identity(iso.lattice.rank) - iso.matrix))
 
 
 def commutator_gram(iso: Isometry) -> IntMatrix:
@@ -212,8 +206,9 @@ def twist_data(iso: Isometry) -> TwistData:
     """Assemble eigen data, rho, N/M/R, and the twisted top dimension.
 
     The two |N/R| routes (congruence kernel, coset filter) are both run and
-    must agree; M is re-verified inside R; |N/R| must be a perfect
-    square.  Any failure raises rather than producing a report.
+    must agree; the coset filter solves for M in N and a second solve puts
+    M inside R; |N/R| must be a perfect square.  Any failure raises rather
+    than producing a report.
     """
     eigen = eigen_dims(iso)
     offset = rho(eigen)
@@ -255,11 +250,11 @@ def twisted_weight_one_dim(td: TwistData) -> int:
     return td.twisted_wt1_dim
 
 
-def fixed_weight_one_dim(iso: Isometry, rs: RootSystem) -> int:
-    """dim of the fixed weight-one space: h0 plus the orbits of
-    ``iso`` on the roots ``rs`` of its lattice."""
+def fixed_weight_one_dim(iso: Isometry, rs: RootSystem, h0: int) -> int:
+    """dim of the fixed weight-one space: the fixed rank h0 of ``iso``
+    (``eigen_dims``) plus its orbits on the roots ``rs`` of its lattice."""
     orbits, _ = orbit_count(rs, iso)
-    return eigen_dims(iso)[0] + orbits
+    return h0 + orbits
 
 
 def _candidate_entries(sigma_key: str, total: int) -> list[dict]:
@@ -337,12 +332,12 @@ def assemble_report(sigma_key: str) -> dict:
     mr = iso.matrix.to_rat()
     checks = {
         "isometry": (mr @ g @ mr.transpose()) == g,
-        "order": (iso.matrix ** TWIST_ORDER).is_identity()
+        "order": (iso.matrix @ iso.matrix @ iso.matrix).is_identity()
                  and not iso.matrix.is_identity(),
         "stabilizes": stabilizes(bundle, iso.matrix),
     }
     td = twist_data(iso)
-    fixed = fixed_weight_one_dim(iso, bundle.root_system)
+    fixed = fixed_weight_one_dim(iso, bundle.root_system, td.eigen[0])
     twisted = twisted_weight_one_dim(td)
     total = fixed + 2 * twisted
     resolved = _verify_resolved_type(sigma_key, total)

@@ -297,7 +297,7 @@ def reflection(l: Lattice, alpha: Sequence[int]) -> Isometry:
         for i, row in enumerate(g.num)), g.den)
     if not m.is_integral():
         raise RootsError("reflection matrix is not integral")
-    return Isometry.create(l, m.to_int(), expected_order=2)
+    return Isometry.create(l, m.to_int(), 2)
 
 
 def basis_highest_root(l: Lattice, roots: Sequence[tuple[int, ...]]) -> tuple[int, ...]:

@@ -85,7 +85,8 @@ def test_criterion_3_isometry_orders_and_top_weights():
 
 def _fixed_dim(sigma_key: str) -> int:
     rs = niemeier_bundle(CONSTRUCTIONS["isometries"][sigma_key]["lattice"]).root_system
-    return orbifold.fixed_weight_one_dim(build_sigma(sigma_key), rs)
+    iso = build_sigma(sigma_key)
+    return orbifold.fixed_weight_one_dim(iso, rs, orbifold.eigen_dims(iso)[0])
 
 
 def test_criterion_4_fixed_weight_one_dimensions():

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latorb.catalog import (
-    COMPONENT_AUTO_NAMES,
     CatalogError,
     StabilizationError,
     assemble_block_isometry,
@@ -25,7 +24,7 @@ from latorb.constructions import CONSTRUCTIONS, LATTICE_KEYS, SIGMA_KEYS
 from latorb.exactmat import IntMatrix, RatMatrix
 from latorb.lattice import is_even_unimodular
 from latorb.roots import classify, orbit_count
-from latorb.terncode import residue_perm
+from latorb.terncode import golay_code, residue_perm
 
 NIEMEIER_EXPECTED = {
     "A2_12": (729, 72, (("A", 2),) * 12),
@@ -97,7 +96,6 @@ def test_component_isometry_orders_and_fixed_ranks():
         "coord_cycle_A5": 1,
         "reflection_product_E6": 0,
     }
-    assert set(COMPONENT_AUTO_NAMES) == set(expected)
     for name, fixed in expected.items():
         auto = build_component_auto(name)
         assert auto.order == 3
@@ -195,10 +193,22 @@ def test_malformed_glue_word_rejected(monkeypatch, word, message):
         construct_niemeier("D4_6")
 
 
+def corrupted_words(key: str) -> tuple[str, ...]:
+    """The glue words of a lattice (the Golay basis as digit strings for
+    A2_12) with the second digit of the first word bumped to the next
+    dual class."""
+    spec = CONSTRUCTIONS["lattices"][key]
+    words = spec["words"] or tuple("".join(map(str, row)) for row in golay_code().basis)
+    classes = build_root_lattice(*spec["parts"][1]).glue.rows
+    first = words[0]
+    return (first[0] + str((int(first[1]) + 1) % classes) + first[2:], *words[1:])
+
+
 @pytest.mark.parametrize("key", LATTICE_KEYS)
-def test_corrupted_generator_rejected(key):
+def test_corrupted_generator_rejected(monkeypatch, key):
+    monkeypatch.setitem(CONSTRUCTIONS["lattices"][key], "words", corrupted_words(key))
     with pytest.raises(CatalogError):
-        construct_niemeier(key, corrupt_generator=True)
+        construct_niemeier(key)
 
 
 def test_catalog_listing():

@@ -5,6 +5,7 @@ tests/golden/ were produced by separate interpreter runs, so comparing
 against them byte for byte also pins cross-process determinism.
 """
 
+import argparse
 import ast
 import hashlib
 import json
@@ -16,8 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from latorb import cli, liealg, orbifold
-from latorb.catalog import CatalogError, StabilizationError
+from latorb import cli, liealg, orbifold, terncode
+from latorb.catalog import CatalogError, StabilizationError, niemeier_bundle
 from latorb.cli import (
     EXIT_CHECK,
     EXIT_INTERNAL,
@@ -32,7 +33,7 @@ from latorb.exactmat import NoSolution
 from latorb.lattice import GlueError, IsometryError, LatticeError
 from latorb.roots import RootsError, UnknownRootSystem
 
-from test_catalog import MALFORMED_WORDS
+from test_catalog import MALFORMED_WORDS, corrupted_words
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -76,8 +77,21 @@ def test_golay_human_output(capsys):
     assert lines[-1] == "all checks pass"
 
 
-def test_golay_corrupt_generator_fails(capsys):
-    code, out, _ = run(capsys, "golay", "--corrupt-generator")
+# Read before any test patches the generators.
+GOLAY_GENERATORS = terncode.golay_generators()
+GOLAY_BASIS = terncode.golay_code().basis
+
+
+def bumped_golay_generators():
+    """The Golay generators with the first entry of the first word bumped:
+    a word outside the code joins them, so they span dimension 7."""
+    gens = GOLAY_GENERATORS
+    return [((gens[0][0] + 1) % 3, *gens[0][1:]), *gens[1:]]
+
+
+def test_golay_corrupt_generator_fails(capsys, monkeypatch):
+    monkeypatch.setattr(terncode, "golay_generators", bumped_golay_generators)
+    code, out, _ = run(capsys, "golay")
     assert code == EXIT_CHECK
     assert "FAIL golay dimension: computed 7" in out
     assert out.splitlines()[-1] == "checks FAILED"
@@ -102,11 +116,25 @@ def test_lattice_build_matches_golden(capsys, key):
     assert out == golden_text(f"lattice_build_{key}.json")
 
 
-def test_lattice_build_corrupt_generator(capsys):
-    code, _, err = run(capsys, "lattice", "build", "D4_6",
-                       "--corrupt-generator")
-    assert code == EXIT_CHECK
-    assert "FAIL:" in err
+def test_lattice_build_corrupt_generator(capsys, monkeypatch):
+    monkeypatch.setitem(CONSTRUCTIONS["lattices"]["D4_6"], "words", corrupted_words("D4_6"))
+    code, out, err = run(capsys, "lattice", "build", "D4_6")
+    assert (code, out) == (EXIT_CHECK, "")
+    assert err == "FAIL: D4_6: lattice is not even unimodular of rank 24\n"
+
+
+def test_no_option_is_hidden_from_help():
+    # Faults are injected by the tests, never through a hidden flag.
+    def parsers(parser):
+        yield parser
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from parsers(sub)
+
+    hidden = [(p.prog, a.option_strings or a.dest) for p in parsers(cli.build_parser())
+              for a in p._actions if a.help == argparse.SUPPRESS]
+    assert hidden == []
 
 
 @pytest.mark.parametrize("word,message", MALFORMED_WORDS)
@@ -218,6 +246,11 @@ def test_schellekens_with_type_filter(capsys):
     ("schellekens", "--dim", "48", "--type", "A2"),
     ("schellekens", "--dim", "48", "--type", "A2,x"),
     ("verify-all", "--filter", "nomatch"),
+    # A count or level below 1 names no component.
+    ("schellekens", "--dim", "48", "--type", "A2,3^-1"),
+    ("schellekens", "--dim", "48", "--type", "A2,3^0"),
+    ("schellekens", "--dim", "48", "--type", "A2,0"),
+    ("schellekens", "--dim", "48", "--type", "A2,-3"),
 ])
 def test_malformed_query_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -252,6 +285,33 @@ def test_verify_all_golay_filter_skips_reports(capsys):
     bundle = json.loads(out)
     assert bundle["reports"] == []
     assert bundle["summary"]["passed"] == 3
+
+
+def golay_basis_with_last_entry_bumped():
+    """Six independent words, one outside the Golay code: dimension 6 with a
+    different weight distribution."""
+    basis = GOLAY_BASIS
+    return [(*basis[0][:-1], (basis[0][-1] + 1) % 3), *basis[1:]]
+
+
+@pytest.mark.parametrize(("patch", "failing"), [
+    (("golay_generators", bumped_golay_generators),
+     ["golay dimension", "golay weight distribution"]),
+    (("golay_generators", golay_basis_with_last_entry_bumped),
+     ["golay weight distribution"]),
+    (("residue_perm", terncode.shift_perm), ["golay residue cycles"]),
+], ids=["dimension", "weight-distribution", "residue-cycles"])
+def test_verify_all_golay_rows_fail_on_their_corruption(capsys, monkeypatch, patch, failing):
+    """Each golay row of verify-all reads the code or the residue permutation
+    itself; the lattices are built first, so no isometry row sees the fault."""
+    for key in CONSTRUCTIONS["lattices"]:
+        niemeier_bundle(key)
+    monkeypatch.setattr(terncode, *patch)
+    code, out, _ = run(capsys, "verify-all", "--json")
+    assert code == EXIT_CHECK
+    checks = json.loads(out)["checks"]
+    assert [row["name"] for row in checks if not row["ok"]] == failing
+    assert len(checks) == len(json.loads(golden_text("verify_all.json"))["checks"])
 
 
 def test_verify_all_emit_dir(capsys, tmp_path):

@@ -205,16 +205,15 @@ def test_sublattice_rejects_dependent_rows():
 
 def test_isometry_rotation_of_a2():
     l = a2()
-    rot = Isometry.create(l, IntMatrix.from_rows([[0, 1], [-1, -1]]),
-                          expected_order=3)
+    rot = Isometry.create(l, IntMatrix.from_rows([[0, 1], [-1, -1]]), 3)
     assert rot.order == 3
     assert rot.fixed_rank == 0
     assert (IntMatrix.from_rows([[1, 0]]) @ rot.matrix).entries == ((0, 1),)
-    assert (rot.matrix @ rot.matrix ** (rot.order - 1)).is_identity()
-    neg = Isometry.create(l, IntMatrix.identity(2).scale(-1))
+    assert (rot.matrix @ rot.matrix @ rot.matrix).is_identity()
+    neg = Isometry.create(l, IntMatrix.identity(2).scale(-1), 2)
     assert neg.order == 2
     assert neg.fixed_rank == 0
-    ident = Isometry.create(l, IntMatrix.identity(2))
+    ident = Isometry.create(l, IntMatrix.identity(2), 1)
     assert ident.order == 1
     assert ident.fixed_rank == 2
 
@@ -222,11 +221,13 @@ def test_isometry_rotation_of_a2():
 def test_isometry_rejections():
     l = a2()
     with pytest.raises(IsometryError):
-        Isometry.create(l, IntMatrix.from_rows([[1, 1], [0, 1]]))
+        Isometry.create(l, IntMatrix.from_rows([[1, 1], [0, 1]]), 1)
+    with pytest.raises(IsometryError, match="order is 1, expected 3"):
+        Isometry.create(l, IntMatrix.identity(2), 3)
+    with pytest.raises(IsometryError, match="order exceeds 2"):
+        Isometry.create(l, IntMatrix.from_rows([[0, 1], [-1, -1]]), 2)
     with pytest.raises(IsometryError):
-        Isometry.create(l, IntMatrix.identity(2), expected_order=3)
-    with pytest.raises(IsometryError):
-        Isometry.create(l, IntMatrix.identity(3))
+        Isometry.create(l, IntMatrix.identity(3), 1)
 
 
 def test_serialization():

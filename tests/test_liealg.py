@@ -342,6 +342,9 @@ def test_parse_type_string():
         ("A5", 3, 1), ("D4", 3, 1), ("A1", 1, 3)]
     with pytest.raises(LieDataError):
         parse_type_string("A5 D4")
+    for text in ("A2,3^-1", "A2,3^0", "A2,0", "A2,-3"):
+        with pytest.raises(LieDataError, match="at least 1"):
+            parse_type_string(text)
 
 
 def test_schellekens_rows_are_consistent():

@@ -27,8 +27,6 @@ ALLOWED = {
         "which dual class a component isometry sends each class to, as "
         "residue rows modulo the glue denominator; the tests check with it "
         "that the component automorphisms cycle or fix the classes as stated",
-    "catalog.COMPONENT_AUTO_NAMES":
-        "the names build_component_auto accepts, listed for its callers",
     "liealg.SimpleLieData.two_root_lengths":
         "a column of the checksummed table of simple Lie algebras; dropping "
         "it would change table_checksum and the verify-all output",

@@ -9,7 +9,7 @@ from math import isqrt, prod
 
 import pytest
 
-from latorb import orbifold
+from latorb import lattice, orbifold
 from latorb.catalog import build_component_auto, build_root_lattice, build_sigma, niemeier_bundle
 from latorb.constructions import CONSTRUCTIONS, SIGMA_KEYS
 from latorb.exactmat import IntMatrix, det, snf
@@ -92,9 +92,8 @@ SCHELLEKENS_EXPECTED = {
 }
 
 
-def identity_on(lattice, name="id"):
-    return Isometry.create(lattice, IntMatrix.identity(lattice.rank),
-                           expected_order=1, name=name)
+def identity_on(l):
+    return Isometry.create(l, IntMatrix.identity(l.rank), 1)
 
 
 @pytest.mark.parametrize("key", SIGMA_KEYS)
@@ -107,8 +106,7 @@ def test_eigen_dims(key):
 def test_eigen_dims_identity_and_rejects():
     d4 = build_root_lattice("D", 4).lattice
     assert eigen_dims(identity_on(d4)) == (4, 0, 0)
-    minus = Isometry.create(d4, IntMatrix.identity(4).scale(-1),
-                            expected_order=2)
+    minus = Isometry.create(d4, IntMatrix.identity(4).scale(-1), 2)
     with pytest.raises(OrbifoldError):
         eigen_dims(minus)
 
@@ -228,13 +226,14 @@ def test_index_routes_agree(key):
     assert via_kernel == via_filter == TWIST_EXPECTED[key][1]
 
 
-def test_sublattice_m_rejects_an_order_two_map():
-    # (1 - s)(1 + s + s^2) = 1 - s^3 vanishes only when s^3 = 1; for s = -1
-    # it is 2, so M = 2L does not lie in N = ker(1).
-    d4 = build_root_lattice("D", 4).lattice
-    minus = Isometry.create(d4, IntMatrix.identity(4).scale(-1), expected_order=2)
-    with pytest.raises(OrbifoldError, match="not contained in N"):
-        sublattice_m(minus)
+def test_coset_filter_rejects_an_n_missing_m():
+    # |N/M| = 81 for sigma1, so M does not lie in 2N: solving for M in the
+    # doubled rows gives half-integers, and the filter refuses them.
+    iso = build_sigma("sigma1")
+    n = sublattice_n(iso)
+    doubled = SublatticeOf(n.parent, n.inclusion.scale(2))
+    with pytest.raises(OrbifoldError, match="M does not embed in N integrally"):
+        coset_filter_index(doubled, sublattice_m(iso), _pairing_on(iso, doubled))
 
 
 def test_twist_data_rejects_a_radical_missing_m(monkeypatch):
@@ -283,15 +282,15 @@ def test_unsupported_twist_weights():
 def test_fixed_weight_one(key):
     iso = build_sigma(key)
     rs = niemeier_bundle(CONSTRUCTIONS["isometries"][key]["lattice"]).root_system
-    assert fixed_weight_one_dim(iso, rs) == FIXED_EXPECTED[key]
+    assert fixed_weight_one_dim(iso, rs, EIGEN_EXPECTED[key][0]) == FIXED_EXPECTED[key]
 
 
 def test_fixed_weight_one_identity():
     d4 = build_root_lattice("D", 4).lattice
-    assert fixed_weight_one_dim(identity_on(d4), enumerate_roots(d4)) == 4 + 24
+    assert fixed_weight_one_dim(identity_on(d4), enumerate_roots(d4), 4) == 4 + 24
     rs = niemeier_bundle("A2_12").root_system
     iso = identity_on(niemeier_bundle("A2_12").lattice)
-    assert fixed_weight_one_dim(iso, rs) == 24 + 72
+    assert fixed_weight_one_dim(iso, rs, 24) == 24 + 72
 
 
 def test_fixed_weight_one_component_autos():
@@ -305,7 +304,8 @@ def test_fixed_weight_one_component_autos():
     }
     for name, want in cases.items():
         iso = build_component_auto(name)
-        assert fixed_weight_one_dim(iso, enumerate_roots(iso.lattice)) == want
+        h0 = eigen_dims(iso)[0]
+        assert fixed_weight_one_dim(iso, enumerate_roots(iso.lattice), h0) == want
 
 
 def test_report_sigma1_golden():
@@ -384,6 +384,25 @@ def test_stabilizes_fails_when_cosets_collapse():
     # glue cosets of D4_6, so the cosets are not permuted.
     bundle = niemeier_bundle("D4_6")
     assert not stabilizes(bundle, build_sigma("sigma2").matrix.scale(2))
+
+
+def test_report_forms_the_fixed_space_kernel_once(monkeypatch):
+    # h0 is the nullity of s - 1 (Isometry.fixed_rank, lattice's one kernel
+    # call); a report reads it from eigen_dims once.  twist_data runs
+    # uncached so that its eigen_dims call is counted too.
+    calls = []
+    true_kernel = lattice.kernel_basis
+
+    def counting(m):
+        calls.append(m)
+        return true_kernel(m)
+
+    monkeypatch.setattr(lattice, "kernel_basis", counting)
+    monkeypatch.setattr(orbifold, "twist_data", twist_data.__wrapped__)
+    for key in SIGMA_KEYS:
+        calls.clear()
+        assemble_report(key)
+        assert len(calls) == 1, key
 
 
 def test_report_unknown_key():

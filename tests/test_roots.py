@@ -122,7 +122,7 @@ def test_fixed_point_free_order_three_from_reflections():
     m = reflection(e6, top).matrix
     for i in (5, 4, 3, 1, 0):
         m = m @ reflection(e6, IntMatrix.identity(6).entries[i]).matrix
-    phi = Isometry.create(e6, m, expected_order=3)
+    phi = Isometry.create(e6, m, 3)
     assert phi.fixed_rank == 0
 
 
@@ -147,14 +147,13 @@ def test_basis_highest_root_e6():
 def test_orbit_count():
     l = Lattice(A2_GRAM)
     rs = enumerate_roots(l)
-    ident = Isometry.create(l, IntMatrix.identity(2))
+    ident = Isometry.create(l, IntMatrix.identity(2), 1)
     assert orbit_count(rs, ident) == (6, 6)
-    rot = Isometry.create(l, IntMatrix.from_rows([[0, 1], [-1, -1]]),
-                          expected_order=3)
+    rot = Isometry.create(l, IntMatrix.from_rows([[0, 1], [-1, -1]]), 3)
     assert orbit_count(rs, rot) == (2, 0)
-    neg = Isometry.create(l, IntMatrix.identity(2).scale(-1))
+    neg = Isometry.create(l, IntMatrix.identity(2).scale(-1), 2)
     assert orbit_count(rs, neg) == (3, 0)
-    other = Isometry.create(Lattice(D4_GRAM), IntMatrix.identity(4))
+    other = Isometry.create(Lattice(D4_GRAM), IntMatrix.identity(4), 1)
     with pytest.raises(RootsError):
         orbit_count(rs, other)
 
@@ -170,7 +169,7 @@ def test_orbit_sizes_for_order_three():
              @ reflection(e6, simple[3]).matrix
              @ reflection(e6, simple[1]).matrix
              @ reflection(e6, simple[0]).matrix),
-        expected_order=3)
+        3)
     orbits, fixed = orbit_count(rs, rot)
     assert rs.count == fixed + 3 * (orbits - fixed)
 
@@ -350,13 +349,21 @@ def random_unimodular(n: int, rng: random.Random) -> IntMatrix:
     return IntMatrix.from_rows([[k * e for e in row] for k, row in zip(signs, rows)])
 
 
-def change_basis(l: Lattice, iso_matrix: IntMatrix, u: IntMatrix):
-    """The lattice in the basis U b and the map x -> x @ m in its coordinates,
-    x' -> x' @ U m U^-1."""
+def change_basis(l: Lattice, iso_matrix: IntMatrix, order: int, u: IntMatrix):
+    """The lattice in the basis U b and the map x -> x @ m of the given order
+    in its coordinates, x' -> x' @ U m U^-1."""
     ur = u.to_rat()
     uinv = inverse(ur).to_int()
     moved = Lattice(ur @ l.gram @ ur.transpose())
-    return moved, uinv, Isometry.create(moved, u @ iso_matrix @ uinv)
+    return moved, uinv, Isometry.create(moved, u @ iso_matrix @ uinv, order)
+
+
+def order_of(m: IntMatrix) -> int:
+    """The order of an integer matrix known to have finite order."""
+    power, k = m, 1
+    while not power.is_identity():
+        power, k = power @ m, k + 1
+    return k
 
 
 def weyl_element(l: Lattice, rs, rng: random.Random) -> IntMatrix:
@@ -374,9 +381,10 @@ def test_root_layer_is_invariant_under_basis_change(parts, seed):
     rs = enumerate_roots(l)
     sigma = weyl_element(l, rs, rng)
     counts = sorted(len(c.roots) for c in rs.components)
-    orbits = orbit_count(rs, Isometry.create(l, sigma))
+    order = order_of(sigma)
+    orbits = orbit_count(rs, Isometry.create(l, sigma, order))
     for _ in range(2):
-        moved, _, moved_sigma = change_basis(l, sigma, random_unimodular(l.rank, rng))
+        moved, _, moved_sigma = change_basis(l, sigma, order, random_unimodular(l.rank, rng))
         moved_rs = enumerate_roots(moved)
         assert classify(moved_rs) == classify(rs)
         assert sorted(len(c.roots) for c in moved_rs.components) == counts
@@ -387,7 +395,7 @@ def test_niemeier_root_layer_is_invariant_under_basis_change():
     sigma = build_sigma("sigma1")
     rs = niemeier_bundle("A2_12").root_system
     moved, uinv, moved_sigma = change_basis(
-        rs.lattice, sigma.matrix, random_unimodular(24, random.Random(14)))
+        rs.lattice, sigma.matrix, sigma.order, random_unimodular(24, random.Random(14)))
     moved_roots = (IntMatrix.from_rows(rs.roots) @ uinv).entries
     moved_rs = build_root_system(moved, moved_roots)
     assert classify(moved_rs) == classify(rs)
