@@ -21,7 +21,7 @@ from math import lcm
 from typing import Sequence
 
 from .constructions import CONSTRUCTIONS
-from .exactmat import IntMatrix, RatMatrix, Rational, solve_exact
+from .exactmat import IntMatrix, RatMatrix, Rational, block_diagonal, solve_exact
 from .lattice import (
     GlueExtension,
     Isometry,
@@ -56,17 +56,22 @@ class RootLatticeData:
 
     Row ell of ``glue`` represents dual class ell (0 is the trivial class):
     the coordinates, in the lattice basis, of an element of the dual, all
-    rows over the one denominator ``glue.den``.
+    rows over the one denominator ``glue.den``.  The rows of ``ambient``
+    are the basis vectors in the coordinates the lattice is stated in.
     """
 
     lattice: Lattice
     glue: RatMatrix
+    ambient: RatMatrix
 
 
-def _ambient_lattice(rows: Sequence[Sequence[int]], ambient_dim: int, name: str) -> Lattice:
-    emb = RatMatrix.from_rows(rows, cols=ambient_dim)
-    gram = emb @ emb.transpose()
-    return Lattice(gram, embedding=emb, name=name)
+def _dynkin_lattice(family: str, rank: int, edges: Sequence[tuple[int, int]]) -> Lattice:
+    """The lattice whose basis is simple roots of norm 2 pairing to -1
+    along the Dynkin diagram ``edges`` and to 0 otherwise."""
+    linked = {*edges, *((j, i) for i, j in edges)}
+    return Lattice(RatMatrix.from_rows(
+        [[2 if i == j else -((i, j) in linked) for j in range(rank)] for i in range(rank)]),
+        name=f"{family}{rank}")
 
 
 @lru_cache(maxsize=None)
@@ -74,36 +79,29 @@ def build_root_lattice(family: str, rank: int) -> RootLatticeData:
     """A root lattice of the given type with its dual-class representatives.
 
     Supported types: A with any positive rank (difference vectors in the
-    rank+1 coordinate ambient space), D of rank 4, and E of rank 6 (given
-    directly by its Cartan Gram matrix, so basis = simple roots).
+    rank+1 coordinate ambient space), D of rank 4 (in four coordinates),
+    and E of rank 6 (stated in its own basis of simple roots).
     """
     if family == "A" and rank >= 1:
         n = rank
-        rows = [[1 if j == i else (-1 if j == i + 1 else 0)
-                 for j in range(n + 1)] for i in range(n)]
-        l = _ambient_lattice(rows, n + 1, f"A{n}")
-        amb = [[Fraction(ell, n + 1)] * (n + 1 - ell) + [Fraction(ell - n - 1, n + 1)] * ell
-               for ell in range(n + 1)]
-        return RootLatticeData(l, solve_exact(l.embedding, RatMatrix.from_rows(amb)))
+        amb = RatMatrix.from_rows([[1 if j == i else (-1 if j == i + 1 else 0)
+                                    for j in range(n + 1)] for i in range(n)])
+        glue = [[Fraction(ell, n + 1)] * (n + 1 - ell) + [Fraction(ell - n - 1, n + 1)] * ell
+                for ell in range(n + 1)]
+        return RootLatticeData(_dynkin_lattice(family, n, [(i, i + 1) for i in range(n - 1)]),
+                               solve_exact(amb, RatMatrix.from_rows(glue)), amb)
     if family == "D" and rank == 4:
-        rows = [[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1], [0, 0, 1, 1]]
-        l = _ambient_lattice(rows, 4, "D4")
+        amb = RatMatrix.from_rows([[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1], [0, 0, 1, 1]])
         half = Fraction(1, 2)
-        amb = [[0, 0, 0, 0], [half, half, half, half], [0, 0, 0, 1], [half, half, half, -half]]
-        return RootLatticeData(l, solve_exact(l.embedding, RatMatrix.from_rows(amb)))
+        glue = [[0, 0, 0, 0], [half, half, half, half], [0, 0, 0, 1], [half, half, half, -half]]
+        return RootLatticeData(_dynkin_lattice(family, rank, [(0, 1), (1, 2), (1, 3)]),
+                               solve_exact(amb, RatMatrix.from_rows(glue)), amb)
     if family == "E" and rank == 6:
-        gram = RatMatrix.from_rows([
-            [2, -1, 0, 0, 0, 0],
-            [-1, 2, -1, 0, 0, 0],
-            [0, -1, 2, -1, 0, -1],
-            [0, 0, -1, 2, -1, 0],
-            [0, 0, 0, -1, 2, 0],
-            [0, 0, -1, 0, 0, 2],
-        ])
-        l = Lattice(gram, name="E6")
         third = Fraction(1, 3)
         rep = (third, -third, 0, third, -third, 0)
-        return RootLatticeData(l, RatMatrix.from_rows([(0,) * 6, rep, [-e for e in rep]]))
+        return RootLatticeData(
+            _dynkin_lattice(family, rank, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)]),
+            RatMatrix.from_rows([(0,) * 6, rep, [-e for e in rep]]), RatMatrix.identity(6))
     raise CatalogError(f"unsupported root lattice {family}{rank}")
 
 
@@ -111,12 +109,11 @@ def _auto_from_ambient(data: RootLatticeData,
                        ambient_images: Sequence[Sequence[Rational]],
                        name: str) -> Isometry:
     """Convert an ambient-coordinate map to basis coordinates and verify it."""
-    l = data.lattice
-    w = RatMatrix.from_rows(ambient_images)
-    m = solve_exact(l.embedding, l.embedding @ w)
+    amb = data.ambient
+    m = solve_exact(amb, amb @ RatMatrix.from_rows(ambient_images))
     if not m.is_integral():
         raise CatalogError(f"{name} does not preserve the lattice")
-    return Isometry.create(l, m.to_int(), 3)
+    return Isometry.create(data.lattice, m.to_int(), 3)
 
 
 @lru_cache(maxsize=None)
@@ -195,9 +192,12 @@ def glue_class_image(auto: Isometry, data: RootLatticeData,
 @dataclass(frozen=True)
 class NiemeierBundle:
     """A verified glued lattice with everything needed to work on it; glue
-    coset r (a ``glue_group`` row) is r / ``glue_den`` in base coordinates."""
+    coset r (a ``glue_group`` row) is r / ``glue_den`` in base coordinates,
+    and row i of ``ambient`` is base basis vector i in the coordinates its
+    root lattice is stated in."""
 
     base: Lattice
+    ambient: RatMatrix
     extension: GlueExtension
     glue_group: tuple[tuple[int, ...], ...]
     glue_den: int
@@ -272,7 +272,8 @@ def construct_niemeier(key: str) -> NiemeierBundle:
     rs = build_root_system(ext.lattice, vectors)
     if classify(rs) != tuple(sorted(spec["parts"])) or rs.count != spec["root_count"]:
         raise CatalogError(f"{key}: root system mismatch")
-    return NiemeierBundle(base, ext, group, den, rs, spec["description"])
+    ambient = block_diagonal([d.ambient for d in part_data])
+    return NiemeierBundle(base, ambient, ext, group, den, rs, spec["description"])
 
 
 @lru_cache(maxsize=None)
@@ -313,9 +314,8 @@ def _block_assignments(key: str) -> list[tuple[int, IntMatrix]]:
 
 def assemble_block_isometry(bundle: NiemeierBundle,
                             assignments: Sequence[tuple[int, IntMatrix]],
-                            expected_order: int,
                             name: str) -> Isometry:
-    """Glue per-block maps into one isometry of the extended lattice.
+    """Glue per-block maps into one order-3 isometry of the extended lattice.
 
     ``assignments[src] = (dst, m)`` sends the contents of block ``src``
     through ``m`` into block ``dst``.  The assembled map is conjugated into
@@ -338,14 +338,14 @@ def assemble_block_isometry(bundle: NiemeierBundle,
                 entries[starts[src] + i][starts[dst] + j] = m.entries[i][j]
     s = IntMatrix.from_rows(entries, cols=base.rank)
     ext = bundle.extension
-    # The inclusion of the base lattice is B^-1, integral and already stored.
-    x = ext.basis_in_base @ s.to_rat() @ ext.base_in_lattice.inclusion.to_rat()
+    # The base lattice's rows B^-1 in the glued basis are integral and stored.
+    x = ext.basis_in_base @ s.to_rat() @ ext.base_in_lattice.to_rat()
     for k in range(x.rows):
         if any(e % x.den for e in x.num[k]):
             raise StabilizationError(
                 f"{name}: image of basis vector {k} is outside the lattice: "
                 f"{tuple(str(e) for e in x.entries[k])}")
-    return Isometry.create(bundle.lattice, x.to_int(), expected_order)
+    return Isometry.create(bundle.lattice, x.to_int(), 3)
 
 
 @lru_cache(maxsize=None)
@@ -354,5 +354,5 @@ def build_sigma(key: str) -> Isometry:
     if key not in CONSTRUCTIONS["isometries"]:
         raise CatalogError(f"unknown isometry key {key!r}")
     bundle = niemeier_bundle(CONSTRUCTIONS["isometries"][key]["lattice"])
-    return assemble_block_isometry(bundle, _block_assignments(key), 3, key)
+    return assemble_block_isometry(bundle, _block_assignments(key), key)
 

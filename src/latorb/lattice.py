@@ -1,11 +1,7 @@
 """Positive-definite lattices with exact Gram data.
 
-A lattice is represented basis-first: an exact symmetric positive-definite
-Gram matrix, plus an optional embedding giving the basis vectors inside an
-ambient quadratic space.  Every lattice has an *effective* embedding — the
-stated one, or the identity with the Gram matrix as the ambient form — so a
-direct sum or glue extension carries its summands' ambient coordinates and
-form along with it.
+A lattice is its exact symmetric positive-definite Gram matrix on a basis;
+a sublattice is the integer matrix of its basis rows in the lattice basis.
 
 All arithmetic is exact; see :mod:`latorb.exactmat`.
 """
@@ -43,17 +39,12 @@ class Lattice:
 
     Fields:
         gram: symmetric positive-definite RatMatrix — the pairing on a basis.
-        embedding: optional basis-vectors-as-rows in ambient coordinates.
-        ambient_form: optional ambient bilinear form (identity when omitted
-            but an embedding is given; the Gram itself when both omitted).
         name: optional label.
         blocks: optional ranks of direct summands, recorded by direct_sum so
             block automorphisms can be assembled coordinate-wise.
     """
 
     gram: RatMatrix
-    embedding: RatMatrix | None = None
-    ambient_form: RatMatrix | None = None
     name: str | None = None
     blocks: tuple[int, ...] | None = None
 
@@ -65,31 +56,10 @@ class Lattice:
             ldl(g)
         except NotPositiveDefinite:
             raise LatticeError("Gram matrix is not positive definite") from None
-        if self.embedding is not None:
-            e = self.embedding
-            if e.rows != g.rows:
-                raise LatticeError("embedding row count differs from rank")
-            f = self.ambient_form
-            if (e if f is None else e @ f) @ e.transpose() != g:
-                raise LatticeError("embedding does not reproduce the Gram matrix")
-        elif self.ambient_form is not None:
-            raise LatticeError("ambient form given without an embedding")
 
     @property
     def rank(self) -> int:
         return self.gram.rows
-
-    def effective_embedding(self) -> RatMatrix:
-        if self.embedding is not None:
-            return self.embedding
-        return RatMatrix.identity(self.rank)
-
-    def effective_ambient_form(self) -> RatMatrix:
-        if self.embedding is not None:
-            if self.ambient_form is not None:
-                return self.ambient_form
-            return RatMatrix.identity(self.embedding.cols)
-        return self.gram
 
     @property
     def is_integral(self) -> bool:
@@ -113,59 +83,31 @@ class Lattice:
 
     def to_json(self) -> dict:
         even, unimodular = is_even_unimodular(self)
-        doc = {
+        return {
             "name": self.name,
             "rank": self.rank,
             "gram": [[rat_str(e) for e in row] for row in self.gram.entries],
             "even": even,
             "det": rat_str(self.determinant()),
         }
-        if self.embedding is not None:
-            doc["embedding"] = [[rat_str(e) for e in row] for row in self.embedding.entries]
-        return doc
-
-
-@dataclass(frozen=True)
-class SublatticeOf:
-    """A finite-index-or-smaller sublattice given by its rows in parent coordinates."""
-
-    parent: Lattice
-    inclusion: IntMatrix
-
-    def __post_init__(self) -> None:
-        if self.inclusion.cols != self.parent.rank:
-            raise LatticeError("inclusion width differs from parent rank")
-        if hnf(self.inclusion).rows != self.inclusion.rows:
-            raise LatticeError("inclusion rows are not linearly independent")
-
-    @property
-    def rank(self) -> int:
-        return self.inclusion.rows
-
-
-def _explicit_ambient(f: RatMatrix) -> RatMatrix | None:
-    """An ambient form as a derived lattice stores it: None for the identity."""
-    return None if f == RatMatrix.identity(f.rows) else f
 
 
 def direct_sum(parts: Sequence[Lattice], name: str | None = None) -> Lattice:
     """Orthogonal direct sum with block-diagonal Gram and block bookkeeping."""
-    gram = block_diagonal([p.gram for p in parts])
-    embedding = block_diagonal([p.effective_embedding() for p in parts]) if gram.rows else None
-    form = _explicit_ambient(block_diagonal([p.effective_ambient_form() for p in parts]))
-    return Lattice(gram, embedding=embedding, ambient_form=form, name=name,
+    return Lattice(block_diagonal([p.gram for p in parts]), name=name,
                    blocks=tuple(p.rank for p in parts))
 
 
 @dataclass(frozen=True)
 class GlueExtension:
-    """Result of glue_extend: the glued lattice, its index over the base, and
-    the canonical new basis expressed in base coordinates."""
+    """Result of glue_extend: the glued lattice, its index over the base, the
+    canonical new basis B in base coordinates, and the base lattice's basis
+    rows B^-1 in the new basis."""
 
     lattice: Lattice
     index: int
     basis_in_base: RatMatrix
-    base_in_lattice: SublatticeOf
+    base_in_lattice: IntMatrix
 
 
 def glue_extend(q: Lattice, words: RatMatrix,
@@ -197,13 +139,8 @@ def glue_extend(q: Lattice, words: RatMatrix,
     if index_frac.denominator != 1:
         raise GlueError("glue basis determinant is not the reciprocal of an integer")
     index = int(index_frac)
-    gram = basis @ q.gram @ basis.transpose()
-    embedding = basis @ q.effective_embedding()
-    glued = Lattice(gram, embedding=embedding,
-                    ambient_form=_explicit_ambient(q.effective_ambient_form()), name=name)
-    base_rows = inverse(basis)
-    base_in_lattice = SublatticeOf(glued, base_rows.to_int())
-    return GlueExtension(glued, index, basis, base_in_lattice)
+    glued = Lattice(basis @ q.gram @ basis.transpose(), name=name)
+    return GlueExtension(glued, index, basis, inverse(basis).to_int())
 
 
 def is_even_unimodular(l: Lattice) -> tuple[bool, bool]:

@@ -408,11 +408,12 @@ def parse_type_string(text: str) -> tuple[tuple[SimpleLieData, int, int], ...]:
         name, _, level_text = head.partition(",")
         if not level_text:
             raise LieDataError(f"component {token!r} has no level")
-        try:
-            rank, level, count = int(name[1:]), int(level_text), int(mult) if caret else 1
-        except ValueError:
-            raise LieDataError(
-                f"component {token!r} is not X<rank>,<level>[^<count>]") from None
+        numbers = (name[1:], level_text, mult if caret else "1")
+        # int() also takes "+", "_" and non-ASCII digits; a "-" is left for
+        # the range check below.
+        if not all(t.removeprefix("-").isdigit() and t.isascii() for t in numbers):
+            raise LieDataError(f"component {token!r} is not X<rank>,<level>[^<count>]")
+        rank, level, count = map(int, numbers)
         if level < 1 or count < 1:
             raise LieDataError(f"component {token!r} needs a level and count of at least 1")
         out.append((lookup(name[:1], rank), level, count))

@@ -21,7 +21,7 @@ from . import liealg
 from .catalog import NiemeierBundle, build_sigma, niemeier_bundle
 from .constructions import CONSTRUCTIONS, SIGMA_KEYS
 from .exactmat import IntMatrix, det, hnf, inverse, kernel_basis, snf, solve_exact
-from .lattice import Isometry, SublatticeOf, rat_str
+from .lattice import Isometry, rat_str
 from .roots import RootSystem, orbit_count
 
 TWIST_ORDER = 3
@@ -68,23 +68,23 @@ def rho_is_admissible(value: Fraction) -> bool:
     return (TWIST_ORDER * value).denominator == 1
 
 
-def sublattice_n(iso: Isometry) -> SublatticeOf:
-    """N = {a in L : (1 + s + s^2)a = 0}, with a saturated basis.
+def sublattice_n(iso: Isometry) -> IntMatrix:
+    """N = {a in L : (1 + s + s^2)a = 0}: the rows of a saturated basis.
 
     Equivalently the vectors whose projection to the fixed subspace is zero;
     the kernel form avoids rational fixed-space bases.
     """
     s = iso.matrix
-    return SublatticeOf(iso.lattice, kernel_basis(IntMatrix.identity(s.rows) + s + s @ s))
+    return kernel_basis(IntMatrix.identity(s.rows) + s + s @ s)
 
 
-def sublattice_m(iso: Isometry) -> SublatticeOf:
-    """M = (1 - s)L as the HNF row lattice of (1 - s).
+def sublattice_m(iso: Isometry) -> IntMatrix:
+    """M = (1 - s)L: the HNF rows of (1 - s).
 
     M lies in N because (1 - s)(1 + s + s^2) = 1 - s^3 = 0 at order 3;
     ``coset_filter_index`` checks it for each report, solving for M in N.
     """
-    return SublatticeOf(iso.lattice, hnf(IntMatrix.identity(iso.lattice.rank) - iso.matrix))
+    return hnf(IntMatrix.identity(iso.lattice.rank) - iso.matrix)
 
 
 def commutator_gram(iso: Isometry) -> IntMatrix:
@@ -100,22 +100,22 @@ def commutator_gram(iso: Isometry) -> IntMatrix:
     return total
 
 
-def _pairing_on(iso: Isometry, n: SublatticeOf) -> IntMatrix:
-    """B C B^T: the commutator pairing on N's basis B, an input both |N/R|
-    routes read."""
-    b = n.inclusion
-    return b @ commutator_gram(iso) @ b.transpose()
+def _pairing_on(iso: Isometry, n: IntMatrix) -> IntMatrix:
+    """N C N^T: the commutator pairing on N's basis rows, an input both
+    |N/R| routes read."""
+    return n @ commutator_gram(iso) @ n.transpose()
 
 
-def sublattice_r(n: SublatticeOf, c: IntMatrix) -> tuple[SublatticeOf, int]:
+def sublattice_r(n: IntMatrix, c: IntMatrix) -> tuple[IntMatrix, int]:
     """R = {a in N : c0(a, N) = 0 mod 6} and the index |N/R|, c the pairing
     on N (``_pairing_on``).
 
     Route one of the dual computation: the congruence kernel x C = 0 mod 6
     is solved by an integer kernel of the stacked matrix (C over 6I); the
-    projection of that kernel back to N coordinates is R.
+    projection of that kernel back to N coordinates is R, returned as HNF
+    rows in L coordinates.
     """
-    k = n.rank
+    k = n.rows
     if k == 0:
         return n, 1
     stacked = IntMatrix.from_rows(
@@ -126,11 +126,10 @@ def sublattice_r(n: SublatticeOf, c: IntMatrix) -> tuple[SublatticeOf, int]:
     if proj.rows != k:
         raise OrbifoldError("radical lost rank; 6N should always embed in R")
     index = int(abs(det(proj)))
-    in_parent = hnf(proj @ n.inclusion)
-    return SublatticeOf(n.parent, in_parent), index
+    return hnf(proj @ n), index
 
 
-def coset_filter_index(n: SublatticeOf, m: SublatticeOf,
+def coset_filter_index(n: IntMatrix, m: IntMatrix,
                        c: IntMatrix) -> tuple[int, int]:
     """Route two: (|N/M|, |N/R|) by filtering N/M cosets with c0, c the
     pairing on N (``_pairing_on``).
@@ -140,12 +139,12 @@ def coset_filter_index(n: SublatticeOf, m: SublatticeOf,
     splits meet-in-the-middle: the radical cosets are the pairs of partial
     sums, over each half of the Smith generators, that cancel mod 6.
     """
-    k = n.rank
+    k = n.rows
     if k == 0:
         return 1, 1
-    if m.rank != k:
+    if m.rows != k:
         raise OrbifoldError("N/M is infinite; ranks differ")
-    x = solve_exact(n.inclusion.to_rat(), m.inclusion.to_rat())
+    x = solve_exact(n.to_rat(), m.to_rat())
     if not x.is_integral():
         raise OrbifoldError("M does not embed in N integrally")
     xi = x.to_int()
@@ -189,13 +188,14 @@ def coset_filter_index(n: SublatticeOf, m: SublatticeOf,
 
 @dataclass(frozen=True)
 class TwistData:
-    """Everything the twisted-module dimension rule consumes."""
+    """Everything the twisted-module dimension rule consumes; N, M and R are
+    their basis rows in L coordinates."""
 
     eigen: tuple[int, int, int]
     rho: Fraction
-    n: SublatticeOf
-    m: SublatticeOf
-    r: SublatticeOf
+    n: IntMatrix
+    m: IntMatrix
+    r: IntMatrix
     index_nm: int
     index_nr: int
     twisted_wt1_dim: int | None  # None: outside the supported weight range
@@ -213,10 +213,10 @@ def twist_data(iso: Isometry) -> TwistData:
     eigen = eigen_dims(iso)
     offset = rho(eigen)
     n = sublattice_n(iso)
-    if n.rank != eigen[1] + eigen[2]:
+    if n.rows != eigen[1] + eigen[2]:
         raise OrbifoldError("rank N disagrees with the eigenspace dimensions")
     m = sublattice_m(iso)
-    if m.rank != n.rank:
+    if m.rows != n.rows:
         raise OrbifoldError("rank M differs from rank N")
     c = _pairing_on(iso, n)
     r, index_kernel = sublattice_r(n, c)
@@ -226,7 +226,7 @@ def twist_data(iso: Isometry) -> TwistData:
             f"|N/R| routes disagree: congruence kernel {index_kernel}, "
             f"coset filter {index_filter}")
     # R lies in N by construction (its rows are integer combinations of N's).
-    if not solve_exact(r.inclusion.to_rat(), m.inclusion.to_rat()).is_integral():
+    if not solve_exact(r.to_rat(), m.to_rat()).is_integral():
         raise OrbifoldError("M is not contained in R")
     top = isqrt(index_kernel)
     if top * top != index_kernel:
@@ -306,7 +306,7 @@ def stabilizes(bundle: NiemeierBundle, matrix: IntMatrix) -> bool:
     L, so the map then permutes the cosets L/Q (compared as residues)."""
     ext = bundle.extension
     images = matrix.to_rat() @ ext.basis_in_base
-    s = ext.base_in_lattice.inclusion.to_rat() @ images
+    s = ext.base_in_lattice.to_rat() @ images
     if not s.is_integral() or abs(det(s)) != 1:
         return False
     den = lcm(bundle.glue_den, images.den)
@@ -347,7 +347,7 @@ def assemble_report(sigma_key: str) -> dict:
         "checks": checks,
         "eigen": list(td.eigen),
         "rho": rat_str(td.rho),
-        "ranks": {"N": td.n.rank, "M": td.m.rank, "R": td.r.rank},
+        "ranks": {"N": td.n.rows, "M": td.m.rows, "R": td.r.rows},
         "indices": {"N_over_M": td.index_nm, "N_over_R": td.index_nr},
         "R_equals_M": td.index_nm == td.index_nr,
         "dims": {"fixed": fixed, "twisted_each": twisted, "total": total},

@@ -407,9 +407,9 @@ def glued_root_vectors(q: Lattice, ext: GlueExtension,
                     partial.pop()
 
         assemble(0, 2 * unit)
-    # Each y holds d times base coordinates; the inverse glue basis, the
-    # integral inclusion of the base lattice, maps them to d times lattice ones.
-    found = (_im(len(ys), q.rank, tuple(ys)) @ ext.base_in_lattice.inclusion).entries
+    # Each y holds d times base coordinates; the base lattice's integral rows
+    # in the glued basis (the inverse glue basis) map them to d times lattice ones.
+    found = (_im(len(ys), q.rank, tuple(ys)) @ ext.base_in_lattice).entries
     if any(c % d for row in found for c in row):
         raise RootsError("coset vector landed outside the lattice")
     return [tuple(c // d for c in row) for row in found]

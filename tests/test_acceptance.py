@@ -201,7 +201,7 @@ def test_criterion_9_property_suites():
                 == (_dot6(x, image_y) + _dot6(z, image_y)) % 6
         td = orbifold.twist_data(iso)
         for inner, outer in ((td.m, td.r), (td.r, td.n)):
-            for row in inner.inclusion.entries:
+            for row in inner.entries:
                 assert sublattice_contains(outer, list(row))
         assert isqrt(td.index_nr) ** 2 == td.index_nr
         eigen = orbifold.eigen_dims(iso)

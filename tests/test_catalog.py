@@ -21,7 +21,7 @@ from latorb.catalog import (
     _close_glue_group,
 )
 from latorb.constructions import CONSTRUCTIONS, LATTICE_KEYS, SIGMA_KEYS
-from latorb.exactmat import IntMatrix, RatMatrix
+from latorb.exactmat import IntMatrix, RatMatrix, block_diagonal
 from latorb.lattice import is_even_unimodular
 from latorb.roots import classify, orbit_count
 from latorb.terncode import golay_code, residue_perm
@@ -62,6 +62,29 @@ def test_root_lattice_determinants_and_classes():
             row = RatMatrix.from_rows([rep])
             assert (row @ data.lattice.gram).is_integral()
             assert row.is_integral() == (ell == 0)
+
+
+def test_root_lattice_ambient_rows_reproduce_the_gram():
+    # The A and D lattices are stated by Gram matrix and by ambient rows
+    # apart; the rows must pair to the Gram under the standard form.
+    for family, rank in (("A", 1), ("A", 2), ("A", 5), ("D", 4)):
+        data = build_root_lattice(family, rank)
+        assert data.ambient.rows == rank
+        assert data.ambient @ data.ambient.transpose() == data.lattice.gram
+
+
+@pytest.mark.parametrize("key", LATTICE_KEYS)
+def test_glued_basis_in_ambient_coordinates_reproduces_the_gram(key):
+    # E = B A is the glued basis in the coordinates `lattice build` prints;
+    # under F, the identity on A and D blocks and the E6 Gram on E6 blocks
+    # (whose ambient rows are the identity), E F E^T is the glued Gram.
+    bundle = niemeier_bundle(key)
+    forms = []
+    for family, rank in CONSTRUCTIONS["lattices"][key]["parts"]:
+        data = build_root_lattice(family, rank)
+        forms.append(data.lattice.gram if family == "E" else RatMatrix.identity(data.ambient.cols))
+    e = bundle.extension.basis_in_base @ bundle.ambient
+    assert e @ block_diagonal(forms) @ e.transpose() == bundle.lattice.gram
 
 
 def class_norm(data, ell):
@@ -159,7 +182,7 @@ def test_block_shuffle_follows_code_permutation():
     bundle = niemeier_bundle("A2_12")
     sigma = build_sigma("sigma1")
     perm = residue_perm()
-    incl = bundle.extension.base_in_lattice.inclusion
+    incl = bundle.extension.base_in_lattice
     back = bundle.extension.basis_in_base
     for p in range(12):
         base_root = incl.entries[2 * p]  # first simple root of block p
@@ -178,7 +201,7 @@ def test_bad_block_assignment_is_rejected():
     eye = IntMatrix.identity(4)
     assignments = [(0, rot)] + [(i, eye) for i in range(1, 6)]
     with pytest.raises(StabilizationError, match="outside the lattice"):
-        assemble_block_isometry(bundle, assignments, 3, "lopsided")
+        assemble_block_isometry(bundle, assignments, "lopsided")
 
 
 # A word of D4_6 with five digits for its six blocks, and one with the

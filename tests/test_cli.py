@@ -109,8 +109,9 @@ def test_lattice_build_all_keys(capsys):
 
 @pytest.mark.parametrize("key", ["A2_12", "D4_6", "A5_4_D4", "E6_4"])
 def test_lattice_build_matches_golden(capsys, key):
-    # Pins the embedding (E6_4's goes through its ambient form) and the
-    # description, byte for byte.
+    # Pins the embedding, the glued basis times the stated ambient rows of
+    # the root lattices (the identity for E6), and the description, byte for
+    # byte.
     code, out, _ = run(capsys, "lattice", "build", key, "--json")
     assert code == EXIT_OK
     assert out == golden_text(f"lattice_build_{key}.json")
@@ -251,6 +252,11 @@ def test_schellekens_with_type_filter(capsys):
     ("schellekens", "--dim", "48", "--type", "A2,3^0"),
     ("schellekens", "--dim", "48", "--type", "A2,0"),
     ("schellekens", "--dim", "48", "--type", "A2,-3"),
+    # Rank, level and count are ASCII digits, though int() takes more.
+    ("schellekens", "--dim", "48", "--type", "A+2,3^6"),
+    ("schellekens", "--dim", "48", "--type", "A2,3^+6"),
+    ("schellekens", "--dim", "48", "--type", "A2,3^0_6"),
+    ("schellekens", "--dim", "48", "--type", "A\uff12,3^6"),
 ])
 def test_malformed_query_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

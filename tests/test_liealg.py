@@ -345,6 +345,10 @@ def test_parse_type_string():
     for text in ("A2,3^-1", "A2,3^0", "A2,0", "A2,-3"):
         with pytest.raises(LieDataError, match="at least 1"):
             parse_type_string(text)
+    # int() would take a sign, an underscore or a fullwidth digit.
+    for text in ("A+2,3^6", "A2,3^+6", "A2,3^0_6", "A\uff12,3^6"):
+        with pytest.raises(LieDataError, match="is not X<rank>,<level>"):
+            parse_type_string(text)
 
 
 def test_schellekens_rows_are_consistent():

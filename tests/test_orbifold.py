@@ -13,7 +13,7 @@ from latorb import lattice, orbifold
 from latorb.catalog import build_component_auto, build_root_lattice, build_sigma, niemeier_bundle
 from latorb.constructions import CONSTRUCTIONS, SIGMA_KEYS
 from latorb.exactmat import IntMatrix, det, snf
-from latorb.lattice import Isometry, SublatticeOf
+from latorb.lattice import Isometry
 from latorb.orbifold import (
     OrbifoldError,
     _pairing_on,
@@ -126,10 +126,10 @@ def test_rho_degenerate_and_admissibility():
 def test_sublattice_n_special_cases():
     # sigma2 is fixed-point-free, so 1 + s + s^2 = 0 and N is all of L.
     n2 = sublattice_n(build_sigma("sigma2"))
-    assert n2.inclusion == IntMatrix.identity(24)
-    assert sublattice_n(build_sigma("sigma1")).rank == 18
+    assert n2 == IntMatrix.identity(24)
+    assert sublattice_n(build_sigma("sigma1")).rows == 18
     d4 = build_root_lattice("D", 4).lattice
-    assert sublattice_n(identity_on(d4)).rank == 0
+    assert sublattice_n(identity_on(d4)).rows == 0
 
 
 @pytest.mark.parametrize("key", SIGMA_KEYS)
@@ -138,9 +138,9 @@ def test_sublattice_ranks(key):
     eigen = eigen_dims(iso)
     n = sublattice_n(iso)
     m = sublattice_m(iso)
-    assert n.rank == eigen[1] + eigen[2] == 24 - eigen[0]
-    assert m.rank == n.rank
-    for row in m.inclusion.entries:
+    assert n.rows == eigen[1] + eigen[2] == 24 - eigen[0]
+    assert m.rows == n.rows
+    for row in m.entries:
         assert sublattice_contains(n, row)
 
 
@@ -151,7 +151,7 @@ def test_sublattice_m_full_rank_index():
     m = sublattice_m(iso)
     expected = int(abs(det(IntMatrix.identity(24) - iso.matrix)))
     assert expected == 3 ** 12
-    assert prod(snf(m.inclusion).invariant_factors) == expected
+    assert prod(snf(m).invariant_factors) == expected
 
 
 def c0(iso, alpha, beta):
@@ -172,7 +172,7 @@ def test_commutator_cycled_block_pairs_vanish():
     iso = build_sigma("sigma1")
     ext = niemeier_bundle("A2_12").extension
     for position in (0, 5, 8):
-        base_row = ext.base_in_lattice.inclusion.entries[2 * position]
+        base_row = ext.base_in_lattice.entries[2 * position]
         a1 = act(iso, base_row)
         a2 = act(iso, a1)
         chain = (base_row, a1, a2)
@@ -187,7 +187,7 @@ def test_commutator_coordinate_cycle_example():
     # alpha = e1-e2 and beta = e1-e4 the three inner products are 1, -1, 0,
     # so c0 = 3*1 + 5*(-1) + 7*0 = -2 = 4 mod 6.
     iso = build_sigma("sigma4")
-    rows = niemeier_bundle("D4_6").extension.base_in_lattice.inclusion.entries
+    rows = niemeier_bundle("D4_6").extension.base_in_lattice.entries
     alpha = rows[0]
     beta = [a + b + c for a, b, c in zip(rows[0], rows[1], rows[2])]
     assert iso.lattice.inner(alpha, beta) == 1
@@ -208,9 +208,9 @@ def test_twist_data(key):
     assert twisted_weight_one_dim(td) == wt1
     assert td.index_nm % td.index_nr == 0
     # chain M inside R inside N, checked row by row in parent coordinates
-    for row in td.m.inclusion.entries:
+    for row in td.m.entries:
         assert sublattice_contains(td.r, row)
-    for row in td.r.inclusion.entries:
+    for row in td.r.entries:
         assert sublattice_contains(td.n, row)
 
 
@@ -231,7 +231,7 @@ def test_coset_filter_rejects_an_n_missing_m():
     # doubled rows gives half-integers, and the filter refuses them.
     iso = build_sigma("sigma1")
     n = sublattice_n(iso)
-    doubled = SublatticeOf(n.parent, n.inclusion.scale(2))
+    doubled = n.scale(2)
     with pytest.raises(OrbifoldError, match="M does not embed in N integrally"):
         coset_filter_index(doubled, sublattice_m(iso), _pairing_on(iso, doubled))
 
@@ -243,7 +243,7 @@ def test_twist_data_rejects_a_radical_missing_m(monkeypatch):
 
     def tripled(n, c):
         r, index = true_route(n, c)
-        return SublatticeOf(r.parent, r.inclusion.scale(3)), index
+        return r.scale(3), index
 
     monkeypatch.setattr(orbifold, "sublattice_r", tripled)
     with pytest.raises(OrbifoldError, match="M is not contained in R"):
@@ -253,7 +253,7 @@ def test_twist_data_rejects_a_radical_missing_m(monkeypatch):
 def test_sigma1_radical_equals_image():
     td = twist_data(build_sigma("sigma1"))
     assert td.index_nm == td.index_nr
-    assert td.r.inclusion == td.m.inclusion  # both in HNF, so equality is exact
+    assert td.r == td.m  # both in HNF, so equality is exact
 
 
 def test_sigma2_index_matches_determinant():
