@@ -14,11 +14,10 @@ one table ``CONSTRUCTIONS`` (module ``constructions``).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .constructions import CONSTRUCTIONS
 from .exactmat import IntMatrix, RatMatrix, Rational, block_diagonal, solve_exact
@@ -50,8 +49,7 @@ class StabilizationError(CatalogError):
     """An assembled map sent a lattice basis vector outside the lattice."""
 
 
-@dataclass(frozen=True)
-class RootLatticeData:
+class RootLatticeData(NamedTuple):
     """A root lattice together with representatives of its dual classes.
 
     Row ell of ``glue`` represents dual class ell (0 is the trivial class):
@@ -189,8 +187,7 @@ def glue_class_image(auto: Isometry, data: RootLatticeData,
     raise CatalogError("image is not in any dual class")
 
 
-@dataclass(frozen=True)
-class NiemeierBundle:
+class NiemeierBundle(NamedTuple):
     """A verified glued lattice with everything needed to work on it; glue
     coset r (a ``glue_group`` row) is r / ``glue_den`` in base coordinates,
     and row i of ``ambient`` is base basis vector i in the coordinates its

@@ -7,7 +7,7 @@ common denominator, reduced by their gcd so that equal matrices have equal
 fields.  Its arithmetic is products, transpose and the integrality test
 only.  These, the determinant, exact solve and LDL^T run on ints;
 ``RatMatrix.entries`` is a derived Fraction view used for output.
-Matrices are immutable values; every operation returns a new matrix.
+Matrices are values: every operation returns a new matrix.
 Both classes multiply through one packed-row integer product (Kronecker
 substitution, see ``_product``), and ``det``, ``solve_exact`` (so
 ``inverse``) and ``ldl`` share one packed-row fraction-free elimination
@@ -31,13 +31,11 @@ deterministic: identical inputs give identical outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import compress, count
 from math import gcd, isqrt, lcm, prod
 from operator import add, lshift, mul
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -133,16 +131,21 @@ def _product(a, b, cols: int) -> tuple[tuple[int, ...], ...]:
                  for row in a)
 
 
-@dataclass(frozen=True)
 class IntMatrix:
-    """Immutable integer matrix; ``entries`` is a row-major tuple of tuples."""
+    """Integer matrix; ``entries`` is a row-major tuple of tuples."""
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        _check_ints(self.rows, self.cols, self.entries)
+    def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> None:
+        _check_ints(rows, cols, entries)
+        self.rows, self.cols, self.entries = rows, cols, entries
+
+    def __eq__(self, other) -> bool:  # never equal to a RatMatrix or a tuple
+        return isinstance(other, IntMatrix) and (
+            (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries))
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.entries))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], cols: int | None = None) -> "IntMatrix":
@@ -195,33 +198,38 @@ class IntMatrix:
         return _rm(self.rows, self.cols, self.entries)
 
 
-@dataclass(frozen=True)
 class RatMatrix:
-    """Immutable rational matrix: entry (i, j) is ``num[i][j] / den``.
+    """Rational matrix: entry (i, j) is ``num[i][j] / den``.
 
     ``den`` is positive and coprime to the gcd of all numerators, so the
-    representation is canonical and dataclass equality and hashing are
+    representation is canonical and equality and hashing of the fields are
     equality and hashing of the rational matrices.
     """
 
-    rows: int
-    cols: int
-    num: tuple[tuple[int, ...], ...]
-    den: int = 1
+    __slots__ = ("rows", "cols", "num", "den")
 
-    def __post_init__(self) -> None:
-        _check_ints(self.rows, self.cols, self.num)
-        if _as_int(self.den) == 0:
+    def __init__(self, rows: int, cols: int, num: tuple[tuple[int, ...], ...],
+                 den: int = 1) -> None:
+        _check_ints(rows, cols, num)
+        if _as_int(den) == 0:
             raise ZeroDivisionError("matrix denominator is zero")
+        self.rows, self.cols, self.num, self.den = rows, cols, num, den
         self._reduce()
+
+    def __eq__(self, other) -> bool:  # never equal to an IntMatrix or a tuple
+        return isinstance(other, RatMatrix) and ((self.rows, self.cols, self.num, self.den)
+                                                 == (other.rows, other.cols, other.num, other.den))
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.num, self.den))
 
     def _reduce(self) -> None:
         """Divide numerators and denominator by their gcd, signed so den > 0."""
         g = 1 if self.den == 1 else gcd(self.den, *(e for row in self.num for e in row))
         g = -g if self.den < 0 else g
         if g != 1:
-            self.__dict__.update(num=tuple(tuple(e // g for e in row) for row in self.num),
-                                 den=self.den // g)
+            self.num = tuple(tuple(e // g for e in row) for row in self.num)
+            self.den //= g
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[Rational]], cols: int | None = None) -> "RatMatrix":
@@ -239,7 +247,7 @@ class RatMatrix:
     def identity(cls, n: int) -> "RatMatrix":
         return IntMatrix.identity(n).to_rat()
 
-    @cached_property
+    @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(Fraction(e, self.den) for e in row) for row in self.num)
 
@@ -270,14 +278,14 @@ class RatMatrix:
 def _im(rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> IntMatrix:
     """An IntMatrix of entries that are ints by construction, unchecked."""
     m = object.__new__(IntMatrix)
-    m.__dict__.update(rows=rows, cols=cols, entries=entries)
+    m.rows, m.cols, m.entries = rows, cols, entries
     return m
 
 
 def _rm(rows: int, cols: int, num: tuple[tuple[int, ...], ...], den: int = 1) -> RatMatrix:
     """A RatMatrix of int numerators and nonzero den, unchecked but reduced."""
     m = object.__new__(RatMatrix)
-    m.__dict__.update(rows=rows, cols=cols, num=num, den=den)
+    m.rows, m.cols, m.num, m.den = rows, cols, num, den
     m._reduce()
     return m
 
@@ -297,8 +305,7 @@ def block_diagonal(parts: Sequence[RatMatrix]) -> RatMatrix:
     return _rm(len(rows), cols, tuple(rows), den)
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(NamedTuple):
     """SNF data: ``u @ a @ v`` is the diagonal of ``invariant_factors``.
 
     ``invariant_factors`` has ``min(rows, cols)`` nonnegative entries with

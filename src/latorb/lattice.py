@@ -8,9 +8,9 @@ All arithmetic is exact; see :mod:`latorb.exactmat`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from math import prod
+from typing import NamedTuple, Sequence
 
 from .exactmat import (IntMatrix, NotPositiveDefinite, RatMatrix, Rational,
                        block_diagonal, det, hnf, inverse, kernel_basis, ldl)
@@ -33,7 +33,6 @@ def rat_str(x: Rational) -> str:
     return str(Fraction(x))
 
 
-@dataclass(frozen=True)
 class Lattice:
     """A finite-rank positive-definite lattice over Z.
 
@@ -44,18 +43,24 @@ class Lattice:
             block automorphisms can be assembled coordinate-wise.
     """
 
-    gram: RatMatrix
-    name: str | None = None
-    blocks: tuple[int, ...] | None = None
+    __slots__ = ("gram", "name", "blocks")
 
-    def __post_init__(self) -> None:
-        g = self.gram
-        if not g.is_symmetric():
+    def __init__(self, gram: RatMatrix, name: str | None = None,
+                 blocks: tuple[int, ...] | None = None) -> None:
+        if not gram.is_symmetric():
             raise LatticeError("Gram matrix is not symmetric")
         try:
-            ldl(g)
+            ldl(gram)
         except NotPositiveDefinite:
             raise LatticeError("Gram matrix is not positive definite") from None
+        self.gram, self.name, self.blocks = gram, name, blocks
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Lattice) and (
+            (self.gram, self.name, self.blocks) == (other.gram, other.name, other.blocks))
+
+    def __hash__(self) -> int:
+        return hash((self.gram, self.name, self.blocks))
 
     @property
     def rank(self) -> int:
@@ -98,8 +103,7 @@ def direct_sum(parts: Sequence[Lattice], name: str | None = None) -> Lattice:
                    blocks=tuple(p.rank for p in parts))
 
 
-@dataclass(frozen=True)
-class GlueExtension:
+class GlueExtension(NamedTuple):
     """Result of glue_extend: the glued lattice, its index over the base, the
     canonical new basis B in base coordinates, and the base lattice's basis
     rows B^-1 in the new basis."""
@@ -133,12 +137,11 @@ def glue_extend(q: Lattice, words: RatMatrix,
     h = hnf(IntMatrix.from_rows(rows + [list(w) for w in words.num], cols=r))
     if h.rows != r:
         raise GlueError("glue span lost rank (internal error)")
-    basis = RatMatrix(r, r, h.entries, denom)
-    det_basis = det(basis)
-    index_frac = 1 / abs(det_basis)
-    if index_frac.denominator != 1:
+    # h is triangular: det(basis) = prod(diagonal) / denom^r.
+    index, rest = divmod(denom ** r, prod(h.entries[i][i] for i in range(r)))
+    if rest:
         raise GlueError("glue basis determinant is not the reciprocal of an integer")
-    index = int(index_frac)
+    basis = RatMatrix(r, r, h.entries, denom)
     glued = Lattice(basis @ q.gram @ basis.transpose(), name=name)
     return GlueExtension(glued, index, basis, inverse(basis).to_int())
 
@@ -148,7 +151,6 @@ def is_even_unimodular(l: Lattice) -> tuple[bool, bool]:
     return l.is_even, l.determinant() == 1
 
 
-@dataclass(frozen=True)
 class Isometry:
     """A verified finite-order isometry of a lattice, in basis coordinates.
 
@@ -157,9 +159,17 @@ class Isometry:
     +-1, and the order is exactly the claimed one.
     """
 
-    lattice: Lattice
-    matrix: IntMatrix
-    order: int
+    __slots__ = ("lattice", "matrix", "order")
+
+    def __init__(self, lattice: Lattice, matrix: IntMatrix, order: int) -> None:
+        self.lattice, self.matrix, self.order = lattice, matrix, order
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Isometry) and (
+            (self.lattice, self.matrix, self.order) == (other.lattice, other.matrix, other.order))
+
+    def __hash__(self) -> int:  # twist_data's cache keys on it
+        return hash((self.lattice, self.matrix, self.order))
 
     @classmethod
     def create(cls, lattice: Lattice, matrix: IntMatrix, order: int) -> "Isometry":

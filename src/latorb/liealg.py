@@ -23,7 +23,8 @@ the prefix to every completion from a per-query memo keyed by (pool index,
 dimension left), filtered by rank when a rank is given.  A query is counted
 first, and one with more than ``MAX_CANDIDATES`` results raises
 ``LieDataError`` before any candidate is built.  No other package module is
-imported at run time, nor ``dataclasses``; ``hashlib`` only by ``table_checksum``.
+imported at run time, nor ``dataclasses`` or ``hashlib``: ``TABLE_SHA256``
+states the table's digest, and the tests recompute it.
 """
 
 from __future__ import annotations
@@ -86,6 +87,8 @@ _TABLE_JSON = """\
 {"dimension": 14, "dual_coxeter": 4, "family": "G", "rank": 2, "root_count": 12, "two_root_lengths": true}
 ]}
 """
+# SHA-256 of the UTF-8 table text above; the tests recompute it.
+TABLE_SHA256 = "e2fd2461333f4b44e8d5c1cdf59f94969215c4bae81caf4a1d5641e700b52a98"
 
 
 class LieDataError(Exception):
@@ -108,9 +111,9 @@ class SimpleLieData(NamedTuple):
 
 
 def table_checksum() -> str:
-    """SHA-256 of the embedded table text, for report pinning."""
-    import hashlib  # OpenSSL: loaded only when a report pins the table
-    return hashlib.sha256(_TABLE_JSON.encode("utf-8")).hexdigest()
+    """SHA-256 of the embedded table text, for report pinning: the stated
+    ``TABLE_SHA256``, which the tests recompute from the text."""
+    return TABLE_SHA256
 
 
 def all_types() -> tuple[SimpleLieData, ...]:

@@ -12,10 +12,10 @@ both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm, prod
+from typing import NamedTuple
 
 from . import liealg
 from .catalog import NiemeierBundle, build_sigma, niemeier_bundle
@@ -186,8 +186,7 @@ def coset_filter_index(n: IntMatrix, m: IntMatrix,
     return index_nm, index_nm // radical_cosets
 
 
-@dataclass(frozen=True)
-class TwistData:
+class TwistData(NamedTuple):
     """Everything the twisted-module dimension rule consumes; N, M and R are
     their basis rows in L coordinates."""
 

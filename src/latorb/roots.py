@@ -19,11 +19,10 @@ pairs every root with every other root.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from operator import mul, sub
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .exactmat import IntMatrix, NotPositiveDefinite, RatMatrix, _im, ldl
 from .lattice import GlueExtension, Isometry, Lattice
@@ -92,8 +91,7 @@ def _short_vectors(gram: RatMatrix, bound: int, shift: Sequence[int] | None = No
     return out
 
 
-@dataclass(frozen=True)
-class RootComponent:
+class RootComponent(NamedTuple):
     """An irreducible component of a root system with its simple basis;
     roots are integer coordinate rows in the lattice basis."""
 
@@ -104,8 +102,7 @@ class RootComponent:
     cartan: IntMatrix
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     lattice: Lattice
     roots: tuple[tuple[int, ...], ...]
     components: tuple[RootComponent, ...]

@@ -3,10 +3,9 @@ permutations used to build order-3 lattice isometries from them."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 LENGTH = 12
 
@@ -21,15 +20,10 @@ def label_position(label: str) -> int:
     return LABELS.index(label)
 
 
-@dataclass(frozen=True)
-class IndexPermutation:
+class IndexPermutation(NamedTuple):
     """Bijection of the 12 positions; images[p] is the image of position p."""
 
     images: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if sorted(self.images) != list(range(LENGTH)):
-            raise ValueError("not a bijection of the 12 positions")
 
     def __call__(self, p: int) -> int:
         return self.images[p]
@@ -81,6 +75,8 @@ def perm_from_label_map(mapping: dict[str, str]) -> IndexPermutation:
     images = list(range(LENGTH))
     for src, dst in mapping.items():
         images[label_position(src)] = label_position(dst)
+    if sorted(images) != list(range(LENGTH)):
+        raise ValueError("not a bijection of the 12 positions")
     return IndexPermutation(tuple(images))
 
 
@@ -106,7 +102,6 @@ def residue_perm() -> IndexPermutation:
     return compose_perm(shift_perm().inverse(), swap_perm())
 
 
-@dataclass(frozen=True)
 class TernaryCode:
     """A linear code over the field with three elements, stored canonically.
 
@@ -114,8 +109,17 @@ class TernaryCode:
     were supplied, so two codes are equal iff their stored bases are equal.
     """
 
-    length: int
-    basis: tuple[tuple[int, ...], ...]
+    __slots__ = ("length", "basis")
+
+    def __init__(self, length: int, basis: tuple[tuple[int, ...], ...]) -> None:
+        self.length, self.basis = length, basis
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, TernaryCode) and (
+            (self.length, self.basis) == (other.length, other.basis))
+
+    def __hash__(self) -> int:
+        return hash((self.length, self.basis))
 
     @classmethod
     def from_generators(cls, rows: Iterable[Sequence[int]],

@@ -407,13 +407,20 @@ def test_exit_code_of_each_error_class(capsys, monkeypatch, error, code, prefix)
     assert run(capsys, "golay") == (code, "", f"{prefix}: boom\n")
 
 
-# Prints, on stderr, the latorb modules and the two costly standard-library
-# ones loaded by ``import latorb.cli`` and then ``main(sys.argv[1:])``.
+# Standard-library modules that compute nothing latorb needs: ``dataclasses``
+# with the ``inspect`` it pulls in, and ``hashlib`` with OpenSSL.
+_UNUSED = ("dataclasses", "inspect", "hashlib", "_hashlib")
+
+# Prints, on stderr, the latorb modules and those of ``_UNUSED`` loaded by
+# ``import latorb.cli`` and then ``main(sys.argv[1:])``.
 _PROBE = ("import sys, latorb.cli\n"
           "if sys.argv[1:]:\n"
           "    latorb.cli.main(sys.argv[1:])\n"
           "print(sorted(m for m in sys.modules if m.startswith('latorb') "
-          "or m in ('dataclasses', 'hashlib')), file=sys.stderr)\n")
+          f"or m in {_UNUSED!r}), file=sys.stderr)\n")
+
+_CONSTRUCTION = ["latorb.catalog", "latorb.exactmat", "latorb.lattice", "latorb.liealg",
+                 "latorb.roots", "latorb.terncode"]
 
 
 @pytest.mark.parametrize(("argv", "added"), [
@@ -421,16 +428,17 @@ _PROBE = ("import sys, latorb.cli\n"
     (["candidates", "--dim", "24", "--json"], ["latorb.liealg"]),
     (["schellekens", "--dim", "96", "--type", "E6,4", "--json"], ["latorb.liealg"]),
     (["golay", "--json"], ["latorb.terncode"]),
-], ids=["import", "candidates", "schellekens", "golay"])
+    (["lattice", "build", "A2_12", "--json"], _CONSTRUCTION),
+    (["verify-all", "--json"], [*_CONSTRUCTION, "latorb.orbifold"]),
+], ids=["import", "candidates", "schellekens", "golay", "lattice-build", "verify-all"])
 def test_subcommands_import_only_their_layers(argv, added):
     """A cold ``import latorb.cli`` loads the construction table alone, and a
-    subcommand adds only the layer it runs; the Lie path loads neither
-    ``dataclasses`` nor ``hashlib``."""
+    subcommand adds only the layers it runs; no path loads ``dataclasses``,
+    ``inspect`` or ``hashlib``."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
     loaded = ast.literal_eval(subprocess.run(
         [sys.executable, "-S", "-c", _PROBE, *argv],
         env=env, capture_output=True, text=True, check=True).stderr)
     want = ["latorb", "latorb.cli", "latorb.constructions", *added]
     assert [m for m in loaded if m.startswith("latorb")] == sorted(want)
-    if "latorb.terncode" not in added:
-        assert "dataclasses" not in loaded and "hashlib" not in loaded
+    assert [m for m in loaded if m in _UNUSED] == []

@@ -323,6 +323,21 @@ def test_matmul_transpose_match_reference(r, c, c2, data):
     assert (rat(x, c) @ rat(y, c2)).entries == expected
 
 
+def test_matrix_records_are_values_of_their_own_class():
+    # Equal fields give equal records, hashed as the tuple of their fields.
+    a, r = im([[1, 2], [3, 4]]), RatMatrix(2, 2, ((2, 4), (6, 8)), 2)
+    assert a == IntMatrix(2, 2, ((1, 2), (3, 4))) and hash(a) == hash((2, 2, a.entries))
+    assert r == rm([[1, 2], [3, 4]]) and hash(r) == hash((2, 2, a.entries, 1))
+    # The same numbers in the other class, or as a plain tuple, are not equal.
+    for x, y in ((a, r), (a, r.to_int().to_rat()), (a, (2, 2, a.entries)),
+                 (r, (2, 2, r.num, 1)), (a, a.entries)):
+        assert x != y and y != x
+    assert IntMatrix(0, 2, ()) != IntMatrix(0, 3, ())
+    for build in (IntMatrix, RatMatrix):
+        with pytest.raises(ShapeError, match="ragged"):
+            build(2, 2, ((1, 2), (3,)))
+
+
 @PROFILE
 @given(DIMS, DIMS, st.integers(-30, 30).filter(bool), st.booleans(), st.data())
 def test_equality_hash_and_integrality_are_canonical(r, c, k, integral_only, data):

@@ -62,6 +62,16 @@ def test_lattice_validation():
         Lattice(RatMatrix.from_rows([[1, 2], [2, 1]]))
 
 
+def test_lattice_and_isometry_records_are_values():
+    l, again = a2(), Lattice(RatMatrix.from_rows([[2, -1], [-1, 2]]), name="A2")
+    assert l == again and hash(l) == hash(again) == hash((A2_GRAM, "A2", None))
+    assert l != Lattice(A2_GRAM) and l != (A2_GRAM, "A2", None)
+    rot = IntMatrix.from_rows([[0, 1], [-1, -1]])
+    iso = Isometry.create(l, rot, 3)
+    assert iso == Isometry(again, rot, 3) and hash(iso) == hash((l, rot, 3))
+    assert iso != Isometry(l, rot @ rot, 3) and iso != (l, rot, 3)
+
+
 def test_basic_invariants():
     l = a2()
     assert l.rank == 2
@@ -75,7 +85,6 @@ def test_basic_invariants():
 
 def glue_by_dual_basis(l: Lattice):
     """Glue l by the dual basis (the rows of G^-1): the glued lattice is L*."""
-    ginv = inverse(l.gram)
     return glue_extend(l, inverse(l.gram))
 
 

@@ -2,6 +2,7 @@
 matching against the stored weight-one classification rows."""
 
 import gc
+import hashlib
 import os
 import random
 import subprocess
@@ -34,8 +35,17 @@ from latorb.roots import enumerate_roots
 TABLE_SHA256 = "e2fd2461333f4b44e8d5c1cdf59f94969215c4bae81caf4a1d5641e700b52a98"
 
 
-def test_table_checksum_is_pinned():
-    assert table_checksum() == TABLE_SHA256
+def test_table_checksum_is_pinned(monkeypatch):
+    def digest():
+        return hashlib.sha256(liealg._TABLE_JSON.encode("utf-8")).hexdigest()
+
+    assert table_checksum() == liealg.TABLE_SHA256 == digest() == TABLE_SHA256
+    # The stated digest is checked against the text: one edited character fails.
+    text = liealg._TABLE_JSON
+    edited = text.replace('"rank": 1,', '"rank": 7,', 1)
+    assert sum(a != b for a, b in zip(text, edited)) == 1 and len(edited) == len(text)
+    monkeypatch.setattr(liealg, "_TABLE_JSON", edited)
+    assert digest() != table_checksum()
 
 
 def test_table_row_invariants():
@@ -325,15 +335,14 @@ def test_liealg_imports_no_other_latorb_module():
     src = str(Path(latorb.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     loaded = ("sorted(m for m in sys.modules if m.startswith('latorb') "
-              "or m in ('fractions', 'dataclasses', 'hashlib'))")
+              "or m in ('fractions', 'dataclasses', 'hashlib', '_hashlib'))")
     out = subprocess.run(
         [sys.executable, "-S", "-c",
          f"import sys, latorb.liealg; print({loaded}); "
          f"latorb.liealg.table_checksum(); print({loaded})"],
         env=env, capture_output=True, text=True, check=True).stdout
-    # hashlib (OpenSSL) is loaded only once the table checksum is asked for.
-    assert out.splitlines() == ["['latorb', 'latorb.liealg']",
-                                "['hashlib', 'latorb', 'latorb.liealg']"]
+    # The table checksum is a stated value: asking for it loads no hashlib.
+    assert out.splitlines() == ["['latorb', 'latorb.liealg']"] * 2
 
 
 def test_parse_type_string():

@@ -8,7 +8,8 @@ name in ``src/latorb`` outside its own body, or in ``perfbench``.  A read
 counts for one class when its receiver is known to be that class (``self``
 or ``cls`` in its methods, the class name, or a parameter annotated with
 it) and for every class with a method of that name otherwise.  Every field
-of a top-level dataclass or ``NamedTuple`` must be read as an attribute in
+of a top-level record class (a dataclass, a ``NamedTuple``, or a class with
+``__slots__``, whose slots are its fields) must be read as an attribute in
 ``src/latorb`` or ``perfbench``.  A name that only the tests reach is dead
 weight in the package: delete it, or move the check it served onto a
 production path.  The few deliberate exceptions are
@@ -72,9 +73,11 @@ def _parse(src: Path) -> dict[str, ast.Module]:
 
 
 def _attributes_read(paths: list[Path]) -> set[str]:
+    """Attribute names loaded, not stored, in ``paths``: a slotted record's
+    ``__init__`` assigns each field, which is no read."""
     return {sub.attr for path in paths
             for sub in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-            if isinstance(sub, ast.Attribute)}
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
 
 
 def unreferenced_names(src: Path, extra: list[Path]) -> list[str]:
@@ -148,24 +151,29 @@ def unreferenced_methods(src: Path, extra: list[Path]) -> list[str]:
     return dead
 
 
-def _is_record(cls: ast.ClassDef) -> bool:
-    """Whether a class is a dataclass or a NamedTuple."""
+def _record_fields(cls: ast.ClassDef) -> list[str]:
+    """The fields of a record class: the annotated names of a dataclass or a
+    NamedTuple, the ``__slots__`` of an explicit record class; none for any
+    other class."""
     decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
-    return (any(getattr(d, "id", None) == "dataclass" for d in decorators)
-            or any(getattr(b, "id", None) == "NamedTuple" for b in cls.bases))
+    if (any(getattr(d, "id", None) == "dataclass" for d in decorators)
+            or any(getattr(b, "id", None) == "NamedTuple" for b in cls.bases)):
+        return [node.target.id for node in cls.body
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+    return [name for node in cls.body if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "__slots__" for t in node.targets)
+            for name in ast.literal_eval(node.value)]
 
 
 def unreferenced_fields(src: Path, extra: list[Path]) -> list[str]:
-    """``module.Class.name`` for each field of a top-level dataclass or
-    NamedTuple in ``src`` that no file of ``src`` or ``extra`` reads as an
-    attribute."""
+    """``module.Class.name`` for each field of a top-level record class (a
+    dataclass, a NamedTuple or a class with ``__slots__``) in ``src`` that no
+    file of ``src`` or ``extra`` reads as an attribute."""
     read = _attributes_read(sorted(src.glob("*.py")) + extra)
-    return [f"{stem}.{cls.name}.{field.target.id}"
+    return [f"{stem}.{cls.name}.{name}"
             for stem, tree in _parse(src).items()
-            for cls in tree.body if isinstance(cls, ast.ClassDef) and _is_record(cls)
-            for field in cls.body
-            if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
-            and field.target.id not in read]
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for name in _record_fields(cls) if name not in read]
 
 
 def test_every_src_name_has_a_src_caller():
@@ -195,7 +203,7 @@ def test_a_method_only_tests_call_is_found(tmp_path):
 
 
 def test_a_field_only_tests_read_is_found(tmp_path):
-    # Of two records, only fields read as attributes in the package count;
+    # Of three records, only fields read as attributes in the package count;
     # a plain class's annotations are not fields.
     (tmp_path / "mod.py").write_text(
         "from dataclasses import dataclass\n"
@@ -213,6 +221,13 @@ def test_a_field_only_tests_read_is_found(tmp_path):
         "class Plain:\n"
         "    hidden: int\n"
         "\n"
-        "def total(p: Pair, r: Row) -> int:\n"
-        "    return p.left + r.size\n", encoding="utf-8")
-    assert unreferenced_fields(tmp_path, []) == ["mod.Pair.right", "mod.Row.name"]
+        "class Slotted:\n"
+        "    __slots__ = ('rows', 'den')\n"
+        "\n"
+        "    def __init__(self, rows, den):\n"
+        "        self.rows, self.den = rows, den\n"
+        "\n"
+        "def total(p: Pair, r: Row, s: Slotted) -> int:\n"
+        "    return p.left + r.size + len(s.rows)\n", encoding="utf-8")
+    assert unreferenced_fields(tmp_path, []) == [
+        "mod.Pair.right", "mod.Row.name", "mod.Slotted.den"]

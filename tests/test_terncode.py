@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from latorb.terncode import (
     IndexPermutation,
     TernaryCode,
@@ -92,6 +94,15 @@ def test_dimension_invariant_under_permutation():
         moved = TernaryCode.from_generators(
             [perm.apply_to_word(row) for row in c.basis])
         assert moved.dim == 6
+
+
+def test_codes_are_values_and_label_maps_bijections():
+    c = golay_code()
+    again = TernaryCode.from_generators(reversed(golay_generators()))
+    assert c == again and hash(c) == hash(again) == hash((12, c.basis))
+    assert c != (12, c.basis) and c != TernaryCode.from_generators(golay_generators()[:3])
+    with pytest.raises(ValueError, match="not a bijection"):
+        perm_from_label_map({"0": "1"})
 
 
 def test_membership():
