@@ -158,7 +158,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return _im(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+        return _im(n, n, tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)))
 
     def transpose(self) -> "IntMatrix":
         return _im(self.cols, self.rows, _transpose(self.entries, self.rows, self.cols))

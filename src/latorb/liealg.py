@@ -15,12 +15,14 @@ survives, so a built candidate leaves one tracked object, not a tree of
 tuples; ``components`` rebuilds the shared pairs when read.
 
 The enumerator recurses one level per simple type, choosing its count, and
-enters a branch only if a reachability row per suffix of the type pool (one
-byte per dimension) says the rest of the dimension is reachable, so its work
-follows its output; type strings are built on the way down and stored.  Once
-the dimension left is at most ``MEMO_DIMENSION`` it stops recursing and joins
-the prefix to every completion from a per-query memo keyed by (pool index,
-dimension left), filtered by rank when a rank is given.  A query is counted
+enters a branch only if a reachability table per suffix of the type pool
+(one int per dimension, bit r for rank r) says the rest of the dimension and
+rank is reachable, so its work follows its output; a query with no rank
+bound gives every type rank 0 and runs the same code.  Type strings are
+built on the way down and stored.  Once the dimension left is at most
+``MEMO_DIMENSION`` it stops recursing and joins the prefix to every
+completion of the rank left from a per-query memo keyed by (pool index,
+dimension left).  A query is counted
 first, and one with more than ``MAX_CANDIDATES`` results raises
 ``LieDataError`` before any candidate is built.  No other package module is
 imported at run time, nor ``dataclasses`` or ``hashlib``: ``TABLE_SHA256``
@@ -242,30 +244,24 @@ class SemisimpleType:
 
 def candidate_count(dim: int, rank: int | None = None, hcoxeter_divisor: int = 1) -> int:
     """How many candidates ``semisimple_candidates`` returns, counted without
-    building them: a knapsack over its pool by dimension and any given rank.
-    A dimension above ``MAX_DIMENSION`` raises ``LieDataError``."""
+    building them: a knapsack over its pool by dimension and rank, where a
+    query with no rank bound gives every type rank 0.  A dimension above
+    ``MAX_DIMENSION`` raises ``LieDataError``."""
     if dim > MAX_DIMENSION:
         raise LieDataError(f"dimension {dim} is above {MAX_DIMENSION}, the "
                            "largest weight-one dimension on Schellekens' list")
-    if dim <= 0 or rank is not None and not 0 <= 3 * rank <= dim:
+    unit, rank = (0, 0) if rank is None else (1, rank)
+    if dim <= 0 or not 0 <= 3 * rank <= dim:
         return 0  # every simple type has dimension >= 3 rank
-    pool = [t for t in _TYPES if t.dual_coxeter % hcoxeter_divisor == 0]
-    if rank is None:
-        ways = [1] + [0] * dim  # ways[s]: types of dimension s
-        for t in pool:
-            for s in range(t.dimension, dim + 1):
-                ways[s] += ways[s - t.dimension]
-        return ways[dim]
     ways = [[0] * (rank + 1) for _ in range(dim + 1)]  # ways[s][r]: dimension s, rank r
     ways[0][0] = 1
-    for t in pool:
-        for s in range(t.dimension, dim + 1):
-            for r in range(t.rank, rank + 1):
-                ways[s][r] += ways[s - t.dimension][r - t.rank]
+    for t in _TYPES:
+        if t.dual_coxeter % hcoxeter_divisor == 0:
+            d, r = t.dimension, unit * t.rank
+            for s in range(d, dim + 1):
+                for q in range(r, rank + 1):
+                    ways[s][q] += ways[s - d][q - r]
     return ways[dim][rank]
-
-
-_REACH_BYTE = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def semisimple_candidates(dim: int, rank: int | None = None,
@@ -290,26 +286,22 @@ def semisimple_candidates(dim: int, rank: int | None = None,
     if count > MAX_CANDIDATES:
         raise LieDataError(f"more than {MAX_CANDIDATES} candidates of "
                            f"dimension {dim}: {count}")
+    unit, rank = (0, 0) if rank is None else (1, rank)
     pool = sorted((t for t in _TYPES
                    if t.dimension <= dim and t.dual_coxeter % hcoxeter_divisor == 0),
                   key=_component_sort_key)
     neg_dims = [-t.dimension for t in pool]  # ascending, for bisect
-    # A rest of dimension s and rank r from the pool has 3 r <= s <= widest r.
-    widest = max(-(-t.dimension // t.rank) for t in pool)
-    # reach[i][s] is 1 iff s is a sum of dimensions from pool[i:]; each row
-    # is built as a bitset and stored as one byte per dimension.
-    full = (1 << (dim + 1)) - 1
-    bits = 1
-    reach = [b"\x01" + bytes(dim)]
+    # reach[i][s] has bit r set iff pool[i:] has a multiset of dimension s
+    # and rank r (every rank 0 in a query with no rank bound).
+    reach = [[1] + [0] * dim]
     for t in reversed(pool):
-        step = t.dimension
-        while step <= dim:
-            bits = (bits | bits << step) & full
-            step *= 2
-        reach.append(format(bits, "b").zfill(dim + 1)[::-1].encode().translate(_REACH_BYTE))
+        row, d, r = reach[-1][:], t.dimension, unit * t.rank
+        for s in range(d, dim + 1):
+            row[s] |= row[s - d] << r
+        reach.append(row)
     reach.reverse()
     # (dimension, rank, code, label) for each count of each pool type.
-    steps = [[(_CODE_DIMENSION[code], _CODE_RANK[code], code, _CODE_LABEL[code])
+    steps = [[(_CODE_DIMENSION[code], unit * _CODE_RANK[code], code, _CODE_LABEL[code])
               for code in range(_FIRST_CODE[t], _FIRST_CODE[t] + dim // t.dimension)]
              for t in pool]
     found: list[SemisimpleType] = []
@@ -342,17 +334,14 @@ def semisimple_candidates(dim: int, rank: int | None = None,
                codes: tuple, text: str) -> None:
         # codes and text (led by a space) are the components chosen so far.
         for i in range(bisect_left(neg_dims, -dim_left, start), len(pool)):
-            if not reach[i][dim_left]:
+            if not reach[i][dim_left] >> rank_left & 1:
                 return
             after = reach[i + 1]
             for used, rank_used, code, label in steps[i]:
-                left = dim_left - used
-                if left < 0 or rank_used > rank_left:
+                left, need = dim_left - used, rank_left - rank_used
+                if left < 0 or need < 0:
                     break
-                if not after[left]:
-                    continue
-                need = rank_left - rank_used
-                if rank is not None and not 3 * need <= left <= widest * need:
+                if not after[left] >> need & 1:
                     continue
                 if left > MEMO_DIMENSION:
                     search(i + 1, left, need, codes + (code,), text + label)
@@ -363,11 +352,10 @@ def semisimple_candidates(dim: int, rank: int | None = None,
                     continue
                 for tail_codes, tail_text, tail_rank in \
                         tails.get((i + 1, left)) or complete(i + 1, left):
-                    if rank is None or tail_rank == need:
+                    if tail_rank == need:
                         found.append(SemisimpleType(head + tail_codes, head_text + tail_text))
 
-    # Without a rank bound the budget dim is never exhausted (rank < dim).
-    search(0, dim, dim if rank is None else rank, (), "")
+    search(0, dim, rank, (), "")
     found.sort(key=lambda c: c.text)
     return found
 

@@ -187,7 +187,7 @@ def rebuilt_type_string(components, levels=None):
 
 DIFFERENTIAL_GRID = (
     [(dim, rank, divisor) for dim in range(1, 91)
-     for rank in (None, 2, 6, 12) for divisor in (1, 2, 3, 4)]
+     for rank in (None, 2, 6, 12, dim // 3, dim // 4) for divisor in (1, 2, 3, 4)]
     + [(120, None, 1), (150, None, 1)])
 
 
@@ -204,14 +204,16 @@ def test_candidates_match_reference_search():
             assert cand.type_string(levels) == rebuilt_type_string(cand.components, levels)
 
 
-def count_search_calls(*query, **options):
+def count_search_calls(dim, rank=None, hcoxeter_divisor=1):
     """Calls of the enumerator's recursive search for one query, and the
     (start, dimension left) arguments of each call that fills its memo.
 
     On each return of ``search`` and ``complete`` it also checks the early
-    exit: when some pool index from where the loop began cannot reach the
-    dimension left (a knapsack over the pool's dimensions, built here), the
-    loop stopped at the first such index."""
+    exit against a (dimension, rank) knapsack over the pool, built here:
+    ``search`` stops at the first pool index from where its loop began that
+    cannot reach the dimension and rank left (the dimension alone without a
+    rank bound), and ``complete`` at the first that cannot reach the
+    dimension left."""
     calls, fills, sums = 0, [], None
 
     def profile(frame, event, arg):
@@ -227,22 +229,25 @@ def count_search_calls(*query, **options):
             fills.append((local["start"], left))
         elif event == "return":
             if sums is None:
-                # sums[j]: bit s is set iff s is a sum of dimensions from pool[j:].
-                sums, bits = [1], 1
+                # sums[j][s]: the ranks of the multisets of dimension s from pool[j:].
+                sums = [[{0}] + [set() for _ in range(dim)]]
                 for t in reversed(pool):
-                    for s in range(t.dimension, query[0] + 1):
-                        bits |= (bits >> (s - t.dimension) & 1) << s
-                    sums.append(bits)
+                    row = [set(ranks) for ranks in sums[-1]]
+                    for s in range(t.dimension, dim + 1):
+                        row[s] |= {r + t.rank for r in row[s - t.dimension]}
+                    sums.append(row)
                 sums.reverse()
+            exact = rank is not None and code.co_name == "search"
             begin = next((j for j in range(local["start"], len(pool))
                           if pool[j].dimension <= left), len(pool))
-            dead = next((j for j in range(begin, len(pool)) if not sums[j] >> left & 1), None)
+            dead = next((j for j in range(begin, len(pool)) if not sums[j][left]
+                         or exact and local["rank_left"] not in sums[j][left]), None)
             assert dead is None or local["i"] == dead, (code.co_name, local["start"], left)
 
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        semisimple_candidates(*query, **options)
+        semisimple_candidates(dim, rank=rank, hcoxeter_divisor=hcoxeter_divisor)
     finally:
         sys.setprofile(previous)
     return calls, fills
@@ -250,29 +255,23 @@ def count_search_calls(*query, **options):
 
 @pytest.mark.parametrize("dim, divisor", [(60, 1), (90, 1), (90, 2), (78, 4)])
 def test_search_calls_follow_output(dim, divisor):
-    # The search recurses only while more than MEMO_DIMENSION is left: every
-    # call extends a proper prefix of some candidate with that much left, and
-    # each such prefix is searched once.  Under a rank bound the rest (s, r)
-    # must also have 3 r <= s <= widest r, widest the largest dimension per
-    # rank in the pool (rounded up), and a query with no candidate searches
+    # The search recurses only while more than MEMO_DIMENSION is left, and
+    # only into a prefix that the rest of the pool completes to a candidate
+    # of the query, rank bound included: every call extends a proper prefix
+    # of a candidate of that query with more than MEMO_DIMENSION left, each
+    # such prefix is searched once, and a query with no candidate searches
     # nothing.  Smaller rests come from the memo, whose entries are each
     # filled once, so there are at most len(pool) * MEMO_DIMENSION of them.
-    cands = semisimple_candidates(dim, hcoxeter_divisor=divisor)
-    prefixes = {c.components[:j] for c in cands for j in range(1, len(c.components))}
     pool = [t for t in all_types() if t.dimension <= dim and t.dual_coxeter % divisor == 0]
-    widest = max(-(-t.dimension // t.rank) for t in pool)
-
-    def searched(prefix, rank):
-        s = dim - sum(t.dimension * m for t, m in prefix)
-        r = None if rank is None else rank - sum(t.rank * m for t, m in prefix)
-        return s > liealg.MEMO_DIMENSION and (r is None or 3 * r <= s <= widest * r)
-
     for rank in (None, 4, 9, 10, dim // 3):
+        cands = semisimple_candidates(dim, rank=rank, hcoxeter_divisor=divisor)
+        prefixes = {c.components[:j] for c in cands for j in range(1, len(c.components))}
         want = 0
-        if candidate_count(dim, rank, divisor):
-            want = 1 + sum(1 for p in prefixes if searched(p, rank))
+        if cands:
+            want = 1 + sum(1 for p in prefixes
+                           if dim - sum(t.dimension * m for t, m in p) > liealg.MEMO_DIMENSION)
         calls, fills = count_search_calls(dim, rank=rank, hcoxeter_divisor=divisor)
-        assert calls == want
+        assert calls == want, rank
         assert len(set(fills)) == len(fills) <= len(pool) * liealg.MEMO_DIMENSION
         assert all(0 < left <= liealg.MEMO_DIMENSION for _, left in fills)
 
