@@ -20,8 +20,9 @@ from math import lcm
 from typing import NamedTuple, Sequence
 
 from .constructions import CONSTRUCTIONS
-from .exactmat import IntMatrix, RatMatrix, Rational, block_diagonal, solve_exact
+from .exactmat import IntMatrix, NoSolution, RatMatrix, Rational, block_diagonal, solve_exact
 from .lattice import (
+    GlueError,
     GlueExtension,
     Isometry,
     Lattice,
@@ -60,14 +61,14 @@ class RootLatticeData(NamedTuple):
 
     lattice: Lattice
     glue: RatMatrix
-    ambient: RatMatrix
+    ambient: IntMatrix
 
 
 def _dynkin_lattice(family: str, rank: int, edges: Sequence[tuple[int, int]]) -> Lattice:
     """The lattice whose basis is simple roots of norm 2 pairing to -1
     along the Dynkin diagram ``edges`` and to 0 otherwise."""
     linked = {*edges, *((j, i) for i, j in edges)}
-    return Lattice(RatMatrix.from_rows(
+    return Lattice(IntMatrix.from_rows(
         [[2 if i == j else -((i, j) in linked) for j in range(rank)] for i in range(rank)]),
         name=f"{family}{rank}")
 
@@ -78,40 +79,47 @@ def build_root_lattice(family: str, rank: int) -> RootLatticeData:
 
     Supported types: A with any positive rank (difference vectors in the
     rank+1 coordinate ambient space), D of rank 4 (in four coordinates),
-    and E of rank 6 (stated in its own basis of simple roots).
+    and E of rank 6 (stated in its own basis of simple roots).  A dual class
+    v is stated over one den, and den v = x amb for an integer x.
     """
     if family == "A" and rank >= 1:
         n = rank
-        amb = RatMatrix.from_rows([[1 if j == i else (-1 if j == i + 1 else 0)
+        amb = IntMatrix.from_rows([[1 if j == i else (-1 if j == i + 1 else 0)
                                     for j in range(n + 1)] for i in range(n)])
         glue = [[Fraction(ell, n + 1)] * (n + 1 - ell) + [Fraction(ell - n - 1, n + 1)] * ell
                 for ell in range(n + 1)]
-        return RootLatticeData(_dynkin_lattice(family, n, [(i, i + 1) for i in range(n - 1)]),
-                               solve_exact(amb, RatMatrix.from_rows(glue)), amb)
-    if family == "D" and rank == 4:
-        amb = RatMatrix.from_rows([[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1], [0, 0, 1, 1]])
+        edges = [(i, i + 1) for i in range(n - 1)]
+    elif family == "D" and rank == 4:
+        amb = IntMatrix.from_rows([[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1], [0, 0, 1, 1]])
         half = Fraction(1, 2)
         glue = [[0, 0, 0, 0], [half, half, half, half], [0, 0, 0, 1], [half, half, half, -half]]
-        return RootLatticeData(_dynkin_lattice(family, rank, [(0, 1), (1, 2), (1, 3)]),
-                               solve_exact(amb, RatMatrix.from_rows(glue)), amb)
-    if family == "E" and rank == 6:
+        edges = [(0, 1), (1, 2), (1, 3)]
+    elif family == "E" and rank == 6:
+        amb = IntMatrix.identity(6)
         third = Fraction(1, 3)
         rep = (third, -third, 0, third, -third, 0)
-        return RootLatticeData(
-            _dynkin_lattice(family, rank, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)]),
-            RatMatrix.from_rows([(0,) * 6, rep, [-e for e in rep]]), RatMatrix.identity(6))
-    raise CatalogError(f"unsupported root lattice {family}{rank}")
+        glue = [(0,) * 6, rep, [-e for e in rep]]
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)]
+    else:
+        raise CatalogError(f"unsupported root lattice {family}{rank}")
+    v = RatMatrix.from_rows(glue)
+    x = solve_exact(amb, IntMatrix(v.rows, v.cols, v.num))
+    return RootLatticeData(_dynkin_lattice(family, rank, edges),
+                           RatMatrix(x.rows, x.cols, x.entries, v.den), amb)
 
 
 def _auto_from_ambient(data: RootLatticeData,
                        ambient_images: Sequence[Sequence[Rational]],
                        name: str) -> Isometry:
-    """Convert an ambient-coordinate map to basis coordinates and verify it."""
+    """Convert an ambient-coordinate map to basis coordinates and verify it:
+    the basis rows' images, numerators over den, are x amb for x integral."""
     amb = data.ambient
-    m = solve_exact(amb, amb @ RatMatrix.from_rows(ambient_images))
-    if not m.is_integral():
-        raise CatalogError(f"{name} does not preserve the lattice")
-    return Isometry.create(data.lattice, m.to_int(), 3)
+    images = amb.to_rat() @ RatMatrix.from_rows(ambient_images)
+    try:
+        m = solve_exact(amb.scale(images.den), IntMatrix(images.rows, images.cols, images.num))
+    except NoSolution:
+        raise CatalogError(f"{name} does not preserve the lattice") from None
+    return Isometry.create(data.lattice, m, 3)
 
 
 @lru_cache(maxsize=None)
@@ -194,7 +202,7 @@ class NiemeierBundle(NamedTuple):
     root lattice is stated in."""
 
     base: Lattice
-    ambient: RatMatrix
+    ambient: IntMatrix
     extension: GlueExtension
     glue_group: tuple[tuple[int, ...], ...]
     glue_den: int
@@ -254,13 +262,17 @@ def construct_niemeier(key: str) -> NiemeierBundle:
     part_data = tuple(build_root_lattice(f, r) for f, r in spec["parts"])
     base = direct_sum([d.lattice for d in part_data], name=f"{key}:base")
     words = _glue_words(base, part_data, spec["words"])
-    ext = glue_extend(base, words, name=key)
+    failed = CatalogError(f"{key}: lattice is not even unimodular of rank 24")
+    try:
+        ext = glue_extend(base, words, name=key)
+    except GlueError as exc:  # dual-class words pair integrally: a non-integral glue
+        raise failed from exc
     if ext.index != spec["index"]:
         raise CatalogError(
             f"{key}: glue index {ext.index}, expected {spec['index']}")
     even, unimodular = is_even_unimodular(ext.lattice)
     if not (even and unimodular and ext.lattice.rank == 24):
-        raise CatalogError(f"{key}: lattice is not even unimodular of rank 24")
+        raise failed
     den, group = _close_glue_group(words)
     if len(group) != spec["index"]:
         raise CatalogError(
@@ -335,14 +347,16 @@ def assemble_block_isometry(bundle: NiemeierBundle,
                 entries[starts[src] + i][starts[dst] + j] = m.entries[i][j]
     s = IntMatrix.from_rows(entries, cols=base.rank)
     ext = bundle.extension
-    # The base lattice's rows B^-1 in the glued basis are integral and stored.
-    x = ext.basis_in_base @ s.to_rat() @ ext.base_in_lattice.to_rat()
-    for k in range(x.rows):
-        if any(e % x.den for e in x.num[k]):
+    # B s B^-1, B numerators over den; the base rows B^-1 are integral and stored.
+    b, den = ext.basis_in_base, ext.basis_in_base.den
+    x = IntMatrix(b.rows, b.cols, b.num) @ s @ ext.base_in_lattice
+    for k, row in enumerate(x.entries):
+        if any(e % den for e in row):
             raise StabilizationError(
                 f"{name}: image of basis vector {k} is outside the lattice: "
-                f"{tuple(str(e) for e in x.entries[k])}")
-    return Isometry.create(bundle.lattice, x.to_int(), 3)
+                f"{tuple(str(Fraction(e, den)) for e in row)}")
+    return Isometry.create(bundle.lattice, IntMatrix(x.rows, x.cols, tuple(
+        tuple(e // den for e in row) for row in x.entries)), 3)
 
 
 @lru_cache(maxsize=None)

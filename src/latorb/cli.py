@@ -110,7 +110,7 @@ def cmd_lattice_build(args) -> int:
              CONSTRUCTIONS["lattices"][args.key]["index"], "computed"),
         *_root_rows(args.key, bundle.root_system),
     ]
-    embedding = bundle.extension.basis_in_base @ bundle.ambient
+    embedding = bundle.extension.basis_in_base @ bundle.ambient.to_rat()
     doc = {**lattice.to_json(),
            "embedding": [[rat_str(e) for e in row] for row in embedding.entries]}
     payload = {"key": args.key, "description": bundle.description, "lattice": doc}

@@ -1,21 +1,23 @@
 """Exact integer and rational matrix algebra.
 
 Everything in this module is pure and exact, with no floating point
-anywhere.  :class:`IntMatrix` holds Python ints.  :class:`RatMatrix` holds
-one scaled-integer representation: integer numerators over one positive
-common denominator, reduced by their gcd so that equal matrices have equal
-fields.  Its arithmetic is products, transpose and the integrality test
-only.  These, the determinant, exact solve and LDL^T run on ints;
-``RatMatrix.entries`` is a derived Fraction view used for output.
+anywhere.  :class:`IntMatrix` holds Python ints and carries the algebra:
+products, normal forms, determinant, exact solve and LDL^T.
+:class:`RatMatrix` holds stated rational rows as integer numerators over
+one positive common denominator, reduced by their gcd so that equal
+matrices have equal fields; it has a product, callers compute with its
+``num`` and ``den``, and ``entries`` is a Fraction view for output.
 Matrices are values: every operation returns a new matrix.
 Both classes multiply through one packed-row integer product (Kronecker
-substitution, see ``_product``), and ``det``, ``solve_exact`` (so
-``inverse``) and ``ldl`` share one packed-row fraction-free elimination
-(``_eliminate``), whose field width the Hadamard bound fixes.  ``hnf``,
-``kernel_basis`` and ``snf`` share one per-entry Euclid engine,
+substitution, see ``_product``), and ``det`` and ``ldl`` share one
+packed-row fraction-free elimination (``_eliminate``), whose field width
+the Hadamard bound fixes.  ``hnf``, ``kernel_basis``, ``snf`` and
+``solve_exact`` (so ``inverse``) share one per-entry Euclid engine,
 ``_hnf_transform``, which repeats each row operation on companion rows (a
 transform, or none); ``snf`` alternates it on the matrix and its
-transpose.  Their entries have no a-priori bound.
+transpose, and ``solve_exact`` back-substitutes along its pivots (Cohen,
+*A Course in Computational Algebraic Number Theory*, 2.4).  Their entries
+have no a-priori bound.
 
 Entries are checked to be ints only where data enters, in the public
 constructors and ``from_rows``; this module's own results are built by the
@@ -190,12 +192,10 @@ class IntMatrix:
                    _product(self.entries, other.entries, other.cols))
 
     def is_identity(self) -> bool:
-        return (self.rows == self.cols
-                and all(e == (1 if i == j else 0)
-                        for i, row in enumerate(self.entries) for j, e in enumerate(row)))
+        return self == IntMatrix.identity(self.rows)
 
     def to_rat(self) -> "RatMatrix":
-        return _rm(self.rows, self.cols, self.entries)
+        return _rm(self.rows, self.cols, self.entries, 1)
 
 
 class RatMatrix:
@@ -243,16 +243,9 @@ class RatMatrix:
                    tuple(tuple(e.numerator * (den // e.denominator) for e in row)
                          for row in data), den)
 
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return IntMatrix.identity(n).to_rat()
-
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(Fraction(e, self.den) for e in row) for row in self.num)
-
-    def transpose(self) -> "RatMatrix":
-        return _rm(self.cols, self.rows, _transpose(self.num, self.rows, self.cols), self.den)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if not isinstance(other, RatMatrix):
@@ -262,18 +255,6 @@ class RatMatrix:
         return _rm(self.rows, other.cols,
                    _product(self.num, other.num, other.cols), self.den * other.den)
 
-    def is_integral(self) -> bool:
-        return self.den == 1
-
-    def to_int(self) -> IntMatrix:
-        if not self.is_integral():
-            raise ValueError("matrix has non-integer entries")
-        return _im(self.rows, self.cols, self.num)
-
-    def is_symmetric(self) -> bool:
-        return self.rows == self.cols and self.num == _transpose(self.num, self.rows,
-                                                                  self.cols)
-
 
 def _im(rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> IntMatrix:
     """An IntMatrix of entries that are ints by construction, unchecked."""
@@ -282,7 +263,7 @@ def _im(rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> IntMatrix
     return m
 
 
-def _rm(rows: int, cols: int, num: tuple[tuple[int, ...], ...], den: int = 1) -> RatMatrix:
+def _rm(rows: int, cols: int, num: tuple[tuple[int, ...], ...], den: int) -> RatMatrix:
     """A RatMatrix of int numerators and nonzero den, unchecked but reduced."""
     m = object.__new__(RatMatrix)
     m.rows, m.cols, m.num, m.den = rows, cols, num, den
@@ -290,19 +271,15 @@ def _rm(rows: int, cols: int, num: tuple[tuple[int, ...], ...], den: int = 1) ->
     return m
 
 
-def block_diagonal(parts: Sequence[RatMatrix]) -> RatMatrix:
+def block_diagonal(parts: Sequence[IntMatrix]) -> IntMatrix:
     """Block-diagonal matrix of the given blocks, which need not be square."""
-    den = lcm(*(p.den for p in parts))
     cols = sum(p.cols for p in parts)
     rows = []
     off = 0
     for p in parts:
-        k = den // p.den
-        for row in p.num:
-            rows.append((0,) * off + tuple(k * e for e in row)
-                        + (0,) * (cols - off - p.cols))
+        rows += [(0,) * off + row + (0,) * (cols - off - p.cols) for row in p.entries]
         off += p.cols
-    return _rm(len(rows), cols, tuple(rows), den)
+    return IntMatrix(len(rows), cols, tuple(rows))  # checked: blocks are caller data
 
 
 class SmithDecomposition(NamedTuple):
@@ -425,18 +402,18 @@ def snf(m: IntMatrix) -> SmithDecomposition:
                               _im(c, c, _transpose(vt, c, c)))
 
 
-def _eliminate(rows: Sequence[Sequence[int]], cols: int, steps: int, jordan: bool = False):
+def _eliminate(rows: Sequence[Sequence[int]], cols: int, steps: int):
     """Fraction-free (Bareiss) elimination of integer rows, each packed in one int.
 
     In each of the first ``steps`` columns the first remaining row with an
     entry pv != 0 there becomes the pivot row top, and every remaining row
-    (with ``jordan`` also every earlier pivot row) becomes (pv row - f top) //
-    prev, f its entry and prev the last pivot.  Each entry formed is a minor,
-    so the division is exact on the packed int, whatever carries pass between
-    the fields of pv row - f top, and no entry read exceeds the Hadamard bound
-    H = prod (isqrt(|row|^2) + 1), which w = bit_length(H) + 1 holds.
-    Returns (packing, pivot rows, remaining rows, [(column, position among the
-    remaining rows, pv) per pivot row]), rows packed, pivot rows in order.
+    becomes (pv row - f top) // prev, f its entry and prev the last pivot.
+    Each entry formed is a minor, so the division is exact on the packed
+    int, whatever carries pass between the fields of pv row - f top, and no
+    entry read exceeds the Hadamard bound H = prod (isqrt(|row|^2) + 1),
+    which w = bit_length(H) + 1 holds.
+    Returns (packing, pivot rows, [(column, position among the remaining
+    rows, pv) per pivot row]), pivot rows packed and in order.
     """
     h = prod(isqrt(sum(map(mul, row, row))) + 1 for row in rows)
     p = _Packing(h.bit_length() + 1, cols)
@@ -448,38 +425,35 @@ def _eliminate(rows: Sequence[Sequence[int]], cols: int, steps: int, jordan: boo
             continue
         pv, top = f.pop(i), todo.pop(i)
         todo = [(pv * v - e * top) // prev for v, e in zip(todo, f)]
-        if jordan:
-            done = [(pv * v - p.field(v, col) * top) // prev for v in done]
         done.append(top)
         pivots.append((col, i, pv))
         prev = pv
-    return p, done, todo, pivots
+    return p, done, pivots
 
 
-def det(m: IntMatrix | RatMatrix) -> Fraction:
+def det(m: IntMatrix) -> int:
     """Exact determinant: the last Bareiss pivot, signed by the row moves."""
     if m.rows != m.cols:
         raise ShapeError("determinant of a non-square matrix")
-    rows, den = (m.num, m.den ** m.rows) if isinstance(m, RatMatrix) else (m.entries, 1)
-    pivots = _eliminate(rows, m.rows, m.rows)[3]
+    pivots = _eliminate(m.entries, m.rows, m.rows)[2]
     if len(pivots) < m.rows:
-        return Fraction(0)
+        return 0
     sign = -1 if sum(i for _, i, _ in pivots) % 2 else 1
-    return Fraction(sign * pivots[-1][2], den) if pivots else Fraction(1)
+    return sign * pivots[-1][2] if pivots else 1
 
 
-def ldl(m: RatMatrix) -> tuple[list[int], list[list[int]]]:
-    """LDL^T of the numerators in integers, as (p, a) with
-    x m.num x^T = sum_k t_k^2 / (p[k] D_k), t_k = p[k] x_k + sum_{j>k} a[k][j] x_j.
+def ldl(m: IntMatrix) -> tuple[list[int], list[list[int]]]:
+    """LDL^T of a symmetric integer matrix in integers, as (p, a) with
+    x m x^T = sum_k t_k^2 / (p[k] D_k), t_k = p[k] x_k + sum_{j>k} a[k][j] x_j.
 
-    One Bareiss pass: p[k] is the leading minor D_{k+1} of ``m.num``
+    One Bareiss pass: p[k] is the leading minor D_{k+1} of ``m``
     (D_0 = 1) and a[k][j], j > k, is row k when it is the pivot row, an
     integer minor; entries left of the pivot are 0.  Raises
     :class:`NotPositiveDefinite` at the first D_k <= 0, where row k is not
     its own pivot row or its pivot is not positive.
     """
     n = m.rows
-    p, done, _, pivots = _eliminate(m.num, n, n)
+    p, done, pivots = _eliminate(m.entries, n, n)
     k = next((k for k, (col, i, pv) in enumerate(pivots) if (col, i) != (k, 0) or pv <= 0),
              len(pivots))
     if k < n:
@@ -487,38 +461,45 @@ def ldl(m: RatMatrix) -> tuple[list[int], list[list[int]]]:
     return [pv for _, _, pv in pivots], list(map(p.read, done))
 
 
-def solve_exact(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    """Solve ``x @ a = b`` exactly; raises :class:`NoSolution` if inconsistent.
+def solve_exact(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The integer x with ``x @ a = b``; raises :class:`NoSolution` when a
+    row of ``b`` is not in the integer row span of ``a``.
 
-    ``a`` is n x m and ``b`` is k x m; the result is k x n.  When the system
-    is underdetermined the solution with zero free coordinates is returned,
-    which makes the output canonical.  Fraction-free Gauss-Jordan on the
-    numerators (``_eliminate``) ends every pivot row on the last pivot.
+    ``a`` is n x m and ``b`` is k x m; the result is k x n, the only
+    solution when ``a`` has full row rank (otherwise one of them).  With
+    u @ a = h the row HNF of ``a`` (``_hnf_transform``), each row of ``b``
+    is reduced along the pivots of h, top down, one exact division per
+    pivot, to y with y @ h = b, and x = y @ u.  Rows of h below a pivot are
+    zero in its column, so each quotient is forced.
     """
     if a.cols != b.cols:
         raise ShapeError("right-hand side has wrong width")
-    n, m_ = a.rows, a.cols
-    k = b.rows
-    # Transpose to column form: a^T y = b^T with y = x^T.
-    aug = [ac + bc for ac, bc in zip(_transpose(a.num, n, m_), _transpose(b.num, k, m_))]
-    p, done, rest, pivots = _eliminate(aug, n + k, n, jordan=True)
-    # Rows that are no pivot row are 0 left of column n.
-    if any(rest):
-        raise NoSolution("inconsistent linear system")
-    # x a.num / a.den = b.num / b.den  <=>  x a.num = b.num (a.den / b.den).
-    x = [[0] * n for _ in range(k)]
-    for (col, _, _), v in zip(pivots, done):
-        for t, e in enumerate(p.read(v, n)):
-            x[t][col] = e * a.den
-    return _rm(k, n, tuple(map(tuple, x)), (pivots[-1][2] if pivots else 1) * b.den)
+    n = a.rows
+    h, u = list(a.entries), list(IntMatrix.identity(n).entries)
+    _hnf_transform(h, u)
+    pivots = [(i, next(compress(count(), row))) for i, row in enumerate(h) if any(row)]
+    ys = []
+    for rest in b.entries:
+        y = [0] * n
+        for i, col in pivots:
+            y[i], r = divmod(rest[col], h[i][col])
+            if r:
+                break  # rest[col] stays nonzero
+            if y[i]:
+                rest = [e - y[i] * f for e, f in zip(rest, h[i])]
+        if any(rest):
+            raise NoSolution("right-hand side is not in the integer row span")
+        ys.append(tuple(y))
+    return _im(b.rows, n, tuple(ys)) @ _im(n, n, tuple(map(tuple, u)))
 
 
-def inverse(a: RatMatrix) -> RatMatrix:
-    """Exact inverse of a square nonsingular rational matrix."""
+def inverse(a: IntMatrix) -> IntMatrix:
+    """Exact inverse of a square unimodular integer matrix; raises
+    :class:`NoSolution` for any other square matrix."""
     if a.rows != a.cols:
         raise ShapeError("inverse of a non-square matrix")
     try:
-        # x @ a = I forces a to have full rank, so x is the two-sided inverse.
-        return solve_exact(a, RatMatrix.identity(a.rows))
+        # x @ a = I in integers forces det a = +-1, so x is the two-sided inverse.
+        return solve_exact(a, IntMatrix.identity(a.rows))
     except NoSolution:
-        raise NoSolution("matrix is singular") from None
+        raise NoSolution("matrix is not unimodular") from None

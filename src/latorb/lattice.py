@@ -1,7 +1,8 @@
-"""Positive-definite lattices with exact Gram data.
+"""Integral positive-definite lattices with exact Gram data.
 
-A lattice is its exact symmetric positive-definite Gram matrix on a basis;
+A lattice is its symmetric positive-definite integer Gram matrix on a basis;
 a sublattice is the integer matrix of its basis rows in the lattice basis.
+Only glue rows are rational, over one denominator (a ``RatMatrix``).
 
 All arithmetic is exact; see :mod:`latorb.exactmat`.
 """
@@ -13,7 +14,7 @@ from math import prod
 from typing import NamedTuple, Sequence
 
 from .exactmat import (IntMatrix, NotPositiveDefinite, RatMatrix, Rational,
-                       block_diagonal, det, hnf, inverse, kernel_basis, ldl)
+                       block_diagonal, det, hnf, kernel_basis, ldl, solve_exact)
 
 
 class LatticeError(ValueError):
@@ -21,7 +22,7 @@ class LatticeError(ValueError):
 
 
 class GlueError(ValueError):
-    """A glue vector does not pair integrally with the base lattice."""
+    """A glue vector is not in the dual of the base, or the glue is not integral."""
 
 
 class IsometryError(ValueError):
@@ -34,10 +35,10 @@ def rat_str(x: Rational) -> str:
 
 
 class Lattice:
-    """A finite-rank positive-definite lattice over Z.
+    """A finite-rank integral positive-definite lattice over Z.
 
     Fields:
-        gram: symmetric positive-definite RatMatrix — the pairing on a basis.
+        gram: symmetric positive-definite IntMatrix — the pairing on a basis.
         name: optional label.
         blocks: optional ranks of direct summands, recorded by direct_sum so
             block automorphisms can be assembled coordinate-wise.
@@ -45,9 +46,11 @@ class Lattice:
 
     __slots__ = ("gram", "name", "blocks")
 
-    def __init__(self, gram: RatMatrix, name: str | None = None,
+    def __init__(self, gram: IntMatrix, name: str | None = None,
                  blocks: tuple[int, ...] | None = None) -> None:
-        if not gram.is_symmetric():
+        if not isinstance(gram, IntMatrix):
+            raise TypeError(f"Gram matrix must be an IntMatrix, not {type(gram).__name__}")
+        if gram != gram.transpose():
             raise LatticeError("Gram matrix is not symmetric")
         try:
             ldl(gram)
@@ -67,33 +70,27 @@ class Lattice:
         return self.gram.rows
 
     @property
-    def is_integral(self) -> bool:
-        return self.gram.is_integral()
-
-    @property
     def is_even(self) -> bool:
-        return self.is_integral and all(
-            self.gram.num[i][i] % 2 == 0 for i in range(self.rank))
+        return all(row[i] % 2 == 0 for i, row in enumerate(self.gram.entries))
 
-    def determinant(self) -> Fraction:
+    def determinant(self) -> int:
         return det(self.gram)
 
-    def inner(self, x: Sequence[Rational], y: Sequence[Rational]) -> Fraction:
-        """Pairing of two vectors given in basis coordinates, summed over
-        their nonzero coordinates with the integer Gram numerators."""
+    def inner(self, x: Sequence[int], y: Sequence[int]) -> int:
+        """Pairing of two integer vectors given in basis coordinates, summed
+        over their nonzero coordinates."""
         ys = [(j, b) for j, b in enumerate(y) if b]
-        total = sum(a * sum(row[j] * b for j, b in ys)
-                    for a, row in zip(x, self.gram.num) if a)
-        return Fraction(total) / self.gram.den
+        return sum(a * sum(row[j] * b for j, b in ys)
+                   for a, row in zip(x, self.gram.entries) if a)
 
     def to_json(self) -> dict:
         even, unimodular = is_even_unimodular(self)
         return {
             "name": self.name,
             "rank": self.rank,
-            "gram": [[rat_str(e) for e in row] for row in self.gram.entries],
+            "gram": [[str(e) for e in row] for row in self.gram.entries],
             "even": even,
-            "det": rat_str(self.determinant()),
+            "det": str(self.determinant()),
         }
 
 
@@ -119,35 +116,42 @@ def glue_extend(q: Lattice, words: RatMatrix,
     """Extend q by glue vectors from its dual; canonical HNF basis.
 
     Each row of ``words`` is a glue vector in the basis of q.  It must pair
-    integrally with every basis vector of q (i.e. lie in q*); otherwise
-    :class:`GlueError` reports the offending pairing.
+    integrally with every basis vector of q (i.e. lie in q*), and the glued
+    lattice must be integral; otherwise :class:`GlueError` says which
+    fails.  With den the denominator of ``words`` and h the HNF of den I
+    stacked on the numerators, the glued basis is h / den and its Gram
+    h G h^T / den^2.
     """
-    r = q.rank
+    r, den = q.rank, words.den
     if words.cols != r:
         raise GlueError(f"glue rows have {words.cols} coordinates, not {r}")
-    pairings = words @ q.gram
-    for gi, row in enumerate(pairings.num):
+    num = IntMatrix(words.rows, r, words.num)
+    for gi, row in enumerate((num @ q.gram).entries):
         for bi, e in enumerate(row):
-            if e % pairings.den:
+            if e % den:
                 raise GlueError(
                     f"glue vector {gi} pairs non-integrally with basis vector "
-                    f"{bi}: <g,b> = {rat_str(Fraction(e, pairings.den))}")
-    denom = words.den
-    rows = [[denom if i == j else 0 for j in range(r)] for i in range(r)]
-    h = hnf(IntMatrix.from_rows(rows + [list(w) for w in words.num], cols=r))
+                    f"{bi}: <g,b> = {rat_str(Fraction(e, den))}")
+    scaled = IntMatrix.identity(r).scale(den)
+    h = hnf(IntMatrix(r + words.rows, r, scaled.entries + words.num))
     if h.rows != r:
         raise GlueError("glue span lost rank (internal error)")
-    # h is triangular: det(basis) = prod(diagonal) / denom^r.
-    index, rest = divmod(denom ** r, prod(h.entries[i][i] for i in range(r)))
+    # h is triangular: det(basis) = prod(diagonal) / den^r.
+    index, rest = divmod(den ** r, prod(h.entries[i][i] for i in range(r)))
     if rest:
         raise GlueError("glue basis determinant is not the reciprocal of an integer")
-    basis = RatMatrix(r, r, h.entries, denom)
-    glued = Lattice(basis @ q.gram @ basis.transpose(), name=name)
-    return GlueExtension(glued, index, basis, inverse(basis).to_int())
+    square = den * den
+    gram = (h @ q.gram @ h.transpose()).entries
+    if any(e % square for row in gram for e in row):
+        raise GlueError("glued lattice is not integral")
+    glued = Lattice(IntMatrix(r, r, tuple(tuple(e // square for e in row) for row in gram)),
+                    name=name)
+    # The base rows B^-1 = den h^-1 solve x h = den I in integers.
+    return GlueExtension(glued, index, RatMatrix(r, r, h.entries, den), solve_exact(h, scaled))
 
 
 def is_even_unimodular(l: Lattice) -> tuple[bool, bool]:
-    """(even, unimodular): integral Gram with even diagonal; determinant 1."""
+    """(even, unimodular): even Gram diagonal; determinant 1."""
     return l.is_even, l.determinant() == 1
 
 
@@ -176,8 +180,7 @@ class Isometry:
         r = lattice.rank
         if matrix.rows != r or matrix.cols != r:
             raise IsometryError("matrix size differs from lattice rank")
-        mr = matrix.to_rat()
-        if (mr @ lattice.gram @ mr.transpose()) != lattice.gram:
+        if matrix @ lattice.gram @ matrix.transpose() != lattice.gram:
             raise IsometryError("matrix does not preserve the Gram form")
         d = det(matrix)
         if d not in (1, -1):

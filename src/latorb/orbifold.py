@@ -20,7 +20,7 @@ from typing import NamedTuple
 from . import liealg
 from .catalog import NiemeierBundle, build_sigma, niemeier_bundle
 from .constructions import CONSTRUCTIONS, SIGMA_KEYS
-from .exactmat import IntMatrix, det, hnf, inverse, kernel_basis, snf, solve_exact
+from .exactmat import IntMatrix, NoSolution, det, hnf, inverse, kernel_basis, snf, solve_exact
 from .lattice import Isometry, rat_str
 from .roots import RootSystem, orbit_count
 
@@ -92,7 +92,7 @@ def commutator_gram(iso: Isometry) -> IntMatrix:
     if not iso.lattice.is_even:
         raise OrbifoldError("the mod-6 commutator pairing needs an even lattice")
     # C = sum_r (3 + 2r) s^r G, each s^r G one product by s from the last.
-    term = iso.lattice.gram.to_int()
+    term = iso.lattice.gram
     total = term.scale(TWIST_ORDER)
     for r in range(1, TWIST_ORDER):
         term = iso.matrix @ term
@@ -125,7 +125,7 @@ def sublattice_r(n: IntMatrix, c: IntMatrix) -> tuple[IntMatrix, int]:
     proj = hnf(IntMatrix.from_rows([row[:k] for row in ker.entries], cols=k))
     if proj.rows != k:
         raise OrbifoldError("radical lost rank; 6N should always embed in R")
-    index = int(abs(det(proj)))
+    index = abs(det(proj))
     return hnf(proj @ n), index
 
 
@@ -144,10 +144,10 @@ def coset_filter_index(n: IntMatrix, m: IntMatrix,
         return 1, 1
     if m.rows != k:
         raise OrbifoldError("N/M is infinite; ranks differ")
-    x = solve_exact(n.to_rat(), m.to_rat())
-    if not x.is_integral():
-        raise OrbifoldError("M does not embed in N integrally")
-    xi = x.to_int()
+    try:
+        xi = solve_exact(n, m)
+    except NoSolution:
+        raise OrbifoldError("M does not embed in N integrally") from None
     dec = snf(xi)
     divisors = dec.invariant_factors
     if any(d == 0 for d in divisors):
@@ -155,7 +155,7 @@ def coset_filter_index(n: IntMatrix, m: IntMatrix,
     index_nm = prod(divisors)
 
     # Pairing rows in Smith coordinates y = x V: condition y (V^-1 C) = 0 mod 6.
-    vinv = inverse(dec.v.to_rat()).to_int()
+    vinv = inverse(dec.v)
     rows = [[e % _COMMUTATOR_MOD for e in row] for row in (vinv @ c).entries]
     if any(e % _COMMUTATOR_MOD for row in (xi @ c).entries for e in row):
         raise OrbifoldError("M is not in the radical; c0 does not descend to N/M")
@@ -225,8 +225,10 @@ def twist_data(iso: Isometry) -> TwistData:
             f"|N/R| routes disagree: congruence kernel {index_kernel}, "
             f"coset filter {index_filter}")
     # R lies in N by construction (its rows are integer combinations of N's).
-    if not solve_exact(r.to_rat(), m.to_rat()).is_integral():
-        raise OrbifoldError("M is not contained in R")
+    try:
+        solve_exact(r, m)
+    except NoSolution:
+        raise OrbifoldError("M is not contained in R") from None
     top = isqrt(index_kernel)
     if top * top != index_kernel:
         raise OrbifoldError(f"|N/R| = {index_kernel} is not a perfect square")
@@ -304,16 +306,18 @@ def stabilizes(bundle: NiemeierBundle, matrix: IntMatrix) -> bool:
     glue generator (a row of B) into a glue coset: the generators and Q span
     L, so the map then permutes the cosets L/Q (compared as residues)."""
     ext = bundle.extension
-    images = matrix.to_rat() @ ext.basis_in_base
-    s = ext.base_in_lattice.to_rat() @ images
-    if not s.is_integral() or abs(det(s)) != 1:
+    b = ext.basis_in_base
+    # B, its images and s are numerators over b.den; s / den is unimodular.
+    images = matrix @ IntMatrix(b.rows, b.cols, b.num)
+    s = ext.base_in_lattice @ images
+    if any(e % b.den for row in s.entries for e in row) or abs(det(s)) != b.den ** b.rows:
         return False
-    den = lcm(bundle.glue_den, images.den)
+    den = lcm(bundle.glue_den, b.den)
 
     def residues(rows, row_den: int) -> set[tuple[int, ...]]:
         return {tuple(e * (den // row_den) % den for e in row) for row in rows}
 
-    return residues(images.num, images.den) <= residues(bundle.glue_group, bundle.glue_den)
+    return residues(images.entries, b.den) <= residues(bundle.glue_group, bundle.glue_den)
 
 
 def assemble_report(sigma_key: str) -> dict:
@@ -327,18 +331,22 @@ def assemble_report(sigma_key: str) -> dict:
     lattice_key = CONSTRUCTIONS["isometries"][sigma_key]["lattice"]
     bundle = niemeier_bundle(lattice_key)
     iso = build_sigma(sigma_key)
-    g = iso.lattice.gram
-    mr = iso.matrix.to_rat()
+    g, s = iso.lattice.gram, iso.matrix
     checks = {
-        "isometry": (mr @ g @ mr.transpose()) == g,
-        "order": (iso.matrix @ iso.matrix @ iso.matrix).is_identity()
-                 and not iso.matrix.is_identity(),
-        "stabilizes": stabilizes(bundle, iso.matrix),
+        "isometry": s @ g @ s.transpose() == g,
+        "order": (s @ s @ s).is_identity() and not s.is_identity(),
+        "stabilizes": stabilizes(bundle, s),
     }
     td = twist_data(iso)
     fixed = fixed_weight_one_dim(iso, bundle.root_system, td.eigen[0])
     twisted = twisted_weight_one_dim(td)
     total = fixed + 2 * twisted
+    # twisted_weight_one_dim has raised unless rho >= 1, where the dimension
+    # formula dim V^orb_1 = 24 + 4 fixed - dim V_1 holds, dim V_1 = 24 + roots.
+    roots = bundle.root_system.count
+    if 2 * twisted != 3 * fixed - roots:
+        raise OrbifoldError(f"{sigma_key}: dimension formula fails: 2 * twisted_each "
+                            f"{twisted} != 3 * fixed {fixed} - roots {roots}")
     resolved = _verify_resolved_type(sigma_key, total)
     return {
         "lattice": lattice_key,

@@ -9,7 +9,7 @@ searched coset by coset: glue words are integer residues over one
 denominator, and each (block Gram, shift) is enumerated once; the vectors
 found reach lattice coordinates through one matrix product.
 
-Classification pairs roots through the integer Gram numerators.  Simple
+Classification pairs roots through the integer Gram matrix.  Simple
 roots are found in one scan of the positive roots by height, the Dynkin
 graph of the simple roots gives the components, and each root joins the
 component of the simple root its chain of differences ends in; no step
@@ -19,12 +19,11 @@ pairs every root with every other root.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import isqrt
 from operator import mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
-from .exactmat import IntMatrix, NotPositiveDefinite, RatMatrix, _im, ldl
+from .exactmat import IntMatrix, NotPositiveDefinite, _im, ldl
 from .lattice import GlueExtension, Isometry, Lattice
 
 
@@ -46,13 +45,13 @@ def _expected_root_count(family: str, rank: int) -> int:
     raise UnknownRootSystem(f"no root count for type {family}{rank}")
 
 
-def _short_vectors(gram: RatMatrix, bound: int, shift: Sequence[int] | None = None,
+def _short_vectors(gram: IntMatrix, bound: int, shift: Sequence[int] | None = None,
                    d: int = 1) -> list[tuple[tuple[int, ...], int]]:
     """Sorted (x, y G y^T) for all integer x with y G y^T <= bound, where
-    y = d x + shift and G = gram.num.
+    y = d x + shift and G = gram.
 
-    That is Q(x + shift / d) <= bound / (gram.den d^2) for the positive-definite
-    form Q of ``gram``, with norms kept in those integer units; no shift is the
+    That is Q(x + shift / d) <= bound / d^2 for the positive-definite form Q
+    of ``gram``, with norms kept in those integer units; no shift is the
     origin.  With ldl's (p, a), the squares from level i on, times D_i, sum to
     an integer E_i = (D_i E_{i+1} + t_i^2) / p[i], so the level-i coordinate
     ranges over t_i^2 <= D_i (p[i] bound - E_{i+1}), an ``isqrt`` interval.
@@ -124,8 +123,7 @@ def enumerate_roots(l: Lattice) -> RootSystem:
     """
     if not l.is_even:
         raise RootsError("root enumeration requires an even lattice")
-    two = 2 * l.gram.den  # norm 2 in units of the Gram numerators
-    return build_root_system(l, [x for x, norm in _short_vectors(l.gram, two) if norm == two])
+    return build_root_system(l, [x for x, norm in _short_vectors(l.gram, 2) if norm == 2])
 
 
 def build_root_system(l: Lattice, rows: Iterable[Sequence[int]]) -> RootSystem:
@@ -140,15 +138,13 @@ def build_root_system(l: Lattice, rows: Iterable[Sequence[int]]) -> RootSystem:
     for c in coords:
         if len(c) != l.rank or any(type(e) is not int for e in c):
             raise RootsError(f"root {c} is not a row of {l.rank} integers")
-    # Integer Gram numerators G, symmetric: root c pairs through cg = c G, so
-    # <a, b> * den is a . (b G) and a norm of 2 reads 2 * den.
-    den = l.gram.den
-    cg = (_im(len(coords), l.rank, coords) @ _im(l.rank, l.rank, l.gram.num)).entries
+    # Root c pairs through cg = c G, G symmetric: <a, b> is a . (b G).
+    cg = (_im(len(coords), l.rank, coords) @ l.gram).entries
     index: dict[tuple[int, ...], int] = {}
     for c, row in zip(coords, cg):
         norm = sum(map(mul, c, row))
-        if norm != 2 * den:
-            raise RootsError(f"vector {c} has norm {Fraction(norm, den)}, not 2")
+        if norm != 2:
+            raise RootsError(f"vector {c} has norm {norm}, not 2")
         if c in index:
             raise RootsError(f"duplicate root {c}")
         index[c] = len(index)
@@ -171,9 +167,9 @@ def build_root_system(l: Lattice, rows: Iterable[Sequence[int]]) -> RootSystem:
     components = []
     for key, comp in members.items():
         basis = sorted((s for s in simple if label[s] == key), key=coords.__getitem__)
-        cartan = RatMatrix(len(basis), len(basis),
-                           tuple(tuple(sum(map(mul, coords[a], cg[b])) for b in basis)
-                                 for a in basis), den).to_int()
+        cartan = _im(len(basis), len(basis),
+                     tuple(tuple(sum(map(mul, coords[a], cg[b])) for b in basis)
+                           for a in basis))
         components.append(_classify_component([coords[i] for i in comp],
                                               [coords[i] for i in basis], cartan))
     return RootSystem(l, coords, tuple(components))
@@ -287,14 +283,12 @@ def reflection(l: Lattice, alpha: Sequence[int]) -> Isometry:
     if (len(alpha) != l.rank or any(type(e) is not int for e in alpha)
             or l.inner(alpha, alpha) != 2):
         raise RootsError("reflection requires a norm-2 lattice vector")
-    n, g = l.rank, l.gram
-    # Row i is e_i - <e_i, alpha> alpha, over the Gram denominator.
-    m = RatMatrix(n, n, tuple(
-        tuple((g.den if i == j else 0) - sum(map(mul, row, alpha)) * alpha[j] for j in range(n))
-        for i, row in enumerate(g.num)), g.den)
-    if not m.is_integral():
-        raise RootsError("reflection matrix is not integral")
-    return Isometry.create(l, m.to_int(), 2)
+    n = l.rank
+    # Row i is e_i - <e_i, alpha> alpha.
+    m = _im(n, n, tuple(
+        tuple((i == j) - sum(map(mul, row, alpha)) * alpha[j] for j in range(n))
+        for i, row in enumerate(l.gram.entries)))
+    return Isometry.create(l, m, 2)
 
 
 def basis_highest_root(l: Lattice, roots: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
@@ -303,9 +297,8 @@ def basis_highest_root(l: Lattice, roots: Sequence[tuple[int, ...]]) -> tuple[in
     Applies when the Gram matrix is an ADE Cartan matrix, so basis
     coordinates are simple-root coordinates.
     """
-    for i in range(l.rank):
-        if l.gram.num[i][i] != 2 * l.gram.den:
-            raise RootsError("lattice basis is not a simple system")
+    if any(row[i] != 2 for i, row in enumerate(l.gram.entries)):
+        raise RootsError("lattice basis is not a simple system")
     top = max(roots, key=sum)
     if any(o > t for v in roots for o, t in zip(v, top)):
         raise RootsError("no root dominates all others")
@@ -360,15 +353,14 @@ def glued_root_vectors(q: Lattice, ext: GlueExtension,
         raise RootsError("block sizes do not sum to the rank")
     if d < 1 or any(len(w) != q.rank for w in words):
         raise RootsError("coset words must be rank-length rows over a positive d")
-    # Every norm is scaled by unit = den * d^2 into an integer.
-    unit = q.gram.den * d * d
+    unit = d * d  # every norm is scaled by d^2 into an integer
     # Blocks with equal Grams share one key, so each (Gram, shift) pair is
     # enumerated once however many blocks carry it.
     grams: dict[tuple[tuple[int, ...], ...], int] = {}
-    keys = [grams.setdefault(tuple(row[st:st + b] for row in q.gram.num[st:st + b]),
+    keys = [grams.setdefault(tuple(row[st:st + b] for row in q.gram.entries[st:st + b]),
                              len(grams))
             for st, b in zip(starts, blocks)]
-    gram_of = [RatMatrix(len(g), len(g), g) for g in grams]
+    gram_of = [_im(len(g), len(g), g) for g in grams]
     cache: dict[tuple[int, tuple[int, ...]], tuple[int, list]] = {}
 
     def block_vectors(key: tuple[int, tuple[int, ...]]) -> tuple[int, list]:

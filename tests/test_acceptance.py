@@ -75,7 +75,7 @@ def test_criterion_3_isometry_orders_and_top_weights():
         iso = build_sigma(key)
         cube = iso.matrix @ iso.matrix @ iso.matrix
         assert cube.is_identity() and not iso.matrix.is_identity()
-        m = iso.matrix.to_rat()
+        m = iso.matrix
         assert m @ iso.lattice.gram @ m.transpose() == iso.lattice.gram
         assert iso.fixed_rank == EXPECTED_FIXED_RANK[key]
         assert orbifold.rho(orbifold.eigen_dims(iso)) == EXPECTED_RHO[key]

@@ -58,10 +58,11 @@ def test_root_lattice_determinants_and_classes():
         assert all(c == 0 for c in data.glue.num[0])
         # Each representative lies in the dual lattice (rep . G is integral)
         # and in the lattice itself only for the trivial class.
-        for ell, rep in enumerate(data.glue.entries):
-            row = RatMatrix.from_rows([rep])
-            assert (row @ data.lattice.gram).is_integral()
-            assert row.is_integral() == (ell == 0)
+        den = data.glue.den
+        pairings = IntMatrix.from_rows(data.glue.num) @ data.lattice.gram
+        for ell, (rep, paired) in enumerate(zip(data.glue.num, pairings.entries)):
+            assert all(e % den == 0 for e in paired)
+            assert all(e % den == 0 for e in rep) == (ell == 0)
 
 
 def test_root_lattice_ambient_rows_reproduce_the_gram():
@@ -77,18 +78,23 @@ def test_root_lattice_ambient_rows_reproduce_the_gram():
 def test_glued_basis_in_ambient_coordinates_reproduces_the_gram(key):
     # E = B A is the glued basis in the coordinates `lattice build` prints;
     # under F, the identity on A and D blocks and the E6 Gram on E6 blocks
-    # (whose ambient rows are the identity), E F E^T is the glued Gram.
+    # (whose ambient rows are the identity), E F E^T is the glued Gram.  B is
+    # numerators over den, so E is too, and the numerators give den^2 times it.
     bundle = niemeier_bundle(key)
     forms = []
     for family, rank in CONSTRUCTIONS["lattices"][key]["parts"]:
         data = build_root_lattice(family, rank)
-        forms.append(data.lattice.gram if family == "E" else RatMatrix.identity(data.ambient.cols))
-    e = bundle.extension.basis_in_base @ bundle.ambient
-    assert e @ block_diagonal(forms) @ e.transpose() == bundle.lattice.gram
+        forms.append(data.lattice.gram if family == "E" else IntMatrix.identity(data.ambient.cols))
+    b = bundle.extension.basis_in_base
+    e = IntMatrix.from_rows(b.num) @ bundle.ambient
+    assert e @ block_diagonal(forms) @ e.transpose() == bundle.lattice.gram.scale(b.den ** 2)
+    assert (b @ bundle.ambient.to_rat()).entries == tuple(
+        tuple(Fraction(x, b.den) for x in row) for row in e.entries)
 
 
 def class_norm(data, ell):
-    return data.lattice.inner(data.glue.entries[ell], data.glue.entries[ell])
+    rep = data.glue.num[ell]
+    return Fraction(data.lattice.inner(rep, rep), data.glue.den ** 2)
 
 
 def test_root_lattice_class_norms():
@@ -183,12 +189,14 @@ def test_block_shuffle_follows_code_permutation():
     sigma = build_sigma("sigma1")
     perm = residue_perm()
     incl = bundle.extension.base_in_lattice
-    back = bundle.extension.basis_in_base
+    # The glued basis in base coordinates, as numerators over one
+    # denominator; the support of a row does not depend on the denominator.
+    back = bundle.extension.basis_in_base.num
     for p in range(12):
         base_root = incl.entries[2 * p]  # first simple root of block p
         image = (IntMatrix.from_rows([base_root]) @ sigma.matrix).entries[0]
         q_coords = [
-            sum(image[k] * back.entries[k][j] for k in range(24))
+            sum(image[k] * back[k][j] for k in range(24))
             for j in range(24)
         ]
         support = {j // 2 for j, c in enumerate(q_coords) if c != 0}

@@ -1,6 +1,6 @@
 """Exact matrix algebra: worked examples, seeded randomized invariants, and
-differential properties of the scaled-integer RatMatrix against a per-entry
-Fraction reference."""
+differential properties of the integer routes and the scaled-integer
+RatMatrix against a per-entry Fraction reference."""
 
 import operator
 import random
@@ -17,6 +17,7 @@ from latorb.exactmat import (
     NotPositiveDefinite,
     RatMatrix,
     ShapeError,
+    block_diagonal,
     det,
     hnf,
     inverse,
@@ -108,8 +109,9 @@ class TestDet:
     def test_identity(self):
         assert det(IntMatrix.identity(4)) == 1
 
-    def test_rational(self):
-        assert det(rm([[Fraction(1, 2), 0], [0, Fraction(1, 3)]])) == Fraction(1, 6)
+    def test_row_swap_and_type(self):
+        assert det(im([[0, 1], [1, 0]])) == -1
+        assert type(det(im([[2, 1], [1, 2]]))) is int
 
     def test_empty(self):
         assert det(IntMatrix(0, 0, ())) == 1
@@ -121,33 +123,47 @@ class TestDet:
 
 class TestSolve:
     def test_identity_system(self):
-        b = rm([[3, Fraction(1, 2)]])
-        assert solve_exact(RatMatrix.identity(2), b) == b
+        b = im([[3, -7]])
+        assert solve_exact(IntMatrix.identity(2), b) == b
 
     def test_scalar(self):
-        assert solve_exact(rm([[2]]), rm([[1]])) == rm([[Fraction(1, 2)]])
+        assert solve_exact(im([[2]]), im([[6]])) == im([[3]])
+        # x = 1/2 solves it over the rationals, but not in integers.
+        with pytest.raises(NoSolution):
+            solve_exact(im([[2]]), im([[1]]))
 
     def test_inconsistent(self):
         with pytest.raises(NoSolution):
-            solve_exact(rm([[1, 0]]), rm([[0, 1]]))
+            solve_exact(im([[1, 0]]), im([[0, 1]]))
 
     def test_inverse_roundtrip(self):
-        a = rm([[2, 1], [1, 1]])
-        assert (inverse(a) @ a) == RatMatrix.identity(2)
+        a = im([[2, 1], [1, 1]])
+        assert (inverse(a) @ a) == IntMatrix.identity(2)
+        assert inverse(a) == im([[1, -1], [-1, 2]])
 
     def test_singular_inverse(self):
         with pytest.raises(NoSolution):
-            inverse(rm([[1, 1], [1, 1]]))
+            inverse(im([[1, 1], [1, 1]]))
+
+    def test_inverse_rejects_a_non_unimodular_matrix(self):
+        # det 3: the rational inverse exists, the integer one does not.
+        with pytest.raises(NoSolution, match="not unimodular"):
+            inverse(im([[2, -1], [-1, 2]]))
 
 
 def test_mixed_operands_and_non_int_entries_raise_type_error():
-    i, r = IntMatrix.identity(2), RatMatrix.identity(2)
+    i, r = IntMatrix.identity(2), rm([[1, 0], [0, 1]])
     for op in (operator.matmul, operator.add, operator.sub):
         for a, b in ((i, r), (r, i)):
             with pytest.raises(TypeError):
                 op(a, b)
     with pytest.raises(TypeError):
         i.scale(Fraction(1, 2))
+    # det, ldl and block_diagonal take integer matrices only.
+    half = rm([[Fraction(1, 2), 0], [0, 1]])
+    for use in (det, ldl, lambda m: block_diagonal([i, m])):
+        with pytest.raises(TypeError):
+            use(half)
     bad = [lambda: IntMatrix(1, 1, ((Fraction(1),),)),
            lambda: IntMatrix(1, 1, ((True,),)),
            lambda: IntMatrix.from_rows([[1, 2.0]]),
@@ -316,8 +332,9 @@ def test_matmul_transpose_match_reference(r, c, c2, data):
     expected = ref_matmul(a, b, c, c2)
     assert product == rat(expected, c2)
     assert product.entries == tuple(map(tuple, expected))
-    assert rat(a, c).transpose() == rat(ref_transpose(a, c), r)
     x, y = data.draw(frac_rows(r, c, FIELD_EDGES)), data.draw(frac_rows(c, c2, FIELD_EDGES))
+    assert IntMatrix.from_rows(x, cols=c).transpose() == IntMatrix.from_rows(
+        ref_transpose(x, c), cols=r)
     expected = tuple(map(tuple, ref_matmul(x, y, c, c2)))
     assert (IntMatrix.from_rows(x, cols=c) @ IntMatrix.from_rows(y, cols=c2)).entries == expected
     assert (rat(x, c) @ rat(y, c2)).entries == expected
@@ -329,7 +346,7 @@ def test_matrix_records_are_values_of_their_own_class():
     assert a == IntMatrix(2, 2, ((1, 2), (3, 4))) and hash(a) == hash((2, 2, a.entries))
     assert r == rm([[1, 2], [3, 4]]) and hash(r) == hash((2, 2, a.entries, 1))
     # The same numbers in the other class, or as a plain tuple, are not equal.
-    for x, y in ((a, r), (a, r.to_int().to_rat()), (a, (2, 2, a.entries)),
+    for x, y in ((a, r), (a, a.to_rat()), (a, (2, 2, a.entries)),
                  (r, (2, 2, r.num, 1)), (a, a.entries)):
         assert x != y and y != x
     assert IntMatrix(0, 2, ()) != IntMatrix(0, 3, ())
@@ -349,12 +366,9 @@ def test_equality_hash_and_integrality_are_canonical(r, c, k, integral_only, dat
     assert padded == m and hash(padded) == hash(m)
     assert padded.num == m.num and padded.den == m.den
     integral = all(x.denominator == 1 for row in a for x in row)
-    assert m.is_integral() is integral
+    assert (m.den == 1) is integral
     if integral:
-        assert m.to_int() == IntMatrix(r, c, tuple(tuple(int(x) for x in row) for row in a))
-    else:
-        with pytest.raises(ValueError):
-            m.to_int()
+        assert m == IntMatrix(r, c, tuple(tuple(int(x) for x in row) for row in a)).to_rat()
 
 
 # Sizes 0-6 for the FIELD_EDGES inputs of the eliminations, as Fractions so
@@ -370,55 +384,89 @@ def dependent(rows, data):
     return rows
 
 
+INTEGERS = st.integers(-9, 9).map(Fraction)
+
+
+def unimodular(n, data):
+    """A random n x n unimodular matrix: a signed permutation of rows times
+    unit lower times unit upper triangular integer matrices, as Fractions."""
+    lower = [[Fraction(int(i == j)) if j >= i else Fraction(data.draw(st.integers(-3, 3)))
+              for j in range(n)] for i in range(n)]
+    upper = [[Fraction(int(i == j)) if j <= i else Fraction(data.draw(st.integers(-3, 3)))
+              for j in range(n)] for i in range(n)]
+    rows = ref_matmul(lower, upper, n, n)
+    order = data.draw(st.permutations(range(n)))
+    return [[data.draw(st.sampled_from((1, -1))) * e for e in rows[i]] for i in order]
+
+
+def is_integral(rows):
+    return all(x.denominator == 1 for row in rows for x in row)
+
+
 @NO_SHRINK
-@given(DIMS.flatmap(lambda n: frac_rows(n, n)), st.data())
+@given(DIMS.flatmap(lambda n: frac_rows(n, n, INTEGERS)), st.data())
 def test_det_and_inverse_match_reference(small, data):
     # FIELD_EDGES entries read back fields at the Hadamard bound; a dependent
-    # row makes singular matrices common.
+    # row makes singular matrices common.  The integer inverse exists
+    # exactly when the Fraction reference inverse is integral, which a
+    # random unimodular matrix ensures.
     n = data.draw(EDGE_DIMS)
     big = dependent(data.draw(frac_rows(n, n, EDGE_FRACTIONS)), data)
-    assert det(rat(big, n).to_int()) == ref_det(big)
-    for a in (small, big):
+    for a in (small, big, unimodular(data.draw(DIMS), data)):
         n = len(a)
-        m = rat(a, n)
+        m = IntMatrix.from_rows([[int(e) for e in row] for row in a], cols=n)
         assert det(m) == ref_det(a)
         expected = ref_solve(a, [[Fraction(int(i == j)) for j in range(n)] for i in range(n)],
                              n, n, n)
-        if expected is None:
+        if expected is None or not is_integral(expected):
             with pytest.raises(NoSolution):
                 inverse(m)
         else:
-            assert inverse(m) == rat(expected, n)
+            assert abs(det(m)) == 1
+            assert inverse(m) == IntMatrix.from_rows(
+                [[int(e) for e in row] for row in expected], cols=n)
 
 
 @NO_SHRINK
 @given(DIMS, DIMS, st.integers(0, 3), st.data())
 def test_solve_exact_matches_reference(n, m, k, data):
     # Small entries make rank-deficient and inconsistent systems common.
-    small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    small = st.integers(-2, 2).map(Fraction)
     a = data.draw(frac_rows(n, m, small))
     b = data.draw(frac_rows(k, m, small))
     # FIELD_EDGES entries with a dependent row, and a right-hand side that is
-    # either y a for a small y (consistent) or arbitrary (mostly inconsistent).
+    # either y a for a small integer y (solvable) or arbitrary (mostly not).
     bn, bm = data.draw(EDGE_DIMS), data.draw(EDGE_DIMS)
     big = dependent(data.draw(frac_rows(bn, bm, EDGE_FRACTIONS)), data)
     y = data.draw(frac_rows(k, bn, st.integers(-3, 3).map(Fraction)))
     rhs = (ref_matmul(y, big, bn, bm) if data.draw(st.booleans())
            else data.draw(frac_rows(k, bm, EDGE_FRACTIONS)))
     for a, b, n, m in ((a, b, n, m), (big, rhs, bn, bm)):
-        expected = ref_solve(a, b, n, m, k)
-        if expected is None:
+        ia = IntMatrix.from_rows([[int(e) for e in row] for row in a], cols=m)
+        ib = IntMatrix.from_rows([[int(e) for e in row] for row in b], cols=m)
+        h = hnf(ia)
+        solvable = all(_integral_row_solve(h, row) for row in ib.entries)
+        if h.rows == n:
+            # Full row rank: the solution is unique, so the integer solve
+            # succeeds exactly when the Fraction one is integral.
+            expected = ref_solve(a, b, n, m, k)
+            assert solvable is (expected is not None and is_integral(expected))
+            if solvable:
+                assert solve_exact(ia, ib) == IntMatrix.from_rows(
+                    [[int(e) for e in row] for row in expected], cols=n)
+        if not solvable:
             with pytest.raises(NoSolution):
-                solve_exact(rat(a, m), rat(b, m))
+                solve_exact(ia, ib)
         else:
-            assert solve_exact(rat(a, m), rat(b, m)) == rat(expected, n)
+            # Dependent rows: some integer solution, found exactly when each
+            # row of b lies in the row span of a's HNF.
+            assert solve_exact(ia, ib) @ ia == ib
 
 
 @st.composite
 def symmetric_grams(draw):
-    """Symmetric matrices, half of them A A^T / d with A nonsingular."""
+    """Symmetric integer matrices, half of them A A^T with A nonsingular."""
     n = draw(st.integers(1, 5))
-    d = draw(st.integers(1, 6))
     if draw(st.booleans()):
         a = draw(frac_rows(n, n, st.integers(-4, 4).map(Fraction)))
         if ref_det(a) == 0:
@@ -427,7 +475,7 @@ def symmetric_grams(draw):
     else:
         upper = draw(frac_rows(n, n, st.integers(-4, 6).map(Fraction)))
         g = [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
-    return [[x / d for x in row] for row in g]
+    return g
 
 
 @NO_SHRINK
@@ -442,15 +490,15 @@ def test_ldl_agrees_with_leading_minor_rule(g, data):
     for g in (g, big):
         n = len(g)
         positive = all(ref_det([row[:k] for row in g[:k]]) > 0 for k in range(1, n + 1))
+        m = IntMatrix.from_rows([[int(x) for x in row] for row in g], cols=n)
         if not positive:
             with pytest.raises(NotPositiveDefinite):
-                ldl(rat(g, n))
+                ldl(m)
             continue
-        m = rat(g, n)
         p, a = ldl(m)
         assert all(type(e) is int for e in p) and all(type(e) is int for row in a for e in row)
-        # d[k] = D_{k+1} / (D_k den) and u[k] = a[k] / D_{k+1}, with D_0 = 1.
-        d = [Fraction(p[k], (p[k - 1] if k else 1) * m.den) for k in range(n)]
+        # d[k] = D_{k+1} / D_k and u[k] = a[k] / D_{k+1}, with D_0 = 1.
+        d = [Fraction(p[k], p[k - 1] if k else 1) for k in range(n)]
         # g = U^T diag(d) U with U unit upper triangular.
         full_u = [[Fraction(int(i == j)) if j <= i else Fraction(a[i][j], p[i])
                    for j in range(n)] for i in range(n)]
@@ -477,7 +525,7 @@ def test_snf_and_hnf_match_sympy(r, c, data):
     assert h.rows == len(basis)
     assert all(_integral_row_solve(h, row) for row in basis)
     if basis:
-        assert solve_exact(IntMatrix.from_rows(basis).to_rat(), h.to_rat()).is_integral()
+        assert solve_exact(IntMatrix.from_rows(basis), h) @ IntMatrix.from_rows(basis) == h
     k = kernel_basis(m)
     nullspace = ref.T.nullspace()
     assert k.rows == len(nullspace)

@@ -6,7 +6,7 @@ from math import prod
 
 import pytest
 
-from latorb.exactmat import IntMatrix, NoSolution, RatMatrix, det, inverse, snf, solve_exact
+from latorb.exactmat import IntMatrix, NoSolution, RatMatrix, det, snf, solve_exact
 from latorb.lattice import (
     GlueError,
     Isometry,
@@ -19,9 +19,9 @@ from latorb.lattice import (
     rat_str,
 )
 
-A2_GRAM = RatMatrix.from_rows([[2, -1], [-1, 2]])
+A2_GRAM = IntMatrix.from_rows([[2, -1], [-1, 2]])
 
-D4_GRAM = RatMatrix.from_rows([
+D4_GRAM = IntMatrix.from_rows([
     [2, -1, 0, 0],
     [-1, 2, -1, -1],
     [0, -1, 2, 0],
@@ -29,7 +29,7 @@ D4_GRAM = RatMatrix.from_rows([
 ])
 
 # Chain a1-a2-a3-a4-a5 with a6 attached to a3.
-E6_GRAM = RatMatrix.from_rows([
+E6_GRAM = IntMatrix.from_rows([
     [2, -1, 0, 0, 0, 0],
     [-1, 2, -1, 0, 0, 0],
     [0, -1, 2, -1, 0, -1],
@@ -39,7 +39,7 @@ E6_GRAM = RatMatrix.from_rows([
 ])
 
 # Chain 1-3-4-5-6-7-8 with node 2 attached to node 4.
-E8_GRAM = RatMatrix.from_rows([
+E8_GRAM = IntMatrix.from_rows([
     [2, 0, -1, 0, 0, 0, 0, 0],
     [0, 2, 0, -1, 0, 0, 0, 0],
     [-1, 0, 2, -1, 0, 0, 0, 0],
@@ -56,14 +56,27 @@ def a2() -> Lattice:
 
 
 def test_lattice_validation():
-    with pytest.raises(LatticeError):
-        Lattice(RatMatrix.from_rows([[2, 1], [0, 2]]))
-    with pytest.raises(LatticeError):
-        Lattice(RatMatrix.from_rows([[1, 2], [2, 1]]))
+    with pytest.raises(LatticeError, match="not symmetric"):
+        Lattice(IntMatrix.from_rows([[2, 1], [0, 2]]))
+    with pytest.raises(LatticeError, match="not symmetric"):
+        Lattice(IntMatrix.from_rows([[2, 1]]))
+    with pytest.raises(LatticeError, match="not positive definite"):
+        Lattice(IntMatrix.from_rows([[1, 2], [2, 1]]))
+
+
+def test_lattice_rejects_a_rational_gram():
+    # A Gram matrix is an IntMatrix; the same integers as a RatMatrix, or a
+    # non-integral Gram, are refused by type, never converted.
+    for gram in (RatMatrix.from_rows([[2, -1], [-1, 2]]),
+                 RatMatrix.from_rows([[Fraction(2, 3), Fraction(1, 3)],
+                                      [Fraction(1, 3), Fraction(2, 3)]]),
+                 ((2, -1), (-1, 2))):
+        with pytest.raises(TypeError, match="must be an IntMatrix"):
+            Lattice(gram)
 
 
 def test_lattice_and_isometry_records_are_values():
-    l, again = a2(), Lattice(RatMatrix.from_rows([[2, -1], [-1, 2]]), name="A2")
+    l, again = a2(), Lattice(IntMatrix.from_rows([[2, -1], [-1, 2]]), name="A2")
     assert l == again and hash(l) == hash(again) == hash((A2_GRAM, "A2", None))
     assert l != Lattice(A2_GRAM) and l != (A2_GRAM, "A2", None)
     rot = IntMatrix.from_rows([[0, 1], [-1, -1]])
@@ -79,39 +92,43 @@ def test_basic_invariants():
     assert l.is_even
     assert l.inner((1, 0), (1, 0)) == 2
     assert l.inner((1, 0), (0, 1)) == -1
-    assert l.inner((Fraction(2, 3), Fraction(1, 3)), (Fraction(2, 3), Fraction(1, 3))) \
-        == Fraction(2, 3)
+    assert l.inner((2, 1), (2, 1)) == 6 and type(l.inner((2, 1), (1, 2))) is int
+
+
+def dual_basis(gram: IntMatrix) -> RatMatrix:
+    """The rows of G^-1, a basis of L* in the basis of L: the adjugate, the
+    integer solution of x G = det(G) I, over det(G)."""
+    d = det(gram)
+    adjugate = solve_exact(gram, IntMatrix.identity(gram.rows).scale(d))
+    return RatMatrix(gram.rows, gram.cols, adjugate.entries, d)
 
 
 def glue_by_dual_basis(l: Lattice):
-    """Glue l by the dual basis (the rows of G^-1): the glued lattice is L*."""
-    return glue_extend(l, inverse(l.gram))
+    """Glue l by the dual basis: the glued lattice would be L*."""
+    return glue_extend(l, dual_basis(l.gram))
 
 
-def test_dual_of_unimodular_is_itself():
-    for gram in (RatMatrix.from_rows([[1]]), E8_GRAM):
+def test_dual_basis_glues_only_when_unimodular():
+    # L* is integral only when L* = L: the dual basis of a unimodular lattice
+    # glues to the lattice itself, while L* of A2 (2/3 on the diagonal of its
+    # Gram) is refused.
+    for gram in (IntMatrix.from_rows([[1]]), E8_GRAM):
         l = Lattice(gram)
         ext = glue_by_dual_basis(l)
         assert ext.index == 1
         assert ext.lattice.gram == l.gram
-
-
-def test_dual_a2():
-    # L sits inside L* with index det(G), and L* has determinant 1/det(G).
-    ext = glue_by_dual_basis(a2())
-    assert ext.index == 3
-    assert ext.lattice.determinant() == Fraction(1, 3)
-    assert not ext.lattice.is_integral
-    assert abs(det(ext.base_in_lattice)) == 3
+    assert dual_basis(A2_GRAM) == RatMatrix.from_rows(
+        [[Fraction(2, 3), Fraction(1, 3)], [Fraction(1, 3), Fraction(2, 3)]])
+    with pytest.raises(GlueError, match="not integral"):
+        glue_by_dual_basis(a2())
 
 
 def test_discriminant_groups():
-    # L*/L read off the Smith form of L inside the glued dual.
+    # L*/L read off the Smith form of the Gram matrix.
     for gram, factors in ((A2_GRAM, (1, 3)), (D4_GRAM, (1, 1, 2, 2)),
                           (E6_GRAM, (1, 1, 1, 1, 1, 3)), (E8_GRAM, (1,) * 8)):
-        ext = glue_by_dual_basis(Lattice(gram))
-        assert snf(ext.base_in_lattice).invariant_factors == factors
-        assert ext.index == prod(factors)
+        assert snf(gram).invariant_factors == factors
+        assert Lattice(gram).determinant() == prod(factors)
 
 
 def test_direct_sum():
@@ -136,15 +153,21 @@ def test_glue_empty_is_identity():
 
 
 def test_glue_a2_to_its_dual():
-    l = a2()
-    # The nontrivial dual class has representative with basis coordinates
-    # (2/3, 1/3): pairing with both basis vectors is integral.
-    g = RatMatrix.from_rows([[Fraction(2, 3), Fraction(1, 3)]])
-    ext = glue_extend(l, g)
+    # The nontrivial dual class of A2 has representative with basis
+    # coordinates (2/3, 1/3), of norm 2/3: alone it pairs integrally with
+    # A2 but does not glue, while its diagonal in A2^3 has norm 2 and glues
+    # A2^3 to E6 with index 3.
+    third = Fraction(1, 3)
+    with pytest.raises(GlueError, match="not integral"):
+        glue_extend(a2(), RatMatrix.from_rows([[2 * third, third]]))
+    l = direct_sum([a2()] * 3)
+    ext = glue_extend(l, RatMatrix.from_rows([[2 * third, third] * 3]))
     assert ext.index == 3
-    assert ext.lattice.determinant() == Fraction(1, 3)
+    assert ext.lattice.determinant() == 3
     assert ext.lattice.determinant() * ext.index ** 2 == l.determinant()
-    assert snf(ext.base_in_lattice).invariant_factors == (1, 3)
+    assert ext.lattice.is_even
+    assert snf(ext.base_in_lattice).invariant_factors == (1, 1, 1, 1, 1, 3)
+    assert snf(ext.lattice.gram).invariant_factors == snf(E6_GRAM).invariant_factors
 
 
 def test_glue_rejects_non_dual_vector():
@@ -158,7 +181,7 @@ def test_glue_rejects_non_dual_vector():
 
 def test_even_unimodular_flags():
     assert is_even_unimodular(a2()) == (True, False)
-    assert is_even_unimodular(Lattice(RatMatrix.from_rows([[1]]))) == (False, True)
+    assert is_even_unimodular(Lattice(IntMatrix.from_rows([[1]]))) == (False, True)
     assert is_even_unimodular(Lattice(E8_GRAM)) == (True, True)
 
 
@@ -166,10 +189,13 @@ def test_member_basis_and_glue_vector():
     e6 = Lattice(E6_GRAM, name="E6")
     third = Fraction(1, 3)
     g = RatMatrix.from_rows([[third, -third, 0, third, -third, 0]])
-    assert e6.inner(g.entries[0], g.entries[0]) == Fraction(4, 3)
     tripled = RatMatrix.from_rows([[1, -1, 0, 1, -1, 0]])
-    assert not g.is_integral() and tripled.is_integral()
-    assert glue_extend(e6, g).index == 3
+    assert (g.den, tripled.den) == (3, 1)
+    # The glue vector has norm 4/3 = 12 / 3^2: it lies in E6* but does not
+    # glue, while three times it lies in E6 and glues with index 1.
+    assert e6.inner(tripled.num[0], tripled.num[0]) == 12
+    with pytest.raises(GlueError, match="not integral"):
+        glue_extend(e6, g)
     assert glue_extend(e6, tripled).index == 1
 
 
@@ -177,11 +203,13 @@ def sublattice_contains(sub: IntMatrix, coords_in_parent) -> bool:
     """Whether a parent-coordinate vector lies in the sublattice with basis
     rows ``sub``: one exact solve, the oracle for containment checks."""
     target = RatMatrix.from_rows([list(coords_in_parent)], cols=sub.cols)
+    if target.den != 1:
+        return False
     try:
-        x = solve_exact(sub.to_rat(), target)
+        solve_exact(sub, IntMatrix(1, sub.cols, target.num))
     except NoSolution:
         return False
-    return x.is_integral()
+    return True
 
 
 def test_sublattice_contains():
@@ -252,20 +280,28 @@ def test_randomized_lattice_invariants():
                 cols=n)
             if det(b) != 0:
                 break
-        gram = (b @ b.transpose()).to_rat()
+        gram = b @ b.transpose()
         l = Lattice(gram)
         d = det(gram)
-        star = glue_by_dual_basis(l)
-        assert star.index == d
-        assert det(star.lattice.gram) == Fraction(1, int(d))
+        if d == 1:
+            assert glue_by_dual_basis(l).lattice == l
+        else:
+            with pytest.raises(GlueError, match="not integral"):
+                glue_by_dual_basis(l)
         k = rng.randrange(1, 4)
         scaled = IntMatrix.identity(n).scale(k)
         assert sublattice_contains(scaled, [k] + [0] * (n - 1))
         assert sublattice_contains(scaled, [1] + [0] * (n - 1)) == (k == 1)
-        # Glue by a random dual vector; index-squared times the glued
-        # determinant recovers the base determinant, and the base sits in
-        # the glued lattice with that index.
-        u = [rng.randrange(-2, 3) for _ in range(n)]
-        ext = glue_extend(l, RatMatrix.from_rows([u], cols=n) @ inverse(gram))
+        # Glue by a random dual vector v = u G^-1 of norm p/q, which glues
+        # only when q = 1, and by q v, which always glues; index-squared
+        # times the glued determinant recovers the base determinant, and the
+        # base sits in the glued lattice with that index.
+        u = RatMatrix.from_rows([[rng.randrange(-2, 3) for _ in range(n)]], cols=n)
+        v = u @ dual_basis(gram)
+        q = Fraction(sum(a * b for a, b in zip(u.entries[0], v.entries[0]))).denominator
+        if q > 1:
+            with pytest.raises(GlueError, match="not integral"):
+                glue_extend(l, v)
+        ext = glue_extend(l, RatMatrix.from_rows([[q * e for e in v.entries[0]]], cols=n))
         assert ext.lattice.determinant() * ext.index ** 2 == d
         assert abs(det(ext.base_in_lattice)) == ext.index

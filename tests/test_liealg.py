@@ -14,7 +14,7 @@ import pytest
 import latorb
 from latorb import liealg
 from latorb.catalog import niemeier_bundle
-from latorb.exactmat import RatMatrix
+from latorb.exactmat import IntMatrix
 from latorb.lattice import Lattice
 from latorb.liealg import (
     LieDataError,
@@ -395,6 +395,6 @@ def test_lattice_voa_weight_one_semisimple():
 
 
 def test_lattice_voa_weight_one_abelian():
-    rootless = Lattice(gram=RatMatrix.from_rows([[4]], cols=1))
+    rootless = Lattice(gram=IntMatrix.from_rows([[4]], cols=1))
     out = lattice_voa_weight_one(enumerate_roots(rootless))
     assert out == {"kind": "abelian", "dimension": 1}

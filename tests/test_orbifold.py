@@ -349,6 +349,44 @@ def test_report_summary_values(key):
     assert json.dumps(report, sort_keys=True) == json.dumps(again, sort_keys=True)
 
 
+def test_report_checks_the_dimension_formula_on_the_fixed_side(monkeypatch):
+    # For rho >= 1, 2 * twisted_each = 3 * fixed - |roots|.  One root orbit
+    # too many: fixed 30 -> 31, 3 * 31 - 72 = 21 != 18.  The resolved-type
+    # check that follows would raise too; the message shows which fired.
+    true_count = orbifold.orbit_count
+
+    def one_more(rs, iso):
+        orbits, fixed_roots = true_count(rs, iso)
+        return orbits + 1, fixed_roots
+
+    monkeypatch.setattr(orbifold, "orbit_count", one_more)
+    with pytest.raises(OrbifoldError, match=(
+            r"sigma1: dimension formula fails: 2 \* twisted_each 9 != 3 \* fixed 31")):
+        assemble_report("sigma1")
+
+
+def test_report_checks_the_dimension_formula_on_the_twisted_side(monkeypatch):
+    # Both |N/R| routes four times too large: they agree, |N/R| = 324 is a
+    # square, and twisted_each 18 breaks 2 * 18 = 3 * 30 - 72.  twist_data
+    # runs uncached so that the patched routes are called.
+    true_r, true_filter = orbifold.sublattice_r, orbifold.coset_filter_index
+
+    def r_times_four(n, c):
+        r, index = true_r(n, c)
+        return r, 4 * index
+
+    def filter_times_four(n, m, c):
+        index_nm, index_nr = true_filter(n, m, c)
+        return index_nm, 4 * index_nr
+
+    monkeypatch.setattr(orbifold, "sublattice_r", r_times_four)
+    monkeypatch.setattr(orbifold, "coset_filter_index", filter_times_four)
+    monkeypatch.setattr(orbifold, "twist_data", twist_data.__wrapped__)
+    with pytest.raises(OrbifoldError, match=(
+            r"sigma1: dimension formula fails: 2 \* twisted_each 18 != 3 \* fixed 30")):
+        assemble_report("sigma1")
+
+
 @pytest.mark.parametrize("key", SIGMA_KEYS)
 def test_stabilizes_recomputes_from_base_coordinates(key):
     bundle = niemeier_bundle(CONSTRUCTIONS["isometries"][key]["lattice"])

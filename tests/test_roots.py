@@ -33,7 +33,7 @@ from test_lattice import A2_GRAM, D4_GRAM, E6_GRAM, E8_GRAM, sublattice_contains
 NIEMEIER_KEYS = ("A2_12", "D4_6", "A5_4_D4", "E6_4")
 
 
-def cartan_gram(family: str, rank: int) -> RatMatrix:
+def cartan_gram(family: str, rank: int) -> IntMatrix:
     """Cartan matrix of A_n (a path), D_n (a path with its last node moved
     to the third from the end) or E_n (a path with one node on node 2)."""
     edges = {(i, i + 1) for i in range(rank - 2)}
@@ -41,7 +41,7 @@ def cartan_gram(family: str, rank: int) -> RatMatrix:
         edges.add((rank - 2, rank - 1))
     else:
         edges.add((rank - 3 if family == "D" else 2, rank - 1))
-    return RatMatrix.from_rows(
+    return IntMatrix.from_rows(
         [[2 if i == j else (-1 if (min(i, j), max(i, j)) in edges else 0)
           for j in range(rank)] for i in range(rank)])
 
@@ -49,7 +49,7 @@ def cartan_gram(family: str, rank: int) -> RatMatrix:
 def test_root_counts():
     assert enumerate_roots(Lattice(A2_GRAM)).count == 6
     assert enumerate_roots(Lattice(D4_GRAM)).count == 24
-    assert enumerate_roots(Lattice(RatMatrix.from_rows([[4]]))).count == 0
+    assert enumerate_roots(Lattice(IntMatrix.from_rows([[4]]))).count == 0
     assert enumerate_roots(Lattice(E6_GRAM)).count == 72
     assert enumerate_roots(Lattice(E8_GRAM)).count == 240
     assert enumerate_roots(Lattice(cartan_gram("A", 5))).count == 30
@@ -57,9 +57,9 @@ def test_root_counts():
 
 def test_enumeration_requires_even():
     with pytest.raises(RootsError):
-        enumerate_roots(Lattice(RatMatrix.from_rows([[1]])))
+        enumerate_roots(Lattice(IntMatrix.from_rows([[1]])))
     with pytest.raises(RootsError):
-        enumerate_roots(Lattice(RatMatrix.from_rows([[3]])))
+        enumerate_roots(Lattice(IntMatrix.from_rows([[3]])))
 
 
 def test_classification():
@@ -196,21 +196,21 @@ def test_glued_coset_route_matches_direct_route():
 
 
 def test_glued_route_with_fully_pruned_words():
-    # Gluing two A2 blocks diagonally adds no roots: the nonzero cosets
-    # only contain norms 2/3 + 2/3 and up, never exactly 2.
+    # Gluing six A2 blocks diagonally adds no roots: the nonzero cosets
+    # only contain norms 6 * 2/3 = 4 and up, never exactly 2.
     a2 = Lattice(A2_GRAM)
-    q = direct_sum([a2, a2])
+    q = direct_sum([a2] * 6)
     third = Fraction(1, 3)
-    ext = glue_extend(q, RatMatrix.from_rows([[2 * third, third, 2 * third, third]]))
+    ext = glue_extend(q, RatMatrix.from_rows([[2 * third, third] * 6]))
     assert ext.index == 3
-    words = [(0,) * 4, (2, 1, 2, 1), (1, 2, 1, 2)]  # 0, g, 2g mod 1, over d = 3
+    words = [(0,) * 12, (2, 1) * 6, (1, 2) * 6]  # 0, g, 2g mod 1, over d = 3
     vectors = glued_root_vectors(q, ext, words, 3)
     rs = build_root_system(ext.lattice, vectors)
-    assert rs.count == 12
-    assert classify(rs) == (("A", 2), ("A", 2))
-    # Every root must come from the base lattice: the glued lattice here is
-    # not even (the glue vector has norm 4/3), so all of them are base roots
-    # re-expressed in the glued basis.
+    assert rs.count == 36
+    assert classify(rs) == (("A", 2),) * 6
+    assert sorted(vectors) == sorted(enumerate_roots(ext.lattice).roots)
+    # Every root must come from the base lattice: the glue vector has
+    # norm 4, so all of them are base roots re-expressed in the glued basis.
     assert all(sublattice_contains(ext.base_in_lattice, v) for v in rs.roots)
 
 
@@ -288,8 +288,8 @@ def reference_classify(l: Lattice, members: list[tuple[int, ...]]) -> RootCompon
     simple = [v for v in positive
               if not any(tuple(a - b for a, b in zip(v, w)) in pos_set
                          for w in positive if w != v)]
-    cartan = RatMatrix.from_rows([[l.inner(a, b) for b in simple] for a in simple],
-                                 cols=len(simple)).to_int()
+    cartan = IntMatrix.from_rows([[l.inner(a, b) for b in simple] for a in simple],
+                                 cols=len(simple))
     family, rank = _match_ade(cartan)
     assert _expected_root_count(family, rank) == len(members)
     return RootComponent(family, rank, tuple(members), tuple(simple), cartan)
@@ -352,9 +352,8 @@ def random_unimodular(n: int, rng: random.Random) -> IntMatrix:
 def change_basis(l: Lattice, iso_matrix: IntMatrix, order: int, u: IntMatrix):
     """The lattice in the basis U b and the map x -> x @ m of the given order
     in its coordinates, x' -> x' @ U m U^-1."""
-    ur = u.to_rat()
-    uinv = inverse(ur).to_int()
-    moved = Lattice(ur @ l.gram @ ur.transpose())
+    uinv = inverse(u)
+    moved = Lattice(u @ l.gram @ u.transpose())
     return moved, uinv, Isometry.create(moved, u @ iso_matrix @ uinv, order)
 
 
@@ -438,7 +437,7 @@ def test_glued_route_shares_short_vectors_across_equal_blocks(monkeypatch):
 def test_glued_route_keeps_blocks_with_different_grams_apart():
     # Two bases of A2 with the same rank: the zero word gives both blocks
     # the shift 0, but their short vectors differ.
-    flipped = Lattice(RatMatrix.from_rows([[2, 1], [1, 2]]))
+    flipped = Lattice(IntMatrix.from_rows([[2, 1], [1, 2]]))
     q = direct_sum([Lattice(A2_GRAM), flipped])
     ext = glue_extend(q, RatMatrix.from_rows([], cols=4))
     vectors = glued_root_vectors(q, ext, [(0,) * 4], 1)
@@ -490,9 +489,9 @@ def reference_short_vectors(gram, bound, center):
 @st.composite
 def short_vector_cases(draw):
     """(gram, shift, d, bound): three in four Grams are A A^T + I, the rest
-    any symmetric form; Grams over a denominator up to 4 and shifts over d
-    up to 6, so centre coordinates have mixed denominators; half the bounds
-    are 0 or below 0, the rest up to 3 in norm units."""
+    any symmetric integer form; shifts over d up to 6, so centre
+    coordinates have mixed denominators; half the bounds are 0 or below 0,
+    the rest up to 3 in norm units."""
     n = draw(st.integers(1, 4))
     small = st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
                      min_size=n, max_size=n)
@@ -502,11 +501,10 @@ def short_vector_cases(draw):
              for i in range(n)]
     else:
         g = [[a[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
-    den = draw(st.integers(1, 4))
-    gram = RatMatrix.from_rows([[Fraction(e, den) for e in row] for row in g])
+    gram = IntMatrix.from_rows(g)
     d = draw(st.integers(1, 6))
     shift = tuple(draw(st.lists(st.integers(-2 * d, 2 * d), min_size=n, max_size=n)))
-    unit = gram.den * d * d
+    unit = d * d
     bound = draw(st.sampled_from((None, None, None, 0, -1, -unit)))
     if bound is None:
         bound = draw(st.integers(1, 3 * unit))
@@ -517,9 +515,9 @@ def short_vector_cases(draw):
 @given(short_vector_cases())
 def test_short_vectors_match_fraction_reference(case):
     gram, shift, d, bound = case
-    unit = gram.den * d * d
-    want = reference_short_vectors(gram.entries, Fraction(bound, unit),
-                                   [Fraction(t, d) for t in shift])
+    unit = d * d
+    rows = [[Fraction(e) for e in row] for row in gram.entries]
+    want = reference_short_vectors(rows, Fraction(bound, unit), [Fraction(t, d) for t in shift])
     if want is None:
         with pytest.raises(RootsError):
             _short_vectors(gram, bound, shift, d)
@@ -529,6 +527,6 @@ def test_short_vectors_match_fraction_reference(case):
     assert [(x, Fraction(norm, unit)) for x, norm in got] == want
     # No shift is the origin; the zero vector is in whenever the bound is.
     origin = _short_vectors(gram, bound)
-    assert [(x, Fraction(norm, gram.den)) for x, norm in origin] == \
-        reference_short_vectors(gram.entries, Fraction(bound, gram.den), [0] * gram.rows)
+    assert [(x, Fraction(norm)) for x, norm in origin] == \
+        reference_short_vectors(rows, Fraction(bound), [0] * gram.rows)
     assert (((0,) * gram.rows, 0) in origin) is (bound >= 0)
