@@ -108,17 +108,24 @@ def glue_by_dual_basis(l: Lattice):
     return glue_extend(l, dual_basis(l.gram))
 
 
-def test_dual_basis_glues_only_when_unimodular():
-    # L* is integral only when L* = L: the dual basis of a unimodular lattice
-    # glues to the lattice itself, while L* of A2 (2/3 on the diagonal of its
-    # Gram) is refused.
+def test_dual_of_unimodular_is_itself():
     for gram in (IntMatrix.from_rows([[1]]), E8_GRAM):
         l = Lattice(gram)
         ext = glue_by_dual_basis(l)
         assert ext.index == 1
         assert ext.lattice.gram == l.gram
-    assert dual_basis(A2_GRAM) == RatMatrix.from_rows(
+
+
+def test_dual_a2():
+    # L sits inside L* with index det(G) = 3, and the dual basis (rows of
+    # G^-1) spans L* with determinant 1/3. L* is not integral (2/3 on the
+    # diagonal of its Gram), so gluing A2 by its dual basis is refused.
+    assert a2().determinant() == 3
+    dual = dual_basis(A2_GRAM)
+    assert dual == RatMatrix.from_rows(
         [[Fraction(2, 3), Fraction(1, 3)], [Fraction(1, 3), Fraction(2, 3)]])
+    (a, b), (c, d) = dual.entries
+    assert a * d - b * c == Fraction(1, 3)
     with pytest.raises(GlueError, match="not integral"):
         glue_by_dual_basis(a2())
 
