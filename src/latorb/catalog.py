@@ -2,13 +2,14 @@
 rank-24 even unimodular lattices, and six order-3 isometries of them.
 
 Every construction is verified while it is built: component isometries must
-preserve their Gram form with the stated order, glue vectors must pair
-integrally, the glued lattices must come out even and unimodular with the
-expected root systems, and each assembled isometry must stabilize its
-lattice.  A failed check, such as a wrong glue word in the table causes,
-aborts the construction; nothing is returned on trust.  What is stated
-about the constructions, and what their reports must reproduce, is in the
-one table ``CONSTRUCTIONS`` (module ``constructions``).
+preserve their Gram form with the stated order, the glue code must be
+isotropic of the right order, glue vectors must pair integrally, the glued
+lattices must come out even and unimodular with the expected root
+systems, and each assembled isometry must stabilize its lattice.  A failed
+check, such as a wrong glue word in the table causes, aborts the
+construction; nothing is returned on trust.  What is stated about the
+constructions, and what their reports must reproduce, is in the one table
+``CONSTRUCTIONS`` (module ``constructions``).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .lattice import (
     direct_sum,
     glue_extend,
     is_even_unimodular,
+    rat_str,
 )
 from .roots import (
     RootSystem,
@@ -103,9 +105,8 @@ def build_root_lattice(family: str, rank: int) -> RootLatticeData:
     else:
         raise CatalogError(f"unsupported root lattice {family}{rank}")
     v = RatMatrix.from_rows(glue)
-    x = solve_exact(amb, IntMatrix(v.rows, v.cols, v.num))
     return RootLatticeData(_dynkin_lattice(family, rank, edges),
-                           RatMatrix(x.rows, x.cols, x.entries, v.den), amb)
+                           RatMatrix(solve_exact(amb, v.num), v.den), amb)
 
 
 def _auto_from_ambient(data: RootLatticeData,
@@ -114,9 +115,9 @@ def _auto_from_ambient(data: RootLatticeData,
     """Convert an ambient-coordinate map to basis coordinates and verify it:
     the basis rows' images, numerators over den, are x amb for x integral."""
     amb = data.ambient
-    images = amb.to_rat() @ RatMatrix.from_rows(ambient_images)
+    images = RatMatrix(amb) @ RatMatrix.from_rows(ambient_images)
     try:
-        m = solve_exact(amb.scale(images.den), IntMatrix(images.rows, images.cols, images.num))
+        m = solve_exact(amb.scale(images.den), images.num)
     except NoSolution:
         raise CatalogError(f"{name} does not preserve the lattice") from None
     return Isometry.create(data.lattice, m, 3)
@@ -188,8 +189,8 @@ def glue_class_image(auto: Isometry, data: RootLatticeData,
     """Which dual class the isometry sends class ell to: the class whose
     residue row matches the image's modulo the glue denominator."""
     glue = data.glue
-    image = (IntMatrix.from_rows([glue.num[ell]]) @ auto.matrix).entries[0]
-    for m, rep in enumerate(glue.num):
+    image = (glue.num @ auto.matrix).entries[ell]
+    for m, rep in enumerate(glue.num.entries):
         if all((a - b) % glue.den == 0 for a, b in zip(image, rep)):
             return m
     raise CatalogError("image is not in any dual class")
@@ -231,9 +232,9 @@ def _glue_words(base: Lattice, part_data: tuple[RootLatticeData, ...],
         for digit, data in zip(row, part_data):
             if digit not in range(data.glue.rows):
                 raise CatalogError(f"glue digit {digit} has no dual class")
-            coords.extend(e * (den // data.glue.den) for e in data.glue.num[digit])
+            coords.extend(e * (den // data.glue.den) for e in data.glue.num.entries[digit])
         generators.append(tuple(coords))
-    return RatMatrix(len(generators), base.rank, tuple(generators), den)
+    return RatMatrix(IntMatrix(len(generators), base.rank, tuple(generators)), den)
 
 
 def _close_glue_group(words: RatMatrix) -> tuple[int, tuple]:
@@ -243,13 +244,29 @@ def _close_glue_group(words: RatMatrix) -> tuple[int, tuple]:
     group = [(0,) * words.cols]
     # With group a subgroup H, the layers H + g, H + 2g, ... are new cosets
     # until j g falls back into H, so each coset is formed once.
-    for g in words.num:
+    for g in words.num.entries:
         members, step, layers = set(group), tuple(e % den for e in g), []
         while step not in members:
             layers += [tuple((a + b) % den for a, b in zip(h, step)) for h in group]
             step = tuple((a + b) % den for a, b in zip(step, g))
         group += layers
     return den, tuple(sorted(group))
+
+
+def _check_glue_code(key: str, base: Lattice, words: RatMatrix, cosets: int) -> None:
+    """From the block Grams and glue generators alone: the glue code is an
+    isotropic subgroup of the discriminant form of order sqrt(prod det R_i)
+    (Conway and Sloane, SPLAG, ch. 4 section 3 and ch. 16)."""
+    square = words.den ** 2
+    for (i, u), (j, v) in itertools.combinations_with_replacement(enumerate(words.num.entries), 2):
+        p = base.inner(u, v)
+        if p % (2 * square if i == j else square):
+            what = f"generator {i} has norm" if i == j else f"generators {i} and {j} pair to"
+            raise CatalogError(f"{key}: glue code is not isotropic: "
+                               f"{what} {rat_str(Fraction(p, square))}")
+    if cosets ** 2 != (d := base.determinant()):
+        raise CatalogError(f"{key}: glue group has {cosets} cosets, but the blocks' "
+                           f"determinants multiply to {d}, not {cosets}^2")
 
 
 def construct_niemeier(key: str) -> NiemeierBundle:
@@ -262,21 +279,20 @@ def construct_niemeier(key: str) -> NiemeierBundle:
     part_data = tuple(build_root_lattice(f, r) for f, r in spec["parts"])
     base = direct_sum([d.lattice for d in part_data], name=f"{key}:base")
     words = _glue_words(base, part_data, spec["words"])
+    den, group = _close_glue_group(words)
+    _check_glue_code(key, base, words, len(group))
     failed = CatalogError(f"{key}: lattice is not even unimodular of rank 24")
     try:
         ext = glue_extend(base, words, name=key)
     except GlueError as exc:  # dual-class words pair integrally: a non-integral glue
         raise failed from exc
     if ext.index != spec["index"]:
-        raise CatalogError(
-            f"{key}: glue index {ext.index}, expected {spec['index']}")
+        raise CatalogError(f"{key}: glue index {ext.index}, expected {spec['index']}")
     even, unimodular = is_even_unimodular(ext.lattice)
     if not (even and unimodular and ext.lattice.rank == 24):
         raise failed
-    den, group = _close_glue_group(words)
     if len(group) != spec["index"]:
-        raise CatalogError(
-            f"{key}: glue group has {len(group)} cosets, expected {spec['index']}")
+        raise CatalogError(f"{key}: glue group has {len(group)} cosets, expected {spec['index']}")
     vectors = glued_root_vectors(base, ext, group, den)
     rs = build_root_system(ext.lattice, vectors)
     if classify(rs) != tuple(sorted(spec["parts"])) or rs.count != spec["root_count"]:
@@ -349,7 +365,7 @@ def assemble_block_isometry(bundle: NiemeierBundle,
     ext = bundle.extension
     # B s B^-1, B numerators over den; the base rows B^-1 are integral and stored.
     b, den = ext.basis_in_base, ext.basis_in_base.den
-    x = IntMatrix(b.rows, b.cols, b.num) @ s @ ext.base_in_lattice
+    x = b.num @ s @ ext.base_in_lattice
     for k, row in enumerate(x.entries):
         if any(e % den for e in row):
             raise StabilizationError(

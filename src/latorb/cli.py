@@ -98,6 +98,7 @@ def _root_rows(key: str, rs) -> list[dict]:
 
 def cmd_lattice_build(args) -> int:
     from .catalog import construct_niemeier
+    from .exactmat import RatMatrix
     from .lattice import is_even_unimodular, rat_str
     bundle = construct_niemeier(args.key)
     lattice = bundle.lattice
@@ -110,7 +111,7 @@ def cmd_lattice_build(args) -> int:
              CONSTRUCTIONS["lattices"][args.key]["index"], "computed"),
         *_root_rows(args.key, bundle.root_system),
     ]
-    embedding = bundle.extension.basis_in_base @ bundle.ambient.to_rat()
+    embedding = bundle.extension.basis_in_base @ RatMatrix(bundle.ambient)
     doc = {**lattice.to_json(),
            "embedding": [[rat_str(e) for e in row] for row in embedding.entries]}
     payload = {"key": args.key, "description": bundle.description, "lattice": doc}

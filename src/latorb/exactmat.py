@@ -3,10 +3,9 @@
 Everything in this module is pure and exact, with no floating point
 anywhere.  :class:`IntMatrix` holds Python ints and carries the algebra:
 products, normal forms, determinant, exact solve and LDL^T.
-:class:`RatMatrix` holds stated rational rows as integer numerators over
-one positive common denominator, reduced by their gcd so that equal
-matrices have equal fields; it has a product, callers compute with its
-``num`` and ``den``, and ``entries`` is a Fraction view for output.
+:class:`RatMatrix` holds stated rational rows as a numerator ``IntMatrix``
+``num`` over one positive ``den``, reduced by their gcd; it has a product,
+callers compute with ``num`` and ``den``, and ``entries`` is a Fraction view.
 Matrices are values: every operation returns a new matrix.
 Both classes multiply through one packed-row integer product (Kronecker
 substitution, see ``_product``), and ``det`` and ``ldl`` share one
@@ -19,11 +18,11 @@ transpose, and ``solve_exact`` back-substitutes along its pivots (Cohen,
 *A Course in Computational Algebraic Number Theory*, 2.4).  Their entries
 have no a-priori bound.
 
-Entries are checked to be ints only where data enters, in the public
-constructors and ``from_rows``; this module's own results are built by the
-trusted ``_im``/``_rm`` (``_rm`` still reduces by the gcd), as are the batched
-products' operands in ``roots``, ints by construction.  Operators check
-their operand's type, so mixing the two classes raises ``TypeError``.
+Entries are checked to be ints only where data enters, in the
+``IntMatrix`` constructor and ``from_rows``; this module's own results are
+built by the trusted ``_im``, as are the batched products' operands in
+``roots``, ints by construction.  Operators check their operand's type, so
+mixing the two classes raises ``TypeError``.
 
 Row-vector convention: vectors are rows and maps act on the right
 (``x -> x @ m``), so the kernel of ``m`` is ``{x : x @ m = 0}`` and the row
@@ -194,80 +193,63 @@ class IntMatrix:
     def is_identity(self) -> bool:
         return self == IntMatrix.identity(self.rows)
 
-    def to_rat(self) -> "RatMatrix":
-        return _rm(self.rows, self.cols, self.entries, 1)
-
 
 class RatMatrix:
-    """Rational matrix: entry (i, j) is ``num[i][j] / den``.
+    """Rational matrix ``num / den``: an :class:`IntMatrix` of numerators
+    over one positive denominator.
 
-    ``den`` is positive and coprime to the gcd of all numerators, so the
-    representation is canonical and equality and hashing of the fields are
-    equality and hashing of the rational matrices.
+    The constructor divides ``num`` and ``den`` by their gcd, signed so that
+    ``den > 0``, so the representation is canonical and equality and hashing
+    of ``(num, den)`` are equality and hashing of the rational matrices.
     """
 
-    __slots__ = ("rows", "cols", "num", "den")
+    __slots__ = ("num", "den")
 
-    def __init__(self, rows: int, cols: int, num: tuple[tuple[int, ...], ...],
-                 den: int = 1) -> None:
-        _check_ints(rows, cols, num)
+    def __init__(self, num: IntMatrix, den: int = 1) -> None:
+        if not isinstance(num, IntMatrix):
+            raise TypeError(f"numerators must be an IntMatrix, not {type(num).__name__}")
         if _as_int(den) == 0:
             raise ZeroDivisionError("matrix denominator is zero")
-        self.rows, self.cols, self.num, self.den = rows, cols, num, den
-        self._reduce()
+        g = 1 if den == 1 else gcd(den, *(e for row in num.entries for e in row))
+        g = -g if den < 0 else g
+        if g != 1:
+            num = _im(num.rows, num.cols, tuple(tuple(e // g for e in row) for row in num.entries))
+        self.num, self.den = num, den // g
 
     def __eq__(self, other) -> bool:  # never equal to an IntMatrix or a tuple
-        return isinstance(other, RatMatrix) and ((self.rows, self.cols, self.num, self.den)
-                                                 == (other.rows, other.cols, other.num, other.den))
+        return isinstance(other, RatMatrix) and (self.num, self.den) == (other.num, other.den)
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.num, self.den))
+        return hash((self.num, self.den))
 
-    def _reduce(self) -> None:
-        """Divide numerators and denominator by their gcd, signed so den > 0."""
-        g = 1 if self.den == 1 else gcd(self.den, *(e for row in self.num for e in row))
-        g = -g if self.den < 0 else g
-        if g != 1:
-            self.num = tuple(tuple(e // g for e in row) for row in self.num)
-            self.den //= g
+    rows = property(lambda self: self.num.rows)
+    cols = property(lambda self: self.num.cols)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[Rational]], cols: int | None = None) -> "RatMatrix":
         data = [[_as_frac(e) for e in row] for row in rows]
-        if cols is None:
-            if not data:
-                raise ShapeError("column count required for a matrix with no rows")
-            cols = len(data[0])
         den = lcm(*(e.denominator for row in data for e in row))
-        return cls(len(data), cols,
-                   tuple(tuple(e.numerator * (den // e.denominator) for e in row)
-                         for row in data), den)
+        scaled = ([e.numerator * (den // e.denominator) for e in row] for row in data)
+        return cls(IntMatrix.from_rows(scaled, cols), den)
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(Fraction(e, self.den) for e in row) for row in self.num)
+        return tuple(tuple(Fraction(e, self.den) for e in row) for row in self.num.entries)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if not isinstance(other, RatMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ShapeError("size mismatch in multiplication")
-        return _rm(self.rows, other.cols,
-                   _product(self.num, other.num, other.cols), self.den * other.den)
+        # _product, not num @ num, so a rational product is not counted as an integer one.
+        return RatMatrix(_im(self.rows, other.cols, _product(
+            self.num.entries, other.num.entries, other.cols)), self.den * other.den)
 
 
 def _im(rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> IntMatrix:
     """An IntMatrix of entries that are ints by construction, unchecked."""
     m = object.__new__(IntMatrix)
     m.rows, m.cols, m.entries = rows, cols, entries
-    return m
-
-
-def _rm(rows: int, cols: int, num: tuple[tuple[int, ...], ...], den: int) -> RatMatrix:
-    """A RatMatrix of int numerators and nonzero den, unchecked but reduced."""
-    m = object.__new__(RatMatrix)
-    m.rows, m.cols, m.num, m.den = rows, cols, num, den
-    m._reduce()
     return m
 
 

@@ -2,7 +2,8 @@
 
 A lattice is its symmetric positive-definite integer Gram matrix on a basis;
 a sublattice is the integer matrix of its basis rows in the lattice basis.
-Only glue rows are rational, over one denominator (a ``RatMatrix``).
+Only glue rows are rational: a ``RatMatrix``, read as its numerator
+``IntMatrix`` ``num`` over one denominator ``den``.
 
 All arithmetic is exact; see :mod:`latorb.exactmat`.
 """
@@ -13,7 +14,7 @@ from fractions import Fraction
 from math import prod
 from typing import NamedTuple, Sequence
 
-from .exactmat import (IntMatrix, NotPositiveDefinite, RatMatrix, Rational,
+from .exactmat import (IntMatrix, NotPositiveDefinite, RatMatrix, Rational, _im,
                        block_diagonal, det, hnf, kernel_basis, ldl, solve_exact)
 
 
@@ -125,15 +126,14 @@ def glue_extend(q: Lattice, words: RatMatrix,
     r, den = q.rank, words.den
     if words.cols != r:
         raise GlueError(f"glue rows have {words.cols} coordinates, not {r}")
-    num = IntMatrix(words.rows, r, words.num)
-    for gi, row in enumerate((num @ q.gram).entries):
+    for gi, row in enumerate((words.num @ q.gram).entries):
         for bi, e in enumerate(row):
             if e % den:
                 raise GlueError(
                     f"glue vector {gi} pairs non-integrally with basis vector "
                     f"{bi}: <g,b> = {rat_str(Fraction(e, den))}")
     scaled = IntMatrix.identity(r).scale(den)
-    h = hnf(IntMatrix(r + words.rows, r, scaled.entries + words.num))
+    h = hnf(_im(r + words.rows, r, scaled.entries + words.num.entries))
     if h.rows != r:
         raise GlueError("glue span lost rank (internal error)")
     # h is triangular: det(basis) = prod(diagonal) / den^r.
@@ -147,7 +147,7 @@ def glue_extend(q: Lattice, words: RatMatrix,
     glued = Lattice(IntMatrix(r, r, tuple(tuple(e // square for e in row) for row in gram)),
                     name=name)
     # The base rows B^-1 = den h^-1 solve x h = den I in integers.
-    return GlueExtension(glued, index, RatMatrix(r, r, h.entries, den), solve_exact(h, scaled))
+    return GlueExtension(glued, index, RatMatrix(h, den), solve_exact(h, scaled))
 
 
 def is_even_unimodular(l: Lattice) -> tuple[bool, bool]:

@@ -308,7 +308,7 @@ def stabilizes(bundle: NiemeierBundle, matrix: IntMatrix) -> bool:
     ext = bundle.extension
     b = ext.basis_in_base
     # B, its images and s are numerators over b.den; s / den is unimodular.
-    images = matrix @ IntMatrix(b.rows, b.cols, b.num)
+    images = matrix @ b.num
     s = ext.base_in_lattice @ images
     if any(e % b.den for row in s.entries for e in row) or abs(det(s)) != b.den ** b.rows:
         return False

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latorb import catalog
 from latorb.catalog import (
     CatalogError,
     StabilizationError,
@@ -55,12 +56,12 @@ def test_root_lattice_determinants_and_classes():
         data = build_root_lattice(family, rank)
         assert data.lattice.determinant() == det
         assert data.glue.rows == n_classes
-        assert all(c == 0 for c in data.glue.num[0])
+        assert all(c == 0 for c in data.glue.num.entries[0])
         # Each representative lies in the dual lattice (rep . G is integral)
         # and in the lattice itself only for the trivial class.
         den = data.glue.den
-        pairings = IntMatrix.from_rows(data.glue.num) @ data.lattice.gram
-        for ell, (rep, paired) in enumerate(zip(data.glue.num, pairings.entries)):
+        pairings = data.glue.num @ data.lattice.gram
+        for ell, (rep, paired) in enumerate(zip(data.glue.num.entries, pairings.entries)):
             assert all(e % den == 0 for e in paired)
             assert all(e % den == 0 for e in rep) == (ell == 0)
 
@@ -86,14 +87,14 @@ def test_glued_basis_in_ambient_coordinates_reproduces_the_gram(key):
         data = build_root_lattice(family, rank)
         forms.append(data.lattice.gram if family == "E" else IntMatrix.identity(data.ambient.cols))
     b = bundle.extension.basis_in_base
-    e = IntMatrix.from_rows(b.num) @ bundle.ambient
+    e = b.num @ bundle.ambient
     assert e @ block_diagonal(forms) @ e.transpose() == bundle.lattice.gram.scale(b.den ** 2)
-    assert (b @ bundle.ambient.to_rat()).entries == tuple(
+    assert (b @ RatMatrix(bundle.ambient)).entries == tuple(
         tuple(Fraction(x, b.den) for x in row) for row in e.entries)
 
 
 def class_norm(data, ell):
-    rep = data.glue.num[ell]
+    rep = data.glue.num.entries[ell]
     return Fraction(data.lattice.inner(rep, rep), data.glue.den ** 2)
 
 
@@ -191,7 +192,7 @@ def test_block_shuffle_follows_code_permutation():
     incl = bundle.extension.base_in_lattice
     # The glued basis in base coordinates, as numerators over one
     # denominator; the support of a row does not depend on the denominator.
-    back = bundle.extension.basis_in_base.num
+    back = bundle.extension.basis_in_base.num.entries
     for p in range(12):
         base_root = incl.entries[2 * p]  # first simple root of block p
         image = (IntMatrix.from_rows([base_root]) @ sigma.matrix).entries[0]
@@ -240,6 +241,44 @@ def test_corrupted_generator_rejected(monkeypatch, key):
     monkeypatch.setitem(CONSTRUCTIONS["lattices"][key], "words", corrupted_words(key))
     with pytest.raises(CatalogError):
         construct_niemeier(key)
+
+
+# What the glue-code check finds, before any glued lattice is formed, in
+# each corrupted table; the norms and products are of glue vectors.
+GLUE_CODE_FAULTS = {
+    "A2_12": "generator 0 has norm 14/3",
+    "D4_6": "generators 0 and 1 pair to 7/2",
+    "A5_4_D4": "generator 0 has norm 23/6",
+    "E6_4": "generator 0 has norm 16/3",
+}
+
+
+@pytest.mark.parametrize("key", LATTICE_KEYS)
+def test_glue_code_check_rejects_a_corrupted_word(monkeypatch, key):
+    monkeypatch.setitem(CONSTRUCTIONS["lattices"][key], "words", corrupted_words(key))
+    monkeypatch.setattr(catalog, "glue_extend", None)  # never reached
+    with pytest.raises(CatalogError, match=f"^{key}: glue code is not isotropic: "
+                                           f"{GLUE_CODE_FAULTS[key]}$"):
+        construct_niemeier(key)
+
+
+def test_glue_code_check_wants_even_norms(monkeypatch):
+    # One D4 vector class glues D4 to Z^4, an odd lattice: norm 1.
+    monkeypatch.setitem(CONSTRUCTIONS["lattices"]["D4_6"], "words", ("200000",))
+    monkeypatch.setattr(catalog, "glue_extend", None)
+    with pytest.raises(CatalogError, match="not isotropic: generator 0 has norm 1$"):
+        construct_niemeier("D4_6")
+
+
+def test_glue_code_check_counts_cosets(monkeypatch):
+    # D4_6's words without the first are isotropic but glue only 32 cosets,
+    # and 32^2 is not det(D4)^6 = 4096.
+    monkeypatch.setitem(CONSTRUCTIONS["lattices"]["D4_6"], "words",
+                        CONSTRUCTIONS["lattices"]["D4_6"]["words"][1:])
+    monkeypatch.setattr(catalog, "glue_extend", None)
+    with pytest.raises(CatalogError, match="has 32 cosets, but the blocks' determinants "
+                                           "multiply to 4096, not 32"):
+        construct_niemeier("D4_6")
 
 
 def test_catalog_listing():

@@ -121,7 +121,7 @@ def test_lattice_build_corrupt_generator(capsys, monkeypatch):
     monkeypatch.setitem(CONSTRUCTIONS["lattices"]["D4_6"], "words", corrupted_words("D4_6"))
     code, out, err = run(capsys, "lattice", "build", "D4_6")
     assert (code, out) == (EXIT_CHECK, "")
-    assert err == "FAIL: D4_6: lattice is not even unimodular of rank 24\n"
+    assert err == "FAIL: D4_6: glue code is not isotropic: generators 0 and 1 pair to 7/2\n"
 
 
 def test_no_option_is_hidden_from_help():
@@ -357,11 +357,14 @@ def test_expectations_cover_every_isometry():
 
 
 def test_module_entry_point_subprocess():
-    proc = subprocess.run(
-        [sys.executable, "-m", "latorb", "golay", "--json"],
-        capture_output=True, text=True, check=False)
-    assert proc.returncode == EXIT_OK
-    assert proc.stdout == golden_text("golay.json")
+    # Each in a fresh interpreter, as a cold run sees it: no lru_cache or
+    # lazily imported layer left over from the in-process tests.
+    for command, golden in (("golay", "golay.json"), ("verify-all", "verify_all.json")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "latorb", command, "--json"],
+            capture_output=True, text=True, check=False)
+        assert proc.returncode == EXIT_OK
+        assert proc.stdout == golden_text(golden)
 
 
 def test_unsupported_twist_is_check_failure(capsys, monkeypatch):

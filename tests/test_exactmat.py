@@ -167,8 +167,8 @@ def test_mixed_operands_and_non_int_entries_raise_type_error():
     bad = [lambda: IntMatrix(1, 1, ((Fraction(1),),)),
            lambda: IntMatrix(1, 1, ((True,),)),
            lambda: IntMatrix.from_rows([[1, 2.0]]),
-           lambda: RatMatrix(1, 1, ((Fraction(1, 2),),)),
-           lambda: RatMatrix(1, 1, ((1,),), 2.0),
+           lambda: RatMatrix(((Fraction(1, 2),),)),
+           lambda: RatMatrix(im([[1]]), 2.0),
            lambda: RatMatrix.from_rows([[0.5]])]
     for build in bad:
         with pytest.raises(TypeError):
@@ -340,19 +340,56 @@ def test_matmul_transpose_match_reference(r, c, c2, data):
     assert (rat(x, c) @ rat(y, c2)).entries == expected
 
 
+@NO_SHRINK
+@given(DIMS, DIMS, DIMS, st.integers(-12, 12).filter(bool), st.integers(-12, 12).filter(bool),
+       st.data())
+def test_rat_product_matches_reference_on_edge_rows(r, c, c2, d1, d2, data):
+    # Numerators at the packed fields' edges over any nonzero denominators.
+    x, y = data.draw(frac_rows(r, c, FIELD_EDGES)), data.draw(frac_rows(c, c2, FIELD_EDGES))
+    product = (RatMatrix(IntMatrix.from_rows(x, cols=c), d1)
+               @ RatMatrix(IntMatrix.from_rows(y, cols=c2), d2))
+    expected = ref_matmul([[Fraction(e, d1) for e in row] for row in x],
+                          [[Fraction(e, d2) for e in row] for row in y], c, c2)
+    assert product.entries == tuple(map(tuple, expected))
+    assert product == rat(expected, c2) and product.den > 0
+
+
 def test_matrix_records_are_values_of_their_own_class():
     # Equal fields give equal records, hashed as the tuple of their fields.
-    a, r = im([[1, 2], [3, 4]]), RatMatrix(2, 2, ((2, 4), (6, 8)), 2)
+    a, r = im([[1, 2], [3, 4]]), RatMatrix(im([[2, 4], [6, 8]]), 2)
     assert a == IntMatrix(2, 2, ((1, 2), (3, 4))) and hash(a) == hash((2, 2, a.entries))
-    assert r == rm([[1, 2], [3, 4]]) and hash(r) == hash((2, 2, a.entries, 1))
+    assert r == rm([[1, 2], [3, 4]]) and hash(r) == hash((a, 1))
     # The same numbers in the other class, or as a plain tuple, are not equal.
-    for x, y in ((a, r), (a, a.to_rat()), (a, (2, 2, a.entries)),
-                 (r, (2, 2, r.num, 1)), (a, a.entries)):
+    for x, y in ((a, r), (a, RatMatrix(a)), (a, (2, 2, a.entries)),
+                 (r, (r.num, 1)), (a, a.entries)):
         assert x != y and y != x
     assert IntMatrix(0, 2, ()) != IntMatrix(0, 3, ())
-    for build in (IntMatrix, RatMatrix):
-        with pytest.raises(ShapeError, match="ragged"):
-            build(2, 2, ((1, 2), (3,)))
+    with pytest.raises(ShapeError, match="ragged"):
+        IntMatrix(2, 2, ((1, 2), (3,)))
+    with pytest.raises(ShapeError, match="ragged"):
+        RatMatrix.from_rows([[1, 2], [3]], cols=2)
+
+
+def test_rat_matrix_is_reduced_numerators_over_a_positive_den():
+    num = im([[2, -4, 0], [6, 8, 10]])
+    m = RatMatrix(num, 4)
+    # Scaled numerators over a scaled denominator are the same matrix.
+    for k in (1, 3, -1, -7):
+        scaled = RatMatrix(num.scale(k), 4 * k)
+        assert scaled == m and hash(scaled) == hash(m)
+    # Reduced once by the gcd, and a negative den moves its sign to num.
+    assert (m.num, m.den) == (im([[1, -2, 0], [3, 4, 5]]), 2)
+    negative = RatMatrix(im([[1, -2]]), -3)
+    assert (negative.num, negative.den) == (im([[-1, 2]]), 3)
+    assert (m.rows, m.cols) == (2, 3) and RatMatrix.__slots__ == ("num", "den")
+    assert m.entries[1] == (Fraction(3, 2), 2, Fraction(5, 2))
+    assert RatMatrix(im([[0, 0]]), -5) == RatMatrix(im([[0, 0]]))
+    # Numerators are an IntMatrix, and den a nonzero int.
+    for bad in (((1, 2),), [[1, 2]], rm([[1, 2]])):
+        with pytest.raises(TypeError, match="must be an IntMatrix"):
+            RatMatrix(bad, 2)
+    with pytest.raises(ZeroDivisionError):
+        RatMatrix(num, 0)
 
 
 @PROFILE
@@ -362,13 +399,13 @@ def test_equality_hash_and_integrality_are_canonical(r, c, k, integral_only, dat
     a = data.draw(frac_rows(r, c, entries))
     m = rat(a, c)
     # The same values over a non-reduced, possibly negative denominator.
-    padded = RatMatrix(r, c, tuple(tuple(k * e for e in row) for row in m.num), k * m.den)
+    padded = RatMatrix(m.num.scale(k), k * m.den)
     assert padded == m and hash(padded) == hash(m)
     assert padded.num == m.num and padded.den == m.den
     integral = all(x.denominator == 1 for row in a for x in row)
     assert (m.den == 1) is integral
     if integral:
-        assert m == IntMatrix(r, c, tuple(tuple(int(x) for x in row) for row in a)).to_rat()
+        assert m == RatMatrix(IntMatrix(r, c, tuple(tuple(int(x) for x in row) for row in a)))
 
 
 # Sizes 0-6 for the FIELD_EDGES inputs of the eliminations, as Fractions so

@@ -100,7 +100,7 @@ def dual_basis(gram: IntMatrix) -> RatMatrix:
     integer solution of x G = det(G) I, over det(G)."""
     d = det(gram)
     adjugate = solve_exact(gram, IntMatrix.identity(gram.rows).scale(d))
-    return RatMatrix(gram.rows, gram.cols, adjugate.entries, d)
+    return RatMatrix(adjugate, d)
 
 
 def glue_by_dual_basis(l: Lattice):
@@ -200,7 +200,7 @@ def test_member_basis_and_glue_vector():
     assert (g.den, tripled.den) == (3, 1)
     # The glue vector has norm 4/3 = 12 / 3^2: it lies in E6* but does not
     # glue, while three times it lies in E6 and glues with index 1.
-    assert e6.inner(tripled.num[0], tripled.num[0]) == 12
+    assert e6.inner(tripled.num.entries[0], tripled.num.entries[0]) == 12
     with pytest.raises(GlueError, match="not integral"):
         glue_extend(e6, g)
     assert glue_extend(e6, tripled).index == 1
@@ -213,7 +213,7 @@ def sublattice_contains(sub: IntMatrix, coords_in_parent) -> bool:
     if target.den != 1:
         return False
     try:
-        solve_exact(sub, IntMatrix(1, sub.cols, target.num))
+        solve_exact(sub, target.num)
     except NoSolution:
         return False
     return True
