@@ -21,7 +21,7 @@ from math import lcm
 from typing import NamedTuple, Sequence
 
 from .constructions import CONSTRUCTIONS
-from .exactmat import IntMatrix, NoSolution, RatMatrix, Rational, block_diagonal, solve_exact
+from .exactmat import IntMatrix, NoSolution, RatMatrix, Rational, _im, block_diagonal, solve_exact
 from .lattice import (
     GlueError,
     GlueExtension,
@@ -361,7 +361,7 @@ def assemble_block_isometry(bundle: NiemeierBundle,
         for i in range(m.rows):
             for j in range(m.cols):
                 entries[starts[src] + i][starts[dst] + j] = m.entries[i][j]
-    s = IntMatrix.from_rows(entries, cols=base.rank)
+    s = _im(base.rank, base.rank, tuple(map(tuple, entries)))
     ext = bundle.extension
     # B s B^-1, B numerators over den; the base rows B^-1 are integral and stored.
     b, den = ext.basis_in_base, ext.basis_in_base.den
@@ -371,7 +371,7 @@ def assemble_block_isometry(bundle: NiemeierBundle,
             raise StabilizationError(
                 f"{name}: image of basis vector {k} is outside the lattice: "
                 f"{tuple(str(Fraction(e, den)) for e in row)}")
-    return Isometry.create(bundle.lattice, IntMatrix(x.rows, x.cols, tuple(
+    return Isometry.create(bundle.lattice, _im(x.rows, x.cols, tuple(
         tuple(e // den for e in row) for row in x.entries)), 3)
 
 

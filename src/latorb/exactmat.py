@@ -20,9 +20,10 @@ have no a-priori bound.
 
 Entries are checked to be ints only where data enters, in the
 ``IntMatrix`` constructor and ``from_rows``; this module's own results are
-built by the trusted ``_im``, as are the batched products' operands in
-``roots``, ints by construction.  Operators check their operand's type, so
-mixing the two classes raises ``TypeError``.
+built by the trusted ``_im``, as are other ints by construction: the
+batched products' operands in ``roots``, glued Grams and assembled maps.
+Operators check their operand's type, so mixing the two classes raises
+``TypeError``.
 
 Row-vector convention: vectors are rows and maps act on the right
 (``x -> x @ m``), so the kernel of ``m`` is ``{x : x @ m = 0}`` and the row

@@ -1,7 +1,9 @@
 """Integral positive-definite lattices with exact Gram data.
 
-A lattice is its symmetric positive-definite integer Gram matrix on a basis;
-a sublattice is the integer matrix of its basis rows in the lattice basis.
+A lattice is its symmetric positive-definite integer Gram matrix on a basis,
+and keeps the Gram's LDL^T: that one Bareiss pass proves it positive definite,
+gives its determinant and is what ``roots`` enumerates short vectors from.
+A sublattice is the integer matrix of its basis rows in the lattice basis.
 Only glue rows are rational: a ``RatMatrix``, read as its numerator
 ``IntMatrix`` ``num`` over one denominator ``den``.
 
@@ -15,7 +17,7 @@ from math import prod
 from typing import NamedTuple, Sequence
 
 from .exactmat import (IntMatrix, NotPositiveDefinite, RatMatrix, Rational, _im,
-                       block_diagonal, det, hnf, kernel_basis, ldl, solve_exact)
+                       block_diagonal, hnf, kernel_basis, ldl, solve_exact)
 
 
 class LatticeError(ValueError):
@@ -43,9 +45,11 @@ class Lattice:
         name: optional label.
         blocks: optional ranks of direct summands, recorded by direct_sum so
             block automorphisms can be assembled coordinate-wise.
+        ldl: the Gram's LDL^T (p, a) from ``exactmat.ldl``, p[-1] the
+            determinant; derived from gram, so equality and hash ignore it.
     """
 
-    __slots__ = ("gram", "name", "blocks")
+    __slots__ = ("gram", "name", "blocks", "ldl")
 
     def __init__(self, gram: IntMatrix, name: str | None = None,
                  blocks: tuple[int, ...] | None = None) -> None:
@@ -54,7 +58,7 @@ class Lattice:
         if gram != gram.transpose():
             raise LatticeError("Gram matrix is not symmetric")
         try:
-            ldl(gram)
+            self.ldl = ldl(gram)
         except NotPositiveDefinite:
             raise LatticeError("Gram matrix is not positive definite") from None
         self.gram, self.name, self.blocks = gram, name, blocks
@@ -75,7 +79,7 @@ class Lattice:
         return all(row[i] % 2 == 0 for i, row in enumerate(self.gram.entries))
 
     def determinant(self) -> int:
-        return det(self.gram)
+        return self.ldl[0][-1] if self.rank else 1
 
     def inner(self, x: Sequence[int], y: Sequence[int]) -> int:
         """Pairing of two integer vectors given in basis coordinates, summed
@@ -85,12 +89,11 @@ class Lattice:
                    for a, row in zip(x, self.gram.entries) if a)
 
     def to_json(self) -> dict:
-        even, unimodular = is_even_unimodular(self)
         return {
             "name": self.name,
             "rank": self.rank,
             "gram": [[str(e) for e in row] for row in self.gram.entries],
-            "even": even,
+            "even": self.is_even,
             "det": str(self.determinant()),
         }
 
@@ -144,7 +147,7 @@ def glue_extend(q: Lattice, words: RatMatrix,
     gram = (h @ q.gram @ h.transpose()).entries
     if any(e % square for row in gram for e in row):
         raise GlueError("glued lattice is not integral")
-    glued = Lattice(IntMatrix(r, r, tuple(tuple(e // square for e in row) for row in gram)),
+    glued = Lattice(_im(r, r, tuple(tuple(e // square for e in row) for row in gram)),
                     name=name)
     # The base rows B^-1 = den h^-1 solve x h = den I in integers.
     return GlueExtension(glued, index, RatMatrix(h, den), solve_exact(h, scaled))
@@ -159,8 +162,8 @@ class Isometry:
     """A verified finite-order isometry of a lattice, in basis coordinates.
 
     Vectors are rows; the map is ``x -> x @ matrix``.  Construction via
-    :meth:`create` checks the Gram form is preserved, the determinant is
-    +-1, and the order is exactly the claimed one.
+    :meth:`create` checks the Gram form is preserved (so det = +-1, as
+    det G > 0) and the order is exactly the claimed one.
     """
 
     __slots__ = ("lattice", "matrix", "order")
@@ -182,9 +185,6 @@ class Isometry:
             raise IsometryError("matrix size differs from lattice rank")
         if matrix @ lattice.gram @ matrix.transpose() != lattice.gram:
             raise IsometryError("matrix does not preserve the Gram form")
-        d = det(matrix)
-        if d not in (1, -1):
-            raise IsometryError(f"determinant is {d}, not +-1")
         power, k = matrix, 1
         while not power.is_identity():
             if k == order:

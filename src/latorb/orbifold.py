@@ -113,7 +113,7 @@ def sublattice_r(n: IntMatrix, c: IntMatrix) -> tuple[IntMatrix, int]:
     Route one of the dual computation: the congruence kernel x C = 0 mod 6
     is solved by an integer kernel of the stacked matrix (C over 6I); the
     projection of that kernel back to N coordinates is R, returned as HNF
-    rows in L coordinates.
+    rows in L coordinates; |N/R| is the product of the projection's diagonal.
     """
     k = n.rows
     if k == 0:
@@ -125,8 +125,7 @@ def sublattice_r(n: IntMatrix, c: IntMatrix) -> tuple[IntMatrix, int]:
     proj = hnf(IntMatrix.from_rows([row[:k] for row in ker.entries], cols=k))
     if proj.rows != k:
         raise OrbifoldError("radical lost rank; 6N should always embed in R")
-    index = abs(det(proj))
-    return hnf(proj @ n), index
+    return hnf(proj @ n), prod(proj.entries[i][i] for i in range(k))
 
 
 def coset_filter_index(n: IntMatrix, m: IntMatrix,

@@ -2,12 +2,13 @@
 reflections, highest roots, and orbit counting under an isometry.
 
 Enumeration is all-integer.  The squared-length form is completed to a
-sum of squares over integer Bareiss minors, so every budget, bound and norm
-is an int and each coordinate interval comes from an ``isqrt``; no Fraction
-and no floating point is used, not even as a heuristic.  Glued lattices are
-searched coset by coset: glue words are integer residues over one
-denominator, and each (block Gram, shift) is enumerated once; the vectors
-found reach lattice coordinates through one matrix product.
+sum of squares over integer Bareiss minors, the LDL^T a Lattice keeps, so
+every budget, bound and norm is an int and each coordinate interval comes
+from an ``isqrt``; no Fraction and no floating point is used.  Glued
+lattices are searched coset by coset: glue words are integer residues over
+one denominator, each distinct block Gram is one Lattice, enumerated once
+per shift; the vectors found reach lattice coordinates through one matrix
+product.
 
 Classification pairs roots through the integer Gram matrix.  Simple
 roots are found in one scan of the positive roots by height, the Dynkin
@@ -23,7 +24,7 @@ from math import isqrt
 from operator import mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
-from .exactmat import IntMatrix, NotPositiveDefinite, _im, ldl
+from .exactmat import IntMatrix, _im
 from .lattice import GlueExtension, Isometry, Lattice
 
 
@@ -45,24 +46,22 @@ def _expected_root_count(family: str, rank: int) -> int:
     raise UnknownRootSystem(f"no root count for type {family}{rank}")
 
 
-def _short_vectors(gram: IntMatrix, bound: int, shift: Sequence[int] | None = None,
+def _short_vectors(l: Lattice, bound: int, shift: Sequence[int] | None = None,
                    d: int = 1) -> list[tuple[tuple[int, ...], int]]:
     """Sorted (x, y G y^T) for all integer x with y G y^T <= bound, where
-    y = d x + shift and G = gram.
+    y = d x + shift and G = l.gram.
 
     That is Q(x + shift / d) <= bound / d^2 for the positive-definite form Q
-    of ``gram``, with norms kept in those integer units; no shift is the
-    origin.  With ldl's (p, a), the squares from level i on, times D_i, sum to
-    an integer E_i = (D_i E_{i+1} + t_i^2) / p[i], so the level-i coordinate
-    ranges over t_i^2 <= D_i (p[i] bound - E_{i+1}), an ``isqrt`` interval.
+    of the lattice, with norms kept in those integer units; no shift is the
+    origin.  With the lattice's LDL^T (p, a) = ``l.ldl``, the squares from
+    level i on, times D_i, sum to an integer
+    E_i = (D_i E_{i+1} + t_i^2) / p[i], so the level-i coordinate ranges over
+    t_i^2 <= D_i (p[i] bound - E_{i+1}), an ``isqrt`` interval.
     """
-    n = gram.rows
+    n = l.rank
     if n == 0:
         return [((), 0)] if bound >= 0 else []
-    try:
-        p, a = ldl(gram)
-    except NotPositiveDefinite:
-        raise RootsError("form is not positive definite") from None
+    p, a = l.ldl
     s = list(shift) if shift is not None else [0] * n
     minor = [1, *p]  # minor[i] = D_i
     out: list[tuple[tuple[int, ...], int]] = []
@@ -123,7 +122,7 @@ def enumerate_roots(l: Lattice) -> RootSystem:
     """
     if not l.is_even:
         raise RootsError("root enumeration requires an even lattice")
-    return build_root_system(l, [x for x, norm in _short_vectors(l.gram, 2) if norm == 2])
+    return build_root_system(l, [x for x, norm in _short_vectors(l, 2) if norm == 2])
 
 
 def build_root_system(l: Lattice, rows: Iterable[Sequence[int]]) -> RootSystem:
@@ -360,7 +359,7 @@ def glued_root_vectors(q: Lattice, ext: GlueExtension,
     keys = [grams.setdefault(tuple(row[st:st + b] for row in q.gram.entries[st:st + b]),
                              len(grams))
             for st, b in zip(starts, blocks)]
-    gram_of = [_im(len(g), len(g), g) for g in grams]
+    lattice_of = [Lattice(_im(len(g), len(g), g)) for g in grams]
     cache: dict[tuple[int, tuple[int, ...]], tuple[int, list]] = {}
 
     def block_vectors(key: tuple[int, tuple[int, ...]]) -> tuple[int, list]:
@@ -368,7 +367,7 @@ def glued_root_vectors(q: Lattice, ext: GlueExtension,
         a block with no vector counts as exceeding every budget."""
         if key not in cache:
             gk, shift = key
-            pieces = _short_vectors(gram_of[gk], 2 * unit, shift, d)
+            pieces = _short_vectors(lattice_of[gk], 2 * unit, shift, d)
             cache[key] = (min((m for _, m in pieces), default=2 * unit + 1), pieces)
         return cache[key]
 

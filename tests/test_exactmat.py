@@ -26,6 +26,7 @@ from latorb.exactmat import (
     snf,
     solve_exact,
 )
+from latorb.lattice import Lattice
 
 
 def im(rows):
@@ -453,6 +454,11 @@ def test_det_and_inverse_match_reference(small, data):
         n = len(a)
         m = IntMatrix.from_rows([[int(e) for e in row] for row in a], cols=n)
         assert det(m) == ref_det(a)
+        if a is small and det(m):
+            # A Lattice reads its determinant off the last pivot of the LDL^T
+            # it keeps; m m^T is positive definite, ranks 0-4.
+            gram = m @ m.transpose()
+            assert Lattice(gram).determinant() == det(gram) == ref_det(a) ** 2
         expected = ref_solve(a, [[Fraction(int(i == j)) for j in range(n)] for i in range(n)],
                              n, n, n)
         if expected is None or not is_integral(expected):

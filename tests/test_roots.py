@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from latorb import roots as roots_module
 from latorb.catalog import build_sigma, niemeier_bundle
 from latorb.exactmat import IntMatrix, RatMatrix, inverse
-from latorb.lattice import Isometry, Lattice, direct_sum, glue_extend
+from latorb.lattice import Isometry, Lattice, LatticeError, direct_sum, glue_extend
 from latorb.roots import (
     RootComponent,
     RootsError,
@@ -414,9 +414,9 @@ def test_glued_route_shares_short_vectors_across_equal_blocks(monkeypatch):
     calls = []
     original = roots_module._short_vectors
 
-    def counting(gram, bound, shift=None, d=1):
+    def counting(l, bound, shift=None, d=1):
         calls.append(shift)
-        return original(gram, bound, shift, d)
+        return original(l, bound, shift, d)
 
     monkeypatch.setattr(roots_module, "_short_vectors", counting)
     vectors = glued_root_vectors(q, ext, words, 3)
@@ -519,14 +519,15 @@ def test_short_vectors_match_fraction_reference(case):
     rows = [[Fraction(e) for e in row] for row in gram.entries]
     want = reference_short_vectors(rows, Fraction(bound, unit), [Fraction(t, d) for t in shift])
     if want is None:
-        with pytest.raises(RootsError):
-            _short_vectors(gram, bound, shift, d)
+        with pytest.raises(LatticeError, match="not positive definite"):
+            Lattice(gram)
         return
-    got = _short_vectors(gram, bound, shift, d)
+    lat = Lattice(gram)
+    got = _short_vectors(lat, bound, shift, d)
     assert all(type(norm) is int for _, norm in got)
     assert [(x, Fraction(norm, unit)) for x, norm in got] == want
     # No shift is the origin; the zero vector is in whenever the bound is.
-    origin = _short_vectors(gram, bound)
+    origin = _short_vectors(lat, bound)
     assert [(x, Fraction(norm)) for x, norm in origin] == \
         reference_short_vectors(rows, Fraction(bound), [0] * gram.rows)
     assert (((0,) * gram.rows, 0) in origin) is (bound >= 0)
