@@ -8,16 +8,17 @@ lattices must come out even and unimodular with the expected root
 systems, and each assembled isometry must stabilize its lattice.  A failed
 check, such as a wrong glue word in the table causes, aborts the
 construction; nothing is returned on trust.  What is stated about the
-constructions, and what their reports must reproduce, is in the one table
-``CONSTRUCTIONS`` (module ``constructions``).
+constructions (each isometry as one row of block maps), and what their
+reports must reproduce, is in the one table ``CONSTRUCTIONS``.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import lcm
+from operator import matmul
 from typing import NamedTuple, Sequence
 
 from .constructions import CONSTRUCTIONS
@@ -41,7 +42,7 @@ from .roots import (
     glued_root_vectors,
     reflection,
 )
-from .terncode import golay_code, residue_perm
+from .terncode import golay_code
 
 
 class CatalogError(Exception):
@@ -197,12 +198,12 @@ def glue_class_image(auto: Isometry, data: RootLatticeData,
 
 
 class NiemeierBundle(NamedTuple):
-    """A verified glued lattice with everything needed to work on it; glue
-    coset r (a ``glue_group`` row) is r / ``glue_den`` in base coordinates,
-    and row i of ``ambient`` is base basis vector i in the coordinates its
-    root lattice is stated in."""
+    """A verified glued lattice with everything needed to work on it; the base
+    is the direct sum of the root lattices ``parts``, glue coset r (a
+    ``glue_group`` row) is r / ``glue_den`` in base coordinates, and row i of
+    ``ambient`` is base basis vector i in its root lattice's coordinates."""
 
-    base: Lattice
+    parts: tuple[Lattice, ...]
     ambient: IntMatrix
     extension: GlueExtension
     glue_group: tuple[tuple[int, ...], ...]
@@ -215,7 +216,7 @@ class NiemeierBundle(NamedTuple):
         return self.extension.lattice
 
 
-def _glue_words(base: Lattice, part_data: tuple[RootLatticeData, ...],
+def _glue_words(part_data: tuple[RootLatticeData, ...],
                 words: tuple[str, ...] | None) -> RatMatrix:
     """The glue generators, one row of base coordinates per word: each
     word's dual-class rows, scaled to the lcm of the parts' denominators."""
@@ -234,12 +235,13 @@ def _glue_words(base: Lattice, part_data: tuple[RootLatticeData, ...],
                 raise CatalogError(f"glue digit {digit} has no dual class")
             coords.extend(e * (den // data.glue.den) for e in data.glue.num.entries[digit])
         generators.append(tuple(coords))
-    return RatMatrix(IntMatrix(len(generators), base.rank, tuple(generators)), den)
+    rank = sum(data.lattice.rank for data in part_data)
+    return RatMatrix(IntMatrix(len(generators), rank, tuple(generators)), den)
 
 
-def _close_glue_group(words: RatMatrix) -> tuple[int, tuple]:
-    """(den, residues): all distinct cosets the glue rows generate, reduced
-    mod 1, as sorted integer residue rows modulo the glue denominator den."""
+def _close_glue_group(words: RatMatrix) -> tuple[tuple[int, ...], ...]:
+    """All distinct cosets the glue rows generate, reduced mod 1, as sorted
+    integer residue rows modulo the glue denominator ``words.den``."""
     den = words.den
     group = [(0,) * words.cols]
     # With group a subgroup H, the layers H + g, H + 2g, ... are new cosets
@@ -250,7 +252,7 @@ def _close_glue_group(words: RatMatrix) -> tuple[int, tuple]:
             layers += [tuple((a + b) % den for a, b in zip(h, step)) for h in group]
             step = tuple((a + b) % den for a, b in zip(step, g))
         group += layers
-    return den, tuple(sorted(group))
+    return tuple(sorted(group))
 
 
 def _check_glue_code(key: str, base: Lattice, words: RatMatrix, cosets: int) -> None:
@@ -277,9 +279,10 @@ def construct_niemeier(key: str) -> NiemeierBundle:
         raise CatalogError(f"unknown lattice key {key!r}")
     spec = CONSTRUCTIONS["lattices"][key]
     part_data = tuple(build_root_lattice(f, r) for f, r in spec["parts"])
-    base = direct_sum([d.lattice for d in part_data], name=f"{key}:base")
-    words = _glue_words(base, part_data, spec["words"])
-    den, group = _close_glue_group(words)
+    parts = tuple(d.lattice for d in part_data)
+    base = direct_sum(parts, name=f"{key}:base")
+    words = _glue_words(part_data, spec["words"])
+    group = _close_glue_group(words)
     _check_glue_code(key, base, words, len(group))
     failed = CatalogError(f"{key}: lattice is not even unimodular of rank 24")
     try:
@@ -293,12 +296,12 @@ def construct_niemeier(key: str) -> NiemeierBundle:
         raise failed
     if len(group) != spec["index"]:
         raise CatalogError(f"{key}: glue group has {len(group)} cosets, expected {spec['index']}")
-    vectors = glued_root_vectors(base, ext, group, den)
+    vectors = glued_root_vectors(parts, ext, group, words.den)
     rs = build_root_system(ext.lattice, vectors)
     if classify(rs) != tuple(sorted(spec["parts"])) or rs.count != spec["root_count"]:
         raise CatalogError(f"{key}: root system mismatch")
     ambient = block_diagonal([d.ambient for d in part_data])
-    return NiemeierBundle(base, ambient, ext, group, den, rs, spec["description"])
+    return NiemeierBundle(parts, ambient, ext, group, words.den, rs, spec["description"])
 
 
 @lru_cache(maxsize=None)
@@ -306,35 +309,16 @@ def niemeier_bundle(key: str) -> NiemeierBundle:
     return construct_niemeier(key)
 
 
-def _block_assignments(key: str) -> list[tuple[int, IntMatrix]]:
-    """Per source block: (target block, component matrix applied en route)."""
-    rot = build_component_auto("rotation_D4").matrix
-    if key == "sigma1":
-        perm = residue_perm()
-        cyc = build_component_auto("cycle_A2").matrix
-        eye = IntMatrix.identity(2)
-        turned = {0, 5, 8}  # positions of the three indices fixed by the shuffle
-        return [(perm(p), cyc if p in turned else eye) for p in range(12)]
-    if key == "sigma2":
-        return [(i, rot) for i in range(6)]
-    if key == "sigma3":
-        tri = build_component_auto("triality_D4").matrix
-        return [(i, rot if i < 3 else tri) for i in range(6)]
-    if key == "sigma4":
-        psi = build_component_auto("coord_cycle_D4").matrix
-        rot2 = rot @ rot
-        eye = IntMatrix.identity(4)
-        return [(0, psi), (1, rot), (2, rot2), (4, rot2), (5, rot), (3, eye)]
-    if key == "sigma5":
-        psi = build_component_auto("coord_cycle_A5").matrix
-        eye5 = IntMatrix.identity(5)
-        return [(0, psi), (2, eye5), (3, eye5), (1, eye5),
-                (4, build_component_auto("rotation_D4").matrix)]
-    if key == "sigma6":
-        phi = build_component_auto("reflection_product_E6").matrix
-        eye6 = IntMatrix.identity(6)
-        return [(0, phi), (2, eye6), (3, eye6), (1, eye6)]
-    raise CatalogError(f"unknown isometry key {key!r}")
+def _block_assignments(key: str, parts: Sequence[Lattice]) -> list[tuple[int, IntMatrix]]:
+    """Per source block of the row's "blocks": (target block, the product of its
+    named component maps, or the block's identity); an entry past the last
+    block gets a rank-0 identity, for ``assemble_block_isometry`` to count."""
+    out = []
+    for src, (dst, names) in enumerate(CONSTRUCTIONS["isometries"][key]["blocks"]):
+        maps = [build_component_auto(name).matrix for name in names]
+        out.append((dst, reduce(matmul, maps) if maps else
+                    IntMatrix.identity(parts[src].rank if src < len(parts) else 0)))
+    return out
 
 
 def assemble_block_isometry(bundle: NiemeierBundle,
@@ -347,21 +331,20 @@ def assemble_block_isometry(bundle: NiemeierBundle,
     the glued basis and must keep every basis vector inside the lattice;
     the first violating image is reported otherwise.
     """
-    base = bundle.base
-    blocks = base.blocks
+    blocks = [p.rank for p in bundle.parts]
+    if len(assignments) != len(blocks):
+        raise CatalogError(f"{name}: {len(assignments)} block maps for {len(blocks)} blocks")
     if sorted(dst for dst, _ in assignments) != list(range(len(blocks))):
         raise CatalogError(f"{name}: block targets are not a permutation")
-    if len(assignments) != len(blocks):
-        raise CatalogError(f"{name}: block count mismatch")
-    starts = [0, *itertools.accumulate(blocks)][:-1]
-    entries = [[0] * base.rank for _ in range(base.rank)]
+    *starts, rank = itertools.accumulate(blocks, initial=0)
+    entries = [[0] * rank for _ in range(rank)]
     for src, (dst, m) in enumerate(assignments):
         if blocks[src] != blocks[dst] or m.rows != blocks[src]:
             raise CatalogError(f"{name}: block size mismatch at {src}->{dst}")
         for i in range(m.rows):
             for j in range(m.cols):
                 entries[starts[src] + i][starts[dst] + j] = m.entries[i][j]
-    s = _im(base.rank, base.rank, tuple(map(tuple, entries)))
+    s = _im(rank, rank, tuple(map(tuple, entries)))
     ext = bundle.extension
     # B s B^-1, B numerators over den; the base rows B^-1 are integral and stored.
     b, den = ext.basis_in_base, ext.basis_in_base.den
@@ -381,5 +364,5 @@ def build_sigma(key: str) -> Isometry:
     if key not in CONSTRUCTIONS["isometries"]:
         raise CatalogError(f"unknown isometry key {key!r}")
     bundle = niemeier_bundle(CONSTRUCTIONS["isometries"][key]["lattice"])
-    return assemble_block_isometry(bundle, _block_assignments(key), key)
+    return assemble_block_isometry(bundle, _block_assignments(key, bundle.parts), key)
 

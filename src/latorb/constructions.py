@@ -6,11 +6,13 @@
 # code's basis), glue index, root count and description.  An isometry row
 # gives its lattice; the query (dimension, rank bound, dual Coxeter divisor)
 # for its unresolved weight-one summand, if any; its resolved weight-one
-# type, for row matching; and each report field as (value, source), where
-# "stated" marks an external assertion the build verifies and "computed" a
-# value derived here and frozen after verification.  Flagged candidates are
-# numerological ones the stored classification does not list: reported with
-# a flag, never dropped.
+# type, for row matching; its "blocks", one (target block, component names)
+# pair per source block, whose map is the product of the named
+# ``catalog.build_component_auto`` maps (no name: the identity); and each
+# report field as (value, source), where "stated" marks an external
+# assertion the build verifies and "computed" a value derived here and
+# frozen after verification.  Flagged candidates are numerological ones the
+# stored classification does not list: reported with a flag, never dropped.
 CONSTRUCTIONS = {
     "lattices": {
         "A2_12": {
@@ -43,6 +45,8 @@ CONSTRUCTIONS = {
     "isometries": {
         "sigma1": {
             "lattice": "A2_12", "query": (24, 6, 1), "resolved": "A2,3^6",
+            "blocks": ((0, ("cycle_A2",)), (2, ()), (3, ()), (1, ()), (6, ()), (5, ("cycle_A2",)),
+                       (11, ()), (9, ()), (8, ("cycle_A2",)), (10, ()), (7, ()), (4, ())),
             "expect": {
                 "eigen": ([6, 9, 9], "stated"), "rho": ("1", "stated"),
                 "fixed": (30, "stated"), "twisted_each": (9, "stated"),
@@ -54,6 +58,7 @@ CONSTRUCTIONS = {
         },
         "sigma2": {
             "lattice": "D4_6", "query": None, "resolved": "A2,3^6",
+            "blocks": tuple((i, ("rotation_D4",)) for i in range(6)),
             "expect": {
                 "eigen": ([0, 12, 12], "stated"), "rho": ("4/3", "stated"),
                 "fixed": (48, "stated"), "twisted_each": (0, "stated"),
@@ -65,6 +70,7 @@ CONSTRUCTIONS = {
         },
         "sigma3": {
             "lattice": "D4_6", "query": (78, None, 4), "resolved": "E6,3 G2,1^3",
+            "blocks": tuple((i, ("triality_D4" if i > 2 else "rotation_D4",)) for i in range(6)),
             "expect": {
                 "eigen": ([6, 9, 9], "stated"), "rho": ("1", "stated"),
                 "fixed": (66, "computed"), "twisted_each": (27, "computed"),
@@ -76,6 +82,8 @@ CONSTRUCTIONS = {
         },
         "sigma4": {
             "lattice": "D4_6", "query": (28, None, 2), "resolved": "A5,3 D4,3 A1,1^3",
+            "blocks": ((0, ("coord_cycle_D4",)), (1, ("rotation_D4",)), (2, ("rotation_D4",) * 2),
+                       (4, ("rotation_D4",) * 2), (5, ("rotation_D4",)), (3, ())),
             "expect": {
                 "eigen": ([6, 9, 9], "stated"), "rho": ("1", "stated"),
                 "fixed": (54, "computed"), "twisted_each": (9, "computed"),
@@ -87,6 +95,8 @@ CONSTRUCTIONS = {
         },
         "sigma5": {
             "lattice": "A5_4_D4", "query": (35, None, 2), "resolved": "A5,3 D4,3 A1,1^3",
+            "blocks": ((0, ("coord_cycle_A5",)), (2, ()), (3, ()), (1, ()),
+                       (4, ("rotation_D4",))),
             "expect": {
                 "eigen": ([6, 9, 9], "stated"), "rho": ("1", "stated"),
                 "fixed": (54, "computed"), "twisted_each": (9, "computed"),
@@ -98,6 +108,7 @@ CONSTRUCTIONS = {
         },
         "sigma6": {
             "lattice": "E6_4", "query": (42, None, 4), "resolved": "E6,3 G2,1^3",
+            "blocks": ((0, ("reflection_product_E6",)), (2, ()), (3, ()), (1, ())),
             "expect": {
                 "eigen": ([6, 9, 9], "stated"), "rho": ("1", "stated"),
                 "fixed": (102, "computed"), "twisted_each": (9, "computed"),

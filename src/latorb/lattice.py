@@ -3,6 +3,7 @@
 A lattice is its symmetric positive-definite integer Gram matrix on a basis,
 and keeps the Gram's LDL^T: that one Bareiss pass proves it positive definite,
 gives its determinant and is what ``roots`` enumerates short vectors from.
+A direct sum is its block-diagonal Gram; its summands stay with the caller.
 A sublattice is the integer matrix of its basis rows in the lattice basis.
 Only glue rows are rational: a ``RatMatrix``, read as its numerator
 ``IntMatrix`` ``num`` over one denominator ``den``.
@@ -43,16 +44,13 @@ class Lattice:
     Fields:
         gram: symmetric positive-definite IntMatrix — the pairing on a basis.
         name: optional label.
-        blocks: optional ranks of direct summands, recorded by direct_sum so
-            block automorphisms can be assembled coordinate-wise.
         ldl: the Gram's LDL^T (p, a) from ``exactmat.ldl``, p[-1] the
             determinant; derived from gram, so equality and hash ignore it.
     """
 
-    __slots__ = ("gram", "name", "blocks", "ldl")
+    __slots__ = ("gram", "name", "ldl")
 
-    def __init__(self, gram: IntMatrix, name: str | None = None,
-                 blocks: tuple[int, ...] | None = None) -> None:
+    def __init__(self, gram: IntMatrix, name: str | None = None) -> None:
         if not isinstance(gram, IntMatrix):
             raise TypeError(f"Gram matrix must be an IntMatrix, not {type(gram).__name__}")
         if gram != gram.transpose():
@@ -61,14 +59,14 @@ class Lattice:
             self.ldl = ldl(gram)
         except NotPositiveDefinite:
             raise LatticeError("Gram matrix is not positive definite") from None
-        self.gram, self.name, self.blocks = gram, name, blocks
+        self.gram, self.name = gram, name
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Lattice) and (
-            (self.gram, self.name, self.blocks) == (other.gram, other.name, other.blocks))
+            (self.gram, self.name) == (other.gram, other.name))
 
     def __hash__(self) -> int:
-        return hash((self.gram, self.name, self.blocks))
+        return hash((self.gram, self.name))
 
     @property
     def rank(self) -> int:
@@ -99,9 +97,8 @@ class Lattice:
 
 
 def direct_sum(parts: Sequence[Lattice], name: str | None = None) -> Lattice:
-    """Orthogonal direct sum with block-diagonal Gram and block bookkeeping."""
-    return Lattice(block_diagonal([p.gram for p in parts]), name=name,
-                   blocks=tuple(p.rank for p in parts))
+    """Orthogonal direct sum: the block-diagonal Gram of the parts."""
+    return Lattice(block_diagonal([p.gram for p in parts]), name=name)
 
 
 class GlueExtension(NamedTuple):

@@ -328,17 +328,16 @@ def orbit_count(rs: RootSystem, iso: Isometry) -> tuple[int, int]:
     return orbits, fixed
 
 
-def glued_root_vectors(q: Lattice, ext: GlueExtension,
+def glued_root_vectors(parts: Sequence[Lattice], ext: GlueExtension,
                        words: Sequence[tuple[int, ...]], d: int) -> list[tuple[int, ...]]:
     """Norm-2 vectors of a glued lattice, coset by coset over the base.
 
     Args:
-        q: the base lattice (a direct sum with block bookkeeping, or any
-            lattice, treated as a single block).
-        ext: the glue extension of q whose roots are wanted.
-        words: coset representatives of ext.lattice / q, including the
-            zero word, as integer rows w: the q-coordinates of a word are
-            w / d (glue residues, as ``catalog`` stores them).
+        parts: the summands of the base lattice, in block order.
+        ext: the glue extension of their direct sum whose roots are wanted.
+        words: coset representatives of ext.lattice over the base, including
+            the zero word, as integer rows w: the base coordinates of a word
+            are w / d (glue residues, as ``catalog`` stores them).
         d: the common positive denominator of the words.
 
     Returns:
@@ -346,28 +345,26 @@ def glued_root_vectors(q: Lattice, ext: GlueExtension,
         Each coset is searched with a shifted enumeration; a coset is
         skipped outright when the per-block minimum norms already exceed 2.
     """
-    blocks = q.blocks if q.blocks is not None else (q.rank,)
-    starts = [0, *itertools.accumulate(blocks)][:-1]
-    if sum(blocks) != q.rank:
-        raise RootsError("block sizes do not sum to the rank")
-    if d < 1 or any(len(w) != q.rank for w in words):
+    n = ext.lattice.rank
+    blocks = [p.rank for p in parts]
+    *starts, total = itertools.accumulate(blocks, initial=0)
+    if total != n:
+        raise RootsError(f"the parts' ranks sum to {total}, not the rank {n}")
+    if d < 1 or any(len(w) != n for w in words):
         raise RootsError("coset words must be rank-length rows over a positive d")
     unit = d * d  # every norm is scaled by d^2 into an integer
-    # Blocks with equal Grams share one key, so each (Gram, shift) pair is
+    # Parts with equal Grams share one key, so each (Gram, shift) pair is
     # enumerated once however many blocks carry it.
-    grams: dict[tuple[tuple[int, ...], ...], int] = {}
-    keys = [grams.setdefault(tuple(row[st:st + b] for row in q.gram.entries[st:st + b]),
-                             len(grams))
-            for st, b in zip(starts, blocks)]
-    lattice_of = [Lattice(_im(len(g), len(g), g)) for g in grams]
+    first: dict[IntMatrix, int] = {}
+    keys = [first.setdefault(p.gram, i) for i, p in enumerate(parts)]
     cache: dict[tuple[int, tuple[int, ...]], tuple[int, list]] = {}
 
     def block_vectors(key: tuple[int, tuple[int, ...]]) -> tuple[int, list]:
         """(least scaled norm, [(piece, scaled norm)]) of one shifted block;
         a block with no vector counts as exceeding every budget."""
         if key not in cache:
-            gk, shift = key
-            pieces = _short_vectors(lattice_of[gk], 2 * unit, shift, d)
+            part, shift = key
+            pieces = _short_vectors(parts[part], 2 * unit, shift, d)
             cache[key] = (min((m for _, m in pieces), default=2 * unit + 1), pieces)
         return cache[key]
 
@@ -397,7 +394,7 @@ def glued_root_vectors(q: Lattice, ext: GlueExtension,
         assemble(0, 2 * unit)
     # Each y holds d times base coordinates; the base lattice's integral rows
     # in the glued basis (the inverse glue basis) map them to d times lattice ones.
-    found = (_im(len(ys), q.rank, tuple(ys)) @ ext.base_in_lattice).entries
+    found = (_im(len(ys), n, tuple(ys)) @ ext.base_in_lattice).entries
     if any(c % d for row in found for c in row):
         raise RootsError("coset vector landed outside the lattice")
     return [tuple(c // d for c in row) for row in found]

@@ -213,6 +213,24 @@ def test_bad_block_assignment_is_rejected():
         assemble_block_isometry(bundle, assignments, "lopsided")
 
 
+# sigma5's row of block maps, ((0, ("coord_cycle_A5",)), (2, ()), (3, ()),
+# (1, ()), (4, ("rotation_D4",))), corrupted, and what assembling it says.
+CORRUPTED_BLOCKS = [
+    ({3: (2, ())}, "block targets are not a permutation"),
+    ({4: (4, ("coord_cycle_A5",))}, "block size mismatch at 4->4"),
+    ({5: (5, ())}, "6 block maps for 5 blocks"),
+    ({4: (4, ("rotation_D5",))}, "unknown component isometry 'rotation_D5'"),
+]
+
+
+@pytest.mark.parametrize("changes,message", CORRUPTED_BLOCKS)
+def test_corrupted_block_row_rejected(monkeypatch, changes, message):
+    row = {**dict(enumerate(CONSTRUCTIONS["isometries"]["sigma5"]["blocks"])), **changes}
+    monkeypatch.setitem(CONSTRUCTIONS["isometries"]["sigma5"], "blocks", tuple(row.values()))
+    with pytest.raises(CatalogError, match=message):
+        build_sigma.__wrapped__("sigma5")
+
+
 # A word of D4_6 with five digits for its six blocks, and one with the
 # digit 4, where D4 has only the dual classes 0 to 3.
 MALFORMED_WORDS = [("11111", "wrong block count"), ("411111", "has no dual class")]
@@ -303,7 +321,7 @@ def test_glue_closure_matches_breadth_first_reference(n, d, data):
     words = data.draw(st.lists(st.lists(st.integers(0, 2 * d), min_size=n, max_size=n),
                                max_size=4))
     gens = RatMatrix.from_rows([[Fraction(e, d) for e in w] for w in words], cols=n)
-    den, group = _close_glue_group(gens)
+    den, group = gens.den, _close_glue_group(gens)
     assert den == lcm(*(Fraction(e, d).denominator for w in words for e in w))
     steps = [tuple(int(Fraction(e, d) * den) % den for e in w) for w in words]
     seen, frontier = {(0,) * n}, [(0,) * n]

@@ -8,7 +8,7 @@ from math import isqrt, prod
 
 import pytest
 
-from latorb import lattice, orbifold
+from latorb import lattice, liealg, orbifold
 from latorb.catalog import build_component_auto, build_root_lattice, build_sigma, niemeier_bundle
 from latorb.constructions import CONSTRUCTIONS, SIGMA_KEYS
 from latorb.exactmat import IntMatrix, det, snf
@@ -479,3 +479,28 @@ def test_commutator_is_alternating_and_bilinear(key):
                 direct += (3 + 2 * r) * iso.lattice.inner(img, b)
                 img = act(iso, img)
             assert direct % 6 == value
+
+
+# A corrupted field of one isometry row, and what the report says of it.
+CORRUPTED_ROWS = [
+    ("sigma1", "query", (24, 6, 2), "sigma1: stored divisor 2 disagrees with total 48"),
+    ("sigma1", "resolved", "A2,3^5", "sigma1: resolved type dimension is not 48"),
+    ("sigma1", "resolved", "A2,2^6", "sigma1: resolved type violates the level rule"),
+]
+
+
+@pytest.mark.parametrize("key,field,value,message", CORRUPTED_ROWS)
+def test_report_rejects_a_corrupted_row(monkeypatch, key, field, value, message):
+    monkeypatch.setitem(CONSTRUCTIONS["isometries"][key], field, value)
+    with pytest.raises(OrbifoldError, match=f"^{message}$"):
+        assemble_report(key)
+
+
+def test_report_rejects_a_candidate_off_the_level_rule(monkeypatch):
+    # A1 has dual Coxeter number 2, no multiple of sigma3's divisor 4: at
+    # total 120 its level 2 * 24 / 96 is not an integer.
+    a1 = liealg.semisimple_candidates(3)
+    assert [c.type_string() for c in a1] == ["A1"]
+    monkeypatch.setattr(liealg, "semisimple_candidates", lambda *args, **kw: a1)
+    with pytest.raises(OrbifoldError, match="^enumerated candidate fails the level rule$"):
+        assemble_report("sigma3")

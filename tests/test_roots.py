@@ -188,7 +188,7 @@ def test_glued_coset_route_matches_direct_route():
     assert classify(direct) == (("D", 8),)
     # The spinor word as integer residues over d = 2.
     words = [(0,) * 8, (1, 0, 1, 0) * 2]
-    vectors = glued_root_vectors(q, ext, words, 2)
+    vectors = glued_root_vectors([d4, d4], ext, words, 2)
     assert len(vectors) == 112
     assert set(vectors) == set(direct.roots)
     via_cosets = build_root_system(ext.lattice, vectors)
@@ -204,7 +204,7 @@ def test_glued_route_with_fully_pruned_words():
     ext = glue_extend(q, RatMatrix.from_rows([[2 * third, third] * 6]))
     assert ext.index == 3
     words = [(0,) * 12, (2, 1) * 6, (1, 2) * 6]  # 0, g, 2g mod 1, over d = 3
-    vectors = glued_root_vectors(q, ext, words, 3)
+    vectors = glued_root_vectors([a2] * 6, ext, words, 3)
     rs = build_root_system(ext.lattice, vectors)
     assert rs.count == 36
     assert classify(rs) == (("A", 2),) * 6
@@ -419,7 +419,7 @@ def test_glued_route_shares_short_vectors_across_equal_blocks(monkeypatch):
         return original(l, bound, shift, d)
 
     monkeypatch.setattr(roots_module, "_short_vectors", counting)
-    vectors = glued_root_vectors(q, ext, words, 3)
+    vectors = glued_root_vectors([a2] * 3, ext, words, 3)
     monkeypatch.undo()
     # One enumeration per (Gram, shift): three blocks share each shift.
     assert len(calls) == 3
@@ -429,7 +429,7 @@ def test_glued_route_shares_short_vectors_across_equal_blocks(monkeypatch):
     for seed in (1, 2):
         shuffled = list(words)
         random.Random(seed).shuffle(shuffled)
-        again = glued_root_vectors(q, ext, shuffled, 3)
+        again = glued_root_vectors([a2] * 3, ext, shuffled, 3)
         assert sorted(again) == sorted(vectors)
     assert classify(build_root_system(ext.lattice, vectors)) == (("E", 6),)
 
@@ -438,12 +438,21 @@ def test_glued_route_keeps_blocks_with_different_grams_apart():
     # Two bases of A2 with the same rank: the zero word gives both blocks
     # the shift 0, but their short vectors differ.
     flipped = Lattice(IntMatrix.from_rows([[2, 1], [1, 2]]))
-    q = direct_sum([Lattice(A2_GRAM), flipped])
-    ext = glue_extend(q, RatMatrix.from_rows([], cols=4))
-    vectors = glued_root_vectors(q, ext, [(0,) * 4], 1)
+    parts = [Lattice(A2_GRAM), flipped]
+    ext = glue_extend(direct_sum(parts), RatMatrix.from_rows([], cols=4))
+    vectors = glued_root_vectors(parts, ext, [(0,) * 4], 1)
     direct = enumerate_roots(ext.lattice)
     assert sorted(vectors) == sorted(direct.roots)
     assert classify(build_root_system(ext.lattice, vectors)) == (("A", 2), ("A", 2))
+
+
+def test_glued_route_rejects_parts_short_of_the_rank():
+    # One A2 summand for a glued lattice of rank 4: the blocks would not
+    # cover the coordinates of the words.
+    a2 = Lattice(A2_GRAM)
+    ext = glue_extend(direct_sum([a2, a2]), RatMatrix.from_rows([], cols=4))
+    with pytest.raises(RootsError, match="^the parts' ranks sum to 2, not the rank 4$"):
+        glued_root_vectors([a2], ext, [(0,) * 4], 1)
 
 
 def reference_short_vectors(gram, bound, center):
