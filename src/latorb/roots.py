@@ -11,10 +11,11 @@ per shift; the vectors found reach lattice coordinates through one matrix
 product.
 
 Classification pairs roots through the integer Gram matrix.  Simple
-roots are found in one scan of the positive roots by height, the Dynkin
-graph of the simple roots gives the components, and each root joins the
-component of the simple root its chain of differences ends in; no step
-pairs every root with every other root.
+roots are found in one scan of the positive roots by height, simple roots
+that pair nonzero share a component, and each root joins the component of
+the simple root its chain of differences ends in; no step pairs every root
+with every other root.  A component's ADE type is read off the rank and
+determinant of its Cartan matrix and confirmed by its root count.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from math import isqrt
 from operator import mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
-from .exactmat import IntMatrix, _im
+from .exactmat import IntMatrix, NotPositiveDefinite, _im, ldl
 from .lattice import GlueExtension, Isometry, Lattice
 
 
@@ -34,16 +35,6 @@ class RootsError(Exception):
 
 class UnknownRootSystem(RootsError):
     """A component's Cartan matrix matches no ADE type."""
-
-
-def _expected_root_count(family: str, rank: int) -> int:
-    if family == "A":
-        return rank * (rank + 1)
-    if family == "D":
-        return 2 * rank * (rank - 1)
-    if family == "E":
-        return {6: 72, 7: 126, 8: 240}[rank]
-    raise UnknownRootSystem(f"no root count for type {family}{rank}")
 
 
 def _short_vectors(l: Lattice, bound: int, shift: Sequence[int] | None = None,
@@ -130,8 +121,9 @@ def build_root_system(l: Lattice, rows: Iterable[Sequence[int]]) -> RootSystem:
 
     Verifies each row is rank-length with int coordinates and norm 2, that
     the set is free of duplicates and closed under negation, then splits it
-    along the Dynkin graph of its simple roots and classifies each component
-    against the ADE catalog.
+    into the connected components of its simple roots and reads each
+    component's type off the rank and determinant of its Cartan matrix,
+    checked against the root count of that type.
     """
     coords = tuple(map(tuple, rows))
     for c in coords:
@@ -207,8 +199,7 @@ def _simple_roots(coords: tuple[tuple[int, ...], ...], rows: tuple[tuple[int, ..
 
 def _classify_component(members: list[tuple[int, ...]], simple: list[tuple[int, ...]],
                         cartan: IntMatrix) -> RootComponent:
-    family, rank = _match_ade(cartan)
-    expected = _expected_root_count(family, rank)
+    family, rank, expected = _match_ade(cartan)
     if expected != len(members):
         raise RootsError(
             f"component classified as {family}{rank} but has {len(members)} "
@@ -216,60 +207,33 @@ def _classify_component(members: list[tuple[int, ...]], simple: list[tuple[int, 
     return RootComponent(family, rank, tuple(members), tuple(simple), cartan)
 
 
-def _match_ade(cartan: IntMatrix) -> tuple[str, int]:
-    """Classify a Cartan matrix by the shape of its Dynkin graph."""
+def _match_ade(cartan: IntMatrix) -> tuple[str, int, int]:
+    """(family, rank, root count) of a connected Cartan matrix.
+
+    A connected, simply-laced, positive-definite Cartan matrix is of type A,
+    D or E, and its rank n and determinant (the last ``ldl`` pivot) name
+    the type: A_n has n + 1, D_n (n >= 4) 4, and E6, E7, E8 have 3, 2, 1
+    (Humphreys, *Introduction to Lie Algebras and Representation Theory*,
+    section 11.4).  Connectedness is the caller's: a disconnected matrix can share
+    a type's rank and determinant (A1 + E7 reads as D8), and only the root
+    count tells them apart.
+    """
     n = cartan.rows
-    adj: list[list[int]] = [[] for _ in range(n)]
-    edge_count = 0
-    for i in range(n):
-        if cartan.entries[i][i] != 2:
-            raise UnknownRootSystem("diagonal Cartan entry is not 2")
-        for j in range(i + 1, n):
-            e = cartan.entries[i][j]
-            if e not in (0, -1) or e != cartan.entries[j][i]:
-                raise UnknownRootSystem("off-diagonal Cartan entry outside {0,-1}")
-            if e == -1:
-                adj[i].append(j)
-                adj[j].append(i)
-                edge_count += 1
-    if n == 0:
-        raise UnknownRootSystem("empty component")
-    # Must be a connected tree.
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for j in adj[i]:
-            if j not in seen:
-                seen.add(j)
-                frontier.append(j)
-    if len(seen) != n or edge_count != n - 1:
-        raise UnknownRootSystem("Dynkin graph is not a tree")
-    forks = [i for i in range(n) if len(adj[i]) > 2]
-    if any(len(adj[i]) > 3 for i in range(n)):
-        raise UnknownRootSystem("node of degree > 3")
-    if not forks:
-        return "A", n
-    if len(forks) > 1:
-        raise UnknownRootSystem("more than one fork")
-    fork = forks[0]
-    legs = []
-    for start in adj[fork]:
-        length = 1
-        prev, cur = fork, start
-        while len(adj[cur]) == 2:
-            nxt = next(j for j in adj[cur] if j != prev)
-            prev, cur = cur, nxt
-            length += 1
-        legs.append(length)
-    a, b, c = sorted(legs)
-    if a != 1:
-        raise UnknownRootSystem(f"leg profile {(a, b, c)} is not ADE")
-    if b == 1:
-        return "D", c + 3
-    if b == 2 and c in (2, 3, 4):
-        return "E", c + 4
-    raise UnknownRootSystem(f"leg profile {(a, b, c)} is not ADE")
+    if cartan != cartan.transpose() or any(
+            e != 2 if i == j else e not in (0, -1)
+            for i, row in enumerate(cartan.entries) for j, e in enumerate(row)):
+        raise UnknownRootSystem("not a simply laced Cartan matrix")
+    try:
+        det = ldl(cartan)[0][-1]
+    except NotPositiveDefinite:
+        raise UnknownRootSystem("Cartan matrix is not positive definite") from None
+    if det == n + 1:
+        return "A", n, n * (n + 1)
+    if n >= 4 and det == 4:
+        return "D", n, 2 * n * (n - 1)
+    if 6 <= n <= 8 and det == 9 - n:
+        return "E", n, {6: 72, 7: 126, 8: 240}[n]
+    raise UnknownRootSystem(f"no ADE type of rank {n} has determinant {det}")
 
 
 def classify(rs: RootSystem) -> tuple[tuple[str, int], ...]:

@@ -160,16 +160,6 @@ class TernaryCode:
             out.append(tuple(word))
         return out
 
-    def contains(self, word: Sequence[int]) -> bool:
-        residual = [e % 3 for e in word]
-        col_of = {next(j for j, e in enumerate(row) if e): row
-                  for row in self.basis}
-        for col in sorted(col_of):
-            if residual[col]:
-                f = residual[col]
-                residual = [(e - f * p) % 3 for e, p in zip(residual, col_of[col])]
-        return not any(residual)
-
     def to_json(self) -> dict:
         return {
             "order": list(LABELS[:self.length]),
@@ -205,7 +195,9 @@ def weight_distribution(c: TernaryCode) -> dict[int, int]:
 
 
 def stable_under(c: TernaryCode, perm: IndexPermutation) -> bool:
-    return all(c.contains(perm.apply_to_word(row)) for row in c.basis)
+    # perm(c) has c's dimension, so it lies in c iff it is c; both bases are
+    # the canonical RREF, so == decides it.
+    return TernaryCode.from_generators(map(perm.apply_to_word, c.basis), c.length) == c
 
 
 def is_self_dual(c: TernaryCode) -> bool:

@@ -15,7 +15,8 @@ from latorb.lattice import Isometry, Lattice, LatticeError, direct_sum, glue_ext
 from latorb.roots import (
     RootComponent,
     RootsError,
-    _expected_root_count,
+    UnknownRootSystem,
+    _classify_component,
     _match_ade,
     _short_vectors,
     basis_highest_root,
@@ -255,9 +256,16 @@ def test_randomized_reflection_involution():
         assert e6.inner(rb, ra) == e6.inner(beta, alpha)
 
 
+def root_count(family: str, rank: int) -> int | None:
+    """A_n has n(n + 1) roots, D_n 2n(n - 1), E6, E7, E8 72, 126, 240."""
+    return {"A": rank * (rank + 1), "D": 2 * rank * (rank - 1),
+            "E": {6: 72, 7: 126, 8: 240}.get(rank)}[family]
+
+
 # Reference classifier, O(R^2 n): components by pairing every root with every
-# other root, and per component the simple roots as the positive roots (under
-# a base-K functional) that are no sum of two positive roots.
+# other root, per component the simple roots as the positive roots (under a
+# base-K functional) that are no sum of two positive roots, and the type by
+# rank and root count, not by the Cartan matrix.
 def reference_components(l: Lattice, roots) -> list[RootComponent]:
     coords_list = [tuple(int(e) for e in v) for v in roots]
     unvisited = set(range(len(roots)))
@@ -290,8 +298,11 @@ def reference_classify(l: Lattice, members: list[tuple[int, ...]]) -> RootCompon
                          for w in positive if w != v)]
     cartan = IntMatrix.from_rows([[l.inner(a, b) for b in simple] for a in simple],
                                  cols=len(simple))
-    family, rank = _match_ade(cartan)
-    assert _expected_root_count(family, rank) == len(members)
+    # A connected component's type by rank and root count alone; no two
+    # types (D_n from n = 4 on) share both.
+    rank = len(simple)
+    (family,) = [f for f in "ADE"
+                 if (f != "D" or rank >= 4) and root_count(f, rank) == len(members)]
     return RootComponent(family, rank, tuple(members), tuple(simple), cartan)
 
 
@@ -334,6 +345,48 @@ def test_root_set_not_closed_under_simple_differences():
     # Dynkin graph: one A2 component with too few roots, not two A1s.
     with pytest.raises(RootsError, match="roots instead of 6"):
         build_root_system(l, [(1, 0), (-1, 0), (0, 1), (0, -1)])
+
+
+ADE_TYPES = ([("A", n) for n in range(1, 25)] + [("D", n) for n in range(4, 25)]
+             + [("E", n) for n in (6, 7, 8)])
+
+
+@pytest.mark.parametrize("family,rank", ADE_TYPES)
+def test_match_ade_reads_type_off_rank_and_determinant(family, rank):
+    # The simple roots in a seeded order: P C P^T for a permutation P.
+    c = cartan_gram(family, rank).entries
+    order = list(range(rank))
+    random.Random(f"{family}{rank}").shuffle(order)
+    relabeled = IntMatrix.from_rows([[c[i][j] for j in order] for i in order])
+    assert _match_ade(relabeled) == (family, rank, root_count(family, rank))
+
+
+@pytest.mark.parametrize("rows,message", [
+    ([[2, -2], [-2, 2]], "^not a simply laced Cartan matrix$"),
+    ([[2, -1], [0, 2]], "^not a simply laced Cartan matrix$"),
+    ([[4]], "^not a simply laced Cartan matrix$"),
+    ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], "^Cartan matrix is not positive definite$"),
+    ([[2, 0], [0, 2]], "^no ADE type of rank 2 has determinant 4$"),
+    ([[2, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 2, -1], [0, 0, -1, 2]],
+     "^no ADE type of rank 4 has determinant 9$"),
+])
+def test_match_ade_rejects(rows, message):
+    # A doubled bond, an asymmetric entry or a diagonal entry other than 2,
+    # the affine A2 triangle, and the disconnected A1 + A1 and A2 + A2,
+    # whose (rank, det) name no type.
+    with pytest.raises(UnknownRootSystem, match=message):
+        _match_ade(IntMatrix.from_rows(rows))
+
+
+def test_disconnected_cartan_with_a_types_determinant_fails_the_root_count():
+    # A1 + E7 has rank 8 and determinant 2 * 2 = 4, the (rank, det) of D8;
+    # its 2 + 126 roots are not D8's 112.
+    l = direct_sum([Lattice(cartan_gram("A", 1)), Lattice(cartan_gram("E", 7))])
+    roots = enumerate_roots(l).roots
+    assert len(roots) == 128
+    with pytest.raises(RootsError, match="^component classified as D8 but has 128 "
+                                         "roots instead of 112$"):
+        _classify_component(list(roots), list(IntMatrix.identity(8).entries), l.gram)
 
 
 def random_unimodular(n: int, rng: random.Random) -> IntMatrix:

@@ -104,10 +104,3 @@ def test_codes_are_values_and_label_maps_bijections():
     with pytest.raises(ValueError, match="not a bijection"):
         perm_from_label_map({"0": "1"})
 
-
-def test_membership():
-    c = golay_code()
-    words = golay_generators()
-    assert c.contains(words[1])
-    assert c.contains([(a + b) % 3 for a, b in zip(words[1], words[2])])
-    assert not c.contains([1] + [0] * 11)
