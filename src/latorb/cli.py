@@ -57,18 +57,25 @@ def _row(name: str, computed, expected, source: str = "stated") -> dict:
             "source": source, "ok": computed == expected}
 
 
-def cmd_golay(args) -> int:
+def _golay_checks():
+    """The Golay code, its residue permutation, and the dimension, weight
+    distribution and residue cycle rows that `golay` and `verify-all` share."""
     from . import terncode
     code = terncode.TernaryCode.from_generators(terncode.golay_generators())
     sigma = terncode.residue_perm()
-    weights = terncode.weight_distribution(code)
-    rows = [
+    return code, sigma, [
         _row("golay dimension", code.dim, 6),
+        _row("golay weight distribution", terncode.weight_distribution(code),
+             _GOLAY_WEIGHTS, "computed"),
+        _row("golay residue cycles", sigma.cycle_string(), _GOLAY_CYCLES),
+    ]
+
+
+def cmd_golay(args) -> int:
+    from . import terncode
+    code, sigma, rows = _golay_checks()
+    rows += [
         _row("golay codewords", len(code.words()), 729),
-        _row("golay weight distribution",
-             {str(k): v for k, v in sorted(weights.items())},
-             {str(k): v for k, v in sorted(_GOLAY_WEIGHTS.items())},
-             "computed"),
         _row("golay self-dual", terncode.is_self_dual(code), True),
         _row("golay stable under shift",
              terncode.stable_under(code, terncode.shift_perm()), True),
@@ -76,9 +83,9 @@ def cmd_golay(args) -> int:
              terncode.stable_under(code, terncode.swap_perm()), True),
         _row("golay stable under residue",
              terncode.stable_under(code, sigma), True),
-        _row("golay residue cycles", sigma.cycle_string(), _GOLAY_CYCLES),
         _row("golay residue order", sigma.order(), 3),
     ]
+    weights = rows[1]["computed"]  # the weight distribution row
     payload = {"code": code.to_json(),
                "weight_distribution": {str(k): v for k, v in sorted(weights.items())},
                "residue_cycles": sigma.cycle_string()}
@@ -216,19 +223,12 @@ def cmd_schellekens(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    from . import liealg, orbifold, terncode
+    from . import liealg, orbifold
     wanted = args.filter or ""
     rows: list[dict] = []
     reports: dict[str, dict] = {}
     if wanted in "golay":
-        code = terncode.TernaryCode.from_generators(terncode.golay_generators())
-        sigma = terncode.residue_perm()
-        rows.append(_row("golay dimension", code.dim, 6))
-        rows.append(_row("golay weight distribution",
-                         terncode.weight_distribution(code), _GOLAY_WEIGHTS,
-                         "computed"))
-        rows.append(_row("golay residue cycles", sigma.cycle_string(),
-                         _GOLAY_CYCLES))
+        rows += _golay_checks()[2]
     for sigma_key in SIGMA_KEYS:
         if wanted not in sigma_key:
             continue

@@ -1,7 +1,8 @@
 """Simple Lie algebra data and the weight-one numerology built on it.
 
-The type table (dimension, dual Coxeter number, root count for every simple
-type up to dimension 250) ships as an embedded versioned JSON document; its
+The type table holds the dimension and dual Coxeter number of every simple
+type up to dimension ``TABLE_DIMENSION``, built at import from the closed
+forms of the four classical families and the five exceptional rows; its
 checksum is exposed so reports can pin the exact data they used.  On top of
 the table sit the level formula, a constrained enumerator for semisimple
 types of a given total dimension, and matching against the stored rows of
@@ -22,16 +23,16 @@ bound gives every type rank 0 and runs the same code.  Type strings are
 built on the way down and stored.  Once the dimension left is at most
 ``MEMO_DIMENSION`` it stops recursing and joins the prefix to every
 completion of the rank left from a per-query memo keyed by (pool index,
-dimension left).  A query is counted
+dimension left).  A query above ``TABLE_DIMENSION``, where a type the table
+lacks could be a component, raises ``LieDataError``; any other is counted
 first, and one with more than ``MAX_CANDIDATES`` results raises
 ``LieDataError`` before any candidate is built.  No other package module is
-imported at run time, nor ``dataclasses`` or ``hashlib``: ``TABLE_SHA256``
-states the table's digest, and the tests recompute it.
+imported at run time, nor ``json``, ``dataclasses`` or ``hashlib``:
+``TABLE_SHA256`` states the table's digest, and the tests recompute it.
 """
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache
@@ -41,55 +42,12 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 if TYPE_CHECKING:
     from .roots import RootSystem
 
-_TABLE_JSON = """\
-{"version": 1, "max_dimension": 250, "types": [
-{"dimension": 3, "dual_coxeter": 2, "family": "A", "rank": 1, "root_count": 2, "two_root_lengths": false},
-{"dimension": 8, "dual_coxeter": 3, "family": "A", "rank": 2, "root_count": 6, "two_root_lengths": false},
-{"dimension": 15, "dual_coxeter": 4, "family": "A", "rank": 3, "root_count": 12, "two_root_lengths": false},
-{"dimension": 24, "dual_coxeter": 5, "family": "A", "rank": 4, "root_count": 20, "two_root_lengths": false},
-{"dimension": 35, "dual_coxeter": 6, "family": "A", "rank": 5, "root_count": 30, "two_root_lengths": false},
-{"dimension": 48, "dual_coxeter": 7, "family": "A", "rank": 6, "root_count": 42, "two_root_lengths": false},
-{"dimension": 63, "dual_coxeter": 8, "family": "A", "rank": 7, "root_count": 56, "two_root_lengths": false},
-{"dimension": 80, "dual_coxeter": 9, "family": "A", "rank": 8, "root_count": 72, "two_root_lengths": false},
-{"dimension": 99, "dual_coxeter": 10, "family": "A", "rank": 9, "root_count": 90, "two_root_lengths": false},
-{"dimension": 120, "dual_coxeter": 11, "family": "A", "rank": 10, "root_count": 110, "two_root_lengths": false},
-{"dimension": 143, "dual_coxeter": 12, "family": "A", "rank": 11, "root_count": 132, "two_root_lengths": false},
-{"dimension": 168, "dual_coxeter": 13, "family": "A", "rank": 12, "root_count": 156, "two_root_lengths": false},
-{"dimension": 195, "dual_coxeter": 14, "family": "A", "rank": 13, "root_count": 182, "two_root_lengths": false},
-{"dimension": 224, "dual_coxeter": 15, "family": "A", "rank": 14, "root_count": 210, "two_root_lengths": false},
-{"dimension": 10, "dual_coxeter": 3, "family": "B", "rank": 2, "root_count": 8, "two_root_lengths": true},
-{"dimension": 21, "dual_coxeter": 5, "family": "B", "rank": 3, "root_count": 18, "two_root_lengths": true},
-{"dimension": 36, "dual_coxeter": 7, "family": "B", "rank": 4, "root_count": 32, "two_root_lengths": true},
-{"dimension": 55, "dual_coxeter": 9, "family": "B", "rank": 5, "root_count": 50, "two_root_lengths": true},
-{"dimension": 78, "dual_coxeter": 11, "family": "B", "rank": 6, "root_count": 72, "two_root_lengths": true},
-{"dimension": 105, "dual_coxeter": 13, "family": "B", "rank": 7, "root_count": 98, "two_root_lengths": true},
-{"dimension": 136, "dual_coxeter": 15, "family": "B", "rank": 8, "root_count": 128, "two_root_lengths": true},
-{"dimension": 171, "dual_coxeter": 17, "family": "B", "rank": 9, "root_count": 162, "two_root_lengths": true},
-{"dimension": 210, "dual_coxeter": 19, "family": "B", "rank": 10, "root_count": 200, "two_root_lengths": true},
-{"dimension": 21, "dual_coxeter": 4, "family": "C", "rank": 3, "root_count": 18, "two_root_lengths": true},
-{"dimension": 36, "dual_coxeter": 5, "family": "C", "rank": 4, "root_count": 32, "two_root_lengths": true},
-{"dimension": 55, "dual_coxeter": 6, "family": "C", "rank": 5, "root_count": 50, "two_root_lengths": true},
-{"dimension": 78, "dual_coxeter": 7, "family": "C", "rank": 6, "root_count": 72, "two_root_lengths": true},
-{"dimension": 105, "dual_coxeter": 8, "family": "C", "rank": 7, "root_count": 98, "two_root_lengths": true},
-{"dimension": 136, "dual_coxeter": 9, "family": "C", "rank": 8, "root_count": 128, "two_root_lengths": true},
-{"dimension": 171, "dual_coxeter": 10, "family": "C", "rank": 9, "root_count": 162, "two_root_lengths": true},
-{"dimension": 210, "dual_coxeter": 11, "family": "C", "rank": 10, "root_count": 200, "two_root_lengths": true},
-{"dimension": 28, "dual_coxeter": 6, "family": "D", "rank": 4, "root_count": 24, "two_root_lengths": false},
-{"dimension": 45, "dual_coxeter": 8, "family": "D", "rank": 5, "root_count": 40, "two_root_lengths": false},
-{"dimension": 66, "dual_coxeter": 10, "family": "D", "rank": 6, "root_count": 60, "two_root_lengths": false},
-{"dimension": 91, "dual_coxeter": 12, "family": "D", "rank": 7, "root_count": 84, "two_root_lengths": false},
-{"dimension": 120, "dual_coxeter": 14, "family": "D", "rank": 8, "root_count": 112, "two_root_lengths": false},
-{"dimension": 153, "dual_coxeter": 16, "family": "D", "rank": 9, "root_count": 144, "two_root_lengths": false},
-{"dimension": 190, "dual_coxeter": 18, "family": "D", "rank": 10, "root_count": 180, "two_root_lengths": false},
-{"dimension": 231, "dual_coxeter": 20, "family": "D", "rank": 11, "root_count": 220, "two_root_lengths": false},
-{"dimension": 78, "dual_coxeter": 12, "family": "E", "rank": 6, "root_count": 72, "two_root_lengths": false},
-{"dimension": 133, "dual_coxeter": 18, "family": "E", "rank": 7, "root_count": 126, "two_root_lengths": false},
-{"dimension": 248, "dual_coxeter": 30, "family": "E", "rank": 8, "root_count": 240, "two_root_lengths": false},
-{"dimension": 52, "dual_coxeter": 9, "family": "F", "rank": 4, "root_count": 48, "two_root_lengths": true},
-{"dimension": 14, "dual_coxeter": 4, "family": "G", "rank": 2, "root_count": 12, "two_root_lengths": true}
-]}
-"""
-# SHA-256 of the UTF-8 table text above; the tests recompute it.
+# The largest dimension of a simple type in the table; above it the table
+# would miss types (B11 and C11 have dimension 253, A15 255, D12 276).
+TABLE_DIMENSION = 250
+# SHA-256 of the table rendered as version-1 JSON text, one row a line with
+# the columns dimension, dual Coxeter number, family, rank, root count and
+# two root lengths; the tests render all_types() and recompute it.
 TABLE_SHA256 = "e2fd2461333f4b44e8d5c1cdf59f94969215c4bae81caf4a1d5641e700b52a98"
 
 
@@ -98,14 +56,12 @@ class LieDataError(Exception):
 
 
 class SimpleLieData(NamedTuple):
-    """One simple type: dimension, dual Coxeter number, root data."""
+    """One simple type: its dimension and dual Coxeter number."""
 
     family: str
     rank: int
     dimension: int
     dual_coxeter: int
-    root_count: int
-    two_root_lengths: bool
 
     @property
     def symbol(self) -> str:
@@ -113,8 +69,8 @@ class SimpleLieData(NamedTuple):
 
 
 def table_checksum() -> str:
-    """SHA-256 of the embedded table text, for report pinning: the stated
-    ``TABLE_SHA256``, which the tests recompute from the text."""
+    """SHA-256 of the table's rendering, for report pinning: the stated
+    ``TABLE_SHA256``, which the tests recompute from ``all_types()``."""
     return TABLE_SHA256
 
 
@@ -131,11 +87,21 @@ def lookup(family: str, rank: int) -> SimpleLieData:
 
 
 def _load() -> tuple[SimpleLieData, ...]:
-    types = tuple(SimpleLieData(**row) for row in json.loads(_TABLE_JSON)["types"])
-    for t in types:
-        if t.dimension != t.rank + t.root_count:
-            raise LieDataError(f"table row {t.symbol} is inconsistent")
-    return types
+    """Each classical family from its lowest rank that is no alias while the
+    dimension stays within TABLE_DIMENSION, then E6, E7, E8, F4 and G2 (Kac,
+    *Infinite-dimensional Lie algebras*, Table Aff 1; Humphreys, §12)."""
+    families = (("A", 1, lambda n: (n * (n + 2), n + 1)),
+                ("B", 2, lambda n: (n * (2 * n + 1), 2 * n - 1)),
+                ("C", 3, lambda n: (n * (2 * n + 1), n + 1)),
+                ("D", 4, lambda n: (n * (2 * n - 1), 2 * n - 2)))
+    types = []
+    for family, n, data in families:
+        while data(n)[0] <= TABLE_DIMENSION:
+            types.append(SimpleLieData(family, n, *data(n)))
+            n += 1
+    exceptional = (("E", 6, 78, 12), ("E", 7, 133, 18), ("E", 8, 248, 30),
+                   ("F", 4, 52, 9), ("G", 2, 14, 4))
+    return tuple(types) + tuple(SimpleLieData(*row) for row in exceptional)
 
 
 _TYPES = _load()
@@ -155,8 +121,9 @@ def level_from_dim(dual_coxeter: int, dim_v1: int) -> int | None:
 
 
 MAX_CANDIDATES = 400_000  # per query; dimension 200 has 280,240
-# The largest weight-one dimension on Schellekens' list (D24,1); counting
-# takes time and memory linear in the dimension, so larger ones are refused.
+# Codes number each (type, count) pair up to this dimension, the largest
+# weight-one dimension on Schellekens' list (D24,1): ``SemisimpleType.of``
+# names root systems above TABLE_DIMENSION, such as E6^4 of dimension 312.
 MAX_DIMENSION = 1128
 # At or below this dimension left, completions come from a per-query memo
 # instead of the recursion.  For an unbounded query at dimension 180 the memo
@@ -246,10 +213,10 @@ def candidate_count(dim: int, rank: int | None = None, hcoxeter_divisor: int = 1
     """How many candidates ``semisimple_candidates`` returns, counted without
     building them: a knapsack over its pool by dimension and rank, where a
     query with no rank bound gives every type rank 0.  A dimension above
-    ``MAX_DIMENSION`` raises ``LieDataError``."""
-    if dim > MAX_DIMENSION:
-        raise LieDataError(f"dimension {dim} is above {MAX_DIMENSION}, the "
-                           "largest weight-one dimension on Schellekens' list")
+    ``TABLE_DIMENSION`` raises ``LieDataError``."""
+    if dim > TABLE_DIMENSION:
+        raise LieDataError(f"dimension {dim} is above {TABLE_DIMENSION}, the bound of "
+                           "the simple type table: a type it lacks could be a component")
     unit, rank = (0, 0) if rank is None else (1, rank)
     if dim <= 0 or not 0 <= 3 * rank <= dim:
         return 0  # every simple type has dimension >= 3 rank

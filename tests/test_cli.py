@@ -77,6 +77,14 @@ def test_golay_human_output(capsys):
     assert lines[-1] == "all checks pass"
 
 
+def test_golay_and_verify_all_print_the_same_golay_rows(capsys):
+    # Text lines, not parsed JSON, which would read int and str keys alike.
+    golay_lines = run(capsys, "golay")[1].splitlines()
+    verify_lines = run(capsys, "verify-all", "--filter", "golay")[1].splitlines()
+    assert golay_lines[:3] == verify_lines[:3]
+    assert golay_lines[1] == "PASS golay weight distribution: {0: 1, 6: 264, 9: 440, 12: 24}"
+
+
 # Read before any test patches the generators.
 GOLAY_GENERATORS = terncode.golay_generators()
 GOLAY_BASIS = terncode.golay_code().basis
@@ -219,13 +227,17 @@ def test_candidates_rejects_nonpositive_dim(capsys):
 
 
 def test_candidates_refuses_dimensions_past_schellekens_list(capsys):
-    # Refused by the dimension cap, not by counting: the knapsack would need
-    # a row per dimension, about 10^9 of them for the second query.
-    for dim in ("1129", "999999999"):
+    # Refused by the type table's bound, not by counting: the knapsack would
+    # need a row per dimension, about 10^9 of them for 999999999.  A15 (255),
+    # B11 and C11 (253) and D24 (1128) fit the ranked queries but lie past
+    # the table, so any list printed would be incomplete.
+    for query in (["251"], ["1129"], ["999999999"], ["255", "--rank", "15"],
+                  ["253", "--rank", "11"], ["1128", "--rank", "24"]):
         start = time.perf_counter()
-        code, out, err = run(capsys, "candidates", "--dim", dim)
+        code, out, err = run(capsys, "candidates", "--dim", *query)
         assert (code, out) == (EXIT_USAGE, "")
-        assert err.startswith(f"usage error: dimension {dim} is above 1128")
+        assert err.startswith(f"usage error: dimension {query[0]} is above 250")
+        assert "a type it lacks could be a component" in err
         assert time.perf_counter() - start < 0.5
 
 

@@ -3,6 +3,7 @@ matching against the stored weight-one classification rows."""
 
 import gc
 import hashlib
+import json
 import os
 import random
 import subprocess
@@ -35,17 +36,26 @@ from latorb.roots import enumerate_roots
 TABLE_SHA256 = "e2fd2461333f4b44e8d5c1cdf59f94969215c4bae81caf4a1d5641e700b52a98"
 
 
-def test_table_checksum_is_pinned(monkeypatch):
-    def digest():
-        return hashlib.sha256(liealg._TABLE_JSON.encode("utf-8")).hexdigest()
+def render_table(types) -> str:
+    """The table as version-1 JSON text, one row a line, with the columns it
+    was first stated in: the root count is dimension - rank, and the types
+    with two root lengths are B, C, F and G."""
+    rows = ",\n".join(json.dumps({
+        "dimension": t.dimension, "dual_coxeter": t.dual_coxeter, "family": t.family,
+        "rank": t.rank, "root_count": t.dimension - t.rank,
+        "two_root_lengths": t.family in "BCFG"}) for t in types)
+    return f'{{"version": 1, "max_dimension": {liealg.TABLE_DIMENSION}, "types": [\n{rows}\n]}}\n'
 
-    assert table_checksum() == liealg.TABLE_SHA256 == digest() == TABLE_SHA256
-    # The stated digest is checked against the text: one edited character fails.
-    text = liealg._TABLE_JSON
-    edited = text.replace('"rank": 1,', '"rank": 7,', 1)
-    assert sum(a != b for a, b in zip(text, edited)) == 1 and len(edited) == len(text)
-    monkeypatch.setattr(liealg, "_TABLE_JSON", edited)
-    assert digest() != table_checksum()
+
+def test_table_checksum_is_pinned():
+    def digest(types):
+        return hashlib.sha256(render_table(types).encode("utf-8")).hexdigest()
+
+    assert table_checksum() == liealg.TABLE_SHA256 == digest(all_types()) == TABLE_SHA256
+    # The stated digest is checked against the table: one edited row fails.
+    edited = list(all_types())
+    edited[0] = edited[0]._replace(rank=7)
+    assert digest(edited) != table_checksum()
 
 
 def test_table_row_invariants():
@@ -53,10 +63,26 @@ def test_table_row_invariants():
     assert len(types) == 44
     assert len({(t.family, t.rank) for t in types}) == 44
     for t in types:
-        assert t.dimension == t.rank + t.root_count
-        assert 0 < t.dimension <= 250
+        assert 0 < t.dimension <= liealg.TABLE_DIMENSION == 250
         assert t.dual_coxeter >= 2
-        assert t.two_root_lengths == (t.family in "BCFG")
+        # |roots| = rank * h, the Coxeter number, which is h-dual for the
+        # simply laced types (Humphreys, §12; Kac, Table Aff 1).
+        assert (t.dimension - t.rank) % t.rank == 0
+        if t.family in "ADE":
+            assert t.dual_coxeter == (t.dimension - t.rank) // t.rank
+
+
+def test_table_is_complete_up_to_its_bound():
+    # The next rank of each classical family has dimension above 250, and
+    # each exceptional type is in the table.
+    for family, rank, dimension in (("A", 15, 255), ("B", 11, 253),
+                                    ("C", 11, 253), ("D", 12, 276)):
+        assert dimension > liealg.TABLE_DIMENSION
+        with pytest.raises(LieDataError):
+            lookup(family, rank)
+    assert [t.symbol for t in all_types() if t.family in "EFG"] == ["E6", "E7", "E8", "F4", "G2"]
+    last = {t.family: t.symbol for t in all_types()}
+    assert [last[f] for f in "ABCD"] == ["A14", "B10", "C10", "D11"]
 
 
 def test_table_canonical_aliases():
@@ -305,19 +331,20 @@ def test_candidate_limit_raises(monkeypatch):
 
 
 def test_counting_work_is_bounded_by_the_input(monkeypatch):
-    # A dimension past Schellekens' list is refused before the knapsack is
+    # A dimension past the type table is refused before the knapsack is
     # built.  Every simple type has dimension >= 3 rank, so a rank above a
     # third of the dimension admits no type at all, and a third admits A1 only.
-    with pytest.raises(LieDataError, match="above 1128"):
-        candidate_count(liealg.MAX_DIMENSION + 1)
-    assert candidate_count(liealg.MAX_DIMENSION) > liealg.MAX_CANDIDATES
+    for dim in (liealg.TABLE_DIMENSION + 1, liealg.MAX_DIMENSION + 1, 999999999):
+        with pytest.raises(LieDataError, match="above 250"):
+            candidate_count(dim)
+    assert candidate_count(liealg.TABLE_DIMENSION) > liealg.MAX_CANDIDATES
     assert candidate_count(24, rank=6) == len(semisimple_candidates(24, rank=6))
-    assert [c.text for c in semisimple_candidates(600, rank=200)] == ["A1^200"]
+    assert [c.text for c in semisimple_candidates(240, rank=80)] == ["A1^80"]
     # The rest return before the type table is read for a knapsack.
     monkeypatch.setattr(liealg, "_TYPES", None)
     assert candidate_count(24, rank=10 ** 6) == 0 == len(semisimple_candidates(24, rank=24))
     assert candidate_count(24, rank=-1) == 0 == len(semisimple_candidates(24, rank=-1))
-    assert candidate_count(1128, rank=377) == 0 == len(semisimple_candidates(600, rank=201))
+    assert candidate_count(250, rank=84) == 0 == len(semisimple_candidates(240, rank=81))
 
 
 def test_refused_query_builds_no_candidate(monkeypatch):
@@ -334,13 +361,14 @@ def test_liealg_imports_no_other_latorb_module():
     src = str(Path(latorb.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     loaded = ("sorted(m for m in sys.modules if m.startswith('latorb') "
-              "or m in ('fractions', 'dataclasses', 'hashlib', '_hashlib'))")
+              "or m in ('fractions', 'dataclasses', 'hashlib', '_hashlib', 'json'))")
     out = subprocess.run(
         [sys.executable, "-S", "-c",
          f"import sys, latorb.liealg; print({loaded}); "
          f"latorb.liealg.table_checksum(); print({loaded})"],
         env=env, capture_output=True, text=True, check=True).stdout
-    # The table checksum is a stated value: asking for it loads no hashlib.
+    # The table is built from closed forms, so importing it loads no json;
+    # its checksum is a stated value, so asking for it loads no hashlib.
     assert out.splitlines() == ["['latorb', 'latorb.liealg']"] * 2
 
 

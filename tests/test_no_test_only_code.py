@@ -28,9 +28,6 @@ ALLOWED = {
         "which dual class a component isometry sends each class to, as "
         "residue rows modulo the glue denominator; the tests check with it "
         "that the component automorphisms cycle or fix the classes as stated",
-    "liealg.SimpleLieData.two_root_lengths":
-        "a column of the checksummed table of simple Lie algebras; dropping "
-        "it would change table_checksum and the verify-all output",
     "roots.RootComponent.simple":
         "the simple basis the classifier finds, which the roots tests "
         "compare with a pairwise reference",

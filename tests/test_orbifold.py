@@ -249,6 +249,72 @@ def test_twist_data_rejects_a_radical_missing_m(monkeypatch):
         twist_data.__wrapped__(build_sigma("sigma1"))
 
 
+def without_last_row(matrix: IntMatrix) -> IntMatrix:
+    return IntMatrix.from_rows(matrix.entries[:-1], cols=matrix.cols)
+
+
+def test_twist_data_rejects_disagreeing_index_routes(monkeypatch):
+    # Route two alone four times too large: 81 against 324.
+    true_filter = orbifold.coset_filter_index
+
+    def filter_times_four(n, m, c):
+        index_nm, index_nr = true_filter(n, m, c)
+        return index_nm, 4 * index_nr
+
+    monkeypatch.setattr(orbifold, "coset_filter_index", filter_times_four)
+    with pytest.raises(OrbifoldError, match=(
+            "routes disagree: congruence kernel 81, coset filter 324")):
+        twist_data.__wrapped__(build_sigma("sigma1"))
+
+
+def test_twist_data_rejects_a_non_square_index(monkeypatch):
+    # Both routes three times too large: they agree on 243, which is no square.
+    true_r, true_filter = orbifold.sublattice_r, orbifold.coset_filter_index
+
+    def r_times_three(n, c):
+        r, index = true_r(n, c)
+        return r, 3 * index
+
+    def filter_times_three(n, m, c):
+        index_nm, index_nr = true_filter(n, m, c)
+        return index_nm, 3 * index_nr
+
+    monkeypatch.setattr(orbifold, "sublattice_r", r_times_three)
+    monkeypatch.setattr(orbifold, "coset_filter_index", filter_times_three)
+    with pytest.raises(OrbifoldError, match=r"\|N/R\| = 243 is not a perfect square"):
+        twist_data.__wrapped__(build_sigma("sigma1"))
+
+
+def test_twist_data_rejects_an_n_of_the_wrong_rank(monkeypatch):
+    true_n = orbifold.sublattice_n
+    monkeypatch.setattr(orbifold, "sublattice_n", lambda iso: without_last_row(true_n(iso)))
+    with pytest.raises(OrbifoldError, match="rank N disagrees with the eigenspace dimensions"):
+        twist_data.__wrapped__(build_sigma("sigma1"))
+
+
+def test_twist_data_rejects_an_m_of_another_rank(monkeypatch):
+    true_m = orbifold.sublattice_m
+    monkeypatch.setattr(orbifold, "sublattice_m", lambda iso: without_last_row(true_m(iso)))
+    with pytest.raises(OrbifoldError, match="rank M differs from rank N"):
+        twist_data.__wrapped__(build_sigma("sigma1"))
+
+
+def test_coset_filter_rejects_an_m_outside_the_radical():
+    # C + I pairs M's rows with N off zero mod 6, so c0 no longer descends.
+    iso = build_sigma("sigma1")
+    n = sublattice_n(iso)
+    c = _pairing_on(iso, n) + IntMatrix.identity(n.rows)
+    with pytest.raises(OrbifoldError, match="M is not in the radical"):
+        coset_filter_index(n, sublattice_m(iso), c)
+
+
+def test_coset_filter_rejects_an_m_of_lower_rank():
+    iso = build_sigma("sigma1")
+    n = sublattice_n(iso)
+    with pytest.raises(OrbifoldError, match="N/M is infinite; ranks differ"):
+        coset_filter_index(n, without_last_row(sublattice_m(iso)), _pairing_on(iso, n))
+
+
 def test_sigma1_radical_equals_image():
     td = twist_data(build_sigma("sigma1"))
     assert td.index_nm == td.index_nr
