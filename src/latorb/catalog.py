@@ -8,8 +8,9 @@ lattices must come out even and unimodular with the expected root
 systems, and each assembled isometry must stabilize its lattice.  A failed
 check, such as a wrong glue word in the table causes, aborts the
 construction; nothing is returned on trust.  What is stated about the
-constructions (each isometry as one row of block maps), and what their
-reports must reproduce, is in the one table ``CONSTRUCTIONS``.
+constructions (each component map as one reflection word, each isometry
+as one row of block maps), and what their reports must reproduce, is in
+the one table ``CONSTRUCTIONS``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from operator import matmul
 from typing import NamedTuple, Sequence
 
 from .constructions import CONSTRUCTIONS
-from .exactmat import IntMatrix, NoSolution, RatMatrix, Rational, _im, block_diagonal, solve_exact
+from .exactmat import IntMatrix, RatMatrix, _im, block_diagonal, solve_exact
 from .lattice import (
     GlueError,
     GlueExtension,
@@ -110,79 +111,33 @@ def build_root_lattice(family: str, rank: int) -> RootLatticeData:
                            RatMatrix(solve_exact(amb, v.num), v.den), amb)
 
 
-def _auto_from_ambient(data: RootLatticeData,
-                       ambient_images: Sequence[Sequence[Rational]],
-                       name: str) -> Isometry:
-    """Convert an ambient-coordinate map to basis coordinates and verify it:
-    the basis rows' images, numerators over den, are x amb for x integral."""
-    amb = data.ambient
-    images = RatMatrix(amb) @ RatMatrix.from_rows(ambient_images)
-    try:
-        m = solve_exact(amb.scale(images.den), images.num)
-    except NoSolution:
-        raise CatalogError(f"{name} does not preserve the lattice") from None
-    return Isometry.create(data.lattice, m, 3)
-
-
 @lru_cache(maxsize=None)
 def build_component_auto(name: str) -> Isometry:
-    """One of the six verified order-3 component isometries.
+    """One of the six verified order-3 component isometries: the row's
+    permutation of simple roots, then its reflection word (see
+    ``CONSTRUCTIONS``), checked to preserve the Gram form with order 3.
 
-    cycle_A2: cyclic shift of the three ambient coordinates (fixed rank 0).
-    rotation_D4: the fixed-point-free rotation sending the first unit
-        vector to half of (-1,1,1,1); cycles the three nonzero dual classes.
-    triality_D4: the diagram rotation permuting the three outer nodes
-        (fixed rank 2); also cycles the three nonzero dual classes.
-    coord_cycle_D4: cyclic shift of the first three ambient coordinates
-        (fixed rank 2); fixes every dual class.
-    coord_cycle_A5: simultaneous 3-cycles on ambient coordinates
-        (0,1,2) and (3,4,5) (fixed rank 1); fixes every dual class.
-    reflection_product_E6: product of the six reflections in the simple
-        roots other than the branch tail and in the highest root, applied
-        highest-root-first (fixed rank 0); fixes every dual class.
+    cycle_A2: s0 s1, the Coxeter element, class A2 (fixed rank 0).
+    rotation_D4: triality, then s2 s1 s0 s_top (fixed rank 0); cycles the
+        three nonzero dual classes.
+    triality_D4: the diagram rotation of the three outer nodes (fixed
+        rank 2); also cycles the three nonzero dual classes.
+    coord_cycle_D4: s0 s1, class A2 (fixed rank 2); fixes every dual class.
+    coord_cycle_A5: s1 s0 s4 s3, class 2A2 (fixed rank 1); fixes every
+        dual class.
+    reflection_product_E6: s_top s5 s4 s3 s1 s0, class 3A2 (fixed rank 0);
+        fixes every dual class.
     """
-    half = Fraction(1, 2)
-    if name == "cycle_A2":
-        data = build_root_lattice("A", 2)
-        return _auto_from_ambient(data, [(0, 0, 1), (1, 0, 0), (0, 1, 0)], name)
-    if name == "rotation_D4":
-        data = build_root_lattice("D", 4)
-        images = [
-            [-half, half, half, half],
-            [-half, -half, half, -half],
-            [-half, -half, -half, half],
-            [-half, half, -half, -half],
-        ]
-        return _auto_from_ambient(data, images, name)
-    if name == "triality_D4":
-        data = build_root_lattice("D", 4)
-        m = IntMatrix.from_rows([
-            [0, 0, 1, 0],
-            [0, 1, 0, 0],
-            [0, 0, 0, 1],
-            [1, 0, 0, 0],
-        ])
-        return Isometry.create(data.lattice, m, 3)
-    if name == "coord_cycle_D4":
-        data = build_root_lattice("D", 4)
-        images = [(0, 0, 1, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)]
-        return _auto_from_ambient(data, images, name)
-    if name == "coord_cycle_A5":
-        data = build_root_lattice("A", 5)
-        perm = {0: 1, 1: 2, 2: 0, 3: 4, 4: 5, 5: 3}
-        images = [[int(j == perm[i]) for j in range(6)] for i in range(6)]
-        return _auto_from_ambient(data, images, name)
-    if name == "reflection_product_E6":
-        data = build_root_lattice("E", 6)
-        l = data.lattice
-        rs = enumerate_roots(l)
-        top = basis_highest_root(l, rs.roots)
-        m = reflection(l, top).matrix
-        simple = IntMatrix.identity(l.rank).entries
-        for i in (5, 4, 3, 1, 0):
-            m = m @ reflection(l, simple[i]).matrix
-        return Isometry.create(l, m, 3)
-    raise CatalogError(f"unknown component isometry {name!r}")
+    if name not in CONSTRUCTIONS["components"]:
+        raise CatalogError(f"unknown component isometry {name!r}")
+    (family, rank), perm, word = CONSTRUCTIONS["components"][name]
+    l = build_root_lattice(family, rank).lattice
+    simple = IntMatrix.identity(rank).entries
+    m = IntMatrix.from_rows([simple[j] for j in perm or range(rank)])
+    for step in word:
+        root = basis_highest_root(l, enumerate_roots(l).roots) if step == "top" else simple[step]
+        m = m @ reflection(l, root).matrix
+    return Isometry.create(l, m, 3)
 
 
 def glue_class_image(auto: Isometry, data: RootLatticeData,

@@ -1,7 +1,11 @@
 """The construction table as plain data, which ``catalog`` builds and ``cli`` reads."""
 
-# The construction table: what latorb states about its four lattices and six
-# isometries, each value once.  A lattice row gives its blocks ("parts", also
+# The construction table: what latorb states about its four lattices, six
+# component maps and six isometries, each value once.  A component row gives
+# its root lattice (family, rank); a permutation of the simple roots, perm[i]
+# = j sending alpha_i to alpha_j (None: the identity); and a word of
+# reflections that right-multiply it in order, each in a simple root by index
+# or in the highest root ("top").  A lattice row gives its blocks ("parts", also
 # the type its root system must have), glue words (None: the ternary Golay
 # code's basis), glue index, root count and description.  An isometry row
 # gives its lattice; the query (dimension, rank bound, dual Coxeter divisor)
@@ -14,6 +18,14 @@
 # frozen after verification.  Flagged candidates are numerological ones the
 # stored classification does not list: reported with a flag, never dropped.
 CONSTRUCTIONS = {
+    "components": {
+        "cycle_A2": (("A", 2), None, (0, 1)),
+        "rotation_D4": (("D", 4), (2, 1, 3, 0), (2, 1, 0, "top")),
+        "triality_D4": (("D", 4), (2, 1, 3, 0), ()),
+        "coord_cycle_D4": (("D", 4), None, (0, 1)),
+        "coord_cycle_A5": (("A", 5), None, (1, 0, 4, 3)),
+        "reflection_product_E6": (("E", 6), None, ("top", 5, 4, 3, 1, 0)),
+    },
     "lattices": {
         "A2_12": {
             "parts": (("A", 2),) * 12, "words": None, "index": 729, "root_count": 72,

@@ -22,9 +22,10 @@ from latorb.catalog import (
     _close_glue_group,
 )
 from latorb.constructions import CONSTRUCTIONS, LATTICE_KEYS, SIGMA_KEYS
-from latorb.exactmat import IntMatrix, RatMatrix, block_diagonal
-from latorb.lattice import is_even_unimodular
-from latorb.roots import classify, orbit_count
+from latorb.exactmat import IntMatrix, RatMatrix, block_diagonal, solve_exact
+from latorb.lattice import GlueError, IsometryError, Lattice, direct_sum, is_even_unimodular
+from latorb.roots import (RootsError, basis_highest_root, classify, enumerate_roots,
+                          orbit_count, reflection)
 from latorb.terncode import golay_code, residue_perm
 
 NIEMEIER_EXPECTED = {
@@ -151,6 +152,88 @@ def test_coordinate_cycles_fix_dual_classes():
         auto = build_component_auto(name)
         for ell in range(data.glue.rows):
             assert glue_class_image(auto, data, ell) == ell
+
+
+def from_ambient(data, images):
+    """The basis matrix of a map given by the ambient images of the ambient
+    unit vectors: the basis rows' images, numerators over den, as x amb."""
+    amb = data.ambient
+    product = RatMatrix(amb) @ RatMatrix.from_rows(images)
+    return solve_exact(amb.scale(product.den), product.num)
+
+
+def former_component_matrix(name):
+    """Each component map in the form it was stated in before its table
+    row: four by ambient images, triality by its basis matrix, and E6's by
+    its reflections, highest root first."""
+    half, perm = Fraction(1, 2), {0: 1, 1: 2, 2: 0, 3: 4, 4: 5, 5: 3}
+    images = {
+        "cycle_A2": (("A", 2), [(0, 0, 1), (1, 0, 0), (0, 1, 0)]),
+        "rotation_D4": (("D", 4), [[-half, half, half, half], [-half, -half, half, -half],
+                                   [-half, -half, -half, half], [-half, half, -half, -half]]),
+        "coord_cycle_D4": (("D", 4), [(0, 0, 1, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)]),
+        "coord_cycle_A5": (("A", 5), [[int(j == perm[i]) for j in range(6)] for i in range(6)]),
+    }
+    if name in images:
+        (family, rank), rows = images[name]
+        return from_ambient(build_root_lattice(family, rank), rows)
+    if name == "triality_D4":
+        return IntMatrix.from_rows([[0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1], [1, 0, 0, 0]])
+    assert name == "reflection_product_E6"
+    e6 = build_root_lattice("E", 6).lattice
+    simple = IntMatrix.identity(6).entries
+    m = reflection(e6, basis_highest_root(e6, enumerate_roots(e6).roots)).matrix
+    for i in (5, 4, 3, 1, 0):
+        m = m @ reflection(e6, simple[i]).matrix
+    return m
+
+
+COMPONENT_NAMES = ("cycle_A2", "rotation_D4", "triality_D4", "coord_cycle_D4",
+                   "coord_cycle_A5", "reflection_product_E6")
+
+
+@pytest.mark.parametrize("name", COMPONENT_NAMES)
+def test_component_rows_reproduce_the_former_maps(name):
+    assert build_component_auto(name).matrix == former_component_matrix(name)
+
+
+def test_component_table_names_the_maps_the_isometries_use():
+    used = {name for row in CONSTRUCTIONS["isometries"].values()
+            for _, names in row["blocks"] for name in names}
+    assert used == set(CONSTRUCTIONS["components"])
+
+
+@pytest.fixture
+def fresh_components():
+    build_component_auto.cache_clear()
+    yield
+    build_component_auto.cache_clear()
+
+
+# Component rows corrupted, and what building them says: one reflection is
+# an involution, and swapping the D4 node 0 with the central node 1 is no
+# diagram symmetry.
+CORRUPTED_COMPONENTS = [
+    ("cycle_A2", (("A", 2), None, (0,)), "order is 2, expected 3"),
+    ("triality_D4", (("D", 4), (1, 0, 2, 3), ()), "matrix does not preserve the Gram form"),
+]
+
+
+@pytest.mark.parametrize("name,row,message", CORRUPTED_COMPONENTS)
+def test_corrupted_component_row_rejected(monkeypatch, fresh_components, name, row, message):
+    monkeypatch.setitem(CONSTRUCTIONS["components"], name, row)
+    with pytest.raises(IsometryError, match=message):
+        build_component_auto(name)
+
+
+def test_highest_root_needs_a_simple_basis_and_a_dominant_root():
+    l = Lattice(IntMatrix.from_rows([[4, -1], [-1, 2]]))
+    with pytest.raises(RootsError, match="lattice basis is not a simple system"):
+        basis_highest_root(l, enumerate_roots(l).roots)
+    a1 = Lattice(IntMatrix.from_rows([[2]]))
+    a1a1 = direct_sum([a1, a1])
+    with pytest.raises(RootsError, match="no root dominates all others"):
+        basis_highest_root(a1a1, enumerate_roots(a1a1).roots)
 
 
 @pytest.mark.parametrize("key", LATTICE_KEYS)
@@ -333,3 +416,43 @@ def test_glue_closure_matches_breadth_first_reference(n, d, data):
                 seen.add(nxt)
                 frontier.append(nxt)
     assert group == tuple(sorted(seen))
+
+
+def test_non_integral_glue_fails_the_unimodular_check(monkeypatch):
+    # The two D4 spinor classes pair to 1/2: past the glue-code check, the
+    # glued lattice is not integral, and the glue step says so.
+    monkeypatch.setitem(CONSTRUCTIONS["lattices"]["D4_6"], "words", ("100000", "300000"))
+    monkeypatch.setattr(catalog, "_check_glue_code", lambda *args: None)
+    with pytest.raises(CatalogError, match="^D4_6: lattice is not even unimodular "
+                                           "of rank 24$") as caught:
+        construct_niemeier("D4_6")
+    assert isinstance(caught.value.__cause__, GlueError)
+    assert str(caught.value.__cause__) == "glued lattice is not integral"
+
+
+# A stated E6_4 value changed, and what the build says.
+WRONG_STATED_VALUES = [
+    ("index", 27, "glue index 9, expected 27"),
+    ("root_count", 289, "root system mismatch"),
+]
+
+
+@pytest.mark.parametrize("field,value,message", WRONG_STATED_VALUES)
+def test_wrong_stated_value_rejected(monkeypatch, field, value, message):
+    monkeypatch.setitem(CONSTRUCTIONS["lattices"]["E6_4"], field, value)
+    with pytest.raises(CatalogError, match=f"^E6_4: {message}$"):
+        construct_niemeier("E6_4")
+
+
+def test_non_unimodular_glued_lattice_rejected(monkeypatch):
+    monkeypatch.setattr(catalog, "is_even_unimodular", lambda l: (True, False))
+    with pytest.raises(CatalogError, match="^E6_4: lattice is not even unimodular of rank 24$"):
+        construct_niemeier("E6_4")
+
+
+def test_glue_group_short_of_the_index_rejected(monkeypatch):
+    closed = catalog._close_glue_group
+    monkeypatch.setattr(catalog, "_close_glue_group", lambda words: closed(words)[:-1])
+    monkeypatch.setattr(catalog, "_check_glue_code", lambda *args: None)
+    with pytest.raises(CatalogError, match="^E6_4: glue group has 8 cosets, expected 9$"):
+        construct_niemeier("E6_4")

@@ -371,6 +371,25 @@ def test_matrix_records_are_values_of_their_own_class():
         RatMatrix.from_rows([[1, 2], [3]], cols=2)
 
 
+# Each malformed shape, and what the check it trips says.
+SHAPE_FAULTS = [
+    (lambda: IntMatrix(-1, 0, ()), "negative matrix dimension"),
+    (lambda: IntMatrix(2, 1, ((1,),)), "row count does not match entries"),
+    (lambda: IntMatrix.from_rows([]), "column count required for a matrix with no rows"),
+    (lambda: im([[1, 2]]) + im([[1], [2]]), "size mismatch in addition"),
+    (lambda: im([[1, 2]]) @ im([[1, 2]]), "size mismatch in multiplication"),
+    (lambda: rm([[Fraction(1, 2), 1]]) @ rm([[1, 2]]), "size mismatch in multiplication"),
+    (lambda: solve_exact(im([[1, 0]]), im([[1]])), "right-hand side has wrong width"),
+    (lambda: inverse(im([[1, 2]])), "inverse of a non-square matrix"),
+]
+
+
+@pytest.mark.parametrize("build,message", SHAPE_FAULTS)
+def test_malformed_shapes_raise_shape_error(build, message):
+    with pytest.raises(ShapeError, match=f"^{message}$"):
+        build()
+
+
 def test_rat_matrix_is_reduced_numerators_over_a_positive_den():
     num = im([[2, -4, 0], [6, 8, 10]])
     m = RatMatrix(num, 4)

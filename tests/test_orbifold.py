@@ -12,7 +12,7 @@ from latorb import lattice, liealg, orbifold
 from latorb.catalog import build_component_auto, build_root_lattice, build_sigma, niemeier_bundle
 from latorb.constructions import CONSTRUCTIONS, SIGMA_KEYS
 from latorb.exactmat import IntMatrix, det, snf
-from latorb.lattice import Isometry
+from latorb.lattice import Isometry, Lattice
 from latorb.orbifold import (
     OrbifoldError,
     _pairing_on,
@@ -223,6 +223,15 @@ def test_index_routes_agree(key):
     _, via_kernel = sublattice_r(n, c)
     _, via_filter = coset_filter_index(n, sublattice_m(iso), c)
     assert via_kernel == via_filter == TWIST_EXPECTED[key][1]
+
+
+def test_twist_data_needs_an_even_lattice():
+    # Z^3 with its coordinates cycled: order 3, but the mod-6 pairing is
+    # defined on even lattices only.
+    z3 = Lattice(IntMatrix.identity(3))
+    cycle = Isometry.create(z3, IntMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]]), 3)
+    with pytest.raises(OrbifoldError, match="needs an even lattice"):
+        twist_data(cycle)
 
 
 def test_coset_filter_rejects_an_n_missing_m():

@@ -159,6 +159,18 @@ def test_orbit_count():
         orbit_count(rs, other)
 
 
+def test_orbit_count_rejects_a_map_off_the_root_set():
+    # The roots of the first of two A2 blocks; swapping the blocks sends
+    # every one of them outside the set.
+    a2a2 = direct_sum([Lattice(A2_GRAM)] * 2)
+    first = [r for r in enumerate_roots(a2a2).roots if not any(r[2:])]
+    rs = build_root_system(a2a2, first)
+    swap = Isometry.create(a2a2, IntMatrix.from_rows(
+        [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]), 2)
+    with pytest.raises(RootsError, match="does not preserve the root set"):
+        orbit_count(rs, swap)
+
+
 def test_orbit_sizes_for_order_three():
     e6 = Lattice(E6_GRAM)
     rs = enumerate_roots(e6)
@@ -506,6 +518,13 @@ def test_glued_route_rejects_parts_short_of_the_rank():
     ext = glue_extend(direct_sum([a2, a2]), RatMatrix.from_rows([], cols=4))
     with pytest.raises(RootsError, match="^the parts' ranks sum to 2, not the rank 4$"):
         glued_root_vectors([a2], ext, [(0,) * 4], 1)
+
+
+def test_glued_route_rejects_a_zero_denominator():
+    a2 = Lattice(A2_GRAM)
+    ext = glue_extend(direct_sum([a2, a2]), RatMatrix.from_rows([], cols=4))
+    with pytest.raises(RootsError, match="rank-length rows over a positive d$"):
+        glued_root_vectors([a2, a2], ext, [(0,) * 4], 0)
 
 
 def reference_short_vectors(gram, bound, center):

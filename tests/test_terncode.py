@@ -103,4 +103,6 @@ def test_codes_are_values_and_label_maps_bijections():
     assert c != (12, c.basis) and c != TernaryCode.from_generators(golay_generators()[:3])
     with pytest.raises(ValueError, match="not a bijection"):
         perm_from_label_map({"0": "1"})
+    with pytest.raises(ValueError, match="generator length mismatch"):
+        TernaryCode.from_generators([[1, 1, 1]])
 
