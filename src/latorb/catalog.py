@@ -7,10 +7,11 @@ isotropic of the right order, glue vectors must pair integrally, the glued
 lattices must come out even and unimodular with the expected root
 systems, and each assembled isometry must stabilize its lattice.  A failed
 check, such as a wrong glue word in the table causes, aborts the
-construction; nothing is returned on trust.  What is stated about the
-constructions (each component map as one reflection word, each isometry
-as one row of block maps), and what their reports must reproduce, is in
-the one table ``CONSTRUCTIONS``.
+construction; nothing is returned on trust.  Dual classes are computed,
+rows of the inverse Cartan matrix; what is stated about the constructions
+(each component map as one reflection word, each isometry as one row of
+block maps), and what their reports must reproduce, is in the one table
+``CONSTRUCTIONS``.
 """
 
 from __future__ import annotations
@@ -58,8 +59,9 @@ class RootLatticeData(NamedTuple):
     """A root lattice together with representatives of its dual classes.
 
     Row ell of ``glue`` represents dual class ell (0 is the trivial class):
-    the coordinates, in the lattice basis, of an element of the dual, all
-    rows over the one denominator ``glue.den``.  The rows of ``ambient``
+    the fundamental weight of a minuscule node, a shortest vector of its
+    class, in the lattice basis over the one denominator ``glue.den``
+    (``det C``, reduced).  The rows of ``ambient``
     are the basis vectors in the coordinates the lattice is stated in.
     """
 
@@ -83,32 +85,28 @@ def build_root_lattice(family: str, rank: int) -> RootLatticeData:
 
     Supported types: A with any positive rank (difference vectors in the
     rank+1 coordinate ambient space), D of rank 4 (in four coordinates),
-    and E of rank 6 (stated in its own basis of simple roots).  A dual class
-    v is stated over one den, and den v = x amb for an integer x.
+    and E of rank 6 (stated in its own basis of simple roots).  Class ell
+    of A_n is the fundamental weight of node n - ell (0-based); the nonzero
+    classes of D4 and E6 are those of the listed minuscule nodes.  Each
+    weight is a row of the inverse Cartan matrix, solved over det C.
     """
     if family == "A" and rank >= 1:
-        n = rank
         amb = IntMatrix.from_rows([[1 if j == i else (-1 if j == i + 1 else 0)
-                                    for j in range(n + 1)] for i in range(n)])
-        glue = [[Fraction(ell, n + 1)] * (n + 1 - ell) + [Fraction(ell - n - 1, n + 1)] * ell
-                for ell in range(n + 1)]
-        edges = [(i, i + 1) for i in range(n - 1)]
+                                    for j in range(rank + 1)] for i in range(rank)])
+        edges, nodes = [(i, i + 1) for i in range(rank - 1)], range(rank - 1, -1, -1)
     elif family == "D" and rank == 4:
         amb = IntMatrix.from_rows([[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1], [0, 0, 1, 1]])
-        half = Fraction(1, 2)
-        glue = [[0, 0, 0, 0], [half, half, half, half], [0, 0, 0, 1], [half, half, half, -half]]
-        edges = [(0, 1), (1, 2), (1, 3)]
+        edges, nodes = [(0, 1), (1, 2), (1, 3)], (3, 0, 2)
     elif family == "E" and rank == 6:
         amb = IntMatrix.identity(6)
-        third = Fraction(1, 3)
-        rep = (third, -third, 0, third, -third, 0)
-        glue = [(0,) * 6, rep, [-e for e in rep]]
-        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)]
+        edges, nodes = [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)], (0, 4)
     else:
         raise CatalogError(f"unsupported root lattice {family}{rank}")
-    v = RatMatrix.from_rows(glue)
-    return RootLatticeData(_dynkin_lattice(family, rank, edges),
-                           RatMatrix(solve_exact(amb, v.num), v.den), amb)
+    l = _dynkin_lattice(family, rank, edges)
+    d = l.determinant()
+    weights = solve_exact(l.gram, IntMatrix.identity(rank).scale(d)).entries
+    glue = IntMatrix.from_rows([[0] * rank, *(weights[i] for i in nodes)])
+    return RootLatticeData(l, RatMatrix(glue, d), amb)
 
 
 @lru_cache(maxsize=None)

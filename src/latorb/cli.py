@@ -61,7 +61,7 @@ def _golay_checks():
     """The Golay code, its residue permutation, and the dimension, weight
     distribution and residue cycle rows that `golay` and `verify-all` share."""
     from . import terncode
-    code = terncode.TernaryCode.from_generators(terncode.golay_generators())
+    code = terncode.golay_code()
     sigma = terncode.residue_perm()
     return code, sigma, [
         _row("golay dimension", code.dim, 6),

@@ -3,9 +3,10 @@
 Everything in this module is pure and exact, with no floating point
 anywhere.  :class:`IntMatrix` holds Python ints and carries the algebra:
 products, normal forms, determinant, exact solve and LDL^T.
-:class:`RatMatrix` holds stated rational rows as a numerator ``IntMatrix``
-``num`` over one positive ``den``, reduced by their gcd; it has a product,
-callers compute with ``num`` and ``den``, and ``entries`` is a Fraction view.
+:class:`RatMatrix` holds computed rational rows (dual-class weights, glue
+and glued bases) as a numerator ``IntMatrix`` ``num`` over one positive
+``den``, reduced by their gcd; it has a product, callers compute with
+``num`` and ``den``, and ``entries`` is a Fraction view.
 Matrices are values: every operation returns a new matrix.
 Both classes multiply through one packed-row integer product (Kronecker
 substitution, see ``_product``), and ``det`` and ``ldl`` share one
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress, count
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, prod
 from operator import add, lshift, mul
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -58,14 +59,6 @@ def _as_int(x: object) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise TypeError(f"integer entry expected, got {x!r}")
     return x
-
-
-def _as_frac(x: object) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    raise TypeError(f"rational entry expected, got {x!r}")
 
 
 def _check_ints(rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> None:
@@ -225,13 +218,6 @@ class RatMatrix:
 
     rows = property(lambda self: self.num.rows)
     cols = property(lambda self: self.num.cols)
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[Rational]], cols: int | None = None) -> "RatMatrix":
-        data = [[_as_frac(e) for e in row] for row in rows]
-        den = lcm(*(e.denominator for row in data for e in row))
-        scaled = ([e.numerator * (den // e.denominator) for e in row] for row in data)
-        return cls(IntMatrix.from_rows(scaled, cols), den)
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:

@@ -1,6 +1,7 @@
 """Catalog constructions: root lattices, component isometries, the four
 glued rank-24 lattices, and the six order-3 isometries."""
 
+import itertools
 from fractions import Fraction
 from math import lcm
 
@@ -24,8 +25,8 @@ from latorb.catalog import (
 from latorb.constructions import CONSTRUCTIONS, LATTICE_KEYS, SIGMA_KEYS
 from latorb.exactmat import IntMatrix, RatMatrix, block_diagonal, solve_exact
 from latorb.lattice import GlueError, IsometryError, Lattice, direct_sum, is_even_unimodular
-from latorb.roots import (RootsError, basis_highest_root, classify, enumerate_roots,
-                          orbit_count, reflection)
+from latorb.roots import (RootsError, _short_vectors, basis_highest_root, classify,
+                          enumerate_roots, orbit_count, reflection)
 from latorb.terncode import golay_code, residue_perm
 
 NIEMEIER_EXPECTED = {
@@ -94,21 +95,51 @@ def test_glued_basis_in_ambient_coordinates_reproduces_the_gram(key):
         tuple(Fraction(x, b.den) for x in row) for row in e.entries)
 
 
-def class_norm(data, ell):
-    rep = data.glue.num.entries[ell]
-    return Fraction(data.lattice.inner(rep, rep), data.glue.den ** 2)
+def former_glue(family, rank):
+    """The dual-class rows as stated before they were derived: ambient
+    numerators over one den (A_n's closed form, D4's spinor and vector
+    classes, E6's two classes), solved through the ambient rows."""
+    if family == "A":
+        n = rank
+        rows, den = [[ell] * (n + 1 - ell) + [ell - n - 1] * ell for ell in range(n + 1)], n + 1
+    elif family == "D":
+        rows, den = [[0, 0, 0, 0], [1, 1, 1, 1], [0, 0, 0, 2], [1, 1, 1, -1]], 2
+    else:
+        rep = [1, -1, 0, 1, -1, 0]
+        rows, den = [[0] * 6, rep, [-e for e in rep]], 3
+    return solve_exact(build_root_lattice(family, rank).ambient, IntMatrix.from_rows(rows)), den
+
+
+ROOT_TYPES = [("A", n) for n in range(1, 11)] + [("D", 4), ("E", 6)]
+
+
+@pytest.mark.parametrize("family, rank", ROOT_TYPES)
+def test_derived_classes_are_the_former_stated_classes(family, rank):
+    # Row ell of the weights read off C^-1 lies in the class row ell was
+    # stated in, so the digits of every glue word keep their meaning.
+    glue = build_root_lattice(family, rank).glue
+    former, den = former_glue(family, rank)
+    assert glue.rows == former.rows == build_root_lattice(family, rank).lattice.determinant()
+    for new, old in zip(glue.num.entries, former.entries):
+        assert all((a * den - b * glue.den) % (den * glue.den) == 0 for a, b in zip(new, old))
+    # Pairwise distinct modulo L: together with the count, all of L*/L.
+    for u, v in itertools.combinations(glue.num.entries, 2):
+        assert any((a - b) % glue.den for a, b in zip(u, v))
 
 
 def test_root_lattice_class_norms():
-    a2 = build_root_lattice("A", 2)
-    assert class_norm(a2, 1) == Fraction(2, 3)
-    assert class_norm(a2, 2) == Fraction(2, 3)
-    d4 = build_root_lattice("D", 4)
-    assert [class_norm(d4, ell) for ell in (1, 2, 3)] == [1, 1, 1]
-    e6 = build_root_lattice("E", 6)
-    assert class_norm(e6, 1) == Fraction(4, 3)
-    a5 = build_root_lattice("A", 5)
-    assert class_norm(a5, 3) == Fraction(3, 2)
+    # Each representative is a shortest vector of its coset of L in L*:
+    # norm ell (n + 1 - ell) / (n + 1) for A_n, 1 for D4 and 4/3 for E6.
+    for family, rank in [("A", n) for n in range(1, 9)] + [("D", 4), ("E", 6)]:
+        data = build_root_lattice(family, rank)
+        l, den = data.lattice, data.glue.den
+        for ell in range(1, data.glue.rows):
+            rep = data.glue.num.entries[ell]
+            norm = l.inner(rep, rep)
+            assert min(e for _, e in _short_vectors(l, norm, rep, den)) == norm
+            expected = {"A": Fraction(ell * (rank + 1 - ell), rank + 1), "D": 1,
+                        "E": Fraction(4, 3)}
+            assert Fraction(norm, den ** 2) == expected[family]
 
 
 def test_unsupported_root_lattice():
@@ -154,29 +185,28 @@ def test_coordinate_cycles_fix_dual_classes():
             assert glue_class_image(auto, data, ell) == ell
 
 
-def from_ambient(data, images):
+def from_ambient(data, images, den=1):
     """The basis matrix of a map given by the ambient images of the ambient
-    unit vectors: the basis rows' images, numerators over den, as x amb."""
+    unit vectors, numerators over den: the basis rows' images as x amb."""
     amb = data.ambient
-    product = RatMatrix(amb) @ RatMatrix.from_rows(images)
-    return solve_exact(amb.scale(product.den), product.num)
+    return solve_exact(amb.scale(den), amb @ IntMatrix.from_rows(images))
 
 
 def former_component_matrix(name):
     """Each component map in the form it was stated in before its table
     row: four by ambient images, triality by its basis matrix, and E6's by
     its reflections, highest root first."""
-    half, perm = Fraction(1, 2), {0: 1, 1: 2, 2: 0, 3: 4, 4: 5, 5: 3}
-    images = {
-        "cycle_A2": (("A", 2), [(0, 0, 1), (1, 0, 0), (0, 1, 0)]),
-        "rotation_D4": (("D", 4), [[-half, half, half, half], [-half, -half, half, -half],
-                                   [-half, -half, -half, half], [-half, half, -half, -half]]),
-        "coord_cycle_D4": (("D", 4), [(0, 0, 1, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)]),
-        "coord_cycle_A5": (("A", 5), [[int(j == perm[i]) for j in range(6)] for i in range(6)]),
+    perm = {0: 1, 1: 2, 2: 0, 3: 4, 4: 5, 5: 3}
+    images = {  # (type, numerators, den)
+        "cycle_A2": (("A", 2), [(0, 0, 1), (1, 0, 0), (0, 1, 0)], 1),
+        "rotation_D4": (("D", 4), [[-1, 1, 1, 1], [-1, -1, 1, -1],
+                                   [-1, -1, -1, 1], [-1, 1, -1, -1]], 2),
+        "coord_cycle_D4": (("D", 4), [(0, 0, 1, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)], 1),
+        "coord_cycle_A5": (("A", 5), [[int(j == perm[i]) for j in range(6)] for i in range(6)], 1),
     }
     if name in images:
-        (family, rank), rows = images[name]
-        return from_ambient(build_root_lattice(family, rank), rows)
+        (family, rank), rows, den = images[name]
+        return from_ambient(build_root_lattice(family, rank), rows, den)
     if name == "triality_D4":
         return IntMatrix.from_rows([[0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1], [1, 0, 0, 0]])
     assert name == "reflection_product_E6"
@@ -403,7 +433,7 @@ def test_glue_closure_matches_breadth_first_reference(n, d, data):
     sets in (Z/d)^n: the same denominator and the same sorted residues."""
     words = data.draw(st.lists(st.lists(st.integers(0, 2 * d), min_size=n, max_size=n),
                                max_size=4))
-    gens = RatMatrix.from_rows([[Fraction(e, d) for e in w] for w in words], cols=n)
+    gens = RatMatrix(IntMatrix.from_rows(words, cols=n), d)
     den, group = gens.den, _close_glue_group(gens)
     assert den == lcm(*(Fraction(e, d).denominator for w in words for e in w))
     steps = [tuple(int(Fraction(e, d) * den) % den for e in w) for w in words]

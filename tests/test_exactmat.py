@@ -33,10 +33,6 @@ def im(rows):
     return IntMatrix.from_rows(rows)
 
 
-def rm(rows):
-    return RatMatrix.from_rows(rows)
-
-
 class TestHnf:
     def test_already_reduced(self):
         assert hnf(im([[2, 0], [0, 2]])) == im([[2, 0], [0, 2]])
@@ -153,7 +149,7 @@ class TestSolve:
 
 
 def test_mixed_operands_and_non_int_entries_raise_type_error():
-    i, r = IntMatrix.identity(2), rm([[1, 0], [0, 1]])
+    i, r = IntMatrix.identity(2), RatMatrix(im([[1, 0], [0, 1]]))
     for op in (operator.matmul, operator.add, operator.sub):
         for a, b in ((i, r), (r, i)):
             with pytest.raises(TypeError):
@@ -161,7 +157,7 @@ def test_mixed_operands_and_non_int_entries_raise_type_error():
     with pytest.raises(TypeError):
         i.scale(Fraction(1, 2))
     # det, ldl and block_diagonal take integer matrices only.
-    half = rm([[Fraction(1, 2), 0], [0, 1]])
+    half = RatMatrix(im([[1, 0], [0, 2]]), 2)
     for use in (det, ldl, lambda m: block_diagonal([i, m])):
         with pytest.raises(TypeError):
             use(half)
@@ -169,8 +165,7 @@ def test_mixed_operands_and_non_int_entries_raise_type_error():
            lambda: IntMatrix(1, 1, ((True,),)),
            lambda: IntMatrix.from_rows([[1, 2.0]]),
            lambda: RatMatrix(((Fraction(1, 2),),)),
-           lambda: RatMatrix(im([[1]]), 2.0),
-           lambda: RatMatrix.from_rows([[0.5]])]
+           lambda: RatMatrix(im([[1]]), 2.0)]
     for build in bad:
         with pytest.raises(TypeError):
             build()
@@ -255,7 +250,11 @@ def frac_rows(rows, cols, elements=FRACTIONS):
 
 
 def rat(rows, cols):
-    return RatMatrix.from_rows(rows, cols=cols)
+    """Fraction (or int) rows as numerators over the lcm of their denominators."""
+    rows = [[Fraction(e) for e in row] for row in rows]
+    den = lcm(*(e.denominator for row in rows for e in row))
+    return RatMatrix(IntMatrix.from_rows([[int(e * den) for e in row] for row in rows],
+                                         cols=cols), den)
 
 
 # Per-entry Fraction reference implementations that the scaled-integer
@@ -359,7 +358,7 @@ def test_matrix_records_are_values_of_their_own_class():
     # Equal fields give equal records, hashed as the tuple of their fields.
     a, r = im([[1, 2], [3, 4]]), RatMatrix(im([[2, 4], [6, 8]]), 2)
     assert a == IntMatrix(2, 2, ((1, 2), (3, 4))) and hash(a) == hash((2, 2, a.entries))
-    assert r == rm([[1, 2], [3, 4]]) and hash(r) == hash((a, 1))
+    assert r == RatMatrix(a) and hash(r) == hash((a, 1))
     # The same numbers in the other class, or as a plain tuple, are not equal.
     for x, y in ((a, r), (a, RatMatrix(a)), (a, (2, 2, a.entries)),
                  (r, (r.num, 1)), (a, a.entries)):
@@ -368,7 +367,7 @@ def test_matrix_records_are_values_of_their_own_class():
     with pytest.raises(ShapeError, match="ragged"):
         IntMatrix(2, 2, ((1, 2), (3,)))
     with pytest.raises(ShapeError, match="ragged"):
-        RatMatrix.from_rows([[1, 2], [3]], cols=2)
+        IntMatrix.from_rows([[1, 2], [3]], cols=2)
 
 
 # Each malformed shape, and what the check it trips says.
@@ -378,7 +377,7 @@ SHAPE_FAULTS = [
     (lambda: IntMatrix.from_rows([]), "column count required for a matrix with no rows"),
     (lambda: im([[1, 2]]) + im([[1], [2]]), "size mismatch in addition"),
     (lambda: im([[1, 2]]) @ im([[1, 2]]), "size mismatch in multiplication"),
-    (lambda: rm([[Fraction(1, 2), 1]]) @ rm([[1, 2]]), "size mismatch in multiplication"),
+    (lambda: RatMatrix(im([[1, 2]]), 2) @ RatMatrix(im([[1, 2]])), "size mismatch in multiplication"),
     (lambda: solve_exact(im([[1, 0]]), im([[1]])), "right-hand side has wrong width"),
     (lambda: inverse(im([[1, 2]])), "inverse of a non-square matrix"),
 ]
@@ -405,7 +404,7 @@ def test_rat_matrix_is_reduced_numerators_over_a_positive_den():
     assert m.entries[1] == (Fraction(3, 2), 2, Fraction(5, 2))
     assert RatMatrix(im([[0, 0]]), -5) == RatMatrix(im([[0, 0]]))
     # Numerators are an IntMatrix, and den a nonzero int.
-    for bad in (((1, 2),), [[1, 2]], rm([[1, 2]])):
+    for bad in (((1, 2),), [[1, 2]], RatMatrix(im([[1, 2]]))):
         with pytest.raises(TypeError, match="must be an IntMatrix"):
             RatMatrix(bad, 2)
     with pytest.raises(ZeroDivisionError):

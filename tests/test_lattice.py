@@ -67,9 +67,7 @@ def test_lattice_validation():
 def test_lattice_rejects_a_rational_gram():
     # A Gram matrix is an IntMatrix; the same integers as a RatMatrix, or a
     # non-integral Gram, are refused by type, never converted.
-    for gram in (RatMatrix.from_rows([[2, -1], [-1, 2]]),
-                 RatMatrix.from_rows([[Fraction(2, 3), Fraction(1, 3)],
-                                      [Fraction(1, 3), Fraction(2, 3)]]),
+    for gram in (RatMatrix(A2_GRAM), RatMatrix(IntMatrix.from_rows([[2, 1], [1, 2]]), 3),
                  ((2, -1), (-1, 2))):
         with pytest.raises(TypeError, match="must be an IntMatrix"):
             Lattice(gram)
@@ -122,8 +120,7 @@ def test_dual_a2():
     # diagonal of its Gram), so gluing A2 by its dual basis is refused.
     assert a2().determinant() == 3
     dual = dual_basis(A2_GRAM)
-    assert dual == RatMatrix.from_rows(
-        [[Fraction(2, 3), Fraction(1, 3)], [Fraction(1, 3), Fraction(2, 3)]])
+    assert dual == RatMatrix(IntMatrix.from_rows([[2, 1], [1, 2]]), 3)
     (a, b), (c, d) = dual.entries
     assert a * d - b * c == Fraction(1, 3)
     with pytest.raises(GlueError, match="not integral"):
@@ -154,7 +151,7 @@ def test_direct_sum():
 
 def test_glue_empty_is_identity():
     l = a2()
-    ext = glue_extend(l, RatMatrix.from_rows([], cols=2))
+    ext = glue_extend(l, RatMatrix(IntMatrix(0, 2, ())))
     assert ext.index == 1
     assert ext.lattice.gram == l.gram
 
@@ -164,11 +161,10 @@ def test_glue_a2_to_its_dual():
     # coordinates (2/3, 1/3), of norm 2/3: alone it pairs integrally with
     # A2 but does not glue, while its diagonal in A2^3 has norm 2 and glues
     # A2^3 to E6 with index 3.
-    third = Fraction(1, 3)
     with pytest.raises(GlueError, match="not integral"):
-        glue_extend(a2(), RatMatrix.from_rows([[2 * third, third]]))
+        glue_extend(a2(), RatMatrix(IntMatrix.from_rows([[2, 1]]), 3))
     l = direct_sum([a2()] * 3)
-    ext = glue_extend(l, RatMatrix.from_rows([[2 * third, third] * 3]))
+    ext = glue_extend(l, RatMatrix(IntMatrix.from_rows([[2, 1] * 3]), 3))
     assert ext.index == 3
     assert ext.lattice.determinant() == 3
     assert ext.lattice.determinant() * ext.index ** 2 == l.determinant()
@@ -180,10 +176,10 @@ def test_glue_a2_to_its_dual():
 def test_glue_rejects_non_dual_vector():
     l = a2()
     with pytest.raises(GlueError) as exc:
-        glue_extend(l, RatMatrix.from_rows([[Fraction(1, 2), 0]]))
+        glue_extend(l, RatMatrix(IntMatrix.from_rows([[1, 0]]), 2))
     assert "pairs non-integrally" in str(exc.value)
     with pytest.raises(GlueError, match="3 coordinates, not 2"):
-        glue_extend(l, RatMatrix.from_rows([[Fraction(2, 3), Fraction(1, 3), 0]]))
+        glue_extend(l, RatMatrix(IntMatrix.from_rows([[2, 1, 0]]), 3))
 
 
 def test_even_unimodular_flags():
@@ -194,9 +190,8 @@ def test_even_unimodular_flags():
 
 def test_member_basis_and_glue_vector():
     e6 = Lattice(E6_GRAM, name="E6")
-    third = Fraction(1, 3)
-    g = RatMatrix.from_rows([[third, -third, 0, third, -third, 0]])
-    tripled = RatMatrix.from_rows([[1, -1, 0, 1, -1, 0]])
+    g = RatMatrix(IntMatrix.from_rows([[1, -1, 0, 1, -1, 0]]), 3)
+    tripled = RatMatrix(g.num.scale(3), g.den)
     assert (g.den, tripled.den) == (3, 1)
     # The glue vector has norm 4/3 = 12 / 3^2: it lies in E6* but does not
     # glue, while three times it lies in E6 and glues with index 1.
@@ -209,11 +204,10 @@ def test_member_basis_and_glue_vector():
 def sublattice_contains(sub: IntMatrix, coords_in_parent) -> bool:
     """Whether a parent-coordinate vector lies in the sublattice with basis
     rows ``sub``: one exact solve, the oracle for containment checks."""
-    target = RatMatrix.from_rows([list(coords_in_parent)], cols=sub.cols)
-    if target.den != 1:
+    if any(Fraction(e).denominator != 1 for e in coords_in_parent):
         return False
     try:
-        solve_exact(sub, target.num)
+        solve_exact(sub, IntMatrix.from_rows([[int(e) for e in coords_in_parent]], cols=sub.cols))
     except NoSolution:
         return False
     return True
@@ -303,12 +297,12 @@ def test_randomized_lattice_invariants():
         # only when q = 1, and by q v, which always glues; index-squared
         # times the glued determinant recovers the base determinant, and the
         # base sits in the glued lattice with that index.
-        u = RatMatrix.from_rows([[rng.randrange(-2, 3) for _ in range(n)]], cols=n)
+        u = RatMatrix(IntMatrix.from_rows([[rng.randrange(-2, 3) for _ in range(n)]], cols=n))
         v = u @ dual_basis(gram)
         q = Fraction(sum(a * b for a, b in zip(u.entries[0], v.entries[0]))).denominator
         if q > 1:
             with pytest.raises(GlueError, match="not integral"):
                 glue_extend(l, v)
-        ext = glue_extend(l, RatMatrix.from_rows([[q * e for e in v.entries[0]]], cols=n))
+        ext = glue_extend(l, RatMatrix(v.num.scale(q), v.den))
         assert ext.lattice.determinant() * ext.index ** 2 == d
         assert abs(det(ext.base_in_lattice)) == ext.index

@@ -191,9 +191,8 @@ def test_glued_coset_route_matches_direct_route():
     # Two D4 blocks glued along the diagonal spinor class give D8.
     d4 = Lattice(D4_GRAM)
     q = direct_sum([d4, d4])
-    half = Fraction(1, 2)
-    spinor = [half, 1, half, 1]
-    ext = glue_extend(q, RatMatrix.from_rows([spinor + spinor]))
+    spinor = [1, 2, 1, 2]  # (1/2, 1, 1/2, 1)
+    ext = glue_extend(q, RatMatrix(IntMatrix.from_rows([spinor + spinor]), 2))
     assert ext.index == 2
     assert ext.lattice.determinant() == 4
     direct = enumerate_roots(ext.lattice)
@@ -213,8 +212,7 @@ def test_glued_route_with_fully_pruned_words():
     # only contain norms 6 * 2/3 = 4 and up, never exactly 2.
     a2 = Lattice(A2_GRAM)
     q = direct_sum([a2] * 6)
-    third = Fraction(1, 3)
-    ext = glue_extend(q, RatMatrix.from_rows([[2 * third, third] * 6]))
+    ext = glue_extend(q, RatMatrix(IntMatrix.from_rows([[2, 1] * 6]), 3))
     assert ext.index == 3
     words = [(0,) * 12, (2, 1) * 6, (1, 2) * 6]  # 0, g, 2g mod 1, over d = 3
     vectors = glued_root_vectors([a2] * 6, ext, words, 3)
@@ -472,8 +470,7 @@ def test_glued_route_shares_short_vectors_across_equal_blocks(monkeypatch):
     # norm 3 * 2/3 = 2, so both nonzero cosets carry 27 roots each.
     a2 = Lattice(A2_GRAM)
     q = direct_sum([a2, a2, a2])
-    third = Fraction(1, 3)
-    ext = glue_extend(q, RatMatrix.from_rows([[2 * third, third] * 3]))
+    ext = glue_extend(q, RatMatrix(IntMatrix.from_rows([[2, 1] * 3]), 3))
     assert ext.index == 3
     words = [(0,) * 6, (2, 1) * 3, (1, 2) * 3]  # 0, g, 2g mod 1, over d = 3
     calls = []
@@ -504,7 +501,7 @@ def test_glued_route_keeps_blocks_with_different_grams_apart():
     # the shift 0, but their short vectors differ.
     flipped = Lattice(IntMatrix.from_rows([[2, 1], [1, 2]]))
     parts = [Lattice(A2_GRAM), flipped]
-    ext = glue_extend(direct_sum(parts), RatMatrix.from_rows([], cols=4))
+    ext = glue_extend(direct_sum(parts), RatMatrix(IntMatrix(0, 4, ())))
     vectors = glued_root_vectors(parts, ext, [(0,) * 4], 1)
     direct = enumerate_roots(ext.lattice)
     assert sorted(vectors) == sorted(direct.roots)
@@ -515,14 +512,14 @@ def test_glued_route_rejects_parts_short_of_the_rank():
     # One A2 summand for a glued lattice of rank 4: the blocks would not
     # cover the coordinates of the words.
     a2 = Lattice(A2_GRAM)
-    ext = glue_extend(direct_sum([a2, a2]), RatMatrix.from_rows([], cols=4))
+    ext = glue_extend(direct_sum([a2, a2]), RatMatrix(IntMatrix(0, 4, ())))
     with pytest.raises(RootsError, match="^the parts' ranks sum to 2, not the rank 4$"):
         glued_root_vectors([a2], ext, [(0,) * 4], 1)
 
 
 def test_glued_route_rejects_a_zero_denominator():
     a2 = Lattice(A2_GRAM)
-    ext = glue_extend(direct_sum([a2, a2]), RatMatrix.from_rows([], cols=4))
+    ext = glue_extend(direct_sum([a2, a2]), RatMatrix(IntMatrix(0, 4, ())))
     with pytest.raises(RootsError, match="rank-length rows over a positive d$"):
         glued_root_vectors([a2, a2], ext, [(0,) * 4], 0)
 
