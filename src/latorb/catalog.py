@@ -162,7 +162,6 @@ class NiemeierBundle(NamedTuple):
     glue_group: tuple[tuple[int, ...], ...]
     glue_den: int
     root_system: RootSystem
-    description: str
 
     @property
     def lattice(self) -> Lattice:
@@ -254,7 +253,7 @@ def construct_niemeier(key: str) -> NiemeierBundle:
     if classify(rs) != tuple(sorted(spec["parts"])) or rs.count != spec["root_count"]:
         raise CatalogError(f"{key}: root system mismatch")
     ambient = block_diagonal([d.ambient for d in part_data])
-    return NiemeierBundle(parts, ambient, ext, group, words.den, rs, spec["description"])
+    return NiemeierBundle(parts, ambient, ext, group, words.den, rs)
 
 
 @lru_cache(maxsize=None)

@@ -108,20 +108,20 @@ def cmd_lattice_build(args) -> int:
     from .exactmat import RatMatrix
     from .lattice import is_even_unimodular, rat_str
     bundle = construct_niemeier(args.key)
+    spec = CONSTRUCTIONS["lattices"][args.key]
     lattice = bundle.lattice
     even, unimodular = is_even_unimodular(lattice)
     rows = [
         _row(f"{args.key} even", even, True),
         _row(f"{args.key} unimodular", unimodular, True),
         _row(f"{args.key} rank", lattice.rank, 24),
-        _row(f"{args.key} glue index", bundle.extension.index,
-             CONSTRUCTIONS["lattices"][args.key]["index"], "computed"),
+        _row(f"{args.key} glue index", bundle.extension.index, spec["index"], "computed"),
         *_root_rows(args.key, bundle.root_system),
     ]
     embedding = bundle.extension.basis_in_base @ RatMatrix(bundle.ambient)
     doc = {**lattice.to_json(),
            "embedding": [[rat_str(e) for e in row] for row in embedding.entries]}
-    payload = {"key": args.key, "description": bundle.description, "lattice": doc}
+    payload = {"key": args.key, "description": spec["description"], "lattice": doc}
     return _finish(rows, payload, args.json)
 
 
@@ -260,7 +260,7 @@ def cmd_verify_all(args) -> int:
     passed = sum(1 for r in rows if r["ok"])
     bundle = {
         "tool_version": TOOL_VERSION,
-        "table_checksum": liealg.table_checksum(),
+        "table_checksum": liealg.TABLE_SHA256,
         "reports": [reports[k] for k in sorted(reports)],
         "summary": {"passed": passed, "failed": len(rows) - passed},
     }
@@ -271,7 +271,7 @@ def cmd_verify_all(args) -> int:
     else:
         _print_rows(rows)
         print(f"{passed}/{len(rows)} checks pass "
-              f"(tool {TOOL_VERSION}, table {liealg.table_checksum()[:12]})")
+              f"(tool {TOOL_VERSION}, table {liealg.TABLE_SHA256[:12]})")
     return EXIT_OK if passed == len(rows) else EXIT_CHECK
 
 

@@ -106,11 +106,11 @@ class _Packing:
         """Field j of the packed row v."""
         return (((v + self.bias) >> (self.w * j)) & self.mask) - self.half
 
-    def read(self, v: int, start: int = 0) -> list[int]:
-        """Fields start, start + 1, ... of the packed row v."""
+    def read(self, v: int) -> list[int]:
+        """The fields of the packed row v."""
         v += self.bias
         mask, half = self.mask, self.half
-        return [((v >> s) & mask) - half for s in self.shifts[start:]]
+        return [((v >> s) & mask) - half for s in self.shifts]
 
 
 def _product(a, b, cols: int) -> tuple[tuple[int, ...], ...]:

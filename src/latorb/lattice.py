@@ -133,13 +133,10 @@ def glue_extend(q: Lattice, words: RatMatrix,
                     f"glue vector {gi} pairs non-integrally with basis vector "
                     f"{bi}: <g,b> = {rat_str(Fraction(e, den))}")
     scaled = IntMatrix.identity(r).scale(den)
+    # den I is among h's generators, so h has r rows and its triangular
+    # determinant prod(diagonal) divides den^r: det(basis) = 1 / index.
     h = hnf(_im(r + words.rows, r, scaled.entries + words.num.entries))
-    if h.rows != r:
-        raise GlueError("glue span lost rank (internal error)")
-    # h is triangular: det(basis) = prod(diagonal) / den^r.
-    index, rest = divmod(den ** r, prod(h.entries[i][i] for i in range(r)))
-    if rest:
-        raise GlueError("glue basis determinant is not the reciprocal of an integer")
+    index = den ** r // prod(h.entries[i][i] for i in range(r))
     square = den * den
     gram = (h @ q.gram @ h.transpose()).entries
     if any(e % square for row in gram for e in row):

@@ -3,7 +3,7 @@
 The type table holds the dimension and dual Coxeter number of every simple
 type up to dimension ``TABLE_DIMENSION``, built at import from the closed
 forms of the four classical families and the five exceptional rows; its
-checksum is exposed so reports can pin the exact data they used.  On top of
+checksum ``TABLE_SHA256`` lets reports pin the exact data they used.  On top of
 the table sit the level formula, a constrained enumerator for semisimple
 types of a given total dimension, and matching against the stored rows of
 the central-charge-24 classification.
@@ -66,12 +66,6 @@ class SimpleLieData(NamedTuple):
     @property
     def symbol(self) -> str:
         return f"{self.family}{self.rank}"
-
-
-def table_checksum() -> str:
-    """SHA-256 of the table's rendering, for report pinning: the stated
-    ``TABLE_SHA256``, which the tests recompute from ``all_types()``."""
-    return TABLE_SHA256
 
 
 def all_types() -> tuple[SimpleLieData, ...]:

@@ -121,10 +121,9 @@ def sublattice_r(n: IntMatrix, c: IntMatrix) -> tuple[IntMatrix, int]:
     stacked = IntMatrix.from_rows(
         list(c.entries) + list(IntMatrix.identity(k).scale(_COMMUTATOR_MOD).entries),
         cols=k)
+    # (6 e_i, -C_i) is in the kernel for each i, so proj holds 6Z^k: rank k.
     ker = kernel_basis(stacked)
     proj = hnf(IntMatrix.from_rows([row[:k] for row in ker.entries], cols=k))
-    if proj.rows != k:
-        raise OrbifoldError("radical lost rank; 6N should always embed in R")
     return hnf(proj @ n), prod(proj.entries[i][i] for i in range(k))
 
 
@@ -186,8 +185,9 @@ def coset_filter_index(n: IntMatrix, m: IntMatrix,
 
 
 class TwistData(NamedTuple):
-    """Everything the twisted-module dimension rule consumes; N, M and R are
-    their basis rows in L coordinates."""
+    """Everything the twisted-module dimension rule
+    (``twisted_weight_one_dim``) consumes; N, M and R are their basis rows in
+    L coordinates, and |N/R| is a perfect square."""
 
     eigen: tuple[int, int, int]
     rho: Fraction
@@ -196,17 +196,17 @@ class TwistData(NamedTuple):
     r: IntMatrix
     index_nm: int
     index_nr: int
-    twisted_wt1_dim: int | None  # None: outside the supported weight range
 
 
 @lru_cache(maxsize=None)
 def twist_data(iso: Isometry) -> TwistData:
-    """Assemble eigen data, rho, N/M/R, and the twisted top dimension.
+    """Assemble eigen data, rho, N/M/R and the indices |N/M| and |N/R|.
 
     The two |N/R| routes (congruence kernel, coset filter) are both run and
     must agree; the coset filter solves for M in N and a second solve puts
-    M inside R; |N/R| must be a perfect square.  Any failure raises rather
-    than producing a report.
+    M inside R; |N/R| must be a perfect square, whose root
+    ``twisted_weight_one_dim`` reads.  Any failure raises rather than
+    producing a report.
     """
     eigen = eigen_dims(iso)
     offset = rho(eigen)
@@ -228,26 +228,22 @@ def twist_data(iso: Isometry) -> TwistData:
         solve_exact(r, m)
     except NoSolution:
         raise OrbifoldError("M is not contained in R") from None
-    top = isqrt(index_kernel)
-    if top * top != index_kernel:
+    if isqrt(index_kernel) ** 2 != index_kernel:
         raise OrbifoldError(f"|N/R| = {index_kernel} is not a perfect square")
-    if rho_is_admissible(offset) and offset == 1:
-        wt1 = top
-    elif rho_is_admissible(offset) and offset > 1:
-        wt1 = 0
-    else:
-        wt1 = None
-    return TwistData(eigen, offset, n, m, r, index_nm, index_kernel, wt1)
+    return TwistData(eigen, offset, n, m, r, index_nm, index_kernel)
 
 
 def twisted_weight_one_dim(td: TwistData) -> int:
-    """Weight-one dimension of one twisted module: top dim at rho = 1, zero
-    above, and an explicit error below (never a silent zero)."""
-    if td.twisted_wt1_dim is None:
-        raise UnsupportedTwistWeight(
-            f"rho = {td.rho}: weight one is above the top level and the "
-            "dimension is not determined by |N/R|")
-    return td.twisted_wt1_dim
+    """Weight-one dimension of one twisted module: the top dimension
+    sqrt|N/R| at rho = 1, zero at an admissible rho > 1, and an explicit
+    error otherwise (never a silent zero)."""
+    if td.rho == 1:
+        return isqrt(td.index_nr)
+    if td.rho > 1 and rho_is_admissible(td.rho):
+        return 0
+    raise UnsupportedTwistWeight(
+        f"rho = {td.rho}: weight one is above the top level and the "
+        "dimension is not determined by |N/R|")
 
 
 def fixed_weight_one_dim(iso: Isometry, rs: RootSystem, h0: int) -> int:

@@ -16,17 +16,10 @@ LABELS = ("∞", "0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "X")
 THETA = (0, 1, 3, 4, 5, 9)
 
 
-def label_position(label: str) -> int:
-    return LABELS.index(label)
-
-
 class IndexPermutation(NamedTuple):
     """Bijection of the 12 positions; images[p] is the image of position p."""
 
     images: tuple[int, ...]
-
-    def __call__(self, p: int) -> int:
-        return self.images[p]
 
     def apply_to_word(self, word: Sequence[int]) -> tuple[int, ...]:
         # Moves the entry at position p to position images[p].
@@ -70,11 +63,14 @@ def compose_perm(a: IndexPermutation, b: IndexPermutation) -> IndexPermutation:
     return IndexPermutation(tuple(a.images[b.images[p]] for p in range(LENGTH)))
 
 
-def perm_from_label_map(mapping: dict[str, str]) -> IndexPermutation:
-    """Permutation from a partial label map; unlisted labels stay fixed."""
+def perm_from_cycles(text: str) -> IndexPermutation:
+    """The permutation a cycle string in ``LABELS`` names, the inverse of
+    ``cycle_string``; labels in no cycle stay fixed."""
     images = list(range(LENGTH))
-    for src, dst in mapping.items():
-        images[label_position(src)] = label_position(dst)
+    for cycle in text.strip("()").split(")("):
+        points = [LABELS.index(label) for label in cycle]
+        for p, q in zip(points, points[1:] + points[:1]):
+            images[p] = q
     if sorted(images) != list(range(LENGTH)):
         raise ValueError("not a bijection of the 12 positions")
     return IndexPermutation(tuple(images))
@@ -82,19 +78,12 @@ def perm_from_label_map(mapping: dict[str, str]) -> IndexPermutation:
 
 def shift_perm() -> IndexPermutation:
     """The 11-cycle fixing infinity and sending each digit i to i - 1 mod 11."""
-    mapping = {"0": "X"}
-    for i in range(1, 11):
-        mapping[LABELS[i + 1]] = LABELS[i]
-    return perm_from_label_map(mapping)
+    return perm_from_cycles("(0X987654321)")
 
 
 def swap_perm() -> IndexPermutation:
-    """The involution (2 X)(3 4)(5 9)(6 7) fixing infinity, 0, 1, and 8."""
-    mapping = {}
-    for a, b in (("2", "X"), ("3", "4"), ("5", "9"), ("6", "7")):
-        mapping[a] = b
-        mapping[b] = a
-    return perm_from_label_map(mapping)
+    """The involution fixing infinity, 0, 1 and 8."""
+    return perm_from_cycles("(2X)(34)(59)(67)")
 
 
 def residue_perm() -> IndexPermutation:

@@ -24,7 +24,8 @@ from latorb.catalog import (
 )
 from latorb.constructions import CONSTRUCTIONS, LATTICE_KEYS, SIGMA_KEYS
 from latorb.exactmat import IntMatrix, RatMatrix, block_diagonal, solve_exact
-from latorb.lattice import GlueError, IsometryError, Lattice, direct_sum, is_even_unimodular
+from latorb.lattice import (GlueError, Isometry, IsometryError, Lattice, direct_sum,
+                            is_even_unimodular)
 from latorb.roots import (RootsError, _short_vectors, basis_highest_root, classify,
                           enumerate_roots, orbit_count, reflection)
 from latorb.terncode import golay_code, residue_perm
@@ -185,6 +186,16 @@ def test_coordinate_cycles_fix_dual_classes():
             assert glue_class_image(auto, data, ell) == ell
 
 
+def test_glue_class_image_rejects_an_image_in_no_class():
+    # An unchecked map that kills the second simple root sends the weight
+    # (2, 1)/3 of class 1 to (2, 0)/3, which no dual class of A2 holds.
+    a2 = build_root_lattice("A", 2)
+    flat = Isometry(a2.lattice, IntMatrix.from_rows([[1, 0], [0, 0]]), 3)
+    with pytest.raises(CatalogError) as excinfo:
+        glue_class_image(flat, a2, 1)
+    assert str(excinfo.value) == "image is not in any dual class"
+
+
 def from_ambient(data, images, den=1):
     """The basis matrix of a map given by the ambient images of the ambient
     unit vectors, numerators over den: the basis rows' images as x amb."""
@@ -314,7 +325,7 @@ def test_block_shuffle_follows_code_permutation():
             for j in range(24)
         ]
         support = {j // 2 for j, c in enumerate(q_coords) if c != 0}
-        assert support == {perm(p)}
+        assert support == {perm.images[p]}
 
 
 def test_bad_block_assignment_is_rejected():

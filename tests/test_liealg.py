@@ -29,7 +29,6 @@ from latorb.liealg import (
     schellekens_match,
     schellekens_rows,
     semisimple_candidates,
-    table_checksum,
 )
 from latorb.roots import enumerate_roots
 
@@ -51,11 +50,11 @@ def test_table_checksum_is_pinned():
     def digest(types):
         return hashlib.sha256(render_table(types).encode("utf-8")).hexdigest()
 
-    assert table_checksum() == liealg.TABLE_SHA256 == digest(all_types()) == TABLE_SHA256
+    assert liealg.TABLE_SHA256 == digest(all_types()) == TABLE_SHA256
     # The stated digest is checked against the table: one edited row fails.
     edited = list(all_types())
     edited[0] = edited[0]._replace(rank=7)
-    assert digest(edited) != table_checksum()
+    assert digest(edited) != liealg.TABLE_SHA256
 
 
 def test_table_row_invariants():
@@ -365,10 +364,10 @@ def test_liealg_imports_no_other_latorb_module():
     out = subprocess.run(
         [sys.executable, "-S", "-c",
          f"import sys, latorb.liealg; print({loaded}); "
-         f"latorb.liealg.table_checksum(); print({loaded})"],
+         f"latorb.liealg.TABLE_SHA256; print({loaded})"],
         env=env, capture_output=True, text=True, check=True).stdout
     # The table is built from closed forms, so importing it loads no json;
-    # its checksum is a stated value, so asking for it loads no hashlib.
+    # its checksum TABLE_SHA256 is a stated value, so reading it loads no hashlib.
     assert out.splitlines() == ["['latorb', 'latorb.liealg']"] * 2
 
 

@@ -15,6 +15,7 @@ from latorb.exactmat import IntMatrix, det, snf
 from latorb.lattice import Isometry, Lattice
 from latorb.orbifold import (
     OrbifoldError,
+    TwistData,
     _pairing_on,
     UnsupportedTwistWeight,
     assemble_report,
@@ -108,6 +109,15 @@ def test_eigen_dims_identity_and_rejects():
     minus = Isometry.create(d4, IntMatrix.identity(4).scale(-1), 2)
     with pytest.raises(OrbifoldError):
         eigen_dims(minus)
+    # An unchecked order-3 claim on A1^3: diag(1, 1, -1) fixes rank 2, and
+    # the rank 1 left cannot split into two conjugate eigenspaces.
+    a1 = build_root_lattice("A", 1).lattice
+    flip = Isometry(lattice.direct_sum([a1] * 3),
+                    IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, -1]]), 3)
+    with pytest.raises(OrbifoldError) as excinfo:
+        eigen_dims(flip)
+    assert str(excinfo.value) == ("conjugate eigenspaces differ in dimension; "
+                                  "the isometry matrix is inconsistent")
 
 
 @pytest.mark.parametrize("key", SIGMA_KEYS)
@@ -319,9 +329,16 @@ def test_coset_filter_rejects_an_m_outside_the_radical():
 
 def test_coset_filter_rejects_an_m_of_lower_rank():
     iso = build_sigma("sigma1")
-    n = sublattice_n(iso)
+    n, m = sublattice_n(iso), sublattice_m(iso)
+    c = _pairing_on(iso, n)
     with pytest.raises(OrbifoldError, match="N/M is infinite; ranks differ"):
-        coset_filter_index(n, without_last_row(sublattice_m(iso)), _pairing_on(iso, n))
+        coset_filter_index(n, without_last_row(m), c)
+    # M's last row replaced by its first: as many rows as N, all in N, but
+    # of rank one less, so N/M has an invariant factor 0.
+    repeated = IntMatrix.from_rows(m.entries[:-1] + m.entries[:1], cols=m.cols)
+    with pytest.raises(OrbifoldError) as excinfo:
+        coset_filter_index(n, repeated, c)
+    assert str(excinfo.value) == "M has lower rank than N"
 
 
 def test_sigma1_radical_equals_image():
@@ -340,7 +357,7 @@ def test_sigma2_index_matches_determinant():
 def test_unsupported_twist_weights():
     d4 = build_root_lattice("D", 4).lattice
     td = twist_data(identity_on(d4))
-    assert td.rho == 0 and td.twisted_wt1_dim is None
+    assert td.rho == 0
     with pytest.raises(UnsupportedTwistWeight):
         twisted_weight_one_dim(td)
     # order-3 on A2 alone: rho = 1/9 is below 1 and outside (1/3)Z
@@ -350,6 +367,27 @@ def test_unsupported_twist_weights():
     assert (td_phi.index_nm, td_phi.index_nr) == (3, 1)
     with pytest.raises(UnsupportedTwistWeight):
         twisted_weight_one_dim(td_phi)
+
+
+@pytest.mark.parametrize("value, expected", [
+    (Fraction(1), 9),
+    (Fraction(4, 3), 0),
+    (Fraction(5, 3), 0),
+    (Fraction(10, 9), None),
+    (Fraction(2, 3), None),
+    (Fraction(1, 3), None),
+    (Fraction(0), None),
+])
+def test_twisted_weight_one_rule(value, expected):
+    # The rule reads only rho and |N/R| = 81: sqrt at rho = 1, zero at an
+    # admissible rho > 1, and UnsupportedTwistWeight otherwise.
+    empty = IntMatrix.identity(0)
+    td = TwistData((6, 9, 9), value, empty, empty, empty, 81, 81)
+    if expected is None:
+        with pytest.raises(UnsupportedTwistWeight):
+            twisted_weight_one_dim(td)
+    else:
+        assert twisted_weight_one_dim(td) == expected
 
 
 @pytest.mark.parametrize("key", SIGMA_KEYS)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latorb import roots as roots_module
-from latorb.catalog import build_sigma, niemeier_bundle
+from latorb.catalog import build_root_lattice, build_sigma, niemeier_bundle
 from latorb.exactmat import IntMatrix, RatMatrix, inverse
 from latorb.lattice import Isometry, Lattice, LatticeError, direct_sum, glue_extend
 from latorb.roots import (
@@ -223,6 +223,16 @@ def test_glued_route_with_fully_pruned_words():
     # Every root must come from the base lattice: the glue vector has
     # norm 4, so all of them are base roots re-expressed in the glued basis.
     assert all(sublattice_contains(ext.base_in_lattice, v) for v in rs.roots)
+
+
+def test_glued_roots_reject_a_coset_outside_the_lattice():
+    # Class 1 of A2 on three blocks is a word of weight 3, not a Golay word:
+    # its coset holds norm-2 vectors (3 * 2/3) that A2_12 does not contain.
+    bundle = niemeier_bundle("A2_12")
+    word = build_root_lattice("A", 2).glue.num.entries[1] * 3 + (0, 0) * 9
+    with pytest.raises(RootsError) as excinfo:
+        glued_root_vectors(bundle.parts, bundle.extension, [word], bundle.glue_den)
+    assert str(excinfo.value) == "coset vector landed outside the lattice"
 
 
 def test_build_root_system_validation():

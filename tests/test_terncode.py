@@ -11,7 +11,7 @@ from latorb.terncode import (
     golay_code,
     golay_generators,
     is_self_dual,
-    perm_from_label_map,
+    perm_from_cycles,
     residue_perm,
     shift_perm,
     stable_under,
@@ -55,7 +55,7 @@ def test_stability():
     assert stable_under(c, shift_perm())
     assert stable_under(c, swap_perm())
     assert stable_under(c, residue_perm())
-    transposition = perm_from_label_map({"0": "1", "1": "0"})
+    transposition = perm_from_cycles("(01)")
     assert not stable_under(c, transposition)
 
 
@@ -76,7 +76,20 @@ def test_composition_and_inverse():
     # Composition acts right-to-left.
     delta = swap_perm()
     x = 3 + 1  # position of digit 3
-    assert compose_perm(nu.inverse(), delta)(x) == nu.inverse()(delta(x))
+    assert compose_perm(nu.inverse(), delta).images[x] == nu.inverse().images[delta.images[x]]
+
+
+def test_cycle_strings_round_trip():
+    rng = random.Random(20261020)
+    perms = [shift_perm(), swap_perm(), residue_perm()]
+    for _ in range(20):
+        images = list(range(12))
+        rng.shuffle(images)
+        perms.append(IndexPermutation(tuple(images)))
+    for perm in perms:
+        assert perm_from_cycles(perm.cycle_string()) == perm
+    with pytest.raises(ValueError, match="^not a bijection of the 12 positions$"):
+        perm_from_cycles("(01)(12)")
 
 
 def test_self_duality():
@@ -102,7 +115,7 @@ def test_codes_are_values_and_label_maps_bijections():
     assert c == again and hash(c) == hash(again) == hash((12, c.basis))
     assert c != (12, c.basis) and c != TernaryCode.from_generators(golay_generators()[:3])
     with pytest.raises(ValueError, match="not a bijection"):
-        perm_from_label_map({"0": "1"})
+        perm_from_cycles("(01)(12)")
     with pytest.raises(ValueError, match="generator length mismatch"):
         TernaryCode.from_generators([[1, 1, 1]])
 
