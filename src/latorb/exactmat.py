@@ -9,7 +9,11 @@ and glued bases) as a numerator ``IntMatrix`` ``num`` over one positive
 ``num`` and ``den``, and ``entries`` is a Fraction view.
 Matrices are values: every operation returns a new matrix.
 Both classes multiply through one packed-row integer product (Kronecker
-substitution, see ``_product``), and ``det`` and ``ldl`` share one
+substitution, see ``_product``), which reads a whole product back in one
+pass: fields up to 64 bits are rounded to a byte-aligned width and every
+row's bytes are cast to signed ints at once, while wider fields, and all
+fields on a big-endian host, are read with a shift and mask per field
+(``_Packing.rows``).  ``det`` and ``ldl`` share one
 packed-row fraction-free elimination (``_eliminate``), whose field width
 the Hadamard bound fixes.  ``hnf``, ``kernel_basis``, ``snf`` and
 ``solve_exact`` (so ``inverse``) share one per-entry Euclid engine,
@@ -34,10 +38,11 @@ deterministic: identical inputs give identical outputs.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from itertools import compress, count
 from math import gcd, isqrt, prod
-from operator import add, lshift, mul
+from operator import add, is_, lshift, mul
 from typing import Iterable, NamedTuple, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -84,6 +89,10 @@ def _magnitude(rows) -> int:
     return max(max(values), -min(values)) if values else 0
 
 
+# Field widths that memoryview.cast reads, with their signed format codes.
+_CAST_CODES = {8: "b", 16: "h", 32: "i", 64: "q"}
+
+
 class _Packing:
     """Rows of ``cols`` ints as one int of signed w-bit fields: row e packs to
     sum_j e_j 2^(w j) (Kronecker substitution).
@@ -91,13 +100,21 @@ class _Packing:
     Sums, multiples and exact quotients of packed rows are the packed rows of
     the entrywise results, whatever carries pass between fields on the way.  A
     field in (-half, half), half = 2^(w-1), reads back exactly: adding ``bias``,
-    half in every field, leaves each in [0, 2^w), so a shift and mask read it.
+    half in every field, leaves each in [0, 2^w).  On a little-endian host a
+    width up to 64 is rounded up to 8, 16, 32 or 64 bits, where ``rows`` reads
+    every field in one ``memoryview.cast``; wider fields, and every field on a
+    big-endian host, are read with a shift and mask.
     """
 
     def __init__(self, w: int, cols: int) -> None:
-        self.w, self.mask, self.half = w, (1 << w) - 1, 1 << (w - 1)
+        if sys.byteorder == "little" and w <= 64:
+            w = max(8, 1 << (w - 1).bit_length())  # the next power of two from 8
+            self.code = _CAST_CODES[w]
+        else:
+            self.code = None
+        self.w, self.cols, self.mask, self.half = w, cols, (1 << w) - 1, 1 << (w - 1)
         self.shifts = range(0, w * cols, w)
-        self.bias = sum(self.half << s for s in self.shifts)
+        self.bias = self.half * ((1 << (w * cols)) - 1) // self.mask
 
     def pack(self, row: Sequence[int]) -> int:
         return sum(map(lshift, row, self.shifts))
@@ -106,11 +123,25 @@ class _Packing:
         """Field j of the packed row v."""
         return (((v + self.bias) >> (self.w * j)) & self.mask) - self.half
 
-    def read(self, v: int) -> list[int]:
-        """The fields of the packed row v."""
-        v += self.bias
-        mask, half = self.mask, self.half
-        return [((v >> s) & mask) - half for s in self.shifts]
+    def rows(self, packed: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+        """The fields of each packed row.
+
+        With a cast code, (v + bias) ^ bias holds each field in w-bit two's
+        complement, so the little-endian bytes of all rows, joined, cast to
+        signed w-bit ints are every field in order.
+        """
+        cols, bias = self.cols, self.bias
+        if not cols:
+            return ((),) * len(packed)
+        if self.code:
+            size = self.w // 8 * cols
+            flat = memoryview(b"".join([((v + bias) ^ bias).to_bytes(size, "little")
+                                        for v in packed])).cast(self.code).tolist()
+        else:
+            mask, half = self.mask, self.half
+            flat = [((v >> s) & mask) - half for v in map(bias.__add__, packed)
+                    for s in self.shifts]
+        return tuple(zip(*[iter(flat)] * cols))
 
 
 def _product(a, b, cols: int) -> tuple[tuple[int, ...], ...]:
@@ -118,12 +149,13 @@ def _product(a, b, cols: int) -> tuple[tuple[int, ...], ...]:
 
     Row i of a b packs to the sum of a[i][k] P_k over the nonzero a[i][k],
     P_k row k of b packed.  No entry exceeds n max|a| max|b| in size, so
-    fields one bit wider than that bound read every entry back.
+    fields one bit wider than that bound, rounded up to a byte-aligned width
+    where one holds them, read every entry back (``_Packing.rows``): all rows
+    in one byte-level cast, or field by field when wider than 64 bits.
     """
     p = _Packing((len(b) * _magnitude(a) * _magnitude(b)).bit_length() + 1, cols)
     packed = list(map(p.pack, b))
-    return tuple(tuple(p.read(sum(map(mul, compress(row, row), compress(packed, row)))))
-                 for row in a)
+    return p.rows([sum(map(mul, compress(row, row), compress(packed, row))) for row in a])
 
 
 class IntMatrix:
@@ -380,7 +412,7 @@ def _eliminate(rows: Sequence[Sequence[int]], cols: int, steps: int):
     Each entry formed is a minor, so the division is exact on the packed
     int, whatever carries pass between the fields of pv row - f top, and no
     entry read exceeds the Hadamard bound H = prod (isqrt(|row|^2) + 1),
-    which w = bit_length(H) + 1 holds.
+    which fields of bit_length(H) + 1 bits, or the aligned width above it, hold.
     Returns (packing, pivot rows, [(column, position among the remaining
     rows, pv) per pivot row]), pivot rows packed and in order.
     """
@@ -411,7 +443,7 @@ def det(m: IntMatrix) -> int:
     return sign * pivots[-1][2] if pivots else 1
 
 
-def ldl(m: IntMatrix) -> tuple[list[int], list[list[int]]]:
+def ldl(m: IntMatrix) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
     """LDL^T of a symmetric integer matrix in integers, as (p, a) with
     x m x^T = sum_k t_k^2 / (p[k] D_k), t_k = p[k] x_k + sum_{j>k} a[k][j] x_j.
 
@@ -427,7 +459,7 @@ def ldl(m: IntMatrix) -> tuple[list[int], list[list[int]]]:
              len(pivots))
     if k < n:
         raise NotPositiveDefinite(f"leading minor {k + 1} is not positive")
-    return [pv for _, _, pv in pivots], list(map(p.read, done))
+    return [pv for _, _, pv in pivots], p.rows(done)
 
 
 def solve_exact(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -439,12 +471,15 @@ def solve_exact(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     u @ a = h the row HNF of ``a`` (``_hnf_transform``), each row of ``b``
     is reduced along the pivots of h, top down, one exact division per
     pivot, to y with y @ h = b, and x = y @ u.  Rows of h below a pivot are
-    zero in its column, so each quotient is forced.
+    zero in its column, so each quotient is forced.  When ``a`` is already in
+    HNF no row operation runs, every row of u is still its identity row, and
+    x = y with no product.
     """
     if a.cols != b.cols:
         raise ShapeError("right-hand side has wrong width")
     n = a.rows
-    h, u = list(a.entries), list(IntMatrix.identity(n).entries)
+    identity = IntMatrix.identity(n).entries
+    h, u = list(a.entries), list(identity)
     _hnf_transform(h, u)
     pivots = [(i, next(compress(count(), row))) for i, row in enumerate(h) if any(row)]
     ys = []
@@ -459,7 +494,12 @@ def solve_exact(a: IntMatrix, b: IntMatrix) -> IntMatrix:
         if any(rest):
             raise NoSolution("right-hand side is not in the integer row span")
         ys.append(tuple(y))
-    return _im(b.rows, n, tuple(ys)) @ _im(n, n, tuple(map(tuple, u)))
+    y = _im(b.rows, n, tuple(ys))
+    # _hnf_transform replaces rows and never changes one, so u is I exactly
+    # when each row is still the identity row it started as.
+    if all(map(is_, u, identity)):
+        return y
+    return y @ _im(n, n, tuple(map(tuple, u)))
 
 
 def inverse(a: IntMatrix) -> IntMatrix:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm, prod
+from operator import getitem
 from typing import NamedTuple
 
 from . import liealg
@@ -111,17 +112,18 @@ def sublattice_r(n: IntMatrix, c: IntMatrix) -> tuple[IntMatrix, int]:
     on N (``_pairing_on``).
 
     Route one of the dual computation: the congruence kernel x C = 0 mod 6
-    is solved by an integer kernel of the stacked matrix (C over 6I); the
-    projection of that kernel back to N coordinates is R, returned as HNF
-    rows in L coordinates; |N/R| is the product of the projection's diagonal.
+    is solved by an integer kernel of the stacked matrix (C mod 6 over 6I),
+    which reads C only mod 6; the projection of that kernel back to N
+    coordinates is R, returned as HNF rows in L coordinates; |N/R| is the
+    product of the projection's diagonal.
     """
     k = n.rows
     if k == 0:
         return n, 1
     stacked = IntMatrix.from_rows(
-        list(c.entries) + list(IntMatrix.identity(k).scale(_COMMUTATOR_MOD).entries),
-        cols=k)
-    # (6 e_i, -C_i) is in the kernel for each i, so proj holds 6Z^k: rank k.
+        [[e % _COMMUTATOR_MOD for e in row] for row in c.entries]
+        + list(IntMatrix.identity(k).scale(_COMMUTATOR_MOD).entries), cols=k)
+    # (6 e_i, -(C_i mod 6)) is in the kernel for each i, so proj holds 6Z^k: rank k.
     ker = kernel_basis(stacked)
     proj = hnf(IntMatrix.from_rows([row[:k] for row in ker.entries], cols=k))
     return hnf(proj @ n), prod(proj.entries[i][i] for i in range(k))
@@ -159,6 +161,9 @@ def coset_filter_index(n: IntMatrix, m: IntMatrix,
         raise OrbifoldError("M is not in the radical; c0 does not descend to N/M")
 
     nontrivial = [i for i, d in enumerate(divisors) if d > 1]
+    # shift[b][a] = (a + b) mod 6: a residue plus b is one index.
+    shift = [tuple((a + b) % _COMMUTATOR_MOD for a in range(_COMMUTATOR_MOD))
+             for b in range(_COMMUTATOR_MOD)]
 
     def partial_sums(indices: list[int]) -> dict[tuple[int, ...], int]:
         """How many t-combinations of the indexed rows sum to each row mod 6,
@@ -167,9 +172,9 @@ def coset_filter_index(n: IntMatrix, m: IntMatrix,
         for i in indices:
             grown = dict(acc)  # t = 0
             for t in range(1, divisors[i]):
-                step = [t * e for e in rows[i]]
+                plus_step = [shift[t * e % _COMMUTATOR_MOD] for e in rows[i]]
                 for key, cnt in acc.items():
-                    s = tuple((a + b) % _COMMUTATOR_MOD for a, b in zip(key, step))
+                    s = tuple(map(getitem, plus_step, key))
                     grown[s] = grown.get(s, 0) + cnt
             acc = grown
         return acc
@@ -177,7 +182,8 @@ def coset_filter_index(n: IntMatrix, m: IntMatrix,
     half = len(nontrivial) // 2
     left = partial_sums(nontrivial[:half])
     right = partial_sums(nontrivial[half:])
-    radical_cosets = sum(cnt * right.get(tuple(-e % _COMMUTATOR_MOD for e in key), 0)
+    negate = tuple(-a % _COMMUTATOR_MOD for a in range(_COMMUTATOR_MOD)).__getitem__
+    radical_cosets = sum(cnt * right.get(tuple(map(negate, key)), 0)
                          for key, cnt in left.items())
     if radical_cosets == 0 or index_nm % radical_cosets != 0:
         raise OrbifoldError("coset filter produced a non-divisor count")
@@ -236,14 +242,17 @@ def twist_data(iso: Isometry) -> TwistData:
 def twisted_weight_one_dim(td: TwistData) -> int:
     """Weight-one dimension of one twisted module: the top dimension
     sqrt|N/R| at rho = 1, zero at an admissible rho > 1, and an explicit
-    error otherwise (never a silent zero)."""
+    error otherwise (never a silent zero), worded apart for rho < 1 and for a
+    rho > 1 outside (1/3)Z."""
     if td.rho == 1:
         return isqrt(td.index_nr)
-    if td.rho > 1 and rho_is_admissible(td.rho):
-        return 0
-    raise UnsupportedTwistWeight(
-        f"rho = {td.rho}: weight one is above the top level and the "
-        "dimension is not determined by |N/R|")
+    if td.rho < 1:
+        raise UnsupportedTwistWeight(
+            f"rho = {td.rho}: weight one is above the top level and the "
+            "dimension is not determined by |N/R|")
+    if not rho_is_admissible(td.rho):
+        raise UnsupportedTwistWeight(f"rho = {td.rho} is not in (1/3)Z")
+    return 0
 
 
 def fixed_weight_one_dim(iso: Isometry, rs: RootSystem, h0: int) -> int:

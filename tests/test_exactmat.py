@@ -4,6 +4,7 @@ RatMatrix against a per-entry Fraction reference."""
 
 import operator
 import random
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -340,6 +341,50 @@ def test_matmul_transpose_match_reference(r, c, c2, data):
     assert (rat(x, c) @ rat(y, c2)).entries == expected
 
 
+def plain_product(a, b, cols):
+    return tuple(tuple(sum(row[t] * b[t][j] for t in range(len(b))) for j in range(cols))
+                 for row in a)
+
+
+def boundary_operands(w):
+    """Operand pairs (a, b, cols) whose entry bound n max|a| max|b| has
+    exactly w - 1 bits, so the product's fields are w bits wide before
+    rounding: the bound at the top of w - 1 bits (n = 1) and at its bottom
+    (n = 2), reached with both signs, next to small entries and zeros, with
+    the large entries in a and in b."""
+    top, low = (1 << (w - 1)) - 1, 1 << (w - 3)
+    return [([[top], [-top], [1], [0], [-1]], [[1, -1, 0, 1, -1]], 5),
+            ([[1], [-1], [0]], [[top, -top, 1, 0, -1]], 5),
+            ([[low, low], [-low, -low], [low, -low], [0, 1]], [[1, -1, 0], [1, -1, 1]], 3)]
+
+
+@pytest.mark.parametrize("big_endian", [False, True])
+@pytest.mark.parametrize("w", [8, 9, 16, 17, 32, 33, 64, 65])
+def test_product_at_each_field_width_boundary(w, big_endian, monkeypatch):
+    # Widths up to 64 are rounded to 8, 16, 32 or 64 bits and read by one
+    # byte-level cast; 65 bits, or a big-endian host, read field by field.
+    if big_endian:
+        monkeypatch.setattr(sys, "byteorder", "big")
+    for a, b, cols in boundary_operands(w):
+        bound = len(b) * max(abs(e) for row in a for e in row) * max(abs(e) for row in b for e in row)
+        assert bound.bit_length() + 1 == w
+        expected = plain_product(a, b, cols)
+        assert max(abs(e) for row in expected for e in row) == bound
+        assert (IntMatrix.from_rows(a, cols=len(b)) @ IntMatrix.from_rows(b, cols=cols)).entries \
+            == expected
+
+
+@pytest.mark.parametrize("big_endian", [False, True])
+def test_product_of_empty_shapes(big_endian, monkeypatch):
+    if big_endian:
+        monkeypatch.setattr(sys, "byteorder", "big")
+    top = (1 << 63) - 1
+    for r, n, c in ((0, 3, 2), (3, 2, 0), (2, 0, 3), (0, 0, 0), (0, 2, 0)):
+        a = IntMatrix(r, n, tuple((top,) * n for _ in range(r)))
+        b = IntMatrix(n, c, tuple((-top,) * c for _ in range(n)))
+        assert (a @ b).entries == plain_product(a.entries, b.entries, c) == ((0,) * c,) * r
+
+
 @NO_SHRINK
 @given(DIMS, DIMS, DIMS, st.integers(-12, 12).filter(bool), st.integers(-12, 12).filter(bool),
        st.data())
@@ -522,6 +567,32 @@ def test_solve_exact_matches_reference(n, m, k, data):
             # Dependent rows: some integer solution, found exactly when each
             # row of b lies in the row span of a's HNF.
             assert solve_exact(ia, ib) @ ia == ib
+
+
+def test_solve_exact_skips_the_product_by_an_untouched_identity(monkeypatch):
+    # An a already in HNF takes no row operation, so x = y with no product;
+    # any other a takes one product y @ u.  Either way x @ a = b.
+    rng = random.Random(31)
+    products = []
+    matmul = IntMatrix.__matmul__
+
+    def counted(self, other):
+        products.append((self.rows, other.cols))
+        return matmul(self, other)
+
+    unreduced = im([[2, 3, 1], [1, -1, 4], [0, 5, 7]])
+    cases = [(IntMatrix.identity(4), 0), (hnf(unreduced), 0),
+             (hnf(im([[rng.randint(-9, 9) for _ in range(5)] for _ in range(3)])), 0),
+             (unreduced, 1), (im([[0, 1], [1, 0]]), 1), (im([[-1, 0], [0, 1]]), 1)]
+    for a, calls in cases:
+        x = im([[rng.randint(-5, 5) for _ in range(a.rows)] for _ in range(3)])
+        b = x @ a
+        monkeypatch.setattr(IntMatrix, "__matmul__", counted)
+        products.clear()
+        solved = solve_exact(a, b)
+        monkeypatch.setattr(IntMatrix, "__matmul__", matmul)
+        assert len(products) == calls
+        assert solved == x
 
 
 @st.composite

@@ -235,6 +235,20 @@ def test_index_routes_agree(key):
     assert via_kernel == via_filter == TWIST_EXPECTED[key][1]
 
 
+@pytest.mark.parametrize("key", SIGMA_KEYS)
+def test_sublattice_r_reads_the_pairing_mod_6(key):
+    # x C = 0 mod 6 depends on C mod 6 alone: C + 6K gives the same R and |N/R|.
+    iso = build_sigma(key)
+    n = sublattice_n(iso)
+    c = _pairing_on(iso, n)
+    rng = random.Random(f"sublattice_r {key}")
+    shifted = c + IntMatrix.from_rows(
+        [[rng.randint(-4, 4) for _ in range(c.cols)] for _ in range(c.rows)],
+        cols=c.cols).scale(6)
+    assert shifted != c
+    assert sublattice_r(n, shifted) == sublattice_r(n, c)
+
+
 def test_twist_data_needs_an_even_lattice():
     # Z^3 with its coordinates cycled: order 3, but the mod-6 pairing is
     # defined on even lattices only.
@@ -380,11 +394,14 @@ def test_unsupported_twist_weights():
 ])
 def test_twisted_weight_one_rule(value, expected):
     # The rule reads only rho and |N/R| = 81: sqrt at rho = 1, zero at an
-    # admissible rho > 1, and UnsupportedTwistWeight otherwise.
+    # admissible rho > 1, and UnsupportedTwistWeight otherwise, worded apart
+    # at rho < 1 and at a rho > 1 outside (1/3)Z.
     empty = IntMatrix.identity(0)
     td = TwistData((6, 9, 9), value, empty, empty, empty, 81, 81)
     if expected is None:
-        with pytest.raises(UnsupportedTwistWeight):
+        message = (rf"^rho = {value}: weight one is above the top level" if value < 1
+                   else rf"^rho = {value} is not in \(1/3\)Z$")
+        with pytest.raises(UnsupportedTwistWeight, match=message):
             twisted_weight_one_dim(td)
     else:
         assert twisted_weight_one_dim(td) == expected
