@@ -245,16 +245,15 @@ def construct_niemeier(key: str) -> NiemeierBundle:
         ext = glue_extend(base, words, name=key)
     except GlueError as exc:  # dual-class words pair integrally: a non-integral glue
         raise failed from exc
-    if ext.index != spec["index"]:
-        raise CatalogError(f"{key}: glue index {ext.index}, expected {spec['index']}")
+    if ext.index != len(group):
+        raise CatalogError(f"{key}: the glue index is {ext.index} but the group has "
+                           f"{len(group)} cosets")
     even, unimodular = is_even_unimodular(ext.lattice)
     if not (even and unimodular and ext.lattice.rank == 24):
         raise failed
-    if len(group) != spec["index"]:
-        raise CatalogError(f"{key}: glue group has {len(group)} cosets, expected {spec['index']}")
     vectors = glued_root_vectors(parts, ext, group, words.den)
     rs = build_root_system(ext.lattice, vectors)
-    if classify(rs) != tuple(sorted(spec["parts"])) or rs.count != spec["root_count"]:
+    if classify(rs) != tuple(sorted(spec["parts"])):
         raise CatalogError(f"{key}: root system mismatch")
     ambient = block_diagonal([d.ambient for d in part_data])
     return NiemeierBundle(parts, ambient, ext, group, words.den, rs)

@@ -30,25 +30,19 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _print_rows(rows: list[dict]) -> None:
-    for row in rows:
-        if row["ok"]:
-            print(f"PASS {row['name']}: {row['computed']}")
-        else:
-            print(f"FAIL {row['name']}: computed {row['computed']}, "
-                  f"expected {row['expected']} ({row['source']})")
-
-
-def _finish(rows: list[dict], payload: dict, json_mode: bool) -> int:
+def _finish(rows: list[dict], payload: dict, json_mode: bool, summary: str = "") -> int:
+    """Print the check rows, as the payload with "checks" and "pass" added or
+    as one line per row and then ``summary`` (by default "all checks pass" or
+    "checks FAILED"), and return the exit code they give."""
     ok = all(row["ok"] for row in rows)
     if json_mode:
-        payload = dict(payload)
-        payload["checks"] = rows
-        payload["pass"] = ok
-        sys.stdout.write(canonical_json(payload))
+        sys.stdout.write(canonical_json({**payload, "checks": rows, "pass": ok}))
     else:
-        _print_rows(rows)
-        print("all checks pass" if ok else "checks FAILED")
+        for row in rows:
+            print(f"PASS {row['name']}: {row['computed']}" if row["ok"] else
+                  f"FAIL {row['name']}: computed {row['computed']}, "
+                  f"expected {row['expected']} ({row['source']})")
+        print(summary or ("all checks pass" if ok else "checks FAILED"))
     return EXIT_OK if ok else EXIT_CHECK
 
 
@@ -93,13 +87,14 @@ def cmd_golay(args) -> int:
 
 
 def _root_rows(key: str, rs) -> list[dict]:
-    """Root count and type of a lattice's root system against its table row."""
+    """Root count and type of a lattice's root system against the type of its
+    table row's parts, whose root count is dimension minus rank."""
     from . import liealg, roots
-    spec = CONSTRUCTIONS["lattices"][key]
+    g = liealg.SemisimpleType.of(CONSTRUCTIONS["lattices"][key]["parts"])
     return [
-        _row(f"{key} root count", rs.count, spec["root_count"], "computed"),
+        _row(f"{key} root count", rs.count, g.dimension - g.rank, "computed"),
         _row(f"{key} root type", liealg.SemisimpleType.of(roots.classify(rs)).type_string(),
-             liealg.SemisimpleType.of(spec["parts"]).type_string()),
+             g.type_string()),
     ]
 
 
@@ -115,7 +110,8 @@ def cmd_lattice_build(args) -> int:
         _row(f"{args.key} even", even, True),
         _row(f"{args.key} unimodular", unimodular, True),
         _row(f"{args.key} rank", lattice.rank, 24),
-        _row(f"{args.key} glue index", bundle.extension.index, spec["index"], "computed"),
+        _row(f"{args.key} glue index", bundle.extension.index, len(bundle.glue_group),
+             "computed"),
         *_root_rows(args.key, bundle.root_system),
     ]
     embedding = bundle.extension.basis_in_base @ RatMatrix(bundle.ambient)
@@ -179,18 +175,10 @@ def cmd_candidates(args) -> int:
               "negative", file=sys.stderr)
         return EXIT_USAGE
     try:
-        found = liealg.semisimple_candidates(args.dim, rank=args.rank,
-                                             hcoxeter_divisor=args.hdvd)
+        entries = liealg.candidate_entries(args.dim, args.rank, args.hdvd)
     except liealg.LieDataError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    entries = []
-    for cand in found:
-        levels = {(t.family, t.rank): t.dual_coxeter // args.hdvd
-                  for t, _ in cand.components}
-        entries.append({"type": cand.type_string(),
-                        "with_levels": cand.type_string(levels),
-                        "dimension": cand.dimension, "rank": cand.rank})
     if args.json:
         sys.stdout.write(canonical_json(
             {"dim": args.dim, "rank": args.rank, "hcoxeter_divisor": args.hdvd,
@@ -264,15 +252,8 @@ def cmd_verify_all(args) -> int:
         "reports": [reports[k] for k in sorted(reports)],
         "summary": {"passed": passed, "failed": len(rows) - passed},
     }
-    if args.json:
-        bundle["checks"] = rows
-        bundle["pass"] = passed == len(rows)
-        sys.stdout.write(canonical_json(bundle))
-    else:
-        _print_rows(rows)
-        print(f"{passed}/{len(rows)} checks pass "
-              f"(tool {TOOL_VERSION}, table {liealg.TABLE_SHA256[:12]})")
-    return EXIT_OK if passed == len(rows) else EXIT_CHECK
+    return _finish(rows, bundle, args.json, f"{passed}/{len(rows)} checks pass "
+                   f"(tool {TOOL_VERSION}, table {liealg.TABLE_SHA256[:12]})")
 
 
 def build_parser() -> argparse.ArgumentParser:

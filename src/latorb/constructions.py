@@ -7,13 +7,14 @@
 # reflections that right-multiply it in order, each in a simple root by index
 # or in the highest root ("top").  A lattice row gives its blocks ("parts", also
 # the type its root system must have), glue words (None: the ternary Golay
-# code's basis), glue index, root count and description.  An isometry row
-# gives its lattice; the query (dimension, rank bound, dual Coxeter divisor)
-# for its unresolved weight-one summand, if any; its resolved weight-one
-# type, for row matching; its "blocks", one (target block, component names)
-# pair per source block, whose map is the product of the named
-# ``catalog.build_component_auto`` maps (no name: the identity); and each
-# report field as (value, source), where "stated" marks an external
+# code's basis) and description; its glue index and root count follow from
+# the parts.  An isometry row gives its lattice; the query (dimension, rank
+# bound) for its unresolved weight-one summand, if any, whose dual Coxeter
+# divisor d = (total - 24) / 24 follows from the weight-one total; its
+# resolved weight-one type, for row matching; its "blocks", one (target
+# block, component names) pair per source block, whose map is the product of
+# the named ``catalog.build_component_auto`` maps (no name: the identity);
+# and each report field as (value, source), where "stated" marks an external
 # assertion the build verifies and "computed" a value derived here and
 # frozen after verification.  Flagged candidates are numerological ones the
 # stored classification does not list: reported with a flag, never dropped.
@@ -28,7 +29,7 @@ CONSTRUCTIONS = {
     },
     "lattices": {
         "A2_12": {
-            "parts": (("A", 2),) * 12, "words": None, "index": 729, "root_count": 72,
+            "parts": (("A", 2),) * 12, "words": None,
             "description": "rank-24 even unimodular lattice glued from twelve "
                            "hexagonal planes by the ternary Golay code",
         },
@@ -36,27 +37,24 @@ CONSTRUCTIONS = {
             "parts": (("D", 4),) * 6,
             "words": ("111111", "222222", "002332", "023320", "033202",
                       "032023", "020233"),
-            "index": 64, "root_count": 144,
             "description": "rank-24 even unimodular lattice glued from six "
                            "checkerboard blocks of rank 4",
         },
         "A5_4_D4": {
             "parts": (("A", 5),) * 4 + (("D", 4),),
             "words": ("33001", "30302", "30033", "20240", "22400", "24020"),
-            "index": 72, "root_count": 144,
             "description": "rank-24 even unimodular lattice glued from four "
                            "rank-5 blocks and one rank-4 block",
         },
         "E6_4": {
             "parts": (("E", 6),) * 4, "words": ("1012", "1120", "1201"),
-            "index": 9, "root_count": 288,
             "description": "rank-24 even unimodular lattice glued from four "
                            "rank-6 blocks with ternary dual classes",
         },
     },
     "isometries": {
         "sigma1": {
-            "lattice": "A2_12", "query": (24, 6, 1), "resolved": "A2,3^6",
+            "lattice": "A2_12", "query": (24, 6), "resolved": "A2,3^6",
             "blocks": ((0, ("cycle_A2",)), (2, ()), (3, ()), (1, ()), (6, ()), (5, ("cycle_A2",)),
                        (11, ()), (9, ()), (8, ("cycle_A2",)), (10, ()), (7, ()), (4, ())),
             "expect": {
@@ -81,7 +79,7 @@ CONSTRUCTIONS = {
             },
         },
         "sigma3": {
-            "lattice": "D4_6", "query": (78, None, 4), "resolved": "E6,3 G2,1^3",
+            "lattice": "D4_6", "query": (78, None), "resolved": "E6,3 G2,1^3",
             "blocks": tuple((i, ("triality_D4" if i > 2 else "rotation_D4",)) for i in range(6)),
             "expect": {
                 "eigen": ([6, 9, 9], "stated"), "rho": ("1", "stated"),
@@ -93,7 +91,7 @@ CONSTRUCTIONS = {
             },
         },
         "sigma4": {
-            "lattice": "D4_6", "query": (28, None, 2), "resolved": "A5,3 D4,3 A1,1^3",
+            "lattice": "D4_6", "query": (28, None), "resolved": "A5,3 D4,3 A1,1^3",
             "blocks": ((0, ("coord_cycle_D4",)), (1, ("rotation_D4",)), (2, ("rotation_D4",) * 2),
                        (4, ("rotation_D4",) * 2), (5, ("rotation_D4",)), (3, ())),
             "expect": {
@@ -106,7 +104,7 @@ CONSTRUCTIONS = {
             },
         },
         "sigma5": {
-            "lattice": "A5_4_D4", "query": (35, None, 2), "resolved": "A5,3 D4,3 A1,1^3",
+            "lattice": "A5_4_D4", "query": (35, None), "resolved": "A5,3 D4,3 A1,1^3",
             "blocks": ((0, ("coord_cycle_A5",)), (2, ()), (3, ()), (1, ()),
                        (4, ("rotation_D4",))),
             "expect": {
@@ -119,7 +117,7 @@ CONSTRUCTIONS = {
             },
         },
         "sigma6": {
-            "lattice": "E6_4", "query": (42, None, 4), "resolved": "E6,3 G2,1^3",
+            "lattice": "E6_4", "query": (42, None), "resolved": "E6,3 G2,1^3",
             "blocks": ((0, ("reflection_product_E6",)), (2, ()), (3, ()), (1, ())),
             "expect": {
                 "eigen": ([6, 9, 9], "stated"), "rho": ("1", "stated"),

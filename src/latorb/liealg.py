@@ -5,8 +5,9 @@ type up to dimension ``TABLE_DIMENSION``, built at import from the closed
 forms of the four classical families and the five exceptional rows; its
 checksum ``TABLE_SHA256`` lets reports pin the exact data they used.  On top of
 the table sit the level formula, a constrained enumerator for semisimple
-types of a given total dimension, and matching against the stored rows of
-the central-charge-24 classification.
+types of a given total dimension, whose rows ``candidate_entries`` levels at
+h / d, and matching against the stored rows of the central-charge-24
+classification.
 
 A candidate stores its components as ints: every (type, count) pair up to
 ``MAX_DIMENSION`` is numbered once at import, in component order, and the
@@ -319,6 +320,18 @@ def semisimple_candidates(dim: int, rank: int | None = None,
     search(0, dim, rank, (), "")
     found.sort(key=lambda c: c.text)
     return found
+
+
+def candidate_entries(dim: int, rank: int | None, hcoxeter_divisor: int) -> list[dict]:
+    """The candidates of one query as rows: each type string without and with
+    the levels h / ``hcoxeter_divisor``, its dimension and its rank."""
+    out = []
+    for cand in semisimple_candidates(dim, rank=rank, hcoxeter_divisor=hcoxeter_divisor):
+        levels = {(t.family, t.rank): t.dual_coxeter // hcoxeter_divisor
+                  for t, _ in cand.components}
+        out.append({"type": cand.text, "with_levels": cand.type_string(levels),
+                    "dimension": cand.dimension, "rank": cand.rank})
+    return out
 
 
 class SchellekensRow(NamedTuple):

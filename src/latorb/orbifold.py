@@ -220,8 +220,6 @@ def twist_data(iso: Isometry) -> TwistData:
     if n.rows != eigen[1] + eigen[2]:
         raise OrbifoldError("rank N disagrees with the eigenspace dimensions")
     m = sublattice_m(iso)
-    if m.rows != n.rows:
-        raise OrbifoldError("rank M differs from rank N")
     c = _pairing_on(iso, n)
     r, index_kernel = sublattice_r(n, c)
     index_nm, index_filter = coset_filter_index(n, m, c)
@@ -263,34 +261,19 @@ def fixed_weight_one_dim(iso: Isometry, rs: RootSystem, h0: int) -> int:
 
 
 def _candidate_entries(sigma_key: str, total: int) -> list[dict]:
-    """The candidates of the row's query for its unresolved weight-one
-    summand, each levelled at ``total`` and flagged if the row flags it."""
+    """The candidates of the row's query (dimension, rank bound) for its
+    unresolved weight-one summand, at the dual Coxeter divisor
+    d = (total - 24) / 24 of the level rule h / k = d, each flagged if the
+    row flags it; a total that gives no positive integer d raises."""
     row = CONSTRUCTIONS["isometries"][sigma_key]
-    query = row["query"]
-    if query is None:
+    if row["query"] is None:
         return []
-    dim, rank_bound, divisor = query
-    if (total - 24) % 24 != 0 or (total - 24) // 24 != divisor:
-        raise OrbifoldError(
-            f"{sigma_key}: stored divisor {divisor} disagrees with total {total}")
+    divisor, rest = divmod(total - 24, 24)
+    if rest or divisor < 1:
+        raise OrbifoldError(f"{sigma_key}: total {total} is not 24 (d + 1) for an integer d >= 1")
     flagged, _ = row["expect"]["flagged_candidates"]
-    out = []
-    for cand in liealg.semisimple_candidates(dim, rank=rank_bound,
-                                             hcoxeter_divisor=divisor):
-        levels = {}
-        for t, _ in cand.components:
-            level = liealg.level_from_dim(t.dual_coxeter, total)
-            if level is None or level * divisor != t.dual_coxeter:
-                raise OrbifoldError("enumerated candidate fails the level rule")
-            levels[(t.family, t.rank)] = level
-        out.append({
-            "type": cand.type_string(),
-            "with_levels": cand.type_string(levels),
-            "dimension": cand.dimension,
-            "rank": cand.rank,
-            "flagged": cand.type_string() in flagged,
-        })
-    return out
+    return [{**entry, "flagged": entry["type"] in flagged}
+            for entry in liealg.candidate_entries(*row["query"], divisor)]
 
 
 def _verify_resolved_type(sigma_key: str, total: int) -> str:

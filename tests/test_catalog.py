@@ -2,6 +2,7 @@
 glued rank-24 lattices, and the six order-3 isometries."""
 
 import itertools
+import json
 from fractions import Fraction
 from math import lcm
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latorb import catalog
+from latorb import catalog, cli
 from latorb.catalog import (
     CatalogError,
     StabilizationError,
@@ -278,7 +279,7 @@ def test_highest_root_needs_a_simple_basis_and_a_dominant_root():
 
 
 @pytest.mark.parametrize("key", LATTICE_KEYS)
-def test_niemeier_lattices(key):
+def test_niemeier_lattices(key, capsys):
     index, root_count, classified = NIEMEIER_EXPECTED[key]
     bundle = niemeier_bundle(key)
     assert bundle.extension.index == index
@@ -287,6 +288,12 @@ def test_niemeier_lattices(key):
     assert is_even_unimodular(bundle.lattice) == (True, True)
     assert bundle.root_system.count == root_count
     assert classify(bundle.root_system) == classified
+    # What `lattice build` expects is derived, from the glue group and from
+    # the type of the stated parts, and equals these numbers.
+    assert cli.main(["lattice", "build", key, "--json"]) == cli.EXIT_OK
+    expected = {row["name"]: row["expected"]
+                for row in json.loads(capsys.readouterr().out)["checks"]}
+    assert (expected[f"{key} glue index"], expected[f"{key} root count"]) == (index, root_count)
 
 
 def test_unknown_keys_rejected():
@@ -471,18 +478,25 @@ def test_non_integral_glue_fails_the_unimodular_check(monkeypatch):
     assert str(caught.value.__cause__) == "glued lattice is not integral"
 
 
-# A stated E6_4 value changed, and what the build says.
+# A stated lattice value changed, and what the build says.  E6_4's last
+# block as A2: the class-2 vector of A2 has norm 2/3, so "1012" has norm
+# 4/3 + 4/3 + 2/3.  A2_12 glued by the diagonal class of each block triple,
+# which makes the triple an E6, and by two words that glue the four E6s: the
+# lattice is even and unimodular, but its roots are those of E6^4.
 WRONG_STATED_VALUES = [
-    ("index", 27, "glue index 9, expected 27"),
-    ("root_count", 289, "root system mismatch"),
+    pytest.param("E6_4", "parts", (("E", 6),) * 3 + (("A", 2),),
+                 "glue code is not isotropic: generator 0 has norm 10/3", id="E6_4-last-block-A2"),
+    pytest.param("A2_12", "words", ("111000000000", "000111000000", "000000111000",
+                                    "000000000111", "012000012021", "012012021000"),
+                 "root system mismatch", id="A2_12-glued-to-E6^4"),
 ]
 
 
-@pytest.mark.parametrize("field,value,message", WRONG_STATED_VALUES)
-def test_wrong_stated_value_rejected(monkeypatch, field, value, message):
-    monkeypatch.setitem(CONSTRUCTIONS["lattices"]["E6_4"], field, value)
-    with pytest.raises(CatalogError, match=f"^E6_4: {message}$"):
-        construct_niemeier("E6_4")
+@pytest.mark.parametrize("key,field,value,message", WRONG_STATED_VALUES)
+def test_wrong_stated_value_rejected(monkeypatch, key, field, value, message):
+    monkeypatch.setitem(CONSTRUCTIONS["lattices"][key], field, value)
+    with pytest.raises(CatalogError, match=f"^{key}: {message}$"):
+        construct_niemeier(key)
 
 
 def test_non_unimodular_glued_lattice_rejected(monkeypatch):
@@ -495,5 +509,6 @@ def test_glue_group_short_of_the_index_rejected(monkeypatch):
     closed = catalog._close_glue_group
     monkeypatch.setattr(catalog, "_close_glue_group", lambda words: closed(words)[:-1])
     monkeypatch.setattr(catalog, "_check_glue_code", lambda *args: None)
-    with pytest.raises(CatalogError, match="^E6_4: glue group has 8 cosets, expected 9$"):
+    with pytest.raises(CatalogError, match="^E6_4: the glue index is 9 but the group has "
+                                           "8 cosets$"):
         construct_niemeier("E6_4")

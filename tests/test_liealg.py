@@ -22,6 +22,7 @@ from latorb.liealg import (
     SemisimpleType,
     all_types,
     candidate_count,
+    candidate_entries,
     lattice_voa_weight_one,
     level_from_dim,
     lookup,
@@ -224,9 +225,16 @@ def test_candidates_match_reference_search():
         want = reference_candidates(dim, rank=rank, hcoxeter_divisor=divisor)
         assert [c.components for c in got] == want, (dim, rank, divisor)
         assert candidate_count(dim, rank, divisor) == len(got), (dim, rank, divisor)
-        for cand in got:
+        entries = candidate_entries(dim, rank, divisor)
+        assert [e["type"] for e in entries] == [c.type_string() for c in got], (dim, rank, divisor)
+        for cand, entry in zip(got, entries):
             assert cand.type_string() == rebuilt_type_string(cand.components)
             assert cand.type_string(levels) == rebuilt_type_string(cand.components, levels)
+            # Each level is h / d: d divides every h, and level * d = h.
+            assert all(t.dual_coxeter % divisor == 0 for t, _ in cand.components)
+            assert entry["with_levels"] == rebuilt_type_string(cand.components, {
+                (t.family, t.rank): t.dual_coxeter // divisor for t, _ in cand.components})
+            assert (entry["dimension"], entry["rank"]) == (cand.dimension, cand.rank)
 
 
 def count_search_calls(dim, rank=None, hcoxeter_divisor=1):
@@ -317,7 +325,9 @@ def test_semisimple_type_of_root_system_components():
     assert g.type_string() == "E6 D4 A1^3"
     assert [(t.symbol, c) for t, c in g.components] == [("E6", 1), ("D4", 1), ("A1", 3)]
     assert (g.dimension, g.rank) == (115, 13)
-    assert g == next(c for c in semisimple_candidates(115, rank=13) if c.text == g.text)
+    found = next(c for c in semisimple_candidates(115, rank=13) if c.text == g.text)
+    assert g == found and hash(g) == hash(found) and len({g, found}) == 1
+    assert repr(g) == "SemisimpleType(text='E6 D4 A1^3')"
 
 
 def test_candidate_limit_raises(monkeypatch):

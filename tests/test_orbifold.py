@@ -8,7 +8,7 @@ from math import isqrt, prod
 
 import pytest
 
-from latorb import lattice, liealg, orbifold
+from latorb import cli, lattice, liealg, orbifold
 from latorb.catalog import build_component_auto, build_root_lattice, build_sigma, niemeier_bundle
 from latorb.constructions import CONSTRUCTIONS, SIGMA_KEYS
 from latorb.exactmat import IntMatrix, det, snf
@@ -16,6 +16,7 @@ from latorb.lattice import Isometry, Lattice
 from latorb.orbifold import (
     OrbifoldError,
     TwistData,
+    _candidate_entries,
     _pairing_on,
     UnsupportedTwistWeight,
     assemble_report,
@@ -328,7 +329,7 @@ def test_twist_data_rejects_an_n_of_the_wrong_rank(monkeypatch):
 def test_twist_data_rejects_an_m_of_another_rank(monkeypatch):
     true_m = orbifold.sublattice_m
     monkeypatch.setattr(orbifold, "sublattice_m", lambda iso: without_last_row(true_m(iso)))
-    with pytest.raises(OrbifoldError, match="rank M differs from rank N"):
+    with pytest.raises(OrbifoldError, match="N/M is infinite; ranks differ"):
         twist_data.__wrapped__(build_sigma("sigma1"))
 
 
@@ -613,7 +614,6 @@ def test_commutator_is_alternating_and_bilinear(key):
 
 # A corrupted field of one isometry row, and what the report says of it.
 CORRUPTED_ROWS = [
-    ("sigma1", "query", (24, 6, 2), "sigma1: stored divisor 2 disagrees with total 48"),
     ("sigma1", "resolved", "A2,3^5", "sigma1: resolved type dimension is not 48"),
     ("sigma1", "resolved", "A2,2^6", "sigma1: resolved type violates the level rule"),
 ]
@@ -626,11 +626,24 @@ def test_report_rejects_a_corrupted_row(monkeypatch, key, field, value, message)
         assemble_report(key)
 
 
+def test_candidate_entries_reject_a_total_with_no_divisor():
+    # The divisor d = (total - 24) / 24 of a query: 56 leaves a rest of 8,
+    # and 24 gives d = 0.
+    for total in (56, 24):
+        with pytest.raises(OrbifoldError, match=f"^sigma1: total {total} is not "
+                                                r"24 \(d \+ 1\) for an integer d >= 1$"):
+            _candidate_entries("sigma1", total)
+
+
 def test_report_rejects_a_candidate_off_the_level_rule(monkeypatch):
     # A1 has dual Coxeter number 2, no multiple of sigma3's divisor 4: at
-    # total 120 its level 2 * 24 / 96 is not an integer.
+    # total 120 its level 2 * 24 / 96 is not an integer, and h // d is 0.
     a1 = liealg.semisimple_candidates(3)
     assert [c.type_string() for c in a1] == ["A1"]
     monkeypatch.setattr(liealg, "semisimple_candidates", lambda *args, **kw: a1)
-    with pytest.raises(OrbifoldError, match="^enumerated candidate fails the level rule$"):
-        assemble_report("sigma3")
+    report = assemble_report("sigma3")
+    assert [c["with_levels"] for c in report["candidates"]] == ["A1,0"]
+    failed = [row for row in cli.verify_report("sigma3", report) if not row["ok"]]
+    assert failed == [{"name": "sigma3 candidate_types", "computed": ["A1"],
+                       "expected": ["A7 A3", "C3 A3 G2^3", "C3^3 A3", "E6"],
+                       "source": "computed", "ok": False}]

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import floor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latorb import roots as roots_module
@@ -601,6 +601,9 @@ def short_vector_cases(draw):
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(short_vector_cases())
+# The rank-0 lattice: its one vector () of norm 0 is in at bound 2, not at -1.
+@example((IntMatrix(0, 0, ()), (), 1, 2))
+@example((IntMatrix(0, 0, ()), (), 1, -1))
 def test_short_vectors_match_fraction_reference(case):
     gram, shift, d, bound = case
     unit = d * d
