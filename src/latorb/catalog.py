@@ -20,7 +20,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import lcm
-from operator import getitem, matmul
+from operator import matmul
 from typing import NamedTuple, Sequence
 
 from .constructions import CONSTRUCTIONS
@@ -44,7 +44,7 @@ from .roots import (
     glued_root_vectors,
     reflection,
 )
-from .terncode import golay_code
+from .terncode import golay_code, residue_sums
 
 
 class CatalogError(Exception):
@@ -195,20 +195,7 @@ def _close_glue_group(words: RatMatrix) -> tuple[tuple[int, ...], ...]:
     """All distinct cosets the glue rows generate, reduced mod 1, as sorted
     integer residue rows modulo the glue denominator ``words.den``."""
     den = words.den
-    # shift[b][a] = (a + b) mod den: a residue plus b is one index.
-    shift = [tuple((a + b) % den for a in range(den)) for b in range(den)]
-    group = [(0,) * words.cols]
-    # With group a subgroup H, the layers H + g, H + 2g, ... are new cosets
-    # until j g falls back into H, so each coset is formed once.
-    for g in words.num.entries:
-        plus_g = [shift[e % den] for e in g]
-        members, step, layers = set(group), tuple(e % den for e in g), []
-        while step not in members:
-            plus_step = [shift[e] for e in step]
-            layers += [tuple(map(getitem, plus_step, h)) for h in group]
-            step = tuple(map(getitem, plus_g, step))
-        group += layers
-    return tuple(sorted(group))
+    return tuple(sorted(residue_sums(words.num.entries, (den,) * words.rows, den, words.cols)))
 
 
 def _check_glue_code(key: str, base: Lattice, words: RatMatrix, cosets: int) -> None:

@@ -325,13 +325,10 @@ def semisimple_candidates(dim: int, rank: int | None = None,
 def candidate_entries(dim: int, rank: int | None, hcoxeter_divisor: int) -> list[dict]:
     """The candidates of one query as rows: each type string without and with
     the levels h / ``hcoxeter_divisor``, its dimension and its rank."""
-    out = []
-    for cand in semisimple_candidates(dim, rank=rank, hcoxeter_divisor=hcoxeter_divisor):
-        levels = {(t.family, t.rank): t.dual_coxeter // hcoxeter_divisor
-                  for t, _ in cand.components}
-        out.append({"type": cand.text, "with_levels": cand.type_string(levels),
-                    "dimension": cand.dimension, "rank": cand.rank})
-    return out
+    levels = {key: t.dual_coxeter // hcoxeter_divisor for key, t in _BY_KEY.items()}
+    return [{"type": cand.text, "with_levels": cand.type_string(levels),
+             "dimension": cand.dimension, "rank": cand.rank}
+            for cand in semisimple_candidates(dim, rank=rank, hcoxeter_divisor=hcoxeter_divisor)]
 
 
 class SchellekensRow(NamedTuple):

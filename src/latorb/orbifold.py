@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm, prod
-from operator import getitem
+from math import isqrt, prod
 from typing import NamedTuple
 
 from . import liealg
@@ -24,6 +23,7 @@ from .constructions import CONSTRUCTIONS, SIGMA_KEYS
 from .exactmat import IntMatrix, NoSolution, det, hnf, inverse, kernel_basis, snf, solve_exact
 from .lattice import Isometry, rat_str
 from .roots import RootSystem, orbit_count
+from .terncode import residue_sums
 
 TWIST_ORDER = 3
 
@@ -136,8 +136,9 @@ def coset_filter_index(n: IntMatrix, m: IntMatrix,
 
     Cosets are enumerated in Smith coordinates for N/M; a coset lies in R/M
     exactly when its row pairs to zero mod 6 against all of N.  The count
-    splits meet-in-the-middle: the radical cosets are the pairs of partial
-    sums, over each half of the Smith generators, that cancel mod 6.
+    splits meet-in-the-middle: ``residue_sums`` counts the pairing rows of
+    each half of the nontrivial Smith generators, and the radical cosets are
+    the pairs of a left and a right sum that cancel mod 6.
     """
     k = n.rows
     if k == 0:
@@ -156,32 +157,15 @@ def coset_filter_index(n: IntMatrix, m: IntMatrix,
 
     # Pairing rows in Smith coordinates y = x V: condition y (V^-1 C) = 0 mod 6.
     vinv = inverse(dec.v)
-    rows = [[e % _COMMUTATOR_MOD for e in row] for row in (vinv @ c).entries]
+    rows = (vinv @ c).entries
     if any(e % _COMMUTATOR_MOD for row in (xi @ c).entries for e in row):
         raise OrbifoldError("M is not in the radical; c0 does not descend to N/M")
 
     nontrivial = [i for i, d in enumerate(divisors) if d > 1]
-    # shift[b][a] = (a + b) mod 6: a residue plus b is one index.
-    shift = [tuple((a + b) % _COMMUTATOR_MOD for a in range(_COMMUTATOR_MOD))
-             for b in range(_COMMUTATOR_MOD)]
-
-    def partial_sums(indices: list[int]) -> dict[tuple[int, ...], int]:
-        """How many t-combinations of the indexed rows sum to each row mod 6,
-        built one index at a time by adding t * row to every sum so far."""
-        acc = {(0,) * k: 1}
-        for i in indices:
-            grown = dict(acc)  # t = 0
-            for t in range(1, divisors[i]):
-                plus_step = [shift[t * e % _COMMUTATOR_MOD] for e in rows[i]]
-                for key, cnt in acc.items():
-                    s = tuple(map(getitem, plus_step, key))
-                    grown[s] = grown.get(s, 0) + cnt
-            acc = grown
-        return acc
-
     half = len(nontrivial) // 2
-    left = partial_sums(nontrivial[:half])
-    right = partial_sums(nontrivial[half:])
+    left, right = (residue_sums([rows[i] for i in part], [divisors[i] for i in part],
+                                _COMMUTATOR_MOD, k)
+                   for part in (nontrivial[:half], nontrivial[half:]))
     negate = tuple(-a % _COMMUTATOR_MOD for a in range(_COMMUTATOR_MOD)).__getitem__
     radical_cosets = sum(cnt * right.get(tuple(map(negate, key)), 0)
                          for key, cnt in left.items())
@@ -291,7 +275,10 @@ def stabilizes(bundle: NiemeierBundle, matrix: IntMatrix) -> bool:
     """Whether a glued-basis map, conjugated into base coordinates by the
     glue basis B, is an automorphism of the root lattice Q that sends each
     glue generator (a row of B) into a glue coset: the generators and Q span
-    L, so the map then permutes the cosets L/Q (compared as residues)."""
+    L, so the map then permutes the cosets L/Q (compared as residues).
+    B is the HNF h of ``glue_extend`` over the glue denominator, reduced by a
+    gcd, so ``b.den`` divides ``glue_den`` and an image's residue row is its
+    numerator scaled by ``glue_den // b.den``."""
     ext = bundle.extension
     b = ext.basis_in_base
     # B, its images and s are numerators over b.den; s / den is unimodular.
@@ -299,12 +286,8 @@ def stabilizes(bundle: NiemeierBundle, matrix: IntMatrix) -> bool:
     s = ext.base_in_lattice @ images
     if any(e % b.den for row in s.entries for e in row) or abs(det(s)) != b.den ** b.rows:
         return False
-    den = lcm(bundle.glue_den, b.den)
-
-    def residues(rows, row_den: int) -> set[tuple[int, ...]]:
-        return {tuple(e * (den // row_den) % den for e in row) for row in rows}
-
-    return residues(images.entries, b.den) <= residues(bundle.glue_group, bundle.glue_den)
+    glue, den = set(bundle.glue_group), bundle.glue_den
+    return all(tuple(e * (den // b.den) % den for e in row) in glue for row in images.entries)
 
 
 def assemble_report(sigma_key: str) -> dict:

@@ -1,10 +1,13 @@
-"""Ternary linear codes on the 12-point index set {inf, 0..10} and the
-permutations used to build order-3 lattice isometries from them."""
+"""Ternary linear codes on the 12-point index set {inf, 0..10}, the
+permutations used to build order-3 lattice isometries from them, and
+``residue_sums``, which spans residue rows mod m for ``TernaryCode.words``,
+``catalog._close_glue_group`` and ``orbifold.coset_filter_index``."""
 
 from __future__ import annotations
 
-from itertools import product
+from collections import Counter
 from math import lcm
+from operator import getitem
 from typing import Iterable, NamedTuple, Sequence
 
 LENGTH = 12
@@ -91,6 +94,25 @@ def residue_perm() -> IndexPermutation:
     return compose_perm(shift_perm().inverse(), swap_perm())
 
 
+def residue_sums(rows: Sequence[Sequence[int]], orders: Sequence[int], m: int,
+                 n: int) -> dict[tuple[int, ...], int]:
+    """How many coefficient vectors t with 0 <= t_i < orders_i give each
+    residue row sum_i t_i rows_i mod m of length n, built one row at a time
+    by adding t * row to every sum so far; at full orders the keys span."""
+    # shift[b][a] = (a + b) mod m: a residue plus b is one index.
+    shift = [tuple((a + b) % m for a in range(m)) for b in range(m)]
+    acc = {(0,) * n: 1}
+    for row, order in zip(rows, orders):
+        grown = dict(acc)  # t = 0
+        for t in range(1, order):
+            plus_step = [shift[t * e % m] for e in row]
+            for key, cnt in acc.items():
+                s = tuple(map(getitem, plus_step, key))
+                grown[s] = grown.get(s, 0) + cnt
+        acc = grown
+    return acc
+
+
 class TernaryCode:
     """A linear code over the field with three elements, stored canonically.
 
@@ -140,14 +162,7 @@ class TernaryCode:
         return len(self.basis)
 
     def words(self) -> list[tuple[int, ...]]:
-        out = []
-        for coeffs in product(range(3), repeat=self.dim):
-            word = [0] * self.length
-            for c, row in zip(coeffs, self.basis):
-                if c:
-                    word = [(w + c * e) % 3 for w, e in zip(word, row)]
-            out.append(tuple(word))
-        return out
+        return list(residue_sums(self.basis, (3,) * self.dim, 3, self.length))
 
     def to_json(self) -> dict:
         return {
@@ -176,11 +191,8 @@ def golay_code() -> TernaryCode:
 
 
 def weight_distribution(c: TernaryCode) -> dict[int, int]:
-    dist: dict[int, int] = {}
-    for word in c.words():
-        w = sum(1 for e in word if e)
-        dist[w] = dist.get(w, 0) + 1
-    return dist
+    """How many words of c have each weight, by ascending weight."""
+    return dict(sorted(Counter(sum(1 for e in word if e) for word in c.words()).items()))
 
 
 def stable_under(c: TernaryCode, perm: IndexPermutation) -> bool:

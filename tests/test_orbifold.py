@@ -356,6 +356,20 @@ def test_coset_filter_rejects_an_m_of_lower_rank():
     assert str(excinfo.value) == "M has lower rank than N"
 
 
+@pytest.mark.parametrize("scale", [0, 2])
+def test_coset_filter_rejects_a_non_divisor_count(monkeypatch, scale):
+    # Every half-sum count times 0 leaves no radical coset; times 2, sigma1's
+    # one radical coset counts 4, which does not divide |N/M| = 81.
+    true_sums = orbifold.residue_sums
+    monkeypatch.setattr(orbifold, "residue_sums", lambda *args: {
+        key: scale * cnt for key, cnt in true_sums(*args).items()})
+    iso = build_sigma("sigma1")
+    n = sublattice_n(iso)
+    with pytest.raises(OrbifoldError) as excinfo:
+        coset_filter_index(n, sublattice_m(iso), _pairing_on(iso, n))
+    assert str(excinfo.value) == "coset filter produced a non-divisor count"
+
+
 def test_sigma1_radical_equals_image():
     td = twist_data(build_sigma("sigma1"))
     assert td.index_nm == td.index_nr

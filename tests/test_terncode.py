@@ -1,6 +1,9 @@
-"""Tests for the ternary code layer and its index permutations."""
+"""Tests for the ternary code layer, its index permutations and the
+residue-sum enumerator."""
 
 import random
+from itertools import product
+from math import prod
 
 import pytest
 
@@ -13,6 +16,7 @@ from latorb.terncode import (
     is_self_dual,
     perm_from_cycles,
     residue_perm,
+    residue_sums,
     shift_perm,
     stable_under,
     swap_perm,
@@ -38,6 +42,10 @@ def test_code_dimension_and_size():
 
 def test_weight_distribution():
     assert weight_distribution(golay_code()) == {0: 1, 6: 264, 9: 440, 12: 24}
+    # Enumerated in order, the words of this code have weights 0, 11, 11, 1,
+    # 12, ...; the distribution lists the weights ascending all the same.
+    split = TernaryCode.from_generators([(1,) * 11 + (0,), (0,) * 11 + (1,)])
+    assert list(weight_distribution(split).items()) == [(0, 1), (1, 2), (11, 2), (12, 4)]
     zero = TernaryCode.from_generators([])
     assert weight_distribution(zero) == {0: 1}
     repetition = TernaryCode.from_generators([[1] * 12])
@@ -119,3 +127,47 @@ def test_codes_are_values_and_label_maps_bijections():
     with pytest.raises(ValueError, match="generator length mismatch"):
         TernaryCode.from_generators([[1, 1, 1]])
 
+
+def brute_residue_sums(rows, orders, m, n):
+    """The residue_sums reference: every coefficient vector, one at a time."""
+    counts = {}
+    for t in product(*(range(order) for order in orders)):
+        key = tuple(sum(c * row[j] for c, row in zip(t, rows)) % m for j in range(n))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def closed_span(rows, m, n):
+    """The subgroup of (Z/m)^n the rows generate, closed under adding a row."""
+    span, frontier = {(0,) * n}, [(0,) * n]
+    while frontier:
+        key = frontier.pop()
+        for row in rows:
+            s = tuple((a + e) % m for a, e in zip(key, row))
+            if s not in span:
+                span.add(s)
+                frontier.append(s)
+    return span
+
+
+@pytest.mark.parametrize("m", [2, 3, 6])
+@pytest.mark.parametrize("seed", range(8))
+def test_residue_sums_matches_brute_force(m, seed):
+    # Entries from -2m to 2m (zero and negatives among them), a last row
+    # that depends on the others, orders cycling through 1..m, and n = 0 in
+    # seeds 0 and 4; seed 3 has no rows at all, so only the zero row of
+    # length 3, counted once.
+    rng = random.Random(f"residue_sums {m} {seed}")
+    n = seed % 4
+    rows = [[rng.randint(-2 * m, 2 * m) for _ in range(n)] for _ in range(seed % 3 + 1)]
+    rows.append([2 * a - b for a, b in zip(rows[0], rows[-1])])
+    if seed == 3:
+        rows = []
+    orders = [1 + (seed + i) % m for i in range(len(rows))]
+    got = residue_sums(rows, orders, m, n)
+    want = brute_residue_sums(rows, orders, m, n)
+    assert got == want
+    assert sum(got.values()) == prod(orders)
+    full = residue_sums(rows, [m] * len(rows), m, n)
+    assert full == brute_residue_sums(rows, [m] * len(rows), m, n)
+    assert set(full) == closed_span(rows, m, n)
