@@ -68,8 +68,9 @@ def _golay_checks():
 def cmd_golay(args) -> int:
     from . import terncode
     code, sigma, rows = _golay_checks()
+    weights = rows[1]["computed"]  # the weight distribution row
     rows += [
-        _row("golay codewords", len(code.words()), 729),
+        _row("golay codewords", sum(weights.values()), 729),
         _row("golay self-dual", terncode.is_self_dual(code), True),
         _row("golay stable under shift",
              terncode.stable_under(code, terncode.shift_perm()), True),
@@ -79,7 +80,6 @@ def cmd_golay(args) -> int:
              terncode.stable_under(code, sigma), True),
         _row("golay residue order", sigma.order(), 3),
     ]
-    weights = rows[1]["computed"]  # the weight distribution row
     payload = {"code": code.to_json(),
                "weight_distribution": {str(k): v for k, v in sorted(weights.items())},
                "residue_cycles": sigma.cycle_string()}
@@ -99,6 +99,8 @@ def _root_rows(key: str, rs) -> list[dict]:
 
 
 def cmd_lattice_build(args) -> int:
+    from fractions import Fraction
+
     from .catalog import construct_niemeier
     from .exactmat import RatMatrix
     from .lattice import is_even_unimodular, rat_str
@@ -116,7 +118,8 @@ def cmd_lattice_build(args) -> int:
     ]
     embedding = bundle.extension.basis_in_base @ RatMatrix(bundle.ambient)
     doc = {**lattice.to_json(),
-           "embedding": [[rat_str(e) for e in row] for row in embedding.entries]}
+           "embedding": [[rat_str(Fraction(e, embedding.den)) for e in row]
+                         for row in embedding.num.entries]}
     payload = {"key": args.key, "description": spec["description"], "lattice": doc}
     return _finish(rows, payload, args.json)
 

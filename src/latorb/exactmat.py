@@ -1,12 +1,12 @@
-"""Exact integer and rational matrix algebra.
+"""Exact integer matrix algebra, rationals as integers over one denominator.
 
 Everything in this module is pure and exact, with no floating point
 anywhere.  :class:`IntMatrix` holds Python ints and carries the algebra:
 products, normal forms, determinant, exact solve and LDL^T.
 :class:`RatMatrix` holds computed rational rows (dual-class weights, glue
 and glued bases) as a numerator ``IntMatrix`` ``num`` over one positive
-``den``, reduced by their gcd; it has a product, callers compute with
-``num`` and ``den``, and ``entries`` is a Fraction view.
+``den``, reduced by their gcd; it has a product, and callers compute with
+``num`` and ``den``: no entry is ever a Fraction.
 Matrices are values: every operation returns a new matrix.
 Both classes multiply through one packed-row integer product (Kronecker
 substitution, see ``_product``), which reads a whole product back in one
@@ -39,13 +39,10 @@ deterministic: identical inputs give identical outputs.
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 from itertools import compress, count
 from math import gcd, isqrt, prod
 from operator import add, is_, lshift, mul
-from typing import Iterable, NamedTuple, Sequence, Union
-
-Rational = Union[int, Fraction]
+from typing import Iterable, NamedTuple, Sequence
 
 
 class ShapeError(ValueError):
@@ -251,10 +248,6 @@ class RatMatrix:
     rows = property(lambda self: self.num.rows)
     cols = property(lambda self: self.num.cols)
 
-    @property
-    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(Fraction(e, self.den) for e in row) for row in self.num.entries)
-
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if not isinstance(other, RatMatrix):
             return NotImplemented
@@ -403,13 +396,13 @@ def snf(m: IntMatrix) -> SmithDecomposition:
                               _im(c, c, _transpose(vt, c, c)))
 
 
-def _eliminate(rows: Sequence[Sequence[int]], cols: int, steps: int):
+def _eliminate(rows: Sequence[Sequence[int]], n: int):
     """Fraction-free (Bareiss) elimination of integer rows, each packed in one int.
 
-    In each of the first ``steps`` columns the first remaining row with an
-    entry pv != 0 there becomes the pivot row top, and every remaining row
-    becomes (pv row - f top) // prev, f its entry and prev the last pivot.
-    Each entry formed is a minor, so the division is exact on the packed
+    The rows are those of an n x n matrix.  In each column the first remaining
+    row with an entry pv != 0 there becomes the pivot row top, and every
+    remaining row becomes (pv row - f top) // prev, f its entry and prev the
+    last pivot.  Each entry formed is a minor, so the division is exact on the packed
     int, whatever carries pass between the fields of pv row - f top, and no
     entry read exceeds the Hadamard bound H = prod (isqrt(|row|^2) + 1),
     which fields of bit_length(H) + 1 bits, or the aligned width above it, hold.
@@ -417,9 +410,9 @@ def _eliminate(rows: Sequence[Sequence[int]], cols: int, steps: int):
     rows, pv) per pivot row]), pivot rows packed and in order.
     """
     h = prod(isqrt(sum(map(mul, row, row))) + 1 for row in rows)
-    p = _Packing(h.bit_length() + 1, cols)
+    p = _Packing(h.bit_length() + 1, n)
     todo, done, pivots, prev = list(map(p.pack, rows)), [], [], 1
-    for col in range(steps):
+    for col in range(n):
         f = [p.field(v, col) for v in todo]
         i = next(compress(count(), f), None)
         if i is None:
@@ -436,7 +429,7 @@ def det(m: IntMatrix) -> int:
     """Exact determinant: the last Bareiss pivot, signed by the row moves."""
     if m.rows != m.cols:
         raise ShapeError("determinant of a non-square matrix")
-    pivots = _eliminate(m.entries, m.rows, m.rows)[2]
+    pivots = _eliminate(m.entries, m.rows)[2]
     if len(pivots) < m.rows:
         return 0
     sign = -1 if sum(i for _, i, _ in pivots) % 2 else 1
@@ -454,7 +447,7 @@ def ldl(m: IntMatrix) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
     its own pivot row or its pivot is not positive.
     """
     n = m.rows
-    p, done, pivots = _eliminate(m.entries, n, n)
+    p, done, pivots = _eliminate(m.entries, n)
     k = next((k for k, (col, i, pv) in enumerate(pivots) if (col, i) != (k, 0) or pv <= 0),
              len(pivots))
     if k < n:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import prod
 from typing import NamedTuple, Sequence
 
-from .exactmat import (IntMatrix, NotPositiveDefinite, RatMatrix, Rational, _im,
+from .exactmat import (IntMatrix, NotPositiveDefinite, RatMatrix, _im,
                        block_diagonal, hnf, kernel_basis, ldl, solve_exact)
 
 
@@ -33,7 +33,7 @@ class IsometryError(ValueError):
     """A claimed isometry fails verification."""
 
 
-def rat_str(x: Rational) -> str:
+def rat_str(x: int | Fraction) -> str:
     """Canonical string for an exact rational: 'p' or 'p/q' in lowest terms."""
     return str(Fraction(x))
 

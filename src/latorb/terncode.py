@@ -1,4 +1,5 @@
-"""Ternary linear codes on the 12-point index set {inf, 0..10}, the
+"""Ternary linear codes on the 12-point index set {inf, 0..10}, each kept
+as the reduced row-echelon basis read off ``exactmat.hnf`` of C + 3Z^n, the
 permutations used to build order-3 lattice isometries from them, and
 ``residue_sums``, which spans residue rows mod m for ``TernaryCode.words``,
 ``catalog._close_glue_group`` and ``orbifold.coset_filter_index``."""
@@ -9,6 +10,8 @@ from collections import Counter
 from math import lcm
 from operator import getitem
 from typing import Iterable, NamedTuple, Sequence
+
+from .exactmat import IntMatrix, hnf
 
 LENGTH = 12
 
@@ -135,27 +138,16 @@ class TernaryCode:
     @classmethod
     def from_generators(cls, rows: Iterable[Sequence[int]],
                         length: int = LENGTH) -> "TernaryCode":
-        mat = [[e % 3 for e in row] for row in rows]
-        for row in mat:
-            if len(row) != length:
-                raise ValueError("generator length mismatch")
-        pivot_row = 0
-        for col in range(length):
-            src = next((r for r in range(pivot_row, len(mat)) if mat[r][col]),
-                       None)
-            if src is None:
-                continue
-            mat[pivot_row], mat[src] = mat[src], mat[pivot_row]
-            inv = {1: 1, 2: 2}[mat[pivot_row][col]]
-            mat[pivot_row] = [(inv * e) % 3 for e in mat[pivot_row]]
-            for r in range(len(mat)):
-                if r != pivot_row and mat[r][col]:
-                    f = mat[r][col]
-                    mat[r] = [(e - f * p) % 3
-                              for e, p in zip(mat[r], mat[pivot_row])]
-            pivot_row += 1
-        basis = tuple(tuple(row) for row in mat[:pivot_row])
-        return cls(length, basis)
+        """The code the rows span mod 3, read off the HNF of the full-rank
+        lattice C + 3Z^n they span with 3I (Construction A), whose pivots are
+        1 or 3: its pivot-1 rows, entries above each pivot reduced below it,
+        are C's reduced row-echelon basis mod 3."""
+        gens = [tuple(e % 3 for e in row) for row in rows]
+        if any(len(row) != length for row in gens):
+            raise ValueError("generator length mismatch")
+        h = hnf(IntMatrix.from_rows([*gens, *IntMatrix.identity(length).scale(3).entries],
+                                    length))
+        return cls(length, tuple(row for row in h.entries if next(filter(None, row)) == 1))
 
     @property
     def dim(self) -> int:
@@ -202,7 +194,6 @@ def stable_under(c: TernaryCode, perm: IndexPermutation) -> bool:
 
 
 def is_self_dual(c: TernaryCode) -> bool:
-    if 2 * c.dim != c.length:
-        return False
-    return all(sum(a * b for a, b in zip(u, v)) % 3 == 0
-               for u in c.basis for v in c.basis)
+    b = IntMatrix.from_rows(c.basis, c.length)
+    return 2 * c.dim == c.length and not any(
+        e % 3 for row in (b @ b.transpose()).entries for e in row)

@@ -93,7 +93,9 @@ def test_glued_basis_in_ambient_coordinates_reproduces_the_gram(key):
     b = bundle.extension.basis_in_base
     e = b.num @ bundle.ambient
     assert e @ block_diagonal(forms) @ e.transpose() == bundle.lattice.gram.scale(b.den ** 2)
-    assert (b @ RatMatrix(bundle.ambient)).entries == tuple(
+    embedding = b @ RatMatrix(bundle.ambient)
+    assert tuple(tuple(Fraction(x, embedding.den) for x in row)
+                 for row in embedding.num.entries) == tuple(
         tuple(Fraction(x, b.den) for x in row) for row in e.entries)
 
 

@@ -442,7 +442,7 @@ _CONSTRUCTION = ["latorb.catalog", "latorb.exactmat", "latorb.lattice", "latorb.
     ([], []),
     (["candidates", "--dim", "24", "--json"], ["latorb.liealg"]),
     (["schellekens", "--dim", "96", "--type", "E6,4", "--json"], ["latorb.liealg"]),
-    (["golay", "--json"], ["latorb.terncode"]),
+    (["golay", "--json"], ["latorb.exactmat", "latorb.terncode"]),
     (["lattice", "build", "A2_12", "--json"], _CONSTRUCTION),
     (["verify-all", "--json"], [*_CONSTRUCTION, "latorb.orbifold"]),
 ], ids=["import", "candidates", "schellekens", "golay", "lattice-build", "verify-all"])

@@ -3,21 +3,26 @@ differential properties of the integer routes and the scaled-integer
 RatMatrix against a per-entry Fraction reference."""
 
 import operator
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+import latorb
 from latorb.exactmat import (
     IntMatrix,
     NoSolution,
     NotPositiveDefinite,
     RatMatrix,
     ShapeError,
+    _im,
     block_diagonal,
     det,
     hnf,
@@ -32,6 +37,11 @@ from latorb.lattice import Lattice
 
 def im(rows):
     return IntMatrix.from_rows(rows)
+
+
+def fraction_rows(m: RatMatrix):
+    """The entries of a RatMatrix as Fractions, each numerator over den."""
+    return tuple(tuple(Fraction(e, m.den) for e in row) for row in m.num.entries)
 
 
 class TestHnf:
@@ -157,8 +167,9 @@ def test_mixed_operands_and_non_int_entries_raise_type_error():
                 op(a, b)
     with pytest.raises(TypeError):
         i.scale(Fraction(1, 2))
-    # det, ldl and block_diagonal take integer matrices only.
-    half = RatMatrix(im([[1, 0], [0, 2]]), 2)
+    # det, ldl and block_diagonal take integer matrices only: rational
+    # entries, carried unchecked, are refused where they are read.
+    half = _im(2, 2, fraction_rows(RatMatrix(im([[1, 0], [0, 2]]), 2)))
     for use in (det, ldl, lambda m: block_diagonal([i, m])):
         with pytest.raises(TypeError):
             use(half)
@@ -332,13 +343,13 @@ def test_matmul_transpose_match_reference(r, c, c2, data):
     product = rat(a, c) @ rat(b, c2)
     expected = ref_matmul(a, b, c, c2)
     assert product == rat(expected, c2)
-    assert product.entries == tuple(map(tuple, expected))
+    assert fraction_rows(product) == tuple(map(tuple, expected))
     x, y = data.draw(frac_rows(r, c, FIELD_EDGES)), data.draw(frac_rows(c, c2, FIELD_EDGES))
     assert IntMatrix.from_rows(x, cols=c).transpose() == IntMatrix.from_rows(
         ref_transpose(x, c), cols=r)
     expected = tuple(map(tuple, ref_matmul(x, y, c, c2)))
     assert (IntMatrix.from_rows(x, cols=c) @ IntMatrix.from_rows(y, cols=c2)).entries == expected
-    assert (rat(x, c) @ rat(y, c2)).entries == expected
+    assert fraction_rows(rat(x, c) @ rat(y, c2)) == expected
 
 
 def plain_product(a, b, cols):
@@ -395,7 +406,7 @@ def test_rat_product_matches_reference_on_edge_rows(r, c, c2, d1, d2, data):
                @ RatMatrix(IntMatrix.from_rows(y, cols=c2), d2))
     expected = ref_matmul([[Fraction(e, d1) for e in row] for row in x],
                           [[Fraction(e, d2) for e in row] for row in y], c, c2)
-    assert product.entries == tuple(map(tuple, expected))
+    assert fraction_rows(product) == tuple(map(tuple, expected))
     assert product == rat(expected, c2) and product.den > 0
 
 
@@ -446,7 +457,7 @@ def test_rat_matrix_is_reduced_numerators_over_a_positive_den():
     negative = RatMatrix(im([[1, -2]]), -3)
     assert (negative.num, negative.den) == (im([[-1, 2]]), 3)
     assert (m.rows, m.cols) == (2, 3) and RatMatrix.__slots__ == ("num", "den")
-    assert m.entries[1] == (Fraction(3, 2), 2, Fraction(5, 2))
+    assert fraction_rows(m)[1] == (Fraction(3, 2), 2, Fraction(5, 2))
     assert RatMatrix(im([[0, 0]]), -5) == RatMatrix(im([[0, 0]]))
     # Numerators are an IntMatrix, and den a nonzero int.
     for bad in (((1, 2),), [[1, 2]], RatMatrix(im([[1, 2]]))):
@@ -665,3 +676,14 @@ def test_snf_and_hnf_match_sympy(r, c, data):
         den = lcm(*(x.q for x in vec))
         row = [int(x * den) for x in vec]
         assert _integral_row_solve(k, [e // gcd(*row) for e in row])
+
+
+def test_import_loads_no_fractions_or_decimal():
+    # Every entry is an int: rationals are numerators over one denominator,
+    # so the module needs neither Fraction nor the decimal module it loads.
+    env = {**os.environ, "PYTHONPATH": str(Path(latorb.__file__).parent.parent)}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, latorb.exactmat; "
+         "print(sorted(m for m in sys.modules if m in ('fractions', 'decimal', '_decimal')))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"

@@ -121,7 +121,7 @@ def test_dual_a2():
     assert a2().determinant() == 3
     dual = dual_basis(A2_GRAM)
     assert dual == RatMatrix(IntMatrix.from_rows([[2, 1], [1, 2]]), 3)
-    (a, b), (c, d) = dual.entries
+    (a, b), (c, d) = (tuple(Fraction(e, dual.den) for e in row) for row in dual.num.entries)
     assert a * d - b * c == Fraction(1, 3)
     with pytest.raises(GlueError, match="not integral"):
         glue_by_dual_basis(a2())
@@ -299,7 +299,8 @@ def test_randomized_lattice_invariants():
         # base sits in the glued lattice with that index.
         u = RatMatrix(IntMatrix.from_rows([[rng.randrange(-2, 3) for _ in range(n)]], cols=n))
         v = u @ dual_basis(gram)
-        q = Fraction(sum(a * b for a, b in zip(u.entries[0], v.entries[0]))).denominator
+        u_row, v_row = ([Fraction(e, m.den) for e in m.num.entries[0]] for m in (u, v))
+        q = Fraction(sum(a * b for a, b in zip(u_row, v_row))).denominator
         if q > 1:
             with pytest.raises(GlueError, match="not integral"):
                 glue_extend(l, v)

@@ -4,6 +4,7 @@ residue-sum enumerator."""
 import random
 from itertools import product
 from math import prod
+from operator import mul
 
 import pytest
 
@@ -103,6 +104,10 @@ def test_cycle_strings_round_trip():
 def test_self_duality():
     assert is_self_dual(golay_code())
     assert not is_self_dual(TernaryCode.from_generators([[1] * 12]))
+    # [I6 | I6] has dimension 6 and length 12, but each row has norm 2 mod 3.
+    doubled = TernaryCode.from_generators([[int(j % 6 == i) for j in range(12)]
+                                           for i in range(6)])
+    assert doubled.dim == 6 and not is_self_dual(doubled)
 
 
 def test_dimension_invariant_under_permutation():
@@ -148,6 +153,38 @@ def closed_span(rows, m, n):
                 span.add(s)
                 frontier.append(s)
     return span
+
+
+def product_span(rows, n):
+    """The words sum_i t_i rows_i mod 3 over every coefficient vector t."""
+    cols = list(zip(*rows)) if rows else [()] * n
+    return {tuple(sum(map(mul, t, col)) % 3 for col in cols)
+            for t in product(range(3), repeat=len(rows))}
+
+
+def test_from_generators_is_the_reduced_echelon_basis_of_the_span():
+    # Lengths 0-12, 0-8 rows of entries -4..4, the last row often a
+    # combination of the others.  The basis must be reduced row-echelon mod 3
+    # and span what every coefficient vector of the generators spans; that
+    # form is unique, so this pins the basis.
+    rng = random.Random("from_generators")
+    for _ in range(120):
+        n, k = rng.randint(0, 12), rng.randint(0, 8)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
+        if k >= 3 and rng.random() < 0.5:
+            a, b = rng.randint(-4, 4), rng.randint(-4, 4)
+            rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+        code = TernaryCode.from_generators(rows, n)
+        assert code.length == n
+        pivots = []
+        for row in code.basis:
+            assert len(row) == n and set(row) <= {0, 1, 2}
+            pivots.append(next(j for j, e in enumerate(row) if e))
+            assert row[pivots[-1]] == 1
+        assert pivots == sorted(set(pivots))
+        for i, row in enumerate(code.basis):
+            assert [row[col] for col in pivots] == [int(i == j) for j in range(len(pivots))]
+        assert set(residue_sums(code.basis, (3,) * code.dim, 3, n)) == product_span(rows, n)
 
 
 @pytest.mark.parametrize("m", [2, 3, 6])
