@@ -8,23 +8,22 @@ lattices must come out even and unimodular with the expected root
 systems, and each assembled isometry must stabilize its lattice.  A failed
 check, such as a wrong glue word in the table causes, aborts the
 construction; nothing is returned on trust.  Dual classes are computed,
-rows of the inverse Cartan matrix; what is stated about the constructions
-(each component map as one reflection word, each isometry as one row of
-block maps), and what their reports must reproduce, is in the one table
-``CONSTRUCTIONS``.
+rows of the inverse Cartan matrix, and all glue rows are integers over one
+``int`` denominator; what is stated about the constructions (each component
+map as one reflection word, each isometry as one row of block maps), and
+what their reports must reproduce, is in the one table ``CONSTRUCTIONS``.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache, reduce
-from math import lcm
+from math import gcd, lcm
 from operator import matmul
 from typing import NamedTuple, Sequence
 
 from .constructions import CONSTRUCTIONS
-from .exactmat import IntMatrix, RatMatrix, _im, block_diagonal, solve_exact
+from .exactmat import IntMatrix, _im, block_diagonal, solve_exact
 from .lattice import (
     GlueError,
     GlueExtension,
@@ -58,15 +57,16 @@ class StabilizationError(CatalogError):
 class RootLatticeData(NamedTuple):
     """A root lattice together with representatives of its dual classes.
 
-    Row ell of ``glue`` represents dual class ell (0 is the trivial class):
-    the fundamental weight of a minuscule node, a shortest vector of its
-    class, in the lattice basis over the one denominator ``glue.den``
-    (``det C``, reduced).  The rows of ``ambient``
-    are the basis vectors in the coordinates the lattice is stated in.
+    Row ell of ``glue`` over ``den`` represents dual class ell (0 is the
+    trivial class): the fundamental weight of a minuscule node, a shortest
+    vector of its class, in the lattice basis; ``den`` is ``det C`` over its
+    gcd with the numerators.  The rows of ``ambient`` are the basis vectors
+    in the coordinates the lattice is stated in.
     """
 
     lattice: Lattice
-    glue: RatMatrix
+    glue: IntMatrix
+    den: int
     ambient: IntMatrix
 
 
@@ -88,7 +88,7 @@ def build_root_lattice(family: str, rank: int) -> RootLatticeData:
     and E of rank 6 (stated in its own basis of simple roots).  Class ell
     of A_n is the fundamental weight of node n - ell (0-based); the nonzero
     classes of D4 and E6 are those of the listed minuscule nodes.  Each
-    weight is a row of the inverse Cartan matrix, solved over det C.
+    weight is a row of the inverse Cartan matrix over det C, gcd-reduced.
     """
     if family == "A" and rank >= 1:
         amb = IntMatrix.from_rows([[1 if j == i else (-1 if j == i + 1 else 0)
@@ -105,8 +105,9 @@ def build_root_lattice(family: str, rank: int) -> RootLatticeData:
     l = _dynkin_lattice(family, rank, edges)
     d = l.determinant()
     weights = solve_exact(l.gram, IntMatrix.identity(rank).scale(d)).entries
-    glue = IntMatrix.from_rows([[0] * rank, *(weights[i] for i in nodes)])
-    return RootLatticeData(l, RatMatrix(glue, d), amb)
+    g = gcd(d, *itertools.chain(*(weights[i] for i in nodes)))
+    glue = IntMatrix.from_rows([[0] * rank, *([e // g for e in weights[i]] for i in nodes)])
+    return RootLatticeData(l, glue, d // g, amb)
 
 
 @lru_cache(maxsize=None)
@@ -142,10 +143,9 @@ def glue_class_image(auto: Isometry, data: RootLatticeData,
                      ell: int) -> int:
     """Which dual class the isometry sends class ell to: the class whose
     residue row matches the image's modulo the glue denominator."""
-    glue = data.glue
-    image = (glue.num @ auto.matrix).entries[ell]
-    for m, rep in enumerate(glue.num.entries):
-        if all((a - b) % glue.den == 0 for a, b in zip(image, rep)):
+    image = (data.glue @ auto.matrix).entries[ell]
+    for m, rep in enumerate(data.glue.entries):
+        if all((a - b) % data.den == 0 for a, b in zip(image, rep)):
             return m
     raise CatalogError("image is not in any dual class")
 
@@ -153,14 +153,13 @@ def glue_class_image(auto: Isometry, data: RootLatticeData,
 class NiemeierBundle(NamedTuple):
     """A verified glued lattice with everything needed to work on it; the base
     is the direct sum of the root lattices ``parts``, glue coset r (a
-    ``glue_group`` row) is r / ``glue_den`` in base coordinates, and row i of
-    ``ambient`` is base basis vector i in its root lattice's coordinates."""
+    ``glue_group`` row) is r / ``extension.den`` in base coordinates, and row
+    i of ``ambient`` is base basis vector i in its root lattice's coordinates."""
 
     parts: tuple[Lattice, ...]
     ambient: IntMatrix
     extension: GlueExtension
     glue_group: tuple[tuple[int, ...], ...]
-    glue_den: int
     root_system: RootSystem
 
     @property
@@ -169,14 +168,14 @@ class NiemeierBundle(NamedTuple):
 
 
 def _glue_words(part_data: tuple[RootLatticeData, ...],
-                words: tuple[str, ...] | None) -> RatMatrix:
-    """The glue generators, one row of base coordinates per word: each
-    word's dual-class rows, scaled to the lcm of the parts' denominators."""
+                words: tuple[str, ...] | None) -> tuple[IntMatrix, int]:
+    """The glue generators as base-coordinate numerator rows, one per word (its
+    dual-class rows), over the lcm den of the parts' denominators: (rows, den)."""
     if words is None:
         rows = [tuple(row) for row in golay_code().basis]
     else:
         rows = [tuple(int(ch) for ch in word) for word in words]
-    den = lcm(*(data.glue.den for data in part_data))
+    den = lcm(*(data.den for data in part_data))
     generators = []
     for row in rows:
         if len(row) != len(part_data):
@@ -185,30 +184,29 @@ def _glue_words(part_data: tuple[RootLatticeData, ...],
         for digit, data in zip(row, part_data):
             if digit not in range(data.glue.rows):
                 raise CatalogError(f"glue digit {digit} has no dual class")
-            coords.extend(e * (den // data.glue.den) for e in data.glue.num.entries[digit])
+            coords.extend(e * (den // data.den) for e in data.glue.entries[digit])
         generators.append(tuple(coords))
     rank = sum(data.lattice.rank for data in part_data)
-    return RatMatrix(IntMatrix(len(generators), rank, tuple(generators)), den)
+    return IntMatrix(len(generators), rank, tuple(generators)), den
 
 
-def _close_glue_group(words: RatMatrix) -> tuple[tuple[int, ...], ...]:
-    """All distinct cosets the glue rows generate, reduced mod 1, as sorted
-    integer residue rows modulo the glue denominator ``words.den``."""
-    den = words.den
-    return tuple(sorted(residue_sums(words.num.entries, (den,) * words.rows, den, words.cols)))
+def _close_glue_group(words: IntMatrix, den: int) -> tuple[tuple[int, ...], ...]:
+    """All distinct cosets the glue rows words / den generate, reduced mod 1,
+    as sorted integer residue rows modulo den."""
+    return tuple(sorted(residue_sums(words.entries, (den,) * words.rows, den, words.cols)))
 
 
-def _check_glue_code(key: str, base: Lattice, words: RatMatrix, cosets: int) -> None:
+def _check_glue_code(key: str, base: Lattice, words: IntMatrix, den: int, cosets: int) -> None:
     """From the block Grams and glue generators alone: the glue code is an
     isotropic subgroup of the discriminant form of order sqrt(prod det R_i)
     (Conway and Sloane, SPLAG, ch. 4 section 3 and ch. 16)."""
-    square = words.den ** 2
-    for (i, u), (j, v) in itertools.combinations_with_replacement(enumerate(words.num.entries), 2):
+    square = den ** 2
+    for (i, u), (j, v) in itertools.combinations_with_replacement(enumerate(words.entries), 2):
         p = base.inner(u, v)
         if p % (2 * square if i == j else square):
             what = f"generator {i} has norm" if i == j else f"generators {i} and {j} pair to"
             raise CatalogError(f"{key}: glue code is not isotropic: "
-                               f"{what} {rat_str(Fraction(p, square))}")
+                               f"{what} {rat_str(p, square)}")
     if cosets ** 2 != (d := base.determinant()):
         raise CatalogError(f"{key}: glue group has {cosets} cosets, but the blocks' "
                            f"determinants multiply to {d}, not {cosets}^2")
@@ -224,12 +222,12 @@ def construct_niemeier(key: str) -> NiemeierBundle:
     part_data = tuple(build_root_lattice(f, r) for f, r in spec["parts"])
     parts = tuple(d.lattice for d in part_data)
     base = direct_sum(parts, name=f"{key}:base")
-    words = _glue_words(part_data, spec["words"])
-    group = _close_glue_group(words)
-    _check_glue_code(key, base, words, len(group))
+    words, den = _glue_words(part_data, spec["words"])
+    group = _close_glue_group(words, den)
+    _check_glue_code(key, base, words, den, len(group))
     failed = CatalogError(f"{key}: lattice is not even unimodular of rank 24")
     try:
-        ext = glue_extend(base, words, name=key)
+        ext = glue_extend(base, words, den, name=key)
     except GlueError as exc:  # dual-class words pair integrally: a non-integral glue
         raise failed from exc
     if ext.index != len(group):
@@ -238,12 +236,12 @@ def construct_niemeier(key: str) -> NiemeierBundle:
     even, unimodular = is_even_unimodular(ext.lattice)
     if not (even and unimodular and ext.lattice.rank == 24):
         raise failed
-    vectors = glued_root_vectors(parts, ext, group, words.den)
+    vectors = glued_root_vectors(parts, ext, group)
     rs = build_root_system(ext.lattice, vectors)
     if classify(rs) != tuple(sorted(spec["parts"])):
         raise CatalogError(f"{key}: root system mismatch")
     ambient = block_diagonal([d.ambient for d in part_data])
-    return NiemeierBundle(parts, ambient, ext, group, words.den, rs)
+    return NiemeierBundle(parts, ambient, ext, group, rs)
 
 
 @lru_cache(maxsize=None)
@@ -289,18 +287,16 @@ def assemble_block_isometry(bundle: NiemeierBundle,
     s = _im(rank, rank, tuple(map(tuple, entries)))
     ext = bundle.extension
     # B s B^-1, B numerators over den; the base rows B^-1 are integral and stored.
-    b, den = ext.basis_in_base, ext.basis_in_base.den
-    x = b.num @ s @ ext.base_in_lattice
+    x, den = ext.basis_in_base @ s @ ext.base_in_lattice, ext.den
     for k, row in enumerate(x.entries):
         if any(e % den for e in row):
             raise StabilizationError(
                 f"{name}: image of basis vector {k} is outside the lattice: "
-                f"{tuple(str(Fraction(e, den)) for e in row)}")
+                f"{tuple(rat_str(e, den) for e in row)}")
     return Isometry.create(bundle.lattice, _im(x.rows, x.cols, tuple(
         tuple(e // den for e in row) for row in x.entries)), 3)
 
 
-@lru_cache(maxsize=None)
 def build_sigma(key: str) -> Isometry:
     """Assemble, verify, and return one of the six order-3 isometries."""
     if key not in CONSTRUCTIONS["isometries"]:

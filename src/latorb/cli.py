@@ -99,26 +99,23 @@ def _root_rows(key: str, rs) -> list[dict]:
 
 
 def cmd_lattice_build(args) -> int:
-    from fractions import Fraction
-
     from .catalog import construct_niemeier
     from .exactmat import RatMatrix
     from .lattice import is_even_unimodular, rat_str
     bundle = construct_niemeier(args.key)
     spec = CONSTRUCTIONS["lattices"][args.key]
-    lattice = bundle.lattice
+    lattice, ext = bundle.lattice, bundle.extension
     even, unimodular = is_even_unimodular(lattice)
     rows = [
         _row(f"{args.key} even", even, True),
         _row(f"{args.key} unimodular", unimodular, True),
         _row(f"{args.key} rank", lattice.rank, 24),
-        _row(f"{args.key} glue index", bundle.extension.index, len(bundle.glue_group),
-             "computed"),
+        _row(f"{args.key} glue index", ext.index, len(bundle.glue_group), "computed"),
         *_root_rows(args.key, bundle.root_system),
     ]
-    embedding = bundle.extension.basis_in_base @ RatMatrix(bundle.ambient)
+    embedding = RatMatrix(ext.basis_in_base, ext.den) @ RatMatrix(bundle.ambient)
     doc = {**lattice.to_json(),
-           "embedding": [[rat_str(Fraction(e, embedding.den)) for e in row]
+           "embedding": [[rat_str(e, embedding.den) for e in row]
                          for row in embedding.num.entries]}
     payload = {"key": args.key, "description": spec["description"], "lattice": doc}
     return _finish(rows, payload, args.json)

@@ -3,10 +3,10 @@
 Everything in this module is pure and exact, with no floating point
 anywhere.  :class:`IntMatrix` holds Python ints and carries the algebra:
 products, normal forms, determinant, exact solve and LDL^T.
-:class:`RatMatrix` holds computed rational rows (dual-class weights, glue
-and glued bases) as a numerator ``IntMatrix`` ``num`` over one positive
-``den``, reduced by their gcd; it has a product, and callers compute with
-``num`` and ``den``: no entry is ever a Fraction.
+:class:`RatMatrix`, a numerator ``IntMatrix`` ``num`` over one positive
+``den`` reduced by their gcd, with a product, holds only the embedding that
+``lattice build`` prints; every other rational row is an ``IntMatrix`` of
+numerators its caller keeps with an ``int`` denominator: no entry is a Fraction.
 Matrices are values: every operation returns a new matrix.
 Both classes multiply through one packed-row integer product (Kronecker
 substitution, see ``_product``), which reads a whole product back in one
@@ -27,8 +27,8 @@ Entries are checked to be ints only where data enters, in the
 ``IntMatrix`` constructor and ``from_rows``; this module's own results are
 built by the trusted ``_im``, as are other ints by construction: the
 batched products' operands in ``roots``, glued Grams and assembled maps.
-Operators check their operand's type, so mixing the two classes raises
-``TypeError``.
+Operators, ``det``, ``ldl`` and ``block_diagonal`` check their operands'
+type, so mixing the two classes raises ``TypeError``.
 
 Row-vector convention: vectors are rows and maps act on the right
 (``x -> x @ m``), so the kernel of ``m`` is ``{x : x @ m = 0}`` and the row
@@ -61,6 +61,12 @@ def _as_int(x: object) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise TypeError(f"integer entry expected, got {x!r}")
     return x
+
+
+def _int_matrix(m: object) -> IntMatrix:
+    if not isinstance(m, IntMatrix):
+        raise TypeError(f"IntMatrix expected, got {type(m).__name__}")
+    return m
 
 
 def _check_ints(rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> None:
@@ -267,6 +273,7 @@ def _im(rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> IntMatrix
 
 def block_diagonal(parts: Sequence[IntMatrix]) -> IntMatrix:
     """Block-diagonal matrix of the given blocks, which need not be square."""
+    parts = [*map(_int_matrix, parts)]
     cols = sum(p.cols for p in parts)
     rows = []
     off = 0
@@ -396,19 +403,20 @@ def snf(m: IntMatrix) -> SmithDecomposition:
                               _im(c, c, _transpose(vt, c, c)))
 
 
-def _eliminate(rows: Sequence[Sequence[int]], n: int):
-    """Fraction-free (Bareiss) elimination of integer rows, each packed in one int.
+def _eliminate(m: IntMatrix):
+    """Fraction-free (Bareiss) elimination of the square m's rows, each packed in one int.
 
-    The rows are those of an n x n matrix.  In each column the first remaining
-    row with an entry pv != 0 there becomes the pivot row top, and every
-    remaining row becomes (pv row - f top) // prev, f its entry and prev the
-    last pivot.  Each entry formed is a minor, so the division is exact on the packed
+    In each column the first remaining row with an entry pv != 0 there
+    becomes the pivot row top, and every remaining row becomes
+    (pv row - f top) // prev, f its entry and prev the last pivot.  Each
+    entry formed is a minor, so the division is exact on the packed
     int, whatever carries pass between the fields of pv row - f top, and no
     entry read exceeds the Hadamard bound H = prod (isqrt(|row|^2) + 1),
     which fields of bit_length(H) + 1 bits, or the aligned width above it, hold.
     Returns (packing, pivot rows, [(column, position among the remaining
     rows, pv) per pivot row]), pivot rows packed and in order.
     """
+    rows, n = _int_matrix(m).entries, m.rows
     h = prod(isqrt(sum(map(mul, row, row))) + 1 for row in rows)
     p = _Packing(h.bit_length() + 1, n)
     todo, done, pivots, prev = list(map(p.pack, rows)), [], [], 1
@@ -427,9 +435,9 @@ def _eliminate(rows: Sequence[Sequence[int]], n: int):
 
 def det(m: IntMatrix) -> int:
     """Exact determinant: the last Bareiss pivot, signed by the row moves."""
-    if m.rows != m.cols:
+    if _int_matrix(m).rows != m.cols:
         raise ShapeError("determinant of a non-square matrix")
-    pivots = _eliminate(m.entries, m.rows)[2]
+    pivots = _eliminate(m)[2]
     if len(pivots) < m.rows:
         return 0
     sign = -1 if sum(i for _, i, _ in pivots) % 2 else 1
@@ -447,7 +455,7 @@ def ldl(m: IntMatrix) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
     its own pivot row or its pivot is not positive.
     """
     n = m.rows
-    p, done, pivots = _eliminate(m.entries, n)
+    p, done, pivots = _eliminate(m)
     k = next((k for k, (col, i, pv) in enumerate(pivots) if (col, i) != (k, 0) or pv <= 0),
              len(pivots))
     if k < n:

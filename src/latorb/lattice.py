@@ -5,8 +5,8 @@ and keeps the Gram's LDL^T: that one Bareiss pass proves it positive definite,
 gives its determinant and is what ``roots`` enumerates short vectors from.
 A direct sum is its block-diagonal Gram; its summands stay with the caller.
 A sublattice is the integer matrix of its basis rows in the lattice basis.
-Only glue rows are rational: a ``RatMatrix``, read as its numerator
-``IntMatrix`` ``num`` over one denominator ``den``.
+Only glue rows are rational: an ``IntMatrix`` of numerators over one
+positive ``int`` denominator, which ``rat_str`` prints entry by entry.
 
 All arithmetic is exact; see :mod:`latorb.exactmat`.
 """
@@ -17,8 +17,8 @@ from fractions import Fraction
 from math import prod
 from typing import NamedTuple, Sequence
 
-from .exactmat import (IntMatrix, NotPositiveDefinite, RatMatrix, _im,
-                       block_diagonal, hnf, kernel_basis, ldl, solve_exact)
+from .exactmat import (IntMatrix, NotPositiveDefinite, _im, block_diagonal, hnf,
+                       kernel_basis, ldl, solve_exact)
 
 
 class LatticeError(ValueError):
@@ -33,9 +33,9 @@ class IsometryError(ValueError):
     """A claimed isometry fails verification."""
 
 
-def rat_str(x: int | Fraction) -> str:
-    """Canonical string for an exact rational: 'p' or 'p/q' in lowest terms."""
-    return str(Fraction(x))
+def rat_str(x: int | Fraction, den: int = 1) -> str:
+    """Canonical string for the exact rational x / den: 'p' or 'p/q' in lowest terms."""
+    return str(Fraction(x, den))
 
 
 class Lattice:
@@ -102,40 +102,42 @@ def direct_sum(parts: Sequence[Lattice], name: str | None = None) -> Lattice:
 
 
 class GlueExtension(NamedTuple):
-    """Result of glue_extend: the glued lattice, its index over the base, the
-    canonical new basis B in base coordinates, and the base lattice's basis
-    rows B^-1 in the new basis."""
+    """Result of glue_extend: the glued lattice, its index over the base, the glue
+    denominator den, the canonical new basis B = h / den in base coordinates as
+    its integer rows h, and the base lattice's basis rows den h^-1 in the new basis."""
 
     lattice: Lattice
     index: int
-    basis_in_base: RatMatrix
+    den: int
+    basis_in_base: IntMatrix
     base_in_lattice: IntMatrix
 
 
-def glue_extend(q: Lattice, words: RatMatrix,
+def glue_extend(q: Lattice, words: IntMatrix, den: int,
                 name: str | None = None) -> GlueExtension:
-    """Extend q by glue vectors from its dual; canonical HNF basis.
+    """Extend q by the glue vectors words / den from its dual; canonical HNF basis.
 
-    Each row of ``words`` is a glue vector in the basis of q.  It must pair
-    integrally with every basis vector of q (i.e. lie in q*), and the glued
-    lattice must be integral; otherwise :class:`GlueError` says which
-    fails.  With den the denominator of ``words`` and h the HNF of den I
-    stacked on the numerators, the glued basis is h / den and its Gram
-    h G h^T / den^2.
+    Each row of ``words`` over the positive ``den`` is a glue vector in the
+    basis of q.  It must pair integrally with every basis vector of q (i.e.
+    lie in q*), and the glued lattice must be integral; otherwise
+    :class:`GlueError` says which fails.  With h the HNF of den I stacked on
+    ``words``, the glued basis is h / den and its Gram h G h^T / den^2.
     """
-    r, den = q.rank, words.den
+    r = q.rank
+    if den < 1:
+        raise GlueError(f"glue denominator {den} is not positive")
     if words.cols != r:
         raise GlueError(f"glue rows have {words.cols} coordinates, not {r}")
-    for gi, row in enumerate((words.num @ q.gram).entries):
+    for gi, row in enumerate((words @ q.gram).entries):
         for bi, e in enumerate(row):
             if e % den:
                 raise GlueError(
                     f"glue vector {gi} pairs non-integrally with basis vector "
-                    f"{bi}: <g,b> = {rat_str(Fraction(e, den))}")
+                    f"{bi}: <g,b> = {rat_str(e, den)}")
     scaled = IntMatrix.identity(r).scale(den)
     # den I is among h's generators, so h has r rows and its triangular
     # determinant prod(diagonal) divides den^r: det(basis) = 1 / index.
-    h = hnf(_im(r + words.rows, r, scaled.entries + words.num.entries))
+    h = hnf(_im(r + words.rows, r, scaled.entries + words.entries))
     index = den ** r // prod(h.entries[i][i] for i in range(r))
     square = den * den
     gram = (h @ q.gram @ h.transpose()).entries
@@ -144,7 +146,7 @@ def glue_extend(q: Lattice, words: RatMatrix,
     glued = Lattice(_im(r, r, tuple(tuple(e // square for e in row) for row in gram)),
                     name=name)
     # The base rows B^-1 = den h^-1 solve x h = den I in integers.
-    return GlueExtension(glued, index, RatMatrix(h, den), solve_exact(h, scaled))
+    return GlueExtension(glued, index, den, h, solve_exact(h, scaled))
 
 
 def is_even_unimodular(l: Lattice) -> tuple[bool, bool]:
@@ -169,7 +171,7 @@ class Isometry:
         return isinstance(other, Isometry) and (
             (self.lattice, self.matrix, self.order) == (other.lattice, other.matrix, other.order))
 
-    def __hash__(self) -> int:  # twist_data's cache keys on it
+    def __hash__(self) -> int:
         return hash((self.lattice, self.matrix, self.order))
 
     @classmethod

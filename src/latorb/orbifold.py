@@ -13,7 +13,6 @@ both.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt, prod
 from typing import NamedTuple
 
@@ -188,7 +187,6 @@ class TwistData(NamedTuple):
     index_nr: int
 
 
-@lru_cache(maxsize=None)
 def twist_data(iso: Isometry) -> TwistData:
     """Assemble eigen data, rho, N/M/R and the indices |N/M| and |N/R|.
 
@@ -244,29 +242,25 @@ def fixed_weight_one_dim(iso: Isometry, rs: RootSystem, h0: int) -> int:
     return h0 + orbits
 
 
-def _candidate_entries(sigma_key: str, total: int) -> list[dict]:
+def _candidate_entries(sigma_key: str, d: int) -> list[dict]:
     """The candidates of the row's query (dimension, rank bound) for its
-    unresolved weight-one summand, at the dual Coxeter divisor
-    d = (total - 24) / 24 of the level rule h / k = d, each flagged if the
-    row flags it; a total that gives no positive integer d raises."""
+    unresolved weight-one summand, at the dual Coxeter divisor d of the
+    level rule h / k = d, each flagged if the row flags it."""
     row = CONSTRUCTIONS["isometries"][sigma_key]
     if row["query"] is None:
         return []
-    divisor, rest = divmod(total - 24, 24)
-    if rest or divisor < 1:
-        raise OrbifoldError(f"{sigma_key}: total {total} is not 24 (d + 1) for an integer d >= 1")
     flagged, _ = row["expect"]["flagged_candidates"]
     return [{**entry, "flagged": entry["type"] in flagged}
-            for entry in liealg.candidate_entries(*row["query"], divisor)]
+            for entry in liealg.candidate_entries(*row["query"], d)]
 
 
-def _verify_resolved_type(sigma_key: str, total: int) -> str:
+def _verify_resolved_type(sigma_key: str, total: int, d: int) -> str:
     text = CONSTRUCTIONS["isometries"][sigma_key]["resolved"]
     parsed = liealg.parse_type_string(text)
     if sum(t.dimension * count for t, _, count in parsed) != total:
         raise OrbifoldError(f"{sigma_key}: resolved type dimension is not {total}")
     for t, level, _ in parsed:
-        if liealg.level_from_dim(t.dual_coxeter, total) != level:
+        if level * d != t.dual_coxeter:
             raise OrbifoldError(f"{sigma_key}: resolved type violates the level rule")
     return text
 
@@ -276,18 +270,17 @@ def stabilizes(bundle: NiemeierBundle, matrix: IntMatrix) -> bool:
     glue basis B, is an automorphism of the root lattice Q that sends each
     glue generator (a row of B) into a glue coset: the generators and Q span
     L, so the map then permutes the cosets L/Q (compared as residues).
-    B is the HNF h of ``glue_extend`` over the glue denominator, reduced by a
-    gcd, so ``b.den`` divides ``glue_den`` and an image's residue row is its
-    numerator scaled by ``glue_den // b.den``."""
+    B is the HNF h of ``glue_extend`` over the glue denominator den, the
+    denominator of the ``glue_group`` residues too, so an image's residue
+    row is its numerator row modulo den."""
     ext = bundle.extension
-    b = ext.basis_in_base
-    # B, its images and s are numerators over b.den; s / den is unimodular.
-    images = matrix @ b.num
+    h, den = ext.basis_in_base, ext.den
+    # B, its images and s are numerators over den; s / den is unimodular.
+    images = matrix @ h
     s = ext.base_in_lattice @ images
-    if any(e % b.den for row in s.entries for e in row) or abs(det(s)) != b.den ** b.rows:
+    if any(e % den for row in s.entries for e in row) or abs(det(s)) != den ** h.rows:
         return False
-    glue, den = set(bundle.glue_group), bundle.glue_den
-    return all(tuple(e * (den // b.den) % den for e in row) in glue for row in images.entries)
+    return set(bundle.glue_group).issuperset(tuple(e % den for e in row) for row in images.entries)
 
 
 def assemble_report(sigma_key: str) -> dict:
@@ -317,7 +310,11 @@ def assemble_report(sigma_key: str) -> dict:
     if 2 * twisted != 3 * fixed - roots:
         raise OrbifoldError(f"{sigma_key}: dimension formula fails: 2 * twisted_each "
                             f"{twisted} != 3 * fixed {fixed} - roots {roots}")
-    resolved = _verify_resolved_type(sigma_key, total)
+    # The level rule h / k = d for every simple summand, d = (total - 24) / 24.
+    d, rest = divmod(total - 24, 24)
+    if rest or d < 1:
+        raise OrbifoldError(f"{sigma_key}: total {total} is not 24 (d + 1) for an integer d >= 1")
+    resolved = _verify_resolved_type(sigma_key, total, d)
     return {
         "lattice": lattice_key,
         "sigma": sigma_key,
@@ -328,6 +325,6 @@ def assemble_report(sigma_key: str) -> dict:
         "indices": {"N_over_M": td.index_nm, "N_over_R": td.index_nr},
         "R_equals_M": td.index_nm == td.index_nr,
         "dims": {"fixed": fixed, "twisted_each": twisted, "total": total},
-        "candidates": _candidate_entries(sigma_key, total),
+        "candidates": _candidate_entries(sigma_key, d),
         "schellekens": liealg.schellekens_match(total, resolved),
     }

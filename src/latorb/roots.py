@@ -293,7 +293,7 @@ def orbit_count(rs: RootSystem, iso: Isometry) -> tuple[int, int]:
 
 
 def glued_root_vectors(parts: Sequence[Lattice], ext: GlueExtension,
-                       words: Sequence[tuple[int, ...]], d: int) -> list[tuple[int, ...]]:
+                       words: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Norm-2 vectors of a glued lattice, coset by coset over the base.
 
     Args:
@@ -301,21 +301,20 @@ def glued_root_vectors(parts: Sequence[Lattice], ext: GlueExtension,
         ext: the glue extension of their direct sum whose roots are wanted.
         words: coset representatives of ext.lattice over the base, including
             the zero word, as integer rows w: the base coordinates of a word
-            are w / d (glue residues, as ``catalog`` stores them).
-        d: the common positive denominator of the words.
+            are w / ext.den (glue residues, as ``catalog`` stores them).
 
     Returns:
         All norm-2 vectors of ext.lattice as integer rows in its own basis.
         Each coset is searched with a shifted enumeration; a coset is
         skipped outright when the per-block minimum norms already exceed 2.
     """
-    n = ext.lattice.rank
+    n, d = ext.lattice.rank, ext.den
     blocks = [p.rank for p in parts]
     *starts, total = itertools.accumulate(blocks, initial=0)
     if total != n:
         raise RootsError(f"the parts' ranks sum to {total}, not the rank {n}")
-    if d < 1 or any(len(w) != n for w in words):
-        raise RootsError("coset words must be rank-length rows over a positive d")
+    if any(len(w) != n for w in words):
+        raise RootsError("coset words must be rank-length rows")
     unit = d * d  # every norm is scaled by d^2 into an integer
     # Parts with equal Grams share one key, so each (Gram, shift) pair is
     # enumerated once however many blocks carry it.

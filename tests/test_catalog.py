@@ -50,22 +50,23 @@ SIGMA_EXPECTED = {
 
 
 def test_root_lattice_determinants_and_classes():
+    # (det C, classes, glue denominator: det C over its gcd with the weights)
     cases = {
-        ("A", 2): (3, 3),
-        ("A", 5): (6, 6),
-        ("D", 4): (4, 4),
-        ("E", 6): (3, 3),
+        ("A", 2): (3, 3, 3),
+        ("A", 5): (6, 6, 6),
+        ("D", 4): (4, 4, 2),
+        ("E", 6): (3, 3, 3),
     }
-    for (family, rank), (det, n_classes) in cases.items():
+    for (family, rank), (det, n_classes, den) in cases.items():
         data = build_root_lattice(family, rank)
         assert data.lattice.determinant() == det
         assert data.glue.rows == n_classes
-        assert all(c == 0 for c in data.glue.num.entries[0])
+        assert data.den == den
+        assert all(c == 0 for c in data.glue.entries[0])
         # Each representative lies in the dual lattice (rep . G is integral)
         # and in the lattice itself only for the trivial class.
-        den = data.glue.den
-        pairings = data.glue.num @ data.lattice.gram
-        for ell, (rep, paired) in enumerate(zip(data.glue.num.entries, pairings.entries)):
+        pairings = data.glue @ data.lattice.gram
+        for ell, (rep, paired) in enumerate(zip(data.glue.entries, pairings.entries)):
             assert all(e % den == 0 for e in paired)
             assert all(e % den == 0 for e in rep) == (ell == 0)
 
@@ -90,13 +91,13 @@ def test_glued_basis_in_ambient_coordinates_reproduces_the_gram(key):
     for family, rank in CONSTRUCTIONS["lattices"][key]["parts"]:
         data = build_root_lattice(family, rank)
         forms.append(data.lattice.gram if family == "E" else IntMatrix.identity(data.ambient.cols))
-    b = bundle.extension.basis_in_base
-    e = b.num @ bundle.ambient
-    assert e @ block_diagonal(forms) @ e.transpose() == bundle.lattice.gram.scale(b.den ** 2)
-    embedding = b @ RatMatrix(bundle.ambient)
+    b, den = bundle.extension.basis_in_base, bundle.extension.den
+    e = b @ bundle.ambient
+    assert e @ block_diagonal(forms) @ e.transpose() == bundle.lattice.gram.scale(den ** 2)
+    embedding = RatMatrix(b, den) @ RatMatrix(bundle.ambient)
     assert tuple(tuple(Fraction(x, embedding.den) for x in row)
                  for row in embedding.num.entries) == tuple(
-        tuple(Fraction(x, b.den) for x in row) for row in e.entries)
+        tuple(Fraction(x, den) for x in row) for row in e.entries)
 
 
 def former_glue(family, rank):
@@ -121,14 +122,15 @@ ROOT_TYPES = [("A", n) for n in range(1, 11)] + [("D", 4), ("E", 6)]
 def test_derived_classes_are_the_former_stated_classes(family, rank):
     # Row ell of the weights read off C^-1 lies in the class row ell was
     # stated in, so the digits of every glue word keep their meaning.
-    glue = build_root_lattice(family, rank).glue
+    data = build_root_lattice(family, rank)
+    glue, gden = data.glue, data.den
     former, den = former_glue(family, rank)
-    assert glue.rows == former.rows == build_root_lattice(family, rank).lattice.determinant()
-    for new, old in zip(glue.num.entries, former.entries):
-        assert all((a * den - b * glue.den) % (den * glue.den) == 0 for a, b in zip(new, old))
+    assert glue.rows == former.rows == data.lattice.determinant()
+    for new, old in zip(glue.entries, former.entries):
+        assert all((a * den - b * gden) % (den * gden) == 0 for a, b in zip(new, old))
     # Pairwise distinct modulo L: together with the count, all of L*/L.
-    for u, v in itertools.combinations(glue.num.entries, 2):
-        assert any((a - b) % glue.den for a, b in zip(u, v))
+    for u, v in itertools.combinations(glue.entries, 2):
+        assert any((a - b) % gden for a, b in zip(u, v))
 
 
 def test_root_lattice_class_norms():
@@ -136,9 +138,9 @@ def test_root_lattice_class_norms():
     # norm ell (n + 1 - ell) / (n + 1) for A_n, 1 for D4 and 4/3 for E6.
     for family, rank in [("A", n) for n in range(1, 9)] + [("D", 4), ("E", 6)]:
         data = build_root_lattice(family, rank)
-        l, den = data.lattice, data.glue.den
+        l, den = data.lattice, data.den
         for ell in range(1, data.glue.rows):
-            rep = data.glue.num.entries[ell]
+            rep = data.glue.entries[ell]
             norm = l.inner(rep, rep)
             assert min(e for _, e in _short_vectors(l, norm, rep, den)) == norm
             expected = {"A": Fraction(ell * (rank + 1 - ell), rank + 1), "D": 1,
@@ -325,7 +327,7 @@ def test_block_shuffle_follows_code_permutation():
     incl = bundle.extension.base_in_lattice
     # The glued basis in base coordinates, as numerators over one
     # denominator; the support of a row does not depend on the denominator.
-    back = bundle.extension.basis_in_base.num.entries
+    back = bundle.extension.basis_in_base.entries
     for p in range(12):
         base_root = incl.entries[2 * p]  # first simple root of block p
         image = (IntMatrix.from_rows([base_root]) @ sigma.matrix).entries[0]
@@ -361,7 +363,7 @@ def test_corrupted_block_row_rejected(monkeypatch, changes, message):
     row = {**dict(enumerate(CONSTRUCTIONS["isometries"]["sigma5"]["blocks"])), **changes}
     monkeypatch.setitem(CONSTRUCTIONS["isometries"]["sigma5"], "blocks", tuple(row.values()))
     with pytest.raises(CatalogError, match=message):
-        build_sigma.__wrapped__("sigma5")
+        build_sigma("sigma5")
 
 
 # A word of D4_6 with five digits for its six blocks, and one with the
@@ -454,7 +456,7 @@ def test_glue_closure_matches_breadth_first_reference(n, d, data):
     words = data.draw(st.lists(st.lists(st.integers(0, 2 * d), min_size=n, max_size=n),
                                max_size=4))
     gens = RatMatrix(IntMatrix.from_rows(words, cols=n), d)
-    den, group = gens.den, _close_glue_group(gens)
+    den, group = gens.den, _close_glue_group(gens.num, gens.den)
     assert den == lcm(*(Fraction(e, d).denominator for w in words for e in w))
     steps = [tuple(int(Fraction(e, d) * den) % den for e in w) for w in words]
     seen, frontier = {(0,) * n}, [(0,) * n]
@@ -509,7 +511,7 @@ def test_non_unimodular_glued_lattice_rejected(monkeypatch):
 
 def test_glue_group_short_of_the_index_rejected(monkeypatch):
     closed = catalog._close_glue_group
-    monkeypatch.setattr(catalog, "_close_glue_group", lambda words: closed(words)[:-1])
+    monkeypatch.setattr(catalog, "_close_glue_group", lambda words, den: closed(words, den)[:-1])
     monkeypatch.setattr(catalog, "_check_glue_code", lambda *args: None)
     with pytest.raises(CatalogError, match="^E6_4: the glue index is 9 but the group has "
                                            "8 cosets$"):

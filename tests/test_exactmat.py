@@ -167,12 +167,17 @@ def test_mixed_operands_and_non_int_entries_raise_type_error():
                 op(a, b)
     with pytest.raises(TypeError):
         i.scale(Fraction(1, 2))
-    # det, ldl and block_diagonal take integer matrices only: rational
-    # entries, carried unchecked, are refused where they are read.
-    half = _im(2, 2, fraction_rows(RatMatrix(im([[1, 0], [0, 2]]), 2)))
+    # det, ldl and block_diagonal take integer matrices only: a RatMatrix
+    # is refused by type, and rational entries, carried unchecked, where
+    # they are read.
+    half = RatMatrix(im([[1, 0], [0, 2]]), 2)
     for use in (det, ldl, lambda m: block_diagonal([i, m])):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="^IntMatrix expected, got RatMatrix$"):
             use(half)
+        with pytest.raises(TypeError):
+            use(_im(2, 2, fraction_rows(half)))
+    with pytest.raises(TypeError, match="^IntMatrix expected, got RatMatrix$"):
+        det(RatMatrix(im([[1, 2]]), 2))  # refused by type before its shape is read
     bad = [lambda: IntMatrix(1, 1, ((Fraction(1),),)),
            lambda: IntMatrix(1, 1, ((True,),)),
            lambda: IntMatrix.from_rows([[1, 2.0]]),

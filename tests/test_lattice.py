@@ -103,7 +103,8 @@ def dual_basis(gram: IntMatrix) -> RatMatrix:
 
 def glue_by_dual_basis(l: Lattice):
     """Glue l by the dual basis: the glued lattice would be L*."""
-    return glue_extend(l, dual_basis(l.gram))
+    dual = dual_basis(l.gram)
+    return glue_extend(l, dual.num, dual.den)
 
 
 def test_dual_of_unimodular_is_itself():
@@ -151,7 +152,7 @@ def test_direct_sum():
 
 def test_glue_empty_is_identity():
     l = a2()
-    ext = glue_extend(l, RatMatrix(IntMatrix(0, 2, ())))
+    ext = glue_extend(l, IntMatrix(0, 2, ()), 1)
     assert ext.index == 1
     assert ext.lattice.gram == l.gram
 
@@ -162,9 +163,9 @@ def test_glue_a2_to_its_dual():
     # A2 but does not glue, while its diagonal in A2^3 has norm 2 and glues
     # A2^3 to E6 with index 3.
     with pytest.raises(GlueError, match="not integral"):
-        glue_extend(a2(), RatMatrix(IntMatrix.from_rows([[2, 1]]), 3))
+        glue_extend(a2(), IntMatrix.from_rows([[2, 1]]), 3)
     l = direct_sum([a2()] * 3)
-    ext = glue_extend(l, RatMatrix(IntMatrix.from_rows([[2, 1] * 3]), 3))
+    ext = glue_extend(l, IntMatrix.from_rows([[2, 1] * 3]), 3)
     assert ext.index == 3
     assert ext.lattice.determinant() == 3
     assert ext.lattice.determinant() * ext.index ** 2 == l.determinant()
@@ -176,10 +177,42 @@ def test_glue_a2_to_its_dual():
 def test_glue_rejects_non_dual_vector():
     l = a2()
     with pytest.raises(GlueError) as exc:
-        glue_extend(l, RatMatrix(IntMatrix.from_rows([[1, 0]]), 2))
+        glue_extend(l, IntMatrix.from_rows([[1, 0]]), 2)
     assert "pairs non-integrally" in str(exc.value)
     with pytest.raises(GlueError, match="3 coordinates, not 2"):
-        glue_extend(l, RatMatrix(IntMatrix.from_rows([[2, 1, 0]]), 3))
+        glue_extend(l, IntMatrix.from_rows([[2, 1, 0]]), 3)
+
+
+def test_glue_rejects_a_non_positive_denominator():
+    for den in (0, -3):
+        with pytest.raises(GlueError, match=f"^glue denominator {den} is not positive$"):
+            glue_extend(a2(), IntMatrix.from_rows([[2, 1]]), den)
+
+
+# A dual-class row of each block type, over its denominator, which glues
+# integrally on the diagonal of this many copies of the block.
+DIAGONAL_GLUE = [(A2_GRAM, [2, 1], 3, 3), (D4_GRAM, [1, 2, 1, 2], 2, 2),
+                 (E6_GRAM, [1, -1, 0, 1, -1, 0], 3, 3)]
+
+
+@pytest.mark.parametrize("gram,rep,den,copies", DIAGONAL_GLUE)
+def test_glue_is_the_same_over_a_multiple_of_the_denominator(gram, rep, den, copies):
+    # Seeded words W over den, multiples of the diagonal class plus base
+    # vectors: k W over k den glues the same lattice with the same base rows,
+    # and its basis numerators are k times those over den.
+    l = direct_sum([Lattice(gram)] * copies)
+    rng = random.Random(l.rank)
+    for _ in range(5):
+        multiples = [rng.randrange(den) for _ in range(rng.randrange(1, 4))]
+        words = IntMatrix.from_rows([[c * e + den * rng.randrange(-2, 3) for e in rep * copies]
+                                     for c in multiples])
+        ext = glue_extend(l, words, den)
+        for k in (2, 3):
+            scaled = glue_extend(l, words.scale(k), k * den)
+            assert scaled.lattice.gram == ext.lattice.gram
+            assert scaled.index == ext.index
+            assert scaled.base_in_lattice == ext.base_in_lattice
+            assert (scaled.den, scaled.basis_in_base) == (k * den, ext.basis_in_base.scale(k))
 
 
 def test_even_unimodular_flags():
@@ -197,8 +230,8 @@ def test_member_basis_and_glue_vector():
     # glue, while three times it lies in E6 and glues with index 1.
     assert e6.inner(tripled.num.entries[0], tripled.num.entries[0]) == 12
     with pytest.raises(GlueError, match="not integral"):
-        glue_extend(e6, g)
-    assert glue_extend(e6, tripled).index == 1
+        glue_extend(e6, g.num, g.den)
+    assert glue_extend(e6, tripled.num, tripled.den).index == 1
 
 
 def sublattice_contains(sub: IntMatrix, coords_in_parent) -> bool:
@@ -303,7 +336,7 @@ def test_randomized_lattice_invariants():
         q = Fraction(sum(a * b for a, b in zip(u_row, v_row))).denominator
         if q > 1:
             with pytest.raises(GlueError, match="not integral"):
-                glue_extend(l, v)
-        ext = glue_extend(l, RatMatrix(v.num.scale(q), v.den))
+                glue_extend(l, v.num, v.den)
+        ext = glue_extend(l, v.num.scale(q), v.den)
         assert ext.lattice.determinant() * ext.index ** 2 == d
         assert abs(det(ext.base_in_lattice)) == ext.index

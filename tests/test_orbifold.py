@@ -16,7 +16,6 @@ from latorb.lattice import Isometry, Lattice
 from latorb.orbifold import (
     OrbifoldError,
     TwistData,
-    _candidate_entries,
     _pairing_on,
     UnsupportedTwistWeight,
     assemble_report,
@@ -280,7 +279,7 @@ def test_twist_data_rejects_a_radical_missing_m(monkeypatch):
 
     monkeypatch.setattr(orbifold, "sublattice_r", tripled)
     with pytest.raises(OrbifoldError, match="M is not contained in R"):
-        twist_data.__wrapped__(build_sigma("sigma1"))
+        twist_data(build_sigma("sigma1"))
 
 
 def without_last_row(matrix: IntMatrix) -> IntMatrix:
@@ -298,7 +297,7 @@ def test_twist_data_rejects_disagreeing_index_routes(monkeypatch):
     monkeypatch.setattr(orbifold, "coset_filter_index", filter_times_four)
     with pytest.raises(OrbifoldError, match=(
             "routes disagree: congruence kernel 81, coset filter 324")):
-        twist_data.__wrapped__(build_sigma("sigma1"))
+        twist_data(build_sigma("sigma1"))
 
 
 def test_twist_data_rejects_a_non_square_index(monkeypatch):
@@ -316,21 +315,21 @@ def test_twist_data_rejects_a_non_square_index(monkeypatch):
     monkeypatch.setattr(orbifold, "sublattice_r", r_times_three)
     monkeypatch.setattr(orbifold, "coset_filter_index", filter_times_three)
     with pytest.raises(OrbifoldError, match=r"\|N/R\| = 243 is not a perfect square"):
-        twist_data.__wrapped__(build_sigma("sigma1"))
+        twist_data(build_sigma("sigma1"))
 
 
 def test_twist_data_rejects_an_n_of_the_wrong_rank(monkeypatch):
     true_n = orbifold.sublattice_n
     monkeypatch.setattr(orbifold, "sublattice_n", lambda iso: without_last_row(true_n(iso)))
     with pytest.raises(OrbifoldError, match="rank N disagrees with the eigenspace dimensions"):
-        twist_data.__wrapped__(build_sigma("sigma1"))
+        twist_data(build_sigma("sigma1"))
 
 
 def test_twist_data_rejects_an_m_of_another_rank(monkeypatch):
     true_m = orbifold.sublattice_m
     monkeypatch.setattr(orbifold, "sublattice_m", lambda iso: without_last_row(true_m(iso)))
     with pytest.raises(OrbifoldError, match="N/M is infinite; ranks differ"):
-        twist_data.__wrapped__(build_sigma("sigma1"))
+        twist_data(build_sigma("sigma1"))
 
 
 def test_coset_filter_rejects_an_m_outside_the_radical():
@@ -512,8 +511,7 @@ def test_report_checks_the_dimension_formula_on_the_fixed_side(monkeypatch):
 
 def test_report_checks_the_dimension_formula_on_the_twisted_side(monkeypatch):
     # Both |N/R| routes four times too large: they agree, |N/R| = 324 is a
-    # square, and twisted_each 18 breaks 2 * 18 = 3 * 30 - 72.  twist_data
-    # runs uncached so that the patched routes are called.
+    # square, and twisted_each 18 breaks 2 * 18 = 3 * 30 - 72.
     true_r, true_filter = orbifold.sublattice_r, orbifold.coset_filter_index
 
     def r_times_four(n, c):
@@ -526,7 +524,6 @@ def test_report_checks_the_dimension_formula_on_the_twisted_side(monkeypatch):
 
     monkeypatch.setattr(orbifold, "sublattice_r", r_times_four)
     monkeypatch.setattr(orbifold, "coset_filter_index", filter_times_four)
-    monkeypatch.setattr(orbifold, "twist_data", twist_data.__wrapped__)
     with pytest.raises(OrbifoldError, match=(
             r"sigma1: dimension formula fails: 2 \* twisted_each 18 != 3 \* fixed 30")):
         assemble_report("sigma1")
@@ -570,8 +567,7 @@ def test_stabilizes_fails_when_cosets_collapse():
 
 def test_report_forms_the_fixed_space_kernel_once(monkeypatch):
     # h0 is the nullity of s - 1 (Isometry.fixed_rank, lattice's one kernel
-    # call); a report reads it from eigen_dims once.  twist_data runs
-    # uncached so that its eigen_dims call is counted too.
+    # call); a report reads it from eigen_dims once.
     calls = []
     true_kernel = lattice.kernel_basis
 
@@ -580,11 +576,32 @@ def test_report_forms_the_fixed_space_kernel_once(monkeypatch):
         return true_kernel(m)
 
     monkeypatch.setattr(lattice, "kernel_basis", counting)
-    monkeypatch.setattr(orbifold, "twist_data", twist_data.__wrapped__)
     for key in SIGMA_KEYS:
         calls.clear()
         assemble_report(key)
         assert len(calls) == 1, key
+
+
+def test_verify_all_builds_and_twists_each_sigma_once(monkeypatch, capsys):
+    # One verify-all assembles each isometry once and computes its twist
+    # data once, so neither step gains from a cache.
+    built, twisted = [], []
+    true_build, true_twist = orbifold.build_sigma, orbifold.twist_data
+
+    def building(key):
+        built.append(key)
+        return true_build(key)
+
+    def twisting(iso):
+        twisted.append(iso)
+        return true_twist(iso)
+
+    monkeypatch.setattr(orbifold, "build_sigma", building)
+    monkeypatch.setattr(orbifold, "twist_data", twisting)
+    assert cli.main(["verify-all"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert built == list(SIGMA_KEYS)
+    assert twisted == [build_sigma(key) for key in SIGMA_KEYS]
 
 
 def test_report_unknown_key():
@@ -630,6 +647,7 @@ def test_commutator_is_alternating_and_bilinear(key):
 CORRUPTED_ROWS = [
     ("sigma1", "resolved", "A2,3^5", "sigma1: resolved type dimension is not 48"),
     ("sigma1", "resolved", "A2,2^6", "sigma1: resolved type violates the level rule"),
+    ("sigma1", "resolved", "A2,4^6", "sigma1: resolved type violates the level rule"),
 ]
 
 
@@ -640,13 +658,16 @@ def test_report_rejects_a_corrupted_row(monkeypatch, key, field, value, message)
         assemble_report(key)
 
 
-def test_candidate_entries_reject_a_total_with_no_divisor():
-    # The divisor d = (total - 24) / 24 of a query: 56 leaves a rest of 8,
-    # and 24 gives d = 0.
-    for total in (56, 24):
+def test_candidate_entries_reject_a_total_with_no_divisor(monkeypatch):
+    # The divisor d = (total - 24) / 24 of the level rule: 56 leaves a rest
+    # of 8, and 24 gives d = 0.  Each total is fixed + 2 twisted_each with
+    # 2 twisted_each = 3 fixed - 72, so the dimension formula holds.
+    for total, fixed, twisted in ((56, 32, 12), (24, 24, 0)):
+        monkeypatch.setattr(orbifold, "fixed_weight_one_dim", lambda *args, f=fixed: f)
+        monkeypatch.setattr(orbifold, "twisted_weight_one_dim", lambda td, t=twisted: t)
         with pytest.raises(OrbifoldError, match=f"^sigma1: total {total} is not "
                                                 r"24 \(d \+ 1\) for an integer d >= 1$"):
-            _candidate_entries("sigma1", total)
+            assemble_report("sigma1")
 
 
 def test_report_rejects_a_candidate_off_the_level_rule(monkeypatch):

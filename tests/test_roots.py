@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from latorb import roots as roots_module
 from latorb.catalog import build_root_lattice, build_sigma, niemeier_bundle
-from latorb.exactmat import IntMatrix, RatMatrix, inverse
+from latorb.exactmat import IntMatrix, inverse
 from latorb.lattice import Isometry, Lattice, LatticeError, direct_sum, glue_extend
 from latorb.roots import (
     RootComponent,
@@ -192,7 +192,7 @@ def test_glued_coset_route_matches_direct_route():
     d4 = Lattice(D4_GRAM)
     q = direct_sum([d4, d4])
     spinor = [1, 2, 1, 2]  # (1/2, 1, 1/2, 1)
-    ext = glue_extend(q, RatMatrix(IntMatrix.from_rows([spinor + spinor]), 2))
+    ext = glue_extend(q, IntMatrix.from_rows([spinor + spinor]), 2)
     assert ext.index == 2
     assert ext.lattice.determinant() == 4
     direct = enumerate_roots(ext.lattice)
@@ -200,7 +200,7 @@ def test_glued_coset_route_matches_direct_route():
     assert classify(direct) == (("D", 8),)
     # The spinor word as integer residues over d = 2.
     words = [(0,) * 8, (1, 0, 1, 0) * 2]
-    vectors = glued_root_vectors([d4, d4], ext, words, 2)
+    vectors = glued_root_vectors([d4, d4], ext, words)
     assert len(vectors) == 112
     assert set(vectors) == set(direct.roots)
     via_cosets = build_root_system(ext.lattice, vectors)
@@ -212,10 +212,10 @@ def test_glued_route_with_fully_pruned_words():
     # only contain norms 6 * 2/3 = 4 and up, never exactly 2.
     a2 = Lattice(A2_GRAM)
     q = direct_sum([a2] * 6)
-    ext = glue_extend(q, RatMatrix(IntMatrix.from_rows([[2, 1] * 6]), 3))
+    ext = glue_extend(q, IntMatrix.from_rows([[2, 1] * 6]), 3)
     assert ext.index == 3
     words = [(0,) * 12, (2, 1) * 6, (1, 2) * 6]  # 0, g, 2g mod 1, over d = 3
-    vectors = glued_root_vectors([a2] * 6, ext, words, 3)
+    vectors = glued_root_vectors([a2] * 6, ext, words)
     rs = build_root_system(ext.lattice, vectors)
     assert rs.count == 36
     assert classify(rs) == (("A", 2),) * 6
@@ -229,9 +229,9 @@ def test_glued_roots_reject_a_coset_outside_the_lattice():
     # Class 1 of A2 on three blocks is a word of weight 3, not a Golay word:
     # its coset holds norm-2 vectors (3 * 2/3) that A2_12 does not contain.
     bundle = niemeier_bundle("A2_12")
-    word = build_root_lattice("A", 2).glue.num.entries[1] * 3 + (0, 0) * 9
+    word = build_root_lattice("A", 2).glue.entries[1] * 3 + (0, 0) * 9
     with pytest.raises(RootsError) as excinfo:
-        glued_root_vectors(bundle.parts, bundle.extension, [word], bundle.glue_den)
+        glued_root_vectors(bundle.parts, bundle.extension, [word])
     assert str(excinfo.value) == "coset vector landed outside the lattice"
 
 
@@ -480,7 +480,7 @@ def test_glued_route_shares_short_vectors_across_equal_blocks(monkeypatch):
     # norm 3 * 2/3 = 2, so both nonzero cosets carry 27 roots each.
     a2 = Lattice(A2_GRAM)
     q = direct_sum([a2, a2, a2])
-    ext = glue_extend(q, RatMatrix(IntMatrix.from_rows([[2, 1] * 3]), 3))
+    ext = glue_extend(q, IntMatrix.from_rows([[2, 1] * 3]), 3)
     assert ext.index == 3
     words = [(0,) * 6, (2, 1) * 3, (1, 2) * 3]  # 0, g, 2g mod 1, over d = 3
     calls = []
@@ -491,7 +491,7 @@ def test_glued_route_shares_short_vectors_across_equal_blocks(monkeypatch):
         return original(l, bound, shift, d)
 
     monkeypatch.setattr(roots_module, "_short_vectors", counting)
-    vectors = glued_root_vectors([a2] * 3, ext, words, 3)
+    vectors = glued_root_vectors([a2] * 3, ext, words)
     monkeypatch.undo()
     # One enumeration per (Gram, shift): three blocks share each shift.
     assert len(calls) == 3
@@ -501,7 +501,7 @@ def test_glued_route_shares_short_vectors_across_equal_blocks(monkeypatch):
     for seed in (1, 2):
         shuffled = list(words)
         random.Random(seed).shuffle(shuffled)
-        again = glued_root_vectors([a2] * 3, ext, shuffled, 3)
+        again = glued_root_vectors([a2] * 3, ext, shuffled)
         assert sorted(again) == sorted(vectors)
     assert classify(build_root_system(ext.lattice, vectors)) == (("E", 6),)
 
@@ -511,8 +511,8 @@ def test_glued_route_keeps_blocks_with_different_grams_apart():
     # the shift 0, but their short vectors differ.
     flipped = Lattice(IntMatrix.from_rows([[2, 1], [1, 2]]))
     parts = [Lattice(A2_GRAM), flipped]
-    ext = glue_extend(direct_sum(parts), RatMatrix(IntMatrix(0, 4, ())))
-    vectors = glued_root_vectors(parts, ext, [(0,) * 4], 1)
+    ext = glue_extend(direct_sum(parts), IntMatrix(0, 4, ()), 1)
+    vectors = glued_root_vectors(parts, ext, [(0,) * 4])
     direct = enumerate_roots(ext.lattice)
     assert sorted(vectors) == sorted(direct.roots)
     assert classify(build_root_system(ext.lattice, vectors)) == (("A", 2), ("A", 2))
@@ -520,18 +520,13 @@ def test_glued_route_keeps_blocks_with_different_grams_apart():
 
 def test_glued_route_rejects_parts_short_of_the_rank():
     # One A2 summand for a glued lattice of rank 4: the blocks would not
-    # cover the coordinates of the words.
+    # cover the coordinates of the words; nor would a word of length 3.
     a2 = Lattice(A2_GRAM)
-    ext = glue_extend(direct_sum([a2, a2]), RatMatrix(IntMatrix(0, 4, ())))
+    ext = glue_extend(direct_sum([a2, a2]), IntMatrix(0, 4, ()), 1)
     with pytest.raises(RootsError, match="^the parts' ranks sum to 2, not the rank 4$"):
-        glued_root_vectors([a2], ext, [(0,) * 4], 1)
-
-
-def test_glued_route_rejects_a_zero_denominator():
-    a2 = Lattice(A2_GRAM)
-    ext = glue_extend(direct_sum([a2, a2]), RatMatrix(IntMatrix(0, 4, ())))
-    with pytest.raises(RootsError, match="rank-length rows over a positive d$"):
-        glued_root_vectors([a2, a2], ext, [(0,) * 4], 0)
+        glued_root_vectors([a2], ext, [(0,) * 4])
+    with pytest.raises(RootsError, match="^coset words must be rank-length rows$"):
+        glued_root_vectors([a2, a2], ext, [(0,) * 3])
 
 
 def reference_short_vectors(gram, bound, center):
